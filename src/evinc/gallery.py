@@ -180,6 +180,20 @@ def _measure_constants(m0_fn, m1_fn, kb, rb, window, samples=129):
     return c0, c1, sup1, lip
 
 
+def _gated_model(name, family, K, tail, ops, slots, window, meta):
+    """Relation K + tail, then the structural-condition gate shared by the slab models."""
+    sample_ts = [window[0]] if family.constant else np.linspace(*window, 17)
+    report = check_conditions(family, sample_ts)
+    if not report.passed:
+        raise ConditionCheckError(
+            f"{name} assembly rejected; failing conditions: {report.failing()}"
+        )
+    return GalleryModel(
+        name=name, family=family, relation=StructuredSum(K, tail), operators=ops,
+        slots=slots, skew_block=K, conditions=report, meta=meta,
+    )
+
+
 def build_thermoplasticity(
     g: SlabGrid,
     M: Coefficient = Coefficient(1.0),
@@ -264,23 +278,9 @@ def build_thermoplasticity(
     K[sl_th, sl_q] = ops.grad_c.T     # -div
     K[sl_q, sl_th] = -ops.grad_c
     flow = SlotEmbedded(NodewiseRelation(DeviatoricSaturation(radius=s0), m), slots["T"][0], dim)
-    relation = StructuredSum(K, flow)
-
-    sample_ts = [window[0]] if constant else np.linspace(*window, 17)
-    report = check_conditions(family, sample_ts)
-    if not report.passed:
-        raise ConditionCheckError(
-            f"thermoplastic assembly rejected; failing conditions: {report.failing()}"
-        )
-    return GalleryModel(
-        name="thermoplasticity",
-        family=family,
-        relation=relation,
-        operators=ops,
-        slots=slots,
-        skew_block=K,
-        conditions=report,
-        meta={"m": m, "dx": g.dx, "c": c, "tau0": tau0, "s0": s0},
+    return _gated_model(
+        "thermoplasticity", family, K, flow, ops, slots, window,
+        {"m": m, "dx": g.dx, "c": c, "tau0": tau0, "s0": s0},
     )
 
 
@@ -366,23 +366,9 @@ def build_viscoplasticity(
     else:
         raise ContractViolation(f"unknown internal-variable relation {relation_kind!r}")
     internal = SlotEmbedded(NodewiseRelation(base, m), slots["w"][0], dim)
-    relation = StructuredSum(K, internal)
-
-    sample_ts = [window[0]] if constant else np.linspace(*window, 17)
-    report = check_conditions(family, sample_ts)
-    if not report.passed:
-        raise ConditionCheckError(
-            f"viscoplastic assembly rejected; failing conditions: {report.failing()}"
-        )
-    return GalleryModel(
-        name="viscoplasticity",
-        family=family,
-        relation=relation,
-        operators=ops,
-        slots=slots,
-        skew_block=K,
-        conditions=report,
-        meta={"m": m, "dx": g.dx, "N": N, "relation": relation_kind},
+    return _gated_model(
+        "viscoplasticity", family, K, internal, ops, slots, window,
+        {"m": m, "dx": g.dx, "N": N, "relation": relation_kind},
     )
 
 

@@ -279,19 +279,22 @@ def step_operator(family: MaterialFamily, t: float, dt: float):
     return S, margin
 
 
+def _claimed_constants(M0, M1, kb, rb, c0, c1, low=1.0):
+    """Fill unset c0 / c1 from the matrices; an empty range or kernel gives 1.0."""
+    if c0 is None:
+        c0 = low * float(np.min(np.linalg.eigvalsh(rb.T @ M0 @ rb))) if rb.shape[1] else 1.0
+    if c1 is None and kb.shape[1]:
+        c1 = float(np.min(np.linalg.eigvalsh(kb.T @ (0.5 * (M1 + M1.T)) @ kb)))
+    return c0, 1.0 if c1 is None else c1
+
+
 def constant_family(m0: np.ndarray, m1: np.ndarray, c0=None, c1=None) -> MaterialFamily:
     """Family with constant coefficients; constants measured from the matrices."""
     M0 = np.atleast_2d(np.asarray(m0, dtype=float))
     M1 = np.atleast_2d(np.asarray(m1, dtype=float))
     dim = M0.shape[0]
     kb, rb = kernel_decompose(M0)
-    if c0 is None:
-        c0 = float(np.min(np.linalg.eigvalsh(rb.T @ M0 @ rb))) if rb.shape[1] else 1.0
-    if c1 is None:
-        if kb.shape[1]:
-            c1 = float(np.min(np.linalg.eigvalsh(kb.T @ (0.5 * (M1 + M1.T)) @ kb)))
-        else:
-            c1 = 1.0  # kernel empty: the kernel condition is vacuous
+    c0, c1 = _claimed_constants(M0, M1, kb, rb, c0, c1)
     return MaterialFamily(
         dim=dim,
         M0_at=lambda t: M0,
@@ -325,14 +328,7 @@ def sinusoidal_family(
     M1 = np.atleast_2d(np.asarray(m1_base, dtype=float))
     dim = M0.shape[0]
     kb, rb = kernel_decompose(M0)
-    low = 1.0 - abs(amplitude)
-    if c0 is None:
-        c0 = low * float(np.min(np.linalg.eigvalsh(rb.T @ M0 @ rb))) if rb.shape[1] else 1.0
-    if c1 is None:
-        if kb.shape[1]:
-            c1 = float(np.min(np.linalg.eigvalsh(kb.T @ (0.5 * (M1 + M1.T)) @ kb)))
-        else:
-            c1 = 1.0
+    c0, c1 = _claimed_constants(M0, M1, kb, rb, c0, c1, low=1.0 - abs(amplitude))
     lip = abs(amplitude) * abs(frequency) * float(np.linalg.norm(M0, 2))
     return MaterialFamily(
         dim=dim,

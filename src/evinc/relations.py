@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation, ResolventFailure
+from .fixed_point import CONVERGED, fixed_point
 from .tensors import mandel_dev
 
 __all__ = [
@@ -47,6 +48,17 @@ __all__ = [
 
 PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 10_000
+
+
+def _resolve_by_fixed_point(what, G, y):
+    """Iterate ``G`` from y to the tolerance PICARD_TOL * (1 + |y|), or raise."""
+    tol = PICARD_TOL * (1.0 + float(np.linalg.norm(y)))
+    out, iters, res, reason = fixed_point(G, y, tol, PICARD_MAX_ITER)
+    if reason != CONVERGED:
+        raise ResolventFailure(
+            f"{what} did not converge: {reason}", residual=res, iterations=iters
+        )
+    return out
 
 
 class MonotoneRelation:
@@ -393,21 +405,13 @@ class StructuredSum(MonotoneRelation):
         big = 1.0 + lam * np.linalg.norm(self.matrix, 2)
         gamma = 1.0 / np.sqrt(m_lo * big)
         lhs = eye + gamma * affine
-        scale = 1.0 + float(np.linalg.norm(y))
-        z = y.copy()
-        gap = None
-        for it in range(PICARD_MAX_ITER):
+
+        def dr(z):
             x = np.linalg.solve(lhs, z + gamma * y)
             w = self.tail.resolve(gamma * lam, 2.0 * x - z)
-            gap = float(np.linalg.norm(w - x))
-            z = z + (w - x)
-            if gap <= PICARD_TOL * scale:
-                return w
-        raise ResolventFailure(
-            "structured-sum resolvent did not converge",
-            residual=gap,
-            iterations=PICARD_MAX_ITER,
-        )
+            return z + (w - x), w
+
+        return _resolve_by_fixed_point("structured-sum resolvent", dr, y)
 
 
 class YosidaRelation(MonotoneRelation):
@@ -471,9 +475,6 @@ class LiftedRelation:
     def yosida_signal(self, lam, u):
         res = self.resolve_signal(lam, u)
         return u.with_values((u.values - res.values) / lam)
-
-    def apply_signal(self, u):
-        return u.with_values(self.base.apply_block(u.values))
 
 
 def lift(a: MonotoneRelation, grid, rho: float) -> LiftedRelation:
@@ -566,20 +567,12 @@ class _LipschitzPerturbedSum(MonotoneRelation):
                 f"need lam*Lip(B) < 1 for the Picard resolvent, got {lam * self.lip_b:.3g}"
             )
         y = np.asarray(y, dtype=float)
-        u = y.copy()
-        scale = 1.0 + float(np.linalg.norm(y))
-        step = None
-        for _ in range(PICARD_MAX_ITER):
+
+        def picard(u):
             u_new = self.a.resolve(lam, y - lam * self.b_map(u))
-            step = float(np.linalg.norm(u_new - u))
-            u = u_new
-            if step <= PICARD_TOL * scale:
-                return u
-        raise ResolventFailure(
-            "Picard iteration for the perturbed sum did not converge",
-            residual=step,
-            iterations=PICARD_MAX_ITER,
-        )
+            return u_new, u_new
+
+        return _resolve_by_fixed_point("Picard iteration for the perturbed sum", picard, y)
 
     def graph_distance(self, x, v):
         x = np.asarray(x, dtype=float)

@@ -7,9 +7,13 @@ S u + A(u) ∋ b with S = M0(t_k)/dt + M1(t_k), using only resolvents of A:
 - no relation, or a purely linear one: a single linear solve;
 - single-valued cocoercive tail (projection-type): forward-backward with the
   whole linear part treated implicitly;
-- otherwise, plain forward-backward through the tail resolvent when the step
+- otherwise, forward-backward through the tail resolvent when the step
   matrix is well conditioned, and Douglas-Rachford between the affine part
   and the tail resolvent when it is stiff (the degenerate regime).
+
+Every iterative engine runs safeguarded Anderson(5) on one fixed-point
+kernel (``fixed_point.fixed_point``), which also owns the stop rule, the
+iteration budget, the divergence guard and the non-finite exit.
 
 The weight rho is used for admission checks and norms only — it never enters
 the stepping arithmetic, so solutions agree bit for bit across admissible
@@ -18,12 +22,13 @@ weights, and the march is strictly causal: node k sees f_0..f_k only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .calculus import derivative
 from .errors import ContractViolation, StepFailure
+from .fixed_point import CONVERGED, fixed_point
 from .materials import MaterialFamily, dt_max, rho_zero, step_operator
 from .relations import MonotoneRelation, StructuredSum, YosidaRelation
 from .signals import WeightedSignal, weighted_norm
@@ -62,6 +67,12 @@ class InclusionProblem:
     fp_max_iter: int = 200_000
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.forcing.values)):
+            raise ContractViolation("forcing values must be finite")
+        if not (np.isfinite(self.fp_tol) and self.fp_tol > 0):
+            raise ContractViolation(f"fp_tol must be finite and positive, got {self.fp_tol}")
+        if self.fp_max_iter < 1:
+            raise ContractViolation(f"fp_max_iter must be at least 1, got {self.fp_max_iter}")
         if self.mode not in ("direct", "yosida_path"):
             raise ContractViolation(f"mode must be 'direct' or 'yosida_path', got {self.mode!r}")
         if self.forcing.dim != self.family.dim or self.relation.dim != self.family.dim:
@@ -96,7 +107,13 @@ class InclusionProblem:
 
 @dataclass
 class SolveReport:
-    """Solution plus convergence diagnostics; produced once, never mutated."""
+    """Solution plus convergence diagnostics; produced once, never mutated.
+
+    ``per_step_iterations[k]`` counts the fixed-point map evaluations spent
+    on node k; on the Yosida path it is the sum over all lambda-stages.
+    ``max_residual`` is the largest stop residual over the nodes of the
+    (last) march.
+    """
 
     solution: WeightedSignal
     per_step_iterations: list
@@ -119,7 +136,7 @@ class SolveReport:
 
 
 class _StepEngine:
-    """Solves S u + A(u) ∋ b for the marching loop, caching per-S factorizations.
+    """Solves S u + A(u) ∋ b for the marching loop, one prepared plan per S.
 
     The engine choice depends only on the relation's structure, never on the
     data, so identical inputs reproduce identical iterates.
@@ -141,117 +158,76 @@ class _StepEngine:
             self.kind = "douglas_rachford"
 
     def prepare(self, S: np.ndarray, margin: float):
-        """Per-time-node cache: the full linear part and its factorizations."""
+        """Per-time-node plan: (engine name, step(b, warm) -> (u, iterations, residual, reason))."""
         lam_mat = S if self.linear is None else S + self.linear
-        cache = {"lam_mat": lam_mat, "engine": self.kind}
-        dim = S.shape[0]
+        eye = np.eye(S.shape[0])
+        tail = self.tail
         if self.kind == "direct":
-            cache["inv"] = np.linalg.inv(lam_mat)
-        elif self.kind == "forward_backward":
-            gamma = min(self.tail.cocoercivity, 1.0)
-            cache["gamma"] = gamma
-            cache["inv"] = np.linalg.inv(np.eye(dim) + gamma * lam_mat)
-        elif self.kind == "douglas_rachford":
-            sym = 0.5 * (lam_mat + lam_mat.T)
-            m_hat = float(np.min(np.linalg.eigvalsh(sym)))
-            big = float(np.linalg.norm(lam_mat, 2))
-            if m_hat <= 0:
-                # margin of S is positive, so this only happens for a
-                # non-monotone linear part, rejected at relation build time
-                m_hat = margin
-            if m_hat / big >= 0.9:
-                # well-conditioned step: plain forward-backward through the
-                # tail resolvent contracts at sqrt(1 - (m/L)^2) and beats
-                # the splitting; gamma = m/L^2 minimizes the factor
-                cache["engine"] = "resolvent_fb"
-                cache["gamma"] = m_hat / big**2
-            else:
-                gamma = 1.0 / np.sqrt(m_hat * big)
-                cache["gamma"] = gamma
-                cache["inv"] = np.linalg.inv(np.eye(dim) + gamma * lam_mat)
-        return cache
+            inv = np.linalg.inv(lam_mat)
 
-    def run(self, cache, b: np.ndarray, warm: np.ndarray, step_index: int):
-        engine = cache["engine"]
-        if engine == "direct":
-            u = cache["inv"] @ b
-            res = float(
-                np.linalg.norm(cache["lam_mat"] @ u - b) / (1.0 + np.linalg.norm(b))
-            )
-            return u, 1, res
-        if engine == "forward_backward":
-            return self._forward_backward(cache, b, warm, step_index)
-        if engine == "resolvent_fb":
-            return self._resolvent_fb(cache, b, warm, step_index)
-        return self._douglas_rachford(cache, b, warm, step_index)
+            def direct(b, warm):
+                u = inv @ b
+                res = float(np.linalg.norm(lam_mat @ u - b) / (1.0 + np.linalg.norm(b)))
+                return u, 1, res, CONVERGED
 
-    def _resolvent_fb(self, cache, b, warm, step_index):
-        gamma = cache["gamma"]
-        lam_mat = cache["lam_mat"]
-        u = warm.copy()
-        history = []
-        for it in range(1, self.fp_max_iter + 1):
-            u_new = self.tail.resolve(gamma, u - gamma * (lam_mat @ u - b))
-            step = float(np.linalg.norm(u_new - u))
-            u = u_new
-            if step <= self.fp_tol:
-                return u, it, step
-            self._guard(history, step, step_index)
-        raise StepFailure(
-            f"forward-backward step {step_index} did not converge "
-            f"(last step {step:.3e})",
-            step=step_index,
-            residual=step,
-        )
+            return "direct", direct
+        if self.kind == "forward_backward":
+            # the whole linear part implicit, the cocoercive tail explicit
+            gamma = min(tail.cocoercivity, 1.0)
+            inv = np.linalg.inv(eye + gamma * lam_mat)
 
-    def _forward_backward(self, cache, b, warm, step_index):
-        gamma = cache["gamma"]
-        inv = cache["inv"]
-        u = warm.copy()
-        history = []
-        for it in range(1, self.fp_max_iter + 1):
-            u_new = inv @ (u - gamma * self.tail.apply(u) + gamma * b)
-            step = float(np.linalg.norm(u_new - u))
-            u = u_new
-            if step <= self.fp_tol:
-                return u, it, step
-            self._guard(history, step, step_index)
-        raise StepFailure(
-            f"forward-backward step {step_index} did not converge "
-            f"(last step {step:.3e})",
-            step=step_index,
-            residual=step,
-        )
+            def fb(u, b):
+                u_new = inv @ (u - gamma * tail.apply(u) + gamma * b)
+                return u_new, u_new
 
-    def _douglas_rachford(self, cache, b, warm, step_index):
-        gamma = cache["gamma"]
-        inv = cache["inv"]
-        z = warm.copy()
-        history = []
-        for it in range(1, self.fp_max_iter + 1):
+            return "forward-backward", self._iterate(fb)
+        sym = 0.5 * (lam_mat + lam_mat.T)
+        m_hat = float(np.min(np.linalg.eigvalsh(sym)))
+        big = float(np.linalg.norm(lam_mat, 2))
+        if m_hat <= 0:
+            # margin of S is positive, so this only happens for a
+            # non-monotone linear part, rejected at relation build time
+            m_hat = margin
+        if m_hat / big >= 0.9:
+            # well-conditioned step: plain forward-backward through the
+            # tail resolvent contracts at sqrt(1 - (m/L)^2) and beats
+            # the splitting; gamma = m/L^2 minimizes the factor
+            gamma = m_hat / big**2
+
+            def resolvent_fb(u, b):
+                u_new = tail.resolve(gamma, u - gamma * (lam_mat @ u - b))
+                return u_new, u_new
+
+            return "forward-backward", self._iterate(resolvent_fb)
+        # stiff step: Douglas-Rachford between the affine part and the tail
+        gamma = 1.0 / np.sqrt(m_hat * big)
+        inv = np.linalg.inv(eye + gamma * lam_mat)
+
+        def dr(z, b):
             x = inv @ (z + gamma * b)
-            w = self.tail.resolve(gamma, 2.0 * x - z)
-            gap = float(np.linalg.norm(w - x))
-            z = z + (w - x)
-            if gap <= self.fp_tol:
-                return w, it, gap
-            self._guard(history, gap, step_index)
-        raise StepFailure(
-            f"Douglas-Rachford step {step_index} did not converge "
-            f"(last gap {gap:.3e})",
-            step=step_index,
-            residual=gap,
+            w = tail.resolve(gamma, 2.0 * x - z)
+            return z + (w - x), w
+
+        return "Douglas-Rachford", self._iterate(dr)
+
+    def _iterate(self, G):
+        return lambda b, warm: fixed_point(
+            lambda x: G(x, b), warm, self.fp_tol, self.fp_max_iter
         )
 
-    def _guard(self, history, value, step_index):
-        history.append(value)
-        if len(history) > 100 and value > 10.0 * history[-101]:
-            raise StepFailure(
-                f"diverging iteration at step {step_index}: residual grew from "
-                f"{history[-101]:.3e} to {value:.3e} over 100 iterations",
-                step=step_index,
-                residual=value,
-            )
+
+def _run_step(plan, b, warm, step_index):
+    """One node through its plan; a stop other than convergence is a StepFailure."""
+    name, step = plan
+    u, iters, res, reason = step(b, warm)
+    if reason != CONVERGED:
+        raise StepFailure(
+            f"{name} step {step_index} did not converge: {reason} after "
+            f"{iters} iterations (residual {res:.3e})",
+            step=step_index,
+            residual=res,
+        )
+    return u, iters, res
 
 
 def _march(
@@ -272,15 +248,14 @@ def _march(
     max_res = 0.0
     prev_state = np.zeros(dim)
     prev_m0u = np.zeros(dim)  # M0(t_{-1}) @ 0: the implicit zero past
-    cache = None
+    plan = None
     for k in range(n):
         t = t0 + k * dt
-        if cache is None or not family.constant:
-            S, margin = step_operator(family, t, dt)
-            cache = engine.prepare(S, margin)
+        if plan is None or not family.constant:
+            plan = engine.prepare(*step_operator(family, t, dt))
         b = forcing[k] + prev_m0u / dt
         warm = warm_values[k] if warm_values is not None else prev_state
-        u, iters, res = engine.run(cache, b, warm, k)
+        u, iters, res = _run_step(plan, b, warm, k)
         out[k] = u
         iterations.append(iters)
         max_res = max(max_res, res)
@@ -307,11 +282,9 @@ def solve_step(
     prev_state = np.asarray(prev_state, dtype=float)
     if prev_m0u is None:
         prev_m0u = np.asarray(family.M0_at(t - dt), dtype=float) @ prev_state
-    engine = _StepEngine(relation, fp_tol, fp_max_iter)
-    S, margin = step_operator(family, t, dt)
-    cache = engine.prepare(S, margin)
+    plan = _StepEngine(relation, fp_tol, fp_max_iter).prepare(*step_operator(family, t, dt))
     b = np.asarray(f_k, dtype=float) + np.asarray(prev_m0u, dtype=float) / dt
-    u, _, _ = engine.run(cache, b, prev_state, 0)
+    u, _, _ = _run_step(plan, b, prev_state, 0)
     return u
 
 
@@ -343,17 +316,14 @@ def solve(problem: InclusionProblem) -> SolveReport:
     """
     grid = problem.forcing.grid
     f_vals = problem.forcing.values
+
+    def march(relation, warm_values=None):
+        return _march(problem.family, relation, f_vals, grid.t0, grid.dt,
+                      problem.fp_tol, problem.fp_max_iter, warm_values)
+
     try:
         if problem.mode == "direct":
-            vals, iters, res = _march(
-                problem.family,
-                problem.relation,
-                f_vals,
-                grid.t0,
-                grid.dt,
-                problem.fp_tol,
-                problem.fp_max_iter,
-            )
+            vals, iters, res = march(problem.relation)
             return SolveReport(
                 solution=problem.forcing.with_values(vals),
                 per_step_iterations=iters,
@@ -370,26 +340,18 @@ def solve(problem: InclusionProblem) -> SolveReport:
         ) * df_norm
         trace = []
         prev_vals = None
-        iters = []
+        iters = np.zeros(grid.n, dtype=int)
         res = 0.0
         for lam in problem.schedule():
             stage = _yosida_stage(problem.relation, lam)
-            vals, iters, res = _march(
-                problem.family,
-                stage,
-                f_vals,
-                grid.t0,
-                grid.dt,
-                problem.fp_tol,
-                problem.fp_max_iter,
-                warm_values=prev_vals,
-            )
+            vals, stage_iters, res = march(stage, prev_vals)
+            iters += stage_iters
             image_norm = _stage_image_norm(stage, vals, problem.forcing)
             trace.append((lam, image_norm))
             prev_vals = vals
         return SolveReport(
             solution=problem.forcing.with_values(prev_vals),
-            per_step_iterations=iters,
+            per_step_iterations=iters.tolist(),
             max_residual=res,
             status="converged",
             lambda_trace=trace,
@@ -436,19 +398,7 @@ def lipschitz_certificate(problem: InclusionProblem, g: WeightedSignal) -> float
     if denom == 0.0:
         return 0.0
     rep_f = solve(problem)
-    rep_g = solve(
-        InclusionProblem(
-            family=problem.family,
-            relation=problem.relation,
-            forcing=g,
-            rho=problem.rho,
-            c_tilde=problem.c_tilde,
-            mode=problem.mode,
-            lambda_schedule=problem.lambda_schedule,
-            fp_tol=problem.fp_tol,
-            fp_max_iter=problem.fp_max_iter,
-        )
-    )
+    rep_g = solve(replace(problem, forcing=g))
     if not (rep_f.converged and rep_g.converged):
         raise StepFailure(
             "certificate solve failed", step=rep_f.fail_step or rep_g.fail_step

@@ -13,24 +13,6 @@ SQRT2 = float(np.sqrt(2.0))
 TRACE_VECTOR = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
 
 
-def mandel_from_sym(T: np.ndarray) -> np.ndarray:
-    T = np.asarray(T, dtype=float)
-    return np.array(
-        [T[0, 0], T[1, 1], T[2, 2], SQRT2 * T[1, 2], SQRT2 * T[0, 2], SQRT2 * T[0, 1]]
-    )
-
-
-def sym_from_mandel(v: np.ndarray) -> np.ndarray:
-    a, b, c, d, e, f = np.asarray(v, dtype=float)
-    return np.array(
-        [
-            [a, f / SQRT2, e / SQRT2],
-            [f / SQRT2, b, d / SQRT2],
-            [e / SQRT2, d / SQRT2, c],
-        ]
-    )
-
-
 def mandel_trace(v: np.ndarray) -> float:
     return float(v[0] + v[1] + v[2])
 

@@ -5,10 +5,12 @@ from evinc.catalog import make_catalog_problem
 from evinc.errors import ContractViolation
 from evinc.harness import random_forcing
 from evinc.materials import constant_family
-from evinc.relations import NormSubdifferential, ZeroRelation
+from evinc.relations import BallSaturation, NormSubdifferential, ZeroRelation
 from evinc.signals import TimeGrid, WeightedSignal, weighted_norm
 from evinc.solver import (
     InclusionProblem,
+    _march,
+    _yosida_stage,
     default_lambda_schedule,
     lipschitz_bound,
     lipschitz_certificate,
@@ -92,6 +94,25 @@ class TestAdmission:
                 family=fam, relation=ZeroRelation(2), forcing=f,
                 rho=10.0, c_tilde=0.5,
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_forcing_rejected(self, bad):
+        tpl = make_catalog_problem("scalar_ode", n=50)
+        values = np.ones((50, 1))
+        values[3, 0] = bad
+        with pytest.raises(ContractViolation):
+            tpl.problem(tpl.signal(values))
+
+    @pytest.mark.parametrize("fp_tol", [0.0, -1e-10, np.nan, np.inf])
+    def test_bad_tolerance_rejected(self, fp_tol):
+        tpl = make_catalog_problem("sign_scalar", n=20)
+        with pytest.raises(ContractViolation):
+            tpl.problem(tpl.signal(np.ones((20, 1))), fp_tol=fp_tol)
+
+    def test_empty_iteration_budget_rejected(self):
+        tpl = make_catalog_problem("sign_scalar", n=20)
+        with pytest.raises(ContractViolation):
+            tpl.problem(tpl.signal(np.ones((20, 1))), fp_max_iter=0)
 
     def test_relation_must_contain_origin(self):
         class Shifted(ZeroRelation):
@@ -211,6 +232,24 @@ class TestYosidaPath:
         path = solve(tpl.problem(f, mode="yosida_path", lambda_schedule=(0.5, 0.25, 0.125)))
         assert [lam for lam, _ in path.lambda_trace] == [0.5, 0.25, 0.125]
 
+    def test_iterations_summed_over_stages(self):
+        tpl = make_catalog_problem("viscoplastic_slab", n=21)
+        f = random_forcing(tpl, np.random.default_rng(11))
+        path = solve(tpl.problem(f, mode="yosida_path"))
+        assert path.converged
+        total = np.zeros(tpl.grid.n, dtype=int)
+        prev = None
+        for lam in default_lambda_schedule():
+            vals, iters, _ = _march(
+                tpl.family, _yosida_stage(tpl.relation, lam), f.values,
+                tpl.grid.t0, tpl.grid.dt, 1e-10, 200_000, warm_values=prev,
+            )
+            total += iters
+            prev = vals
+        assert np.array_equal(prev, path.solution.values)
+        assert path.per_step_iterations == total.tolist()
+        assert sum(path.per_step_iterations) > sum(iters)
+
     def test_increasing_schedule_rejected(self):
         tpl = make_catalog_problem("sign_scalar", n=100)
         f = tpl.signal(np.ones((100, 1)))
@@ -237,3 +276,27 @@ class TestFailurePaths:
         assert rep.status == "failed"
         assert rep.fail_step == 0
         assert "did not converge" in rep.fail_reason
+
+    def test_nonfinite_map_fails_fast_naming_the_node(self):
+        # a saturation that breaks down (returns NaN) on its third call: node
+        # 0 converges in two evaluations, node 1 stops at its first
+        calls = []
+
+        class Breaking(BallSaturation):
+            def apply(self, x):
+                calls.append(1)
+                out = super().apply(x)
+                return out * np.nan if len(calls) == 3 else out
+
+        tpl = make_catalog_problem("saturation_plane", n=50)
+        relation = Breaking(2, radius=tpl.relation.radius)
+        f = tpl.signal(np.ones((50, 2)))
+        assert solve(tpl.problem(f)).per_step_iterations[:2] == [2, 2]
+        prob = InclusionProblem(
+            family=tpl.family, relation=relation, forcing=f, rho=tpl.rho, c_tilde=tpl.c_tilde,
+        )
+        rep = solve(prob)
+        assert rep.status == "failed"
+        assert rep.fail_step == 1
+        assert "step 1" in rep.fail_reason and "nonfinite" in rep.fail_reason
+        assert len(calls) == 3
