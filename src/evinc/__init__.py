@@ -21,6 +21,7 @@ from .materials import (
     constant_family,
     kernel_decompose,
     m0_prime,
+    measure_constants,
     rho_zero,
     sinusoidal_family,
     step_operator,

@@ -72,108 +72,57 @@ class CatalogProblem:
             lambda_schedule=lambda_schedule,
         )
 
+    @classmethod
+    def admissible(cls, name, family, relation, grid, c_tilde=None, rho=None, **kwargs):
+        """Template with the default admissible pair where none is given.
+
+        The defaults are ``c_tilde = c1/2`` and ``rho = 1.01 rho_zero + 0.1``.
+        """
+        c_tilde = 0.5 * family.c1 if c_tilde is None else c_tilde
+        rho = _default_rho(rho_zero(family, c_tilde)) if rho is None else rho
+        return cls(name, family, relation, grid, c_tilde, rho, **kwargs)
+
     def admissible_rho_pair(self):
         """Two distinct admissible weights, for independence checks."""
         rho0 = rho_zero(self.family, self.c_tilde)
-        return rho0 * 1.01 + 0.1, rho0 * 1.5 + 1.0
+        return _default_rho(rho0), rho0 * 1.5 + 1.0
 
 
-def _grid(n, dt, t0=0.0):
-    return TimeGrid(t0=t0, dt=dt, n=n)
+def _default_rho(rho0):
+    return rho0 * 1.01 + 0.1
+
+
+# name -> (M0, M1, relation, default n); each of these has a branch oracle
+_LOW_DIM = {
+    "scalar_ode": ([[1.0]], [[0.0]], lambda: LinearRelation([[1.0]]), 2001),
+    "degenerate_plane": (
+        [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]], lambda: ZeroRelation(2), 1201,
+    ),
+    "sign_scalar": ([[1.0]], [[0.0]], lambda: NormSubdifferential(1, weight=1.0), 2001),
+    # planar reduction of the trace-free saturation: on the deviatoric plane
+    # the relation is exactly a ball projection
+    "saturation_plane": (np.eye(2), np.zeros((2, 2)), lambda: BallSaturation(2, radius=1.0), 1201),
+}
+# name -> slab builder, assembled at m = 2 with a default n of 201
+_SLABS = {"thermoplastic_slab": build_thermoplasticity, "viscoplastic_slab": build_viscoplasticity}
 
 
 def catalog_names():
-    return [
-        "scalar_ode",
-        "degenerate_plane",
-        "sign_scalar",
-        "saturation_plane",
-        "thermoplastic_slab",
-        "viscoplastic_slab",
-    ]
+    return [*_LOW_DIM, *_SLABS]
 
 
 def make_catalog_problem(name: str, n: int = None, dt: float = None, t0: float = 0.0) -> CatalogProblem:
     """Build a catalog template; n/dt default to per-problem desk-scale values."""
     name = name.strip().lower()
-    if name == "scalar_ode":
-        fam = constant_family([[1.0]], [[0.0]])
-        c_tilde = 0.5
-        rho = rho_zero(fam, c_tilde) * 1.01 + 0.1
-        return CatalogProblem(
-            name=name,
-            family=fam,
-            relation=LinearRelation([[1.0]]),
-            grid=_grid(n or 2001, dt or 1e-3, t0),
-            c_tilde=c_tilde,
-            rho=rho,
-            oracle_capable=True,
-        )
-    if name == "degenerate_plane":
-        fam = constant_family([[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]])
-        c_tilde = 0.5
-        rho = rho_zero(fam, c_tilde) * 1.01 + 0.1
-        return CatalogProblem(
-            name=name,
-            family=fam,
-            relation=ZeroRelation(2),
-            grid=_grid(n or 1201, dt or 1e-3, t0),
-            c_tilde=c_tilde,
-            rho=rho,
-            oracle_capable=True,
-        )
-    if name == "sign_scalar":
-        fam = constant_family([[1.0]], [[0.0]])
-        c_tilde = 0.5
-        rho = rho_zero(fam, c_tilde) * 1.01 + 0.1
-        return CatalogProblem(
-            name=name,
-            family=fam,
-            relation=NormSubdifferential(1, weight=1.0),
-            grid=_grid(n or 2001, dt or 1e-3, t0),
-            c_tilde=c_tilde,
-            rho=rho,
-            oracle_capable=True,
-        )
-    if name == "saturation_plane":
-        # planar reduction of the trace-free saturation: on the deviatoric
-        # plane the relation is exactly a ball projection
-        fam = constant_family(np.eye(2), np.zeros((2, 2)))
-        c_tilde = 0.5
-        rho = rho_zero(fam, c_tilde) * 1.01 + 0.1
-        return CatalogProblem(
-            name=name,
-            family=fam,
-            relation=BallSaturation(2, radius=1.0),
-            grid=_grid(n or 1201, dt or 1e-3, t0),
-            c_tilde=c_tilde,
-            rho=rho,
-            oracle_capable=True,
-        )
-    if name == "thermoplastic_slab":
-        model = build_thermoplasticity(SlabGrid(m=2, dx=0.5))
-        c_tilde = 0.5 * model.family.c1
-        rho = rho_zero(model.family, c_tilde) * 1.01 + 0.1
-        return CatalogProblem(
-            name=name,
-            family=model.family,
-            relation=model.relation,
-            grid=_grid(n or 201, dt or 1e-3, t0),
-            c_tilde=c_tilde,
-            rho=rho,
-            meta={"model": model},
-        )
-    if name == "viscoplastic_slab":
-        model = build_viscoplasticity(SlabGrid(m=2, dx=0.5))
-        c_tilde = 0.5 * model.family.c1
-        rho = rho_zero(model.family, c_tilde) * 1.01 + 0.1
-        return CatalogProblem(
-            name=name,
-            family=model.family,
-            relation=model.relation,
-            grid=_grid(n or 201, dt or 1e-3, t0),
-            c_tilde=c_tilde,
-            rho=rho,
-            meta={"model": model},
-        )
-    raise ContractViolation(f"unknown catalog problem {name!r}")
+    if name in _LOW_DIM:
+        m0, m1, relation, default_n = _LOW_DIM[name]
+        family, relation, meta = constant_family(m0, m1), relation(), {}
+    elif name in _SLABS:
+        model = _SLABS[name](SlabGrid(m=2, dx=0.5))
+        family, relation, meta, default_n = model.family, model.relation, {"model": model}, 201
+    else:
+        raise ContractViolation(f"unknown catalog problem {name!r}")
+    return CatalogProblem.admissible(
+        name, family, relation, TimeGrid(t0=t0, dt=dt or 1e-3, n=n or default_n),
+        oracle_capable=name in _LOW_DIM, meta=meta,
+    )

@@ -16,7 +16,7 @@ import numpy as np
 from .catalog import CatalogProblem, catalog_names, make_catalog_problem
 from .errors import ContractViolation
 from .gallery import Coefficient, SlabGrid, build_thermoplasticity, build_viscoplasticity
-from .materials import constant_family, rho_zero, sinusoidal_family
+from .materials import constant_family, sinusoidal_family
 from .relations import relation_from_config
 from .signals import TimeGrid, WeightedSignal, read_signal_csv
 from .solver import InclusionProblem, default_lambda_schedule
@@ -120,43 +120,29 @@ class RunConfig:
             return make_catalog_problem(name, **kwargs)
         if self.has("thermoplasticity") or self.has("viscoplasticity"):
             model = self.build_gallery_model()
-            grid = self.build_grid(default_n=201)
-            c_tilde = float(self.get("solver", "c_tilde", 0.5 * model.family.c1))
-            rho_default = rho_zero(model.family, c_tilde) * 1.01 + 0.1
-            rho = float(self.get("solver", "rho", rho_default))
-            return CatalogProblem(
-                name=model.name,
-                family=model.family,
-                relation=model.relation,
-                grid=grid,
-                c_tilde=c_tilde,
-                rho=rho,
-                meta={"model": model},
+            name, family, relation = model.name, model.family, model.relation
+            grid, meta = self.build_grid(default_n=201), {"model": model}
+        elif self.has("material"):
+            family = self.build_family()
+            rel_sec = dict(self.sections.get("relation", {"kind": "zero"}))
+            kind = rel_sec.pop("kind", "zero")
+            if "matrix" in rel_sec:
+                rel_sec["matrix"] = _parse_matrix(rel_sec["matrix"])
+            relation = relation_from_config(
+                kind, family.dim, **{k: v for k, v in rel_sec.items()}
             )
-        if not self.has("material"):
+            name, grid, meta = "custom", self.build_grid(), {}
+        else:
             raise ConfigError(
                 "config needs one of [problem], [material], "
                 "[thermoplasticity] or [viscoplasticity]"
             )
-        family = self.build_family()
-        grid = self.build_grid()
-        rel_sec = dict(self.sections.get("relation", {"kind": "zero"}))
-        kind = rel_sec.pop("kind", "zero")
-        if "matrix" in rel_sec:
-            rel_sec["matrix"] = _parse_matrix(rel_sec["matrix"])
-        relation = relation_from_config(
-            kind, family.dim, **{k: v for k, v in rel_sec.items()}
-        )
-        c_tilde = float(self.get("solver", "c_tilde", 0.5 * family.c1))
-        rho_default = rho_zero(family, c_tilde) * 1.01 + 0.1
-        rho = float(self.get("solver", "rho", rho_default))
-        return CatalogProblem(
-            name="custom",
-            family=family,
-            relation=relation,
-            grid=grid,
-            c_tilde=c_tilde,
-            rho=rho,
+        c_tilde, rho = (self.get("solver", key) for key in ("c_tilde", "rho"))
+        return CatalogProblem.admissible(
+            name, family, relation, grid,
+            c_tilde=None if c_tilde is None else float(c_tilde),
+            rho=None if rho is None else float(rho),
+            meta=meta,
         )
 
     def build_family(self):

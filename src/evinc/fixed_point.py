@@ -17,14 +17,16 @@ import math
 
 import numpy as np
 
-__all__ = ["fixed_point", "CONVERGED", "BUDGET", "DIVERGING", "NONFINITE"]
+__all__ = ["fixed_point", "CONVERGED", "BUDGET", "DIVERGING", "STALLED", "NONFINITE"]
 
 CONVERGED = "converged"
 BUDGET = "budget"
 DIVERGING = "diverging"
+STALLED = "stalled"
 NONFINITE = "nonfinite"
 
 MEMORY = 5
+PATIENCE = 100  # evaluations without a new least residual before the stall exit
 RIDGE = 1e-12  # Tikhonov term of the mixing's normal equations, relative to their trace
 
 
@@ -46,9 +48,11 @@ def fixed_point(G, x0, tol, max_iter):
     ``out`` and ``residual`` belong to the last accepted evaluation of ``G``
     and an iteration is one evaluation. ``reason`` is ``CONVERGED``,
     ``BUDGET`` (``max_iter`` evaluations done), ``DIVERGING`` (the residual
-    grew more than tenfold over the last 100 evaluations) or ``NONFINITE``
-    (an evaluation gave a non-finite residual; ``out`` and ``residual`` are
-    then that evaluation's).
+    grew more than tenfold over the last 100 evaluations), ``STALLED`` (no
+    evaluation in the last ``PATIENCE`` gave a residual below the least one
+    before them, as when ``tol`` is below what rounding lets the map reach)
+    or ``NONFINITE`` (an evaluation gave a non-finite residual; ``out`` and
+    ``residual`` are then that evaluation's).
     """
     gx, out = G(x0)
     r = gx - x0
@@ -57,6 +61,7 @@ def fixed_point(G, x0, tol, max_iter):
     if not math.isfinite(res):
         return out, it, res, NONFINITE
     history = [res]
+    best, best_it = res, it
     prev = None  # (G(x), r) before the last accepted step, once two residuals exist
     dgs, drs = [], []
     while res > tol:
@@ -77,6 +82,8 @@ def fixed_point(G, x0, tol, max_iter):
         it += 1
         if not math.isfinite(res_new):
             return out_new, it, res_new, NONFINITE
+        if res_new < best:
+            best, best_it = res_new, it
         if mixed and not res_new < res:
             # safeguard: drop the candidate, restart from the plain step
             dgs.clear()
@@ -88,5 +95,7 @@ def fixed_point(G, x0, tol, max_iter):
         history.append(res)
         if len(history) > 100 and res > 10.0 * history[-101]:
             return out, it, res, DIVERGING
+        if it - best_it >= PATIENCE:
+            return out, it, res, STALLED
     return out, it, res, CONVERGED
 

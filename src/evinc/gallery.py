@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditionCheckError, ContractViolation
-from .materials import ConditionsReport, MaterialFamily, check_conditions
+from .materials import ConditionsReport, MaterialFamily, measure_constants
 from .relations import (
     BallSaturation,
     DeviatoricSaturation,
@@ -154,43 +154,76 @@ class GalleryModel:
         return "\n".join(lines)
 
 
-def _measure_constants(m0_fn, m1_fn, kb, rb, window, samples=129):
-    if window[0] == window[1]:
-        ts = np.array([window[0]])
-    else:
-        ts = np.linspace(window[0], window[1], samples)
-    c0 = np.inf
-    c1 = np.inf
-    sup1 = 0.0
-    lip = 0.0
-    prev = None
-    for t in ts:
-        M0 = m0_fn(t)
-        M1 = m1_fn(t)
-        if rb.shape[1]:
-            c0 = min(c0, float(np.min(np.linalg.eigvalsh(rb.T @ M0 @ rb))))
-        if kb.shape[1]:
-            c1 = min(c1, float(np.min(np.linalg.eigvalsh(kb.T @ (0.5 * (M1 + M1.T)) @ kb))))
-        sup1 = max(sup1, float(np.linalg.norm(M1, 2)))
-        if prev is not None:
-            lip = max(lip, float(np.linalg.norm(M0 - prev, 2)) / (ts[1] - ts[0]))
-        prev = M0
-    if not np.isfinite(c1):
-        c1 = 1.0  # empty kernel: the condition is vacuous
-    return c0, c1, sup1, lip
+def _slab_model(name, g, ops, fields, m0_blocks, m1_blocks, kernel, coefficients,
+                time_window, skew, tail, meta, c1_bound=np.inf, sup_M1_bound=0.0):
+    """Scaffold shared by the slab models; each builder supplies only its physics.
 
+    ``fields`` is [(slot, size)] in state order, ``m0_blocks(t)`` and
+    ``m1_blocks(t)`` map (row slot, column slot) to nonzero blocks, ``kernel``
+    names the slot spanning ker M0 (None: empty), ``skew`` is [(a, b, K_ab)]
+    and ``tail`` is (slot, per-node relation). Claims come from one
+    measurement (one sample when every coefficient is constant), tightened by
+    the analytic bounds; the condition gate compares them with that measurement.
+    """
+    slots, end = {}, 0
+    for key, size in fields:
+        slots[key] = (end, end + size)
+        end += size
+    dim = end
 
-def _gated_model(name, family, K, tail, ops, slots, window, meta):
-    """Relation K + tail, then the structural-condition gate shared by the slab models."""
-    sample_ts = [window[0]] if family.constant else np.linspace(*window, 17)
-    report = check_conditions(family, sample_ts)
+    def fill(blocks):
+        out = np.zeros((dim, dim))
+        for (a, b), block in blocks.items():
+            out[slice(*slots[a]), slice(*slots[b])] = block
+        return out
+
+    def m0_at(t):
+        return fill(m0_blocks(t))
+
+    def m1_at(t):
+        return fill(m1_blocks(t))
+
+    eye = np.eye(dim)
+    lo, hi = slots[kernel] if kernel else (dim, dim)
+    kb = eye[:, lo:hi].copy()
+    rb = np.delete(eye, np.s_[lo:hi], axis=1)
+    constant = all(co.constant for co in coefficients)
+    measured = measure_constants(
+        m0_at, m1_at, kb, rb, np.linspace(*time_window, 1 if constant else 129)
+    )
+    if not measured.c0 > 0:
+        raise ConditionCheckError(
+            f"{name} assembly rejected: the selfadjoint block is not positive "
+            "definite on its range"
+        )
+    family = MaterialFamily(
+        dim=dim,
+        M0_at=m0_at,
+        M1_at=m1_at,
+        lip_M0=measured.lip_M0 * (1.0 + 1e-3) + 1e-12,
+        sup_M1=max(measured.sup_M1, sup_M1_bound),
+        c0=measured.c0 * (1.0 - 1e-9),
+        # an empty kernel makes the condition vacuous
+        c1=min(measured.c1, c1_bound) * (1.0 - 1e-9) if kb.shape[1] else 1.0,
+        kernel_basis=kb,
+        range_basis=rb,
+        constant=constant,
+    )
+    report = ConditionsReport.compare(family, measured)
     if not report.passed:
         raise ConditionCheckError(
             f"{name} assembly rejected; failing conditions: {report.failing()}"
         )
+    K = np.zeros((dim, dim))
+    for a, b, block in skew:
+        K[slice(*slots[a]), slice(*slots[b])] = block
+        K[slice(*slots[b]), slice(*slots[a])] = -block.T
+    tail_slot, node_relation = tail
+    embedded = SlotEmbedded(NodewiseRelation(node_relation, g.m), slots[tail_slot][0], dim)
     return GalleryModel(
-        name=name, family=family, relation=StructuredSum(K, tail), operators=ops,
-        slots=slots, skew_block=K, conditions=report, meta=meta,
+        name=name, family=family, relation=StructuredSum(K, embedded), operators=ops,
+        slots=slots, skew_block=K, conditions=report,
+        meta={"m": g.m, "dx": g.dx, **meta},
     )
 
 
@@ -216,71 +249,33 @@ def build_thermoplasticity(
     ops = build_slab_operators(g)
     m = g.m
     nv, nT, nth, nq = 3 * m, 6 * m, m, m
-    dim = nv + nT + nth + nq
-    slots = {
-        "v": (0, nv),
-        "T": (nv, nv + nT),
-        "theta": (nv + nT, nv + nT + nth),
-        "q": (nv + nT + nth, dim),
-    }
-    tv = TRACE_VECTOR
-    trace_star = np.kron(np.eye(m), tv[:, None])
+    trace_star = np.kron(np.eye(m), TRACE_VECTOR[:, None])
 
-    def m0_at(t: float) -> np.ndarray:
-        out = np.zeros((dim, dim))
-        sl_v, sl_T, sl_th, _ = (slice(*slots[k]) for k in ("v", "T", "theta", "q"))
-        out[sl_v, sl_v] = M(t) * np.eye(nv)
+    def m0_blocks(t: float) -> dict:
         cinv = 1.0 / C(t)
-        out[sl_T, sl_T] = cinv * np.eye(nT)
         coupling = c * cinv * trace_star
-        out[sl_T, sl_th] = coupling
-        out[sl_th, sl_T] = coupling.T
-        out[sl_th, sl_th] = (c * w(t) / tau0 + 3.0 * c * c * cinv) * np.eye(nth)
-        return out
+        return {
+            ("v", "v"): M(t) * np.eye(nv),
+            ("T", "T"): cinv * np.eye(nT),
+            ("T", "theta"): coupling,
+            ("theta", "T"): coupling.T,
+            ("theta", "theta"): (c * w(t) / tau0 + 3.0 * c * c * cinv) * np.eye(nth),
+        }
 
-    def m1_at(t: float) -> np.ndarray:
-        out = np.zeros((dim, dim))
-        sl_q = slice(*slots["q"])
-        out[sl_q, sl_q] = (tau0 / (c * kappa(t))) * np.eye(nq)
-        return out
+    def m1_blocks(t: float) -> dict:
+        return {("q", "q"): (tau0 / (c * kappa(t))) * np.eye(nq)}
 
-    kb = np.zeros((dim, nq))
-    kb[slots["q"][0] :, :] = np.eye(nq)
-    rb = np.zeros((dim, dim - nq))
-    rb[: dim - nq, :] = np.eye(dim - nq)
-
-    window = (time_window[0], time_window[0]) if all(
-        co.constant for co in (M, C, w, kappa)
-    ) else time_window
-    c0, c1, sup1, lip = _measure_constants(m0_at, m1_at, kb, rb, window)
-    # analytic bounds where available, measured elsewhere
-    c1 = min(c1, tau0 / (c * kappa.upper))
-    sup1 = max(sup1, tau0 / (c * kappa.lower))
-    constant = all(co.constant for co in (M, C, w, kappa))
-
-    family = MaterialFamily(
-        dim=dim,
-        M0_at=m0_at,
-        M1_at=m1_at,
-        lip_M0=lip * (1.0 + 1e-3) + 1e-12,
-        sup_M1=sup1,
-        c0=c0 * (1.0 - 1e-9),
-        c1=c1 * (1.0 - 1e-9),
-        kernel_basis=kb,
-        range_basis=rb,
-        constant=constant,
-    )
-
-    K = np.zeros((dim, dim))
-    sl_v, sl_T, sl_th, sl_q = (slice(*slots[k]) for k in ("v", "T", "theta", "q"))
-    K[sl_v, sl_T] = ops.Grad_c.T      # -Div
-    K[sl_T, sl_v] = -ops.Grad_c
-    K[sl_th, sl_q] = ops.grad_c.T     # -div
-    K[sl_q, sl_th] = -ops.grad_c
-    flow = SlotEmbedded(NodewiseRelation(DeviatoricSaturation(radius=s0), m), slots["T"][0], dim)
-    return _gated_model(
-        "thermoplasticity", family, K, flow, ops, slots, window,
-        {"m": m, "dx": g.dx, "c": c, "tau0": tau0, "s0": s0},
+    return _slab_model(
+        "thermoplasticity", g, ops,
+        fields=[("v", nv), ("T", nT), ("theta", nth), ("q", nq)],
+        m0_blocks=m0_blocks, m1_blocks=m1_blocks, kernel="q",
+        coefficients=(M, C, w, kappa), time_window=time_window,
+        skew=[("v", "T", ops.Grad_c.T), ("theta", "q", ops.grad_c.T)],  # -Div, -div
+        tail=("T", DeviatoricSaturation(radius=s0)),
+        meta={"c": c, "tau0": tau0, "s0": s0},
+        # analytic bounds of the heat-conduction term where sampling is loose
+        c1_bound=tau0 / (c * kappa.upper),
+        sup_M1_bound=tau0 / (c * kappa.lower),
     )
 
 
@@ -314,61 +309,33 @@ def build_viscoplasticity(
     if B.shape != (6, N):
         raise ContractViolation(f"coupling matrix must be 6 x {N}")
     nv, nw, nT = 3 * m, N * m, 6 * m
-    dim = nv + nw + nT
-    slots = {"v": (0, nv), "w": (nv, nv + nw), "T": (nv + nw, dim)}
     BBt = B @ B.T
     B_nodes = np.kron(np.eye(m), B)
 
-    def m0_at(t: float) -> np.ndarray:
-        out = np.zeros((dim, dim))
-        sl_v, sl_w, sl_T = (slice(*slots[k]) for k in ("v", "w", "T"))
+    def m0_blocks(t: float) -> dict:
         linv = 1.0 / L(t)
-        out[sl_v, sl_v] = M(t) * np.eye(nv)
-        out[sl_w, sl_w] = linv * np.eye(nw)
-        out[sl_w, sl_T] = -linv * B_nodes.T
-        out[sl_T, sl_w] = -linv * B_nodes
-        out[sl_T, sl_T] = (1.0 / D(t)) * np.eye(nT) + linv * np.kron(np.eye(m), BBt)
-        return out
+        return {
+            ("v", "v"): M(t) * np.eye(nv),
+            ("w", "w"): linv * np.eye(nw),
+            ("w", "T"): -linv * B_nodes.T,
+            ("T", "w"): -linv * B_nodes,
+            ("T", "T"): (1.0 / D(t)) * np.eye(nT) + linv * np.kron(np.eye(m), BBt),
+        }
 
-    def m1_at(t: float) -> np.ndarray:
-        return np.zeros((dim, dim))
-
-    kb = np.zeros((dim, 0))
-    rb = np.eye(dim)
-    constant = all(co.constant for co in (M, D, L))
-    window = (time_window[0], time_window[0]) if constant else time_window
-    c0, c1, sup1, lip = _measure_constants(m0_at, m1_at, kb, rb, window)
-    if c0 <= 0:
-        raise ConditionCheckError(
-            "viscoplastic assembly rejected: assembled block is not positive definite"
-        )
-    family = MaterialFamily(
-        dim=dim,
-        M0_at=m0_at,
-        M1_at=m1_at,
-        lip_M0=lip * (1.0 + 1e-3) + 1e-12,
-        sup_M1=0.0,
-        c0=c0 * (1.0 - 1e-9),
-        c1=1.0,  # kernel empty, condition vacuous
-        kernel_basis=kb,
-        range_basis=rb,
-        constant=constant,
-    )
-
-    K = np.zeros((dim, dim))
-    sl_v, sl_w, sl_T = (slice(*slots[k]) for k in ("v", "w", "T"))
-    K[sl_v, sl_T] = ops.Grad_c.T      # -Div
-    K[sl_T, sl_v] = -ops.Grad_c
     if relation_kind == "soft_threshold":
         base = NormSubdifferential(N, weight=relation_param)
     elif relation_kind == "ball_saturation":
         base = BallSaturation(N, radius=relation_param)
     else:
         raise ContractViolation(f"unknown internal-variable relation {relation_kind!r}")
-    internal = SlotEmbedded(NodewiseRelation(base, m), slots["w"][0], dim)
-    return _gated_model(
-        "viscoplasticity", family, K, internal, ops, slots, window,
-        {"m": m, "dx": g.dx, "N": N, "relation": relation_kind},
+    return _slab_model(
+        "viscoplasticity", g, ops,
+        fields=[("v", nv), ("w", nw), ("T", nT)],
+        m0_blocks=m0_blocks, m1_blocks=lambda t: {}, kernel=None,
+        coefficients=(M, D, L), time_window=time_window,
+        skew=[("v", "T", ops.Grad_c.T)],  # -Div
+        tail=("w", base),
+        meta={"N": N, "relation": relation_kind},
     )
 
 

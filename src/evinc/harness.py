@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import CatalogProblem
-from .errors import ContractViolation, StepFailure
+from .errors import ContractViolation, ResolventFailure, StepFailure
 from .relations import (
     BallSaturation,
     LinearRelation,
@@ -440,7 +440,11 @@ def replay_check(template: CatalogProblem, check: str, seed: int,
 
 
 def run_campaign(campaign: PropertyCampaign) -> CampaignReport:
-    """Run every selected check over seeded trials; failures never abort."""
+    """Run every selected check over seeded trials; failures never abort.
+
+    A ``StepFailure``, ``ResolventFailure`` or ``ContractViolation`` is a
+    failed check with margin ``-inf``; any other exception propagates.
+    """
     master = np.random.default_rng(campaign.seed)
     trial_seeds = master.integers(0, 2**63 - 1, size=max(campaign.trials, 0))
     report = CampaignReport(campaign_name=campaign.template.name, seed=campaign.seed)
@@ -450,7 +454,7 @@ def run_campaign(campaign: PropertyCampaign) -> CampaignReport:
                 passed, margin = replay_check(
                     campaign.template, check, seed, campaign.fp_tol
                 )
-            except Exception:
+            except (StepFailure, ResolventFailure, ContractViolation):
                 passed, margin = False, float("-inf")
             report.add(trial, check, passed, margin, seed)
     return report

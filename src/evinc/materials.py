@@ -3,13 +3,17 @@
 A family carries two matrix-valued functions of time: a selfadjoint part with
 a time-independent kernel (the degenerate direction) and a zeroth-order part
 whose symmetric restriction to that kernel is coercive. The constants
-``c0, c1, lip_M0, sup_M1`` are user claims; ``check_conditions`` can only
-falsify them on samples, never certify. Pointwise differentiability off a
-null set is assumed by construction for the shipped builders and not tested.
+``c0, c1, lip_M0, sup_M1`` are user claims. ``measure_constants`` is the one
+pass that reads structural constants off time samples: the family builders
+here and the slab builders derive their claims from it, and
+``check_conditions`` compares claims against it, so it can only falsify them
+on samples, never certify. Pointwise differentiability off a null set is
+assumed by construction for the shipped builders and not tested.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -21,6 +25,8 @@ __all__ = [
     "MaterialFamily",
     "kernel_decompose",
     "m0_prime",
+    "measure_constants",
+    "StructuralConstants",
     "check_conditions",
     "ConditionsReport",
     "rho_zero",
@@ -128,6 +134,54 @@ def m0_prime(family: MaterialFamily, t: float, h: float = 1e-6) -> np.ndarray:
     return diff
 
 
+@dataclass(frozen=True)
+class StructuralConstants:
+    """What one pass over time samples reads off the coefficients (see ``measure_constants``)."""
+
+    c0: float
+    c1: float
+    sup_M0: float
+    sup_M1: float
+    lip_M0: float
+    symmetry_defect: float
+    kernel_defect: float
+
+
+def measure_constants(M0_at, M1_at, kernel_basis, range_basis, ts) -> StructuralConstants:
+    """Read the structural constants off the coefficients at the times ``ts``.
+
+    ``c0`` is the least eigenvalue of sym M0 on the range, ``c1`` that of
+    sym M1 on the kernel, ``inf`` when that space is empty. ``lip_M0`` is
+    the largest quotient |M0(t) - M0(s)| / |t - s| over consecutive distinct
+    samples. The symmetry defect is |M0 - M0^T| and the kernel defect |M0 K|
+    for the kernel basis K, both maxima over the samples (spectral norms).
+    """
+    kb, rb = kernel_basis, range_basis
+    c0 = c1 = math.inf
+    sup0 = sup1 = lip = sym_defect = kernel_defect = 0.0
+    prev = None
+    for t in np.atleast_1d(np.asarray(ts, dtype=float)):
+        M0 = np.asarray(M0_at(t), dtype=float)
+        M1 = np.asarray(M1_at(t), dtype=float)
+        sym_defect = max(sym_defect, float(np.linalg.norm(M0 - M0.T, 2)))
+        sup0 = max(sup0, float(np.linalg.norm(M0, 2)))
+        sup1 = max(sup1, float(np.linalg.norm(M1, 2)))
+        if rb.shape[1]:
+            on_range = rb.T @ (0.5 * (M0 + M0.T)) @ rb
+            c0 = min(c0, float(np.min(np.linalg.eigvalsh(on_range))))
+        if kb.shape[1]:
+            kernel_defect = max(kernel_defect, float(np.linalg.norm(M0 @ kb, 2)))
+            on_kernel = kb.T @ (0.5 * (M1 + M1.T)) @ kb
+            c1 = min(c1, float(np.min(np.linalg.eigvalsh(on_kernel))))
+        if prev is not None and t != prev[0]:
+            lip = max(lip, float(np.linalg.norm(M0 - prev[1], 2) / abs(t - prev[0])))
+        prev = (t, M0)
+    return StructuralConstants(
+        c0=c0, c1=c1, sup_M0=sup0, sup_M1=sup1, lip_M0=lip,
+        symmetry_defect=sym_defect, kernel_defect=kernel_defect,
+    )
+
+
 @dataclass
 class ConditionsReport:
     """Per-condition pass flags plus measured constants from the samples."""
@@ -143,6 +197,23 @@ class ConditionsReport:
     measured_sup_M1: float
     max_symmetry_defect: float
     max_kernel_defect: float
+
+    @classmethod
+    def compare(cls, family: MaterialFamily, measured: StructuralConstants):
+        """The family's claims against a measurement; an empty range or kernel (inf) passes."""
+        return cls(
+            symmetric=bool(measured.symmetry_defect <= 1e-10),
+            lipschitz_ok=bool(measured.lip_M0 <= family.lip_M0 * (1.0 + 1e-6) + 1e-14),
+            kernel_constant=bool(measured.kernel_defect <= 1e-10),
+            range_coercive=bool(measured.c0 >= family.c0 * (1.0 - 1e-9)),
+            kernel_coercive=bool(measured.c1 >= family.c1 * (1.0 - 1e-9)),
+            measured_c0=measured.c0,
+            measured_c1=measured.c1,
+            measured_lipschitz=measured.lip_M0,
+            measured_sup_M1=measured.sup_M1,
+            max_symmetry_defect=measured.symmetry_defect,
+            max_kernel_defect=measured.kernel_defect,
+        )
 
     @property
     def passed(self) -> bool:
@@ -181,52 +252,10 @@ def check_conditions(family: MaterialFamily, t_samples) -> ConditionsReport:
     Measures the tightest coercivity constants that would still be valid and
     the empirical Lipschitz constant; pass/fail compares them with the claims.
     """
-    t_samples = np.atleast_1d(np.asarray(t_samples, dtype=float))
-    kb, rb = family.kernel_basis, family.range_basis
-    sym_defect = 0.0
-    kernel_defect = 0.0
-    min_c0 = np.inf
-    min_c1 = np.inf
-    max_m1 = 0.0
-    prev = None
-    lip_meas = 0.0
-    for t in t_samples:
-        M0 = np.asarray(family.M0_at(t), dtype=float)
-        M1 = np.asarray(family.M1_at(t), dtype=float)
-        sym_defect = max(sym_defect, float(np.linalg.norm(M0 - M0.T, 2)))
-        if kb.shape[1]:
-            kernel_defect = max(kernel_defect, float(np.linalg.norm(M0 @ kb, 2)))
-            sym_k = kb.T @ (0.5 * (M1 + M1.T)) @ kb
-            min_c1 = min(min_c1, float(np.min(np.linalg.eigvalsh(sym_k))))
-        if rb.shape[1]:
-            on_range = rb.T @ (0.5 * (M0 + M0.T)) @ rb
-            min_c0 = min(min_c0, float(np.min(np.linalg.eigvalsh(on_range))))
-        max_m1 = max(max_m1, float(np.linalg.norm(M1, 2)))
-        if prev is not None:
-            t_prev, M0_prev = prev
-            if t != t_prev:
-                lip_meas = max(
-                    lip_meas, float(np.linalg.norm(M0 - M0_prev, 2)) / abs(t - t_prev)
-                )
-        prev = (t, M0)
-    symmetric = sym_defect <= 1e-10
-    kernel_constant = kernel_defect <= 1e-10
-    lipschitz_ok = lip_meas <= family.lip_M0 * (1.0 + 1e-6) + 1e-14
-    range_coercive = (rb.shape[1] == 0) or (min_c0 >= family.c0 * (1.0 - 1e-9))
-    kernel_coercive = (kb.shape[1] == 0) or (min_c1 >= family.c1 * (1.0 - 1e-9))
-    return ConditionsReport(
-        symmetric=symmetric,
-        lipschitz_ok=lipschitz_ok,
-        kernel_constant=kernel_constant,
-        range_coercive=range_coercive,
-        kernel_coercive=kernel_coercive,
-        measured_c0=float(min_c0),
-        measured_c1=float(min_c1),
-        measured_lipschitz=float(lip_meas),
-        measured_sup_M1=float(max_m1),
-        max_symmetry_defect=float(sym_defect),
-        max_kernel_defect=float(kernel_defect),
+    measured = measure_constants(
+        family.M0_at, family.M1_at, family.kernel_basis, family.range_basis, t_samples
     )
+    return ConditionsReport.compare(family, measured)
 
 
 def rho_zero(family: MaterialFamily, c_tilde: float) -> float:
@@ -279,34 +308,14 @@ def step_operator(family: MaterialFamily, t: float, dt: float):
     return S, margin
 
 
-def _claimed_constants(M0, M1, kb, rb, c0, c1, low=1.0):
-    """Fill unset c0 / c1 from the matrices; an empty range or kernel gives 1.0."""
-    if c0 is None:
-        c0 = low * float(np.min(np.linalg.eigvalsh(rb.T @ M0 @ rb))) if rb.shape[1] else 1.0
-    if c1 is None and kb.shape[1]:
-        c1 = float(np.min(np.linalg.eigvalsh(kb.T @ (0.5 * (M1 + M1.T)) @ kb)))
-    return c0, 1.0 if c1 is None else c1
+def _vacuous_if_empty(measured: float) -> float:
+    """A claim over an empty range or kernel (measured ``inf``) is vacuous: 1.0."""
+    return measured if math.isfinite(measured) else 1.0
 
 
 def constant_family(m0: np.ndarray, m1: np.ndarray, c0=None, c1=None) -> MaterialFamily:
     """Family with constant coefficients; constants measured from the matrices."""
-    M0 = np.atleast_2d(np.asarray(m0, dtype=float))
-    M1 = np.atleast_2d(np.asarray(m1, dtype=float))
-    dim = M0.shape[0]
-    kb, rb = kernel_decompose(M0)
-    c0, c1 = _claimed_constants(M0, M1, kb, rb, c0, c1)
-    return MaterialFamily(
-        dim=dim,
-        M0_at=lambda t: M0,
-        M1_at=lambda t: M1,
-        lip_M0=0.0,
-        sup_M1=float(np.linalg.norm(M1, 2)),
-        c0=c0,
-        c1=c1,
-        kernel_basis=kb,
-        range_basis=rb,
-        constant=True,
-    )
+    return sinusoidal_family(m0, m1, amplitude=0.0, c0=c0, c1=c1)
 
 
 def sinusoidal_family(
@@ -320,7 +329,9 @@ def sinusoidal_family(
     """M0(t) = (1 + amplitude*sin(frequency*t)) * m0_base, M1 constant.
 
     Requires |amplitude| < 1 so the kernel and coercivity are preserved in
-    time; the Lipschitz claim is amplitude*frequency*|m0_base|.
+    time; the Lipschitz claim is amplitude*frequency*|m0_base|. A zero
+    amplitude gives the constant family, which lets the solver reuse its
+    per-step preparation.
     """
     if not abs(amplitude) < 1.0:
         raise ContractViolation("amplitude must have magnitude < 1")
@@ -328,16 +339,22 @@ def sinusoidal_family(
     M1 = np.atleast_2d(np.asarray(m1_base, dtype=float))
     dim = M0.shape[0]
     kb, rb = kernel_decompose(M0)
-    c0, c1 = _claimed_constants(M0, M1, kb, rb, c0, c1, low=1.0 - abs(amplitude))
-    lip = abs(amplitude) * abs(frequency) * float(np.linalg.norm(M0, 2))
+    # the base matrices bound every time: M0(t) >= (1 - |amplitude|) m0_base
+    base = measure_constants(lambda t: M0, lambda t: M1, kb, rb, [0.0])
+    constant = amplitude == 0.0
+
+    def m0_at(t):
+        return M0 if constant else (1.0 + amplitude * np.sin(frequency * t)) * M0
+
     return MaterialFamily(
         dim=dim,
-        M0_at=lambda t: (1.0 + amplitude * np.sin(frequency * t)) * M0,
+        M0_at=m0_at,
         M1_at=lambda t: M1,
-        lip_M0=lip,
-        sup_M1=float(np.linalg.norm(M1, 2)),
-        c0=c0,
-        c1=c1,
+        lip_M0=abs(amplitude) * abs(frequency) * base.sup_M0,
+        sup_M1=base.sup_M1,
+        c0=_vacuous_if_empty((1.0 - abs(amplitude)) * base.c0) if c0 is None else c0,
+        c1=_vacuous_if_empty(base.c1) if c1 is None else c1,
         kernel_basis=kb,
         range_basis=rb,
+        constant=constant,
     )

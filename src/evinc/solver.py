@@ -29,7 +29,7 @@ import numpy as np
 from .calculus import derivative
 from .errors import ContractViolation, StepFailure
 from .fixed_point import CONVERGED, fixed_point
-from .materials import MaterialFamily, dt_max, rho_zero, step_operator
+from .materials import MaterialFamily, dt_max, measure_constants, rho_zero, step_operator
 from .relations import MonotoneRelation, StructuredSum, YosidaRelation
 from .signals import WeightedSignal, weighted_norm
 
@@ -331,8 +331,12 @@ def solve(problem: InclusionProblem) -> SolveReport:
                 status="converged",
             )
         # yosida_path
-        delta = 2.0 * (problem.family.sup_M1 + problem.family.lip_M0) + 1.0
-        sup_m0 = _sup_m0_norm(problem.family, grid)
+        fam = problem.family
+        delta = 2.0 * (fam.sup_M1 + fam.lip_M0) + 1.0
+        ts = [grid.t0] if fam.constant else grid.t0 + grid.dt * np.linspace(0, grid.n - 1, 16)
+        sup_m0 = measure_constants(
+            fam.M0_at, fam.M1_at, fam.kernel_basis, fam.range_basis, ts
+        ).sup_M0
         f_norm = weighted_norm(problem.forcing)
         df_norm = weighted_norm(derivative(problem.forcing))
         reference = (1.0 + delta / problem.c_tilde) * f_norm + (
@@ -369,13 +373,6 @@ def solve(problem: InclusionProblem) -> SolveReport:
             fail_step=exc.step,
             fail_reason=str(exc),
         )
-
-
-def _sup_m0_norm(family: MaterialFamily, grid) -> float:
-    if family.constant:
-        return float(np.linalg.norm(np.asarray(family.M0_at(grid.t0)), 2))
-    samples = grid.t0 + grid.dt * np.linspace(0, grid.n - 1, 16)
-    return max(float(np.linalg.norm(np.asarray(family.M0_at(t)), 2)) for t in samples)
 
 
 def lipschitz_bound(problem: InclusionProblem) -> float:

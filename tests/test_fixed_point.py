@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from evinc.catalog import make_catalog_problem
-from evinc.fixed_point import BUDGET, CONVERGED, DIVERGING, NONFINITE, fixed_point
+from evinc.fixed_point import (
+    BUDGET,
+    CONVERGED,
+    DIVERGING,
+    NONFINITE,
+    PATIENCE,
+    STALLED,
+    fixed_point,
+)
 from evinc.signals import weighted_norm
 from evinc.solver import solve
 
@@ -93,6 +101,35 @@ def test_divergence_guard():
     assert reason == DIVERGING
     assert it == len(calls) < 200
     assert res > 10.0
+
+
+def test_stall_exit_on_constant_residual():
+    # G(x) = x + 1 has no fixed point and every evaluation's residual is the
+    # first one's: the stall exit ends the run long before the budget
+    out, it, res, reason = fixed_point(lambda x: (x + 1.0,) * 2, np.zeros(2), 1e-10, 200_000)
+    assert reason == STALLED
+    assert it == PATIENCE + 1
+    assert res == pytest.approx(np.sqrt(2.0))
+
+
+def test_stall_exit_when_rounding_floors_the_residual():
+    # the residual of this soft-threshold map levels off at rounding size,
+    # far above a tolerance of 1e-30
+    M = np.array([[-0.94, 0.03], [0.03, 0.94]])
+    c = np.array([2.2, 2.0])
+
+    def f(x):
+        return _soft(M @ x + c, 0.85)
+
+    G, points = _logged(f)
+    out, it, res, reason = fixed_point(G, np.array([-7.0, -4.0]), 1e-30, 200_000)
+    assert reason == STALLED
+    assert it == len(points) < 300
+    assert 0.0 < res <= 1e-15
+    assert np.linalg.norm(out - np.array([1.0, 59.0 / 3.0])) <= 1e-10
+    residuals = [np.sqrt((f(x) - x) @ (f(x) - x)) for x in points]
+    # the least residual came PATIENCE evaluations before the last one
+    assert int(np.argmin(residuals)) == it - 1 - PATIENCE
 
 
 def test_nonfinite_exit_at_third_evaluation():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evinc import harness
 from evinc.catalog import make_catalog_problem
 from evinc.errors import ContractViolation
 from evinc.harness import (
@@ -58,6 +59,18 @@ class TestCampaign:
         rep = run_campaign(campaign)  # must not raise
         assert len(rep.rows) == 2
 
+
+    def test_programming_error_propagates(self, monkeypatch):
+        # only solver, resolvent and contract failures are recorded as failed
+        # checks; anything else is a fault of the program, not a margin
+        def broken(template, rng, fp_tol):
+            raise TypeError("broken check")
+
+        monkeypatch.setitem(harness._CHECK_FNS, "causality", broken)
+        tpl = make_catalog_problem("scalar_ode", n=50)
+        campaign = PropertyCampaign(template=tpl, trials=1, seed=1, checks=("causality",))
+        with pytest.raises(TypeError, match="broken check"):
+            run_campaign(campaign)
 
 class TestOracle:
     def test_linear_scalar_matches_closed_form(self):

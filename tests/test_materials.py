@@ -105,6 +105,29 @@ class TestCheckConditions:
         assert "kernel_coercive" in rep.failing()
         assert rep.measured_c1 <= 0.0
 
+    @pytest.mark.parametrize(
+        "condition, m0_at, claims",
+        [
+            # M0 is not selfadjoint; the range claim holds for its symmetric part
+            ("symmetric", lambda t: np.array([[1.0, 0.1], [0.0, 1.0]]), {"c0": 0.9}),
+            # M0(t) = (1 + 0.5 sin t) I moves at rate 0.5, more than the claim
+            ("lipschitz", lambda t: (1.0 + 0.5 * np.sin(t)) * np.eye(2), {"lip_M0": 0.1}),
+            # the claimed kernel direction is not annihilated by M0
+            ("kernel_constant", lambda t: np.diag([1.0, 1e-3]), {"kernel": True}),
+            # M0 on its range is 0.5, below the claimed c0 = 1
+            ("range_coercive", lambda t: np.diag([0.5, 0.0]), {"kernel": True}),
+        ],
+    )
+    def test_each_condition_fails_alone(self, condition, m0_at, claims):
+        fam = MaterialFamily(
+            dim=2, M0_at=m0_at, M1_at=lambda t: np.diag([0.0, 1.0]),
+            lip_M0=claims.get("lip_M0", 0.0), sup_M1=1.0, c0=claims.get("c0", 1.0), c1=1.0,
+            kernel_basis=np.array([[0.0], [1.0]]) if claims.get("kernel") else np.zeros((2, 0)),
+        )
+        rep = check_conditions(fam, np.linspace(0.0, 1.0, 11))
+        assert rep.failing() == [condition]
+        assert "passed = FAIL" in rep.to_text()
+
     def test_report_serializes_flat(self):
         fam = constant_family(np.eye(2), np.zeros((2, 2)))
         text = check_conditions(fam, [0.0]).to_text()

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from evinc.catalog import make_catalog_problem
-from evinc.errors import ContractViolation
+from evinc import relations
+from evinc.errors import ContractViolation, ResolventFailure
 from evinc.harness import random_forcing
 from evinc.materials import constant_family
 from evinc.relations import BallSaturation, NormSubdifferential, ZeroRelation
@@ -300,3 +301,19 @@ class TestFailurePaths:
         assert rep.fail_step == 1
         assert "step 1" in rep.fail_reason and "nonfinite" in rep.fail_reason
         assert len(calls) == 3
+
+    def test_unreachable_tolerance_stalls_instead_of_spending_the_budget(self):
+        # the budget is 200 000 evaluations per node
+        tpl = make_catalog_problem("sign_scalar", n=80)
+        f = random_forcing(tpl, np.random.default_rng(0))
+        rep = solve(tpl.problem(f, fp_tol=1e-30))
+        assert rep.status == "failed"
+        assert "stalled after" in rep.fail_reason
+        assert int(rep.fail_reason.split("stalled after ")[1].split()[0]) < 300
+
+    def test_unreachable_resolvent_tolerance_raises_stalled(self, monkeypatch):
+        monkeypatch.setattr(relations, "PICARD_TOL", 1e-30)
+        rel = make_catalog_problem("viscoplastic_slab", n=10).relation
+        y = 3.0 * np.random.default_rng(2).standard_normal(rel.dim)
+        with pytest.raises(ResolventFailure, match="stalled"):
+            rel.resolve(0.5, y)
