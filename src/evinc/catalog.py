@@ -23,7 +23,7 @@ from .relations import (
     ZeroRelation,
 )
 from .signals import TimeGrid, WeightedSignal
-from .solver import InclusionProblem
+from .solver import FP_MAX_ITER, FP_TOL, InclusionProblem
 
 __all__ = ["CatalogProblem", "catalog_names", "make_catalog_problem"]
 
@@ -53,8 +53,8 @@ class CatalogProblem:
         forcing: WeightedSignal,
         mode: str = "direct",
         rho: float = None,
-        fp_tol: float = 1e-10,
-        fp_max_iter: int = 200_000,
+        fp_tol: float = FP_TOL,
+        fp_max_iter: int = FP_MAX_ITER,
         lambda_schedule=None,
     ) -> InclusionProblem:
         rho = self.rho if rho is None else rho

@@ -17,7 +17,7 @@ from .errors import ConditionCheckError, ContractViolation, StepFailure, StepSiz
 from .harness import ALL_CHECKS, PropertyCampaign, run_campaign
 from .materials import check_conditions, rho_zero
 from .signals import weighted_norm, write_signal_csv
-from .solver import lipschitz_bound, solve
+from .solver import FP_TOL, lipschitz_bound, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -192,7 +192,7 @@ def _cmd_campaign(cfg, out: Path) -> int:
         )
     campaign = PropertyCampaign(
         template=template, trials=trials, seed=seed, checks=checks,
-        fp_tol=float(sec.get("fp_tol", 1e-10)),
+        fp_tol=float(sec.get("fp_tol", FP_TOL)),
     )
     report = run_campaign(campaign)
     (out / "campaign.csv").write_text(report.to_csv())

@@ -19,7 +19,7 @@ from .gallery import Coefficient, SlabGrid, build_thermoplasticity, build_viscop
 from .materials import constant_family, sinusoidal_family
 from .relations import relation_from_config
 from .signals import TimeGrid, WeightedSignal, read_signal_csv
-from .solver import InclusionProblem, default_lambda_schedule
+from .solver import FP_MAX_ITER, FP_TOL, InclusionProblem, default_lambda_schedule
 
 __all__ = ["RunConfig", "load_config", "ConfigError"]
 
@@ -244,8 +244,8 @@ class RunConfig:
         return template.problem(
             forcing,
             mode=sec.get("mode", "direct"),
-            fp_tol=float(sec.get("fp_tol", 1e-10)),
-            fp_max_iter=int(sec.get("fp_max_iter", 200_000)),
+            fp_tol=float(sec.get("fp_tol", FP_TOL)),
+            fp_max_iter=int(sec.get("fp_max_iter", FP_MAX_ITER)),
             lambda_schedule=schedule,
         )
 

@@ -7,6 +7,9 @@ mixed by type-II Anderson acceleration over the last ``MEMORY`` steps
 (projections, soft thresholds), so a mixed candidate is kept only if its
 residual is below the current one; otherwise the memory is cleared and the
 plain step is taken (Zhang, O'Donoghue & Boyd, SIAM J. Optim. 30, 2020).
+The accepted residual therefore never rises for a nonexpansive map, as every
+map iterated here is, so an accepted residual above ten times the first one,
+``|G(x0) - x0|``, marks a map that is not and stops the run as diverging.
 Mixing starts once two residuals exist, so a solve that stops after one or
 two evaluations takes exactly the plain steps. Deterministic throughout.
 """
@@ -47,8 +50,8 @@ def fixed_point(G, x0, tol, max_iter):
 
     ``out`` and ``residual`` belong to the last accepted evaluation of ``G``
     and an iteration is one evaluation. ``reason`` is ``CONVERGED``,
-    ``BUDGET`` (``max_iter`` evaluations done), ``DIVERGING`` (the residual
-    grew more than tenfold over the last 100 evaluations), ``STALLED`` (no
+    ``BUDGET`` (``max_iter`` evaluations done), ``DIVERGING`` (the accepted
+    residual is more than tenfold the first one), ``STALLED`` (no
     evaluation in the last ``PATIENCE`` gave a residual below the least one
     before them, as when ``tol`` is below what rounding lets the map reach)
     or ``NONFINITE`` (an evaluation gave a non-finite residual; ``out`` and
@@ -60,7 +63,7 @@ def fixed_point(G, x0, tol, max_iter):
     it = 1
     if not math.isfinite(res):
         return out, it, res, NONFINITE
-    history = [res]
+    first = res
     best, best_it = res, it
     prev = None  # (G(x), r) before the last accepted step, once two residuals exist
     dgs, drs = [], []
@@ -92,8 +95,7 @@ def fixed_point(G, x0, tol, max_iter):
         else:
             prev = (gx, r)
             gx, r, res, out = g_new, r_new, res_new, out_new
-        history.append(res)
-        if len(history) > 100 and res > 10.0 * history[-101]:
+        if res > 10.0 * first:
             return out, it, res, DIVERGING
         if it - best_it >= PATIENCE:
             return out, it, res, STALLED

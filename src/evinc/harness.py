@@ -22,7 +22,7 @@ from .relations import (
     ZeroRelation,
 )
 from .signals import WeightedSignal, weighted_inner, weighted_norm
-from .solver import InclusionProblem, lipschitz_bound, lipschitz_certificate, solve
+from .solver import FP_TOL, InclusionProblem, lipschitz_bound, lipschitz_certificate, solve
 
 __all__ = [
     "PropertyCampaign",
@@ -62,7 +62,7 @@ class PropertyCampaign:
     trials: int
     seed: int
     checks: tuple = ALL_CHECKS
-    fp_tol: float = 1e-10
+    fp_tol: float = FP_TOL
 
     def __post_init__(self):
         unknown = set(self.checks) - set(ALL_CHECKS)
@@ -433,7 +433,7 @@ _CHECK_FNS = {
 
 
 def replay_check(template: CatalogProblem, check: str, seed: int,
-                 fp_tol: float = 1e-10):
+                 fp_tol: float = FP_TOL):
     """Re-run one trial check from its recorded seed; returns (passed, margin)."""
     rng = np.random.default_rng([int(seed), ALL_CHECKS.index(check)])
     return _CHECK_FNS[check](template, rng, fp_tol)

@@ -94,12 +94,6 @@ class MaterialFamily:
         if self.lip_M0 < 0 or self.sup_M1 < 0:
             raise ContractViolation("lip_M0 and sup_M1 must be nonnegative")
 
-    def project_kernel(self, u: np.ndarray) -> np.ndarray:
-        return self.kernel_basis.T @ u
-
-    def project_range(self, u: np.ndarray) -> np.ndarray:
-        return self.range_basis.T @ u
-
 
 def _orthonormal_complement(basis: np.ndarray, dim: int) -> np.ndarray:
     if basis.shape[1] == 0:

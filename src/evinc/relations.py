@@ -66,12 +66,9 @@ class MonotoneRelation:
 
     dim: int
     contains_origin: bool = True
-    bounded: bool = False
     single_valued: bool = False
     #: largest c with <A(x)-A(y), x-y> >= c |A(x)-A(y)|^2 (0.0 if unknown/none)
     cocoercivity: float = 0.0
-    #: Lipschitz bound when single-valued (None if unknown)
-    lipschitz: float | None = None
 
     def resolve(self, lam: float, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -105,10 +102,8 @@ class ZeroRelation(MonotoneRelation):
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.bounded = True
         self.single_valued = True
         self.cocoercivity = float("inf")
-        self.lipschitz = 0.0
 
     def resolve(self, lam, y):
         return np.array(y, dtype=float)
@@ -140,9 +135,7 @@ class LinearRelation(MonotoneRelation):
             raise ContractViolation(f"matrix is not monotone (min sym eig {lo:.3e})")
         self.matrix = G
         self.dim = G.shape[0]
-        self.bounded = True
         self.single_valued = True
-        self.lipschitz = nrm
         self.cocoercivity = max(lo, 0.0) / nrm**2 if nrm > 0 else float("inf")
 
     def resolve(self, lam, y):
@@ -174,7 +167,6 @@ class NormSubdifferential(MonotoneRelation):
             raise ContractViolation("weight must be positive")
         self.dim = dim
         self.weight = float(weight)
-        self.bounded = True
         self.single_valued = False
 
     def resolve(self, lam, y):
@@ -210,10 +202,8 @@ class BallSaturation(MonotoneRelation):
             raise ContractViolation("radius must be positive")
         self.dim = dim
         self.radius = float(radius)
-        self.bounded = True
         self.single_valued = True
         self.cocoercivity = 1.0  # projections are firmly nonexpansive
-        self.lipschitz = 1.0
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
@@ -257,10 +247,8 @@ class DeviatoricSaturation(MonotoneRelation):
             raise ContractViolation("radius must be positive")
         self.dim = self.BLOCK
         self.radius = float(radius)
-        self.bounded = True
         self.single_valued = True
         self.cocoercivity = 1.0
-        self.lipschitz = 1.0
         self._ball = BallSaturation(self.BLOCK, radius)
 
     def apply(self, x):
@@ -294,11 +282,9 @@ class NodewiseRelation(MonotoneRelation):
         self.base = base
         self.count = count
         self.dim = base.dim * count
-        self.bounded = base.bounded
         self.contains_origin = base.contains_origin
         self.single_valued = base.single_valued
         self.cocoercivity = base.cocoercivity
-        self.lipschitz = base.lipschitz
 
     def _blocks(self, y):
         return np.asarray(y, dtype=float).reshape(self.count, self.base.dim)
@@ -337,11 +323,9 @@ class SlotEmbedded(MonotoneRelation):
         self.start = start
         self.stop = start + base.dim
         self.dim = total_dim
-        self.bounded = base.bounded
         self.contains_origin = base.contains_origin
         self.single_valued = base.single_valued
         self.cocoercivity = base.cocoercivity
-        self.lipschitz = base.lipschitz
 
     def resolve(self, lam, y):
         y = np.asarray(y, dtype=float)
@@ -382,7 +366,6 @@ class StructuredSum(MonotoneRelation):
         self.matrix = K
         self.tail = tail
         self.dim = tail.dim
-        self.bounded = True
         self.contains_origin = tail.contains_origin
         self.single_valued = tail.single_valued
 
@@ -428,11 +411,9 @@ class YosidaRelation(MonotoneRelation):
         self.base = base
         self.lam = float(lam)
         self.dim = base.dim
-        self.bounded = base.bounded
         self.contains_origin = base.contains_origin
         self.single_valued = True
         self.cocoercivity = self.lam
-        self.lipschitz = 1.0 / self.lam
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
@@ -554,7 +535,6 @@ class _LipschitzPerturbedSum(MonotoneRelation):
         self.b_map = b_map
         self.lip_b = float(lip_b)
         self.dim = a.dim
-        self.bounded = False
         zero = np.zeros(a.dim)
         self.contains_origin = a.contains_origin and bool(
             np.allclose(b_map(zero), 0.0, atol=1e-14)

@@ -80,10 +80,6 @@ class WeightedSignal:
         return np.exp(-2.0 * self.rho * self.grid.times) * self.grid.dt
 
 
-def zero_signal(grid: TimeGrid, dim: int, rho: float) -> WeightedSignal:
-    return WeightedSignal(grid, np.zeros((grid.n, dim)), rho)
-
-
 def _check_compatible(u: WeightedSignal, v: WeightedSignal):
     if u.grid != v.grid or u.dim != v.dim or u.rho != v.rho:
         raise ContractViolation("signals must share grid, dim and rho")

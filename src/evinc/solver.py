@@ -11,9 +11,14 @@ S u + A(u) ∋ b with S = M0(t_k)/dt + M1(t_k), using only resolvents of A:
   matrix is well conditioned, and Douglas-Rachford between the affine part
   and the tail resolvent when it is stiff (the degenerate regime).
 
-Every iterative engine runs safeguarded Anderson(5) on one fixed-point
-kernel (``fixed_point.fixed_point``), which also owns the stop rule, the
-iteration budget, the divergence guard and the non-finite exit.
+The relation's split A = K + tail is taken once per solve and the pair
+(K, tail) is passed down: ``_plan`` builds the per-node engine from it,
+``_march`` sweeps the nodes from a given past (zero by default, so
+``solve_step`` is a one-node march), and the Yosida path marches
+(K, A_lam) with the surrogate A_lam of the tail. Every iterative engine runs
+safeguarded Anderson(5) on one fixed-point kernel
+(``fixed_point.fixed_point``), which also owns the stop rule, the iteration
+budget, the divergence guard, the stall exit and the non-finite exit.
 
 The weight rho is used for admission checks and norms only — it never enters
 the stepping arithmetic, so solutions agree bit for bit across admissible
@@ -30,7 +35,7 @@ from .calculus import derivative
 from .errors import ContractViolation, StepFailure
 from .fixed_point import CONVERGED, fixed_point
 from .materials import MaterialFamily, dt_max, measure_constants, rho_zero, step_operator
-from .relations import MonotoneRelation, StructuredSum, YosidaRelation
+from .relations import MonotoneRelation, YosidaRelation
 from .signals import WeightedSignal, weighted_norm
 
 __all__ = [
@@ -42,6 +47,9 @@ __all__ = [
     "lipschitz_bound",
     "default_lambda_schedule",
 ]
+
+FP_TOL = 1e-10  # default stop tolerance of every per-node iteration
+FP_MAX_ITER = 200_000  # default per-node budget of fixed-point map evaluations
 
 
 def default_lambda_schedule(start: float = 1.0, stop: float = 1e-6, factor: float = 0.5):
@@ -63,8 +71,8 @@ class InclusionProblem:
     c_tilde: float
     mode: str = "direct"
     lambda_schedule: tuple = None
-    fp_tol: float = 1e-10
-    fp_max_iter: int = 200_000
+    fp_tol: float = FP_TOL
+    fp_max_iter: int = FP_MAX_ITER
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.forcing.values)):
@@ -135,52 +143,35 @@ class SolveReport:
 # per-step engines
 
 
-class _StepEngine:
-    """Solves S u + A(u) ∋ b for the marching loop, one prepared plan per S.
+def _plan(linear, tail, S: np.ndarray, margin: float, fp_tol: float, fp_max_iter: int):
+    """Per-node plan for S u + K u + tail(u) ∋ b, with (K, tail) = relation.split().
 
-    The engine choice depends only on the relation's structure, never on the
-    data, so identical inputs reproduce identical iterates.
+    Returns (engine name, step(b, warm) -> (u, iterations, residual, reason)).
+    The engine depends only on the split and on S, never on the data, so
+    identical inputs reproduce identical iterates.
     """
+    lam_mat = S if linear is None else S + linear
+    if tail is None:
+        inv = np.linalg.inv(lam_mat)
 
-    def __init__(self, relation: MonotoneRelation, fp_tol: float, fp_max_iter: int):
-        self.fp_tol = fp_tol
-        self.fp_max_iter = fp_max_iter
-        self.linear, self.tail = relation.split()
-        if self.tail is None:
-            self.kind = "direct"
-        elif (
-            self.tail.single_valued
-            and self.tail.cocoercivity >= 0.25
-            and self.tail.lipschitz is not None
-        ):
-            self.kind = "forward_backward"
-        else:
-            self.kind = "douglas_rachford"
+        def direct(b, warm):
+            u = inv @ b
+            res = float(np.linalg.norm(lam_mat @ u - b) / (1.0 + np.linalg.norm(b)))
+            return u, 1, res, CONVERGED
 
-    def prepare(self, S: np.ndarray, margin: float):
-        """Per-time-node plan: (engine name, step(b, warm) -> (u, iterations, residual, reason))."""
-        lam_mat = S if self.linear is None else S + self.linear
-        eye = np.eye(S.shape[0])
-        tail = self.tail
-        if self.kind == "direct":
-            inv = np.linalg.inv(lam_mat)
+        return "direct", direct
+    eye = np.eye(S.shape[0])
+    if tail.single_valued and tail.cocoercivity >= 0.25:
+        # the whole linear part implicit, the cocoercive tail explicit
+        name = "forward-backward"
+        gamma = min(tail.cocoercivity, 1.0)
+        inv = np.linalg.inv(eye + gamma * lam_mat)
 
-            def direct(b, warm):
-                u = inv @ b
-                res = float(np.linalg.norm(lam_mat @ u - b) / (1.0 + np.linalg.norm(b)))
-                return u, 1, res, CONVERGED
+        def G(u, b):
+            u_new = inv @ (u - gamma * tail.apply(u) + gamma * b)
+            return u_new, u_new
 
-            return "direct", direct
-        if self.kind == "forward_backward":
-            # the whole linear part implicit, the cocoercive tail explicit
-            gamma = min(tail.cocoercivity, 1.0)
-            inv = np.linalg.inv(eye + gamma * lam_mat)
-
-            def fb(u, b):
-                u_new = inv @ (u - gamma * tail.apply(u) + gamma * b)
-                return u_new, u_new
-
-            return "forward-backward", self._iterate(fb)
+    else:
         sym = 0.5 * (lam_mat + lam_mat.T)
         m_hat = float(np.min(np.linalg.eigvalsh(sym)))
         big = float(np.linalg.norm(lam_mat, 2))
@@ -192,70 +183,66 @@ class _StepEngine:
             # well-conditioned step: plain forward-backward through the
             # tail resolvent contracts at sqrt(1 - (m/L)^2) and beats
             # the splitting; gamma = m/L^2 minimizes the factor
+            name = "forward-backward"
             gamma = m_hat / big**2
 
-            def resolvent_fb(u, b):
+            def G(u, b):
                 u_new = tail.resolve(gamma, u - gamma * (lam_mat @ u - b))
                 return u_new, u_new
 
-            return "forward-backward", self._iterate(resolvent_fb)
-        # stiff step: Douglas-Rachford between the affine part and the tail
-        gamma = 1.0 / np.sqrt(m_hat * big)
-        inv = np.linalg.inv(eye + gamma * lam_mat)
+        else:
+            # stiff step: Douglas-Rachford between the affine part and the tail
+            name = "Douglas-Rachford"
+            gamma = 1.0 / np.sqrt(m_hat * big)
+            inv = np.linalg.inv(eye + gamma * lam_mat)
 
-        def dr(z, b):
-            x = inv @ (z + gamma * b)
-            w = tail.resolve(gamma, 2.0 * x - z)
-            return z + (w - x), w
+            def G(z, b):
+                x = inv @ (z + gamma * b)
+                w = tail.resolve(gamma, 2.0 * x - z)
+                return z + (w - x), w
 
-        return "Douglas-Rachford", self._iterate(dr)
-
-    def _iterate(self, G):
-        return lambda b, warm: fixed_point(
-            lambda x: G(x, b), warm, self.fp_tol, self.fp_max_iter
-        )
-
-
-def _run_step(plan, b, warm, step_index):
-    """One node through its plan; a stop other than convergence is a StepFailure."""
-    name, step = plan
-    u, iters, res, reason = step(b, warm)
-    if reason != CONVERGED:
-        raise StepFailure(
-            f"{name} step {step_index} did not converge: {reason} after "
-            f"{iters} iterations (residual {res:.3e})",
-            step=step_index,
-            residual=res,
-        )
-    return u, iters, res
+    return name, lambda b, warm: fixed_point(lambda x: G(x, b), warm, fp_tol, fp_max_iter)
 
 
 def _march(
     family: MaterialFamily,
-    relation: MonotoneRelation,
+    linear,
+    tail,
     forcing: np.ndarray,
     t0: float,
     dt: float,
     fp_tol: float,
     fp_max_iter: int,
     warm_values: np.ndarray = None,
+    past=None,
 ):
-    """Causal sweep over the grid; returns (values, iteration counts, residual)."""
+    """Causal sweep over the grid; returns (values, iteration counts, residual).
+
+    ``(linear, tail)`` is the relation's split. ``past`` is the state before
+    the first node and its M0 image, ``(u, M0 u)``; None is the zero past.
+    A node whose iteration stops short of the tolerance raises StepFailure.
+    """
     n, dim = forcing.shape
-    engine = _StepEngine(relation, fp_tol, fp_max_iter)
     out = np.empty_like(forcing)
     iterations = []
     max_res = 0.0
-    prev_state = np.zeros(dim)
-    prev_m0u = np.zeros(dim)  # M0(t_{-1}) @ 0: the implicit zero past
+    prev_state, prev_m0u = (np.zeros(dim), np.zeros(dim)) if past is None else past
     plan = None
     for k in range(n):
         t = t0 + k * dt
         if plan is None or not family.constant:
-            plan = engine.prepare(*step_operator(family, t, dt))
+            plan = _plan(linear, tail, *step_operator(family, t, dt), fp_tol, fp_max_iter)
+        name, step = plan
         b = forcing[k] + prev_m0u / dt
         warm = warm_values[k] if warm_values is not None else prev_state
-        u, iters, res = _run_step(plan, b, warm, k)
+        u, iters, res, reason = step(b, warm)
+        if reason != CONVERGED:
+            raise StepFailure(
+                f"{name} step {k} did not converge: {reason} after "
+                f"{iters} iterations (residual {res:.3e})",
+                step=k,
+                residual=res,
+            )
         out[k] = u
         iterations.append(iters)
         max_res = max(max_res, res)
@@ -272,37 +259,32 @@ def solve_step(
     prev_state: np.ndarray,
     prev_m0u: np.ndarray,
     f_k: np.ndarray,
-    fp_tol: float = 1e-10,
-    fp_max_iter: int = 200_000,
+    fp_tol: float = FP_TOL,
+    fp_max_iter: int = FP_MAX_ITER,
 ) -> np.ndarray:
     """One implicit step: S u + A(u) ∋ f_k + prev_m0u/dt, warm-started at prev_state.
 
     ``prev_m0u`` is M0(t - dt) @ prev_state; pass None to have it computed.
+    This is a one-node march from that past.
     """
     prev_state = np.asarray(prev_state, dtype=float)
     if prev_m0u is None:
         prev_m0u = np.asarray(family.M0_at(t - dt), dtype=float) @ prev_state
-    plan = _StepEngine(relation, fp_tol, fp_max_iter).prepare(*step_operator(family, t, dt))
-    b = np.asarray(f_k, dtype=float) + np.asarray(prev_m0u, dtype=float) / dt
-    u, _, _ = _run_step(plan, b, prev_state, 0)
-    return u
+    forcing = np.asarray(f_k, dtype=float).reshape(1, -1)
+    past = (prev_state, np.asarray(prev_m0u, dtype=float))
+    vals, _, _ = _march(family, *relation.split(), forcing, t, dt, fp_tol, fp_max_iter, past=past)
+    return vals[0]
 
 
-def _yosida_stage(relation: MonotoneRelation, lam: float) -> MonotoneRelation:
-    """Stage relation with the nonlinear tail replaced by its Yosida surrogate."""
-    linear, tail = relation.split()
-    if tail is None:
-        return relation
-    surrogate = YosidaRelation(tail, lam)
-    if linear is None:
-        return surrogate
-    return StructuredSum(linear, surrogate)
+def _stage_image_norm(linear, tail, values: np.ndarray, sig: WeightedSignal):
+    """Weighted norm of k -> K u_k + tail(u_k) along a trajectory, row by row."""
 
+    def image(u):
+        if tail is None:
+            return np.zeros_like(u) if linear is None else linear @ u
+        return tail.apply(u) if linear is None else linear @ u + tail.apply(u)
 
-def _stage_image_norm(relation: MonotoneRelation, values: np.ndarray, sig: WeightedSignal):
-    """Weighted norm of k -> A_stage(u_k) along a trajectory."""
-    image = np.stack([relation.apply(row) for row in values])
-    return weighted_norm(sig.with_values(image))
+    return weighted_norm(sig.with_values(np.stack([image(row) for row in values])))
 
 
 def solve(problem: InclusionProblem) -> SolveReport:
@@ -316,14 +298,15 @@ def solve(problem: InclusionProblem) -> SolveReport:
     """
     grid = problem.forcing.grid
     f_vals = problem.forcing.values
+    linear, tail = problem.relation.split()
 
-    def march(relation, warm_values=None):
-        return _march(problem.family, relation, f_vals, grid.t0, grid.dt,
+    def march(stage_tail, warm_values=None):
+        return _march(problem.family, linear, stage_tail, f_vals, grid.t0, grid.dt,
                       problem.fp_tol, problem.fp_max_iter, warm_values)
 
     try:
         if problem.mode == "direct":
-            vals, iters, res = march(problem.relation)
+            vals, iters, res = march(tail)
             return SolveReport(
                 solution=problem.forcing.with_values(vals),
                 per_step_iterations=iters,
@@ -347,11 +330,10 @@ def solve(problem: InclusionProblem) -> SolveReport:
         iters = np.zeros(grid.n, dtype=int)
         res = 0.0
         for lam in problem.schedule():
-            stage = _yosida_stage(problem.relation, lam)
+            stage = None if tail is None else YosidaRelation(tail, lam)
             vals, stage_iters, res = march(stage, prev_vals)
             iters += stage_iters
-            image_norm = _stage_image_norm(stage, vals, problem.forcing)
-            trace.append((lam, image_norm))
+            trace.append((lam, _stage_image_norm(linear, stage, vals, problem.forcing)))
             prev_vals = vals
         return SolveReport(
             solution=problem.forcing.with_values(prev_vals),

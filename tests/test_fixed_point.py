@@ -103,6 +103,21 @@ def test_divergence_guard():
     assert res > 10.0
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_noisy_contraction_is_not_diverging(seed):
+    # a contraction whose every evaluation carries noise of size 1e-9 levels
+    # off far above tol: its accepted residual never rises above the first
+    rng = np.random.default_rng(seed)
+
+    def G(x):
+        gx = 0.5 * x + 1.0 + rng.normal(0.0, 1e-9, x.shape)
+        return gx, gx
+
+    out, it, res, reason = fixed_point(G, np.zeros(1), 1e-12, 200_000)
+    assert reason in (STALLED, CONVERGED)
+    assert abs(out[0] - 2.0) <= 1e-8
+
+
 def test_stall_exit_on_constant_residual():
     # G(x) = x + 1 has no fixed point and every evaluation's residual is the
     # first one's: the stall exit ends the run long before the budget

@@ -1,0 +1,52 @@
+"""Solutions pinned bit for bit: one sha256 per solve, recorded before a refactor.
+
+Each digest covers the solution values, the per-node iteration counts, the
+reported ``max_residual`` and the Yosida path's ``lambda_trace``, so a change
+that alters any answer, iteration count or stage norm in the last bit fails
+here. The forcing is ``random_forcing`` seeded by the case's index.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from evinc.catalog import make_catalog_problem
+from evinc.harness import random_forcing
+from evinc.solver import solve
+
+# (template, n, mode, sha256)
+PINNED = [
+    ("scalar_ode", 60, "direct", "426d28d345aa778efd5c80edf5c8e876a3667604978badf409134d98ab9aebfe"),
+    ("scalar_ode", 60, "yosida_path", "3f113b13deef1847d1ba6572e30d12ea61c3c8be7f151816642f6e3472d2e53e"),
+    ("degenerate_plane", 60, "direct", "cf874a8ba8a3c94a315e7c996c0a7f18a65d9d245e7ffd3d3e7809c6ed784486"),
+    ("degenerate_plane", 60, "yosida_path", "58998f4717280078cc91e74546c2f37046044ae8daa23c47dc40b72f8757f048"),
+    ("sign_scalar", 60, "direct", "8a7a4ed0ab6205f7826084de87da99b1d0f70f2c1d155b41aea10111a38371f5"),
+    ("sign_scalar", 60, "yosida_path", "de6578ac9ed009c529a35ea7108bd9d95b7e7e62563f5a78d3d683d355e57c6e"),
+    ("saturation_plane", 60, "direct", "6df7c6b03df90115df3238784c093569a34412c1fda73ff09695bd882ad02bdf"),
+    ("saturation_plane", 60, "yosida_path", "9655f69c39d40b4bbdd657d2429a96464c98a0c70dfbdba01d7892db05be6eab"),
+    ("thermoplastic_slab", 21, "direct", "b05f0c7994c4608465a4167cf43d5d5f270a3806985b03171dd8844d72de332f"),
+    ("thermoplastic_slab", 21, "yosida_path", "c84fa81b05095b8ef4aa0d2575094a373781b56d6c1622257547533ba027de5e"),
+    ("viscoplastic_slab", 21, "direct", "876443ef04f3e6ba5d4bebd300b389142552477f0759c19eb5b9477fc38db1c2"),
+    ("viscoplastic_slab", 21, "yosida_path", "ea1aa8555b1c0268a3d4cedeb1a43e359720e9363a0d888e95f688e4c4daf2a4"),
+]
+TEMPLATES = list(dict.fromkeys(name for name, *_ in PINNED))
+
+
+def _digest(rep):
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(rep.solution.values, dtype=np.float64).tobytes())
+    h.update(np.asarray(rep.per_step_iterations, dtype=np.int64).tobytes())
+    h.update(float(rep.max_residual).hex().encode())
+    for lam, norm in rep.lambda_trace:
+        h.update(float(lam).hex().encode() + float(norm).hex().encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name, n, mode, expected", PINNED, ids=[f"{p[0]}-{p[2]}" for p in PINNED])
+def test_solution_digest(name, n, mode, expected):
+    tpl = make_catalog_problem(name, n=n)
+    f = random_forcing(tpl, np.random.default_rng(TEMPLATES.index(name)))
+    rep = solve(tpl.problem(f, mode=mode))
+    assert rep.converged
+    assert _digest(rep) == expected

@@ -6,12 +6,11 @@ from evinc import relations
 from evinc.errors import ContractViolation, ResolventFailure
 from evinc.harness import random_forcing
 from evinc.materials import constant_family
-from evinc.relations import BallSaturation, NormSubdifferential, ZeroRelation
+from evinc.relations import BallSaturation, NormSubdifferential, YosidaRelation, ZeroRelation
 from evinc.signals import TimeGrid, WeightedSignal, weighted_norm
 from evinc.solver import (
     InclusionProblem,
     _march,
-    _yosida_stage,
     default_lambda_schedule,
     lipschitz_bound,
     lipschitz_certificate,
@@ -42,6 +41,23 @@ class TestSolveStep:
                        prev_state=np.zeros(1), prev_m0u=None,
                        f_k=np.array([2.0]), fp_tol=1e-13)
         assert u[0] == pytest.approx(0.1, abs=1e-11)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["scalar_ode", "saturation_plane", "sign_scalar", "viscoplastic_slab"],
+        ids=["direct", "explicit_fb", "resolvent_fb", "douglas_rachford"],
+    )
+    def test_matches_the_march(self, name):
+        # from the march's own state at node k-1, one step gives node k bit for bit
+        tpl = make_catalog_problem(name, n=12)
+        f = random_forcing(tpl, np.random.default_rng(12))
+        u = solve(tpl.problem(f)).solution.values
+        t0, dt = tpl.grid.t0, tpl.grid.dt
+        for k in range(1, tpl.grid.n):
+            m0u = np.asarray(tpl.family.M0_at(t0 + (k - 1) * dt), dtype=float) @ u[k - 1]
+            step = solve_step(tpl.family, tpl.relation, t=t0 + k * dt, dt=dt,
+                              prev_state=u[k - 1], prev_m0u=m0u, f_k=f.values[k])
+            assert np.array_equal(step, u[k])
 
 
 class TestSolveBasics:
@@ -240,9 +256,10 @@ class TestYosidaPath:
         assert path.converged
         total = np.zeros(tpl.grid.n, dtype=int)
         prev = None
+        linear, tail = tpl.relation.split()
         for lam in default_lambda_schedule():
             vals, iters, _ = _march(
-                tpl.family, _yosida_stage(tpl.relation, lam), f.values,
+                tpl.family, linear, YosidaRelation(tail, lam), f.values,
                 tpl.grid.t0, tpl.grid.dt, 1e-10, 200_000, warm_values=prev,
             )
             total += iters
