@@ -24,7 +24,6 @@ from .relations import (
     BallSaturation,
     DeviatoricSaturation,
     MonotoneRelation,
-    NodewiseRelation,
     NormSubdifferential,
     SlotEmbedded,
     StructuredSum,
@@ -219,7 +218,7 @@ def _slab_model(name, g, ops, fields, m0_blocks, m1_blocks, kernel, coefficients
         K[slice(*slots[a]), slice(*slots[b])] = block
         K[slice(*slots[b]), slice(*slots[a])] = -block.T
     tail_slot, node_relation = tail
-    embedded = SlotEmbedded(NodewiseRelation(node_relation, g.m), slots[tail_slot][0], dim)
+    embedded = SlotEmbedded(node_relation, slots[tail_slot][0], dim, count=g.m)
     return GalleryModel(
         name=name, family=family, relation=StructuredSum(K, embedded), operators=ops,
         slots=slots, skew_block=K, conditions=report,

@@ -76,15 +76,22 @@ class PropertyCampaign:
 
 @dataclass
 class CampaignReport:
-    """One row per (trial, check); rows are ordered, so serialization is stable."""
+    """One row per (trial, check); rows are ordered, so serialization is stable.
+
+    ``errors`` maps (trial, check) to ``"<Type>: <message>"`` for each check
+    that failed by raising; it goes to ``to_text`` only, never to the CSV.
+    """
 
     campaign_name: str
     seed: int
     rows: list = field(default_factory=list)  # (trial, check, passed, margin, seed)
+    errors: dict = field(default_factory=dict)
 
-    def add(self, trial, check, passed, margin, seed):
+    def add(self, trial, check, passed, margin, seed, error=None):
         # + 0.0 folds negative zero so serialized margins are sign-stable
         self.rows.append((trial, check, bool(passed), float(margin) + 0.0, int(seed)))
+        if error is not None:
+            self.errors[(trial, check)] = f"{type(error).__name__}: {error}"
 
     @property
     def failures(self):
@@ -122,6 +129,9 @@ class CampaignReport:
                 lines.append(
                     f"{check}.failing_seeds = {' '.join(str(s) for s in info['failing_seeds'])}"
                 )
+            for (trial, name), text in sorted(self.errors.items()):
+                if name == check:
+                    lines.append(f"{check}.error.{trial} = {text}")
         lines.append(f"passed = {'pass' if self.passed else 'FAIL'}")
         return "\n".join(lines)
 
@@ -348,6 +358,17 @@ def fixed_point_iterates(f_map, g_map, x: np.ndarray, n_iter: int,
 # ---------------------------------------------------------------------------
 # campaign driver
 
+#: failures that a campaign records as a failed check; anything else propagates
+_TYPED_FAILURES = (StepFailure, ResolventFailure, ContractViolation)
+
+
+def _solved(problem):
+    """The converged report of ``problem``; a failed march is re-raised as its StepFailure."""
+    rep = solve(problem)
+    if not rep.converged:
+        raise StepFailure(rep.fail_reason, step=rep.fail_step)
+    return rep
+
 
 def _check_causality(template, rng, fp_tol):
     n = template.grid.n
@@ -357,10 +378,8 @@ def _check_causality(template, rng, fp_tol):
     g_vals = g.values.copy()
     g_vals[:cut] = f.values[:cut]
     g = template.signal(g_vals)
-    rep_f = solve(template.problem(f, fp_tol=fp_tol))
-    rep_g = solve(template.problem(g, fp_tol=fp_tol))
-    if not (rep_f.converged and rep_g.converged):
-        return False, float("-inf")
+    rep_f = _solved(template.problem(f, fp_tol=fp_tol))
+    rep_g = _solved(template.problem(g, fp_tol=fp_tol))
     diff = np.max(
         np.abs(rep_f.solution.values[:cut] - rep_g.solution.values[:cut]), initial=0.0
     )
@@ -385,20 +404,16 @@ def _check_monotonicity(template, rng, fp_tol):
 def _check_rho_independence(template, rng, fp_tol):
     f = random_forcing(template, rng)
     rho_a, rho_b = template.admissible_rho_pair()
-    rep_a = solve(template.problem(template.signal(f.values, rho_a), rho=rho_a, fp_tol=fp_tol))
-    rep_b = solve(template.problem(template.signal(f.values, rho_b), rho=rho_b, fp_tol=fp_tol))
-    if not (rep_a.converged and rep_b.converged):
-        return False, float("-inf")
+    rep_a = _solved(template.problem(template.signal(f.values, rho_a), rho=rho_a, fp_tol=fp_tol))
+    rep_b = _solved(template.problem(template.signal(f.values, rho_b), rho=rho_b, fp_tol=fp_tol))
     diff = np.max(np.abs(rep_a.solution.values - rep_b.solution.values), initial=0.0)
     return diff == 0.0, -float(diff)
 
 
 def _check_yosida(template, rng, fp_tol):
     f = random_forcing(template, rng)
-    direct = solve(template.problem(f, fp_tol=fp_tol))
-    path = solve(template.problem(f, mode="yosida_path", fp_tol=fp_tol))
-    if not (direct.converged and path.converged):
-        return False, float("-inf")
+    direct = _solved(template.problem(f, fp_tol=fp_tol))
+    path = _solved(template.problem(f, mode="yosida_path", fp_tol=fp_tol))
     lam_min = path.lambda_trace[-1][0]
     tol = 10.0 * fp_tol + 5.0 * lam_min
     err = float(
@@ -413,9 +428,7 @@ def _check_yosida(template, rng, fp_tol):
 
 def _check_oracle(template, rng, fp_tol):
     f = random_forcing(template, rng)
-    rep = solve(template.problem(f, fp_tol=fp_tol))
-    if not rep.converged:
-        return False, float("-inf")
+    rep = _solved(template.problem(f, fp_tol=fp_tol))
     ref = oracle_trajectory(template, f)
     err = float(np.max(np.abs(rep.solution.values - ref.values), initial=0.0))
     tol = 10.0 * fp_tol
@@ -434,7 +447,17 @@ _CHECK_FNS = {
 
 def replay_check(template: CatalogProblem, check: str, seed: int,
                  fp_tol: float = FP_TOL):
-    """Re-run one trial check from its recorded seed; returns (passed, margin)."""
+    """Re-run one trial check from its recorded seed; returns (passed, margin).
+
+    A typed failure gives the row ``run_campaign`` records for it.
+    """
+    try:
+        return _run_check(template, check, seed, fp_tol)
+    except _TYPED_FAILURES:
+        return False, float("-inf")
+
+
+def _run_check(template, check, seed, fp_tol):
     rng = np.random.default_rng([int(seed), ALL_CHECKS.index(check)])
     return _CHECK_FNS[check](template, rng, fp_tol)
 
@@ -443,18 +466,20 @@ def run_campaign(campaign: PropertyCampaign) -> CampaignReport:
     """Run every selected check over seeded trials; failures never abort.
 
     A ``StepFailure``, ``ResolventFailure`` or ``ContractViolation`` is a
-    failed check with margin ``-inf``; any other exception propagates.
+    failed check with margin ``-inf``, and the report keeps its type and
+    message; any other exception propagates.
     """
     master = np.random.default_rng(campaign.seed)
     trial_seeds = master.integers(0, 2**63 - 1, size=max(campaign.trials, 0))
     report = CampaignReport(campaign_name=campaign.template.name, seed=campaign.seed)
     for trial, seed in enumerate(trial_seeds):
         for check in campaign.checks:
+            error = None
             try:
-                passed, margin = replay_check(
+                passed, margin = _run_check(
                     campaign.template, check, seed, campaign.fp_tol
                 )
-            except (StepFailure, ResolventFailure, ContractViolation):
-                passed, margin = False, float("-inf")
-            report.add(trial, check, passed, margin, seed)
+            except _TYPED_FAILURES as exc:
+                passed, margin, error = False, float("-inf"), exc
+            report.add(trial, check, passed, margin, seed, error)
     return report

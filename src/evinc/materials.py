@@ -286,11 +286,15 @@ def step_operator(family: MaterialFamily, t: float, dt: float):
     part. A nonpositive margin raises a step-size error carrying the
     suggested dt (computed with the reference c_tilde = c1/2).
     """
+    M0 = np.asarray(family.M0_at(t), dtype=float)
+    return _step_matrix(family, M0, np.asarray(family.M1_at(t), dtype=float), t, dt)
+
+
+def _step_matrix(family: MaterialFamily, M0: np.ndarray, M1: np.ndarray, t: float, dt: float):
+    """``step_operator`` from the float arrays M0(t) and M1(t), already evaluated at t."""
     if dt <= 0:
         raise ContractViolation("dt must be positive")
-    S = np.asarray(family.M0_at(t), dtype=float) / dt + np.asarray(
-        family.M1_at(t), dtype=float
-    )
+    S = M0 / dt + M1
     margin = float(np.min(np.linalg.eigvalsh(0.5 * (S + S.T))))
     if margin <= 0.0:
         suggestion = dt_max(family, 0.5 * family.c1)

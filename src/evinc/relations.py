@@ -14,7 +14,9 @@ the stepper:
 - single-valued tails expose ``apply`` and a cocoercivity constant
   (projection-type maps are 1-cocoercive), which decides between
   forward-backward and Douglas-Rachford in the per-step engines;
-- ``graph_distance(x, v)`` measures dist(v, A(x)) for brute-force oracles.
+- ``graph_distance(x, v)`` measures dist(v, A(x)) for brute-force oracles;
+- ``resolve_block``/``apply_block`` evaluate row-stacked inputs, and row i
+  equals the vector form on row i bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 
 from .errors import ContractViolation, ResolventFailure
 from .fixed_point import CONVERGED, fixed_point
-from .tensors import mandel_dev
 
 __all__ = [
     "MonotoneRelation",
@@ -48,6 +49,22 @@ __all__ = [
 
 PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 10_000
+
+
+def _row_norms(ys):
+    """Euclidean norms of the rows of ``ys``, as a column.
+
+    Both this and ``_norm`` sum the squares with ``np.add.reduce``, which
+    gives a row the same bits alone or in any stack; ``np.linalg.norm`` of a
+    vector goes through BLAS ``dot`` and can differ in the last bit. So each
+    vector form below equals its block form row by row, bit for bit.
+    """
+    return np.sqrt(np.add.reduce(ys * ys, axis=1, keepdims=True))
+
+
+def _norm(y):
+    """Euclidean norm of a vector, summed as ``_row_norms`` sums a row."""
+    return float(np.sqrt(np.add.reduce(y * y)))
 
 
 def _resolve_by_fixed_point(what, G, y):
@@ -89,7 +106,8 @@ class MonotoneRelation:
     def has_eval(self) -> bool:
         return self.single_valued or type(self).graph_distance is not MonotoneRelation.graph_distance
 
-    # batch forms over row-stacked inputs; the defaults just loop
+    # batch forms over row-stacked inputs: row i equals the vector form on
+    # row i, bit for bit; the defaults just loop
     def resolve_block(self, lam: float, ys: np.ndarray) -> np.ndarray:
         return np.stack([self.resolve(lam, y) for y in np.asarray(ys, dtype=float)])
 
@@ -144,12 +162,13 @@ class LinearRelation(MonotoneRelation):
     def apply(self, x):
         return self.matrix @ np.asarray(x, dtype=float)
 
+    # stacked solves and products: bitwise the per-row solve and product
     def resolve_block(self, lam, ys):
         A = np.eye(self.dim) + lam * self.matrix
-        return np.linalg.solve(A, np.asarray(ys, dtype=float).T).T
+        return np.linalg.solve(A, np.asarray(ys, dtype=float)[:, :, None])[:, :, 0]
 
     def apply_block(self, xs):
-        return np.asarray(xs, dtype=float) @ self.matrix.T
+        return (self.matrix @ np.asarray(xs, dtype=float)[:, :, None])[:, :, 0]
 
     def split(self):
         return self.matrix, None
@@ -171,7 +190,7 @@ class NormSubdifferential(MonotoneRelation):
 
     def resolve(self, lam, y):
         y = np.asarray(y, dtype=float)
-        r = np.linalg.norm(y)
+        r = _norm(y)
         th = lam * self.weight
         if r <= th:
             return np.zeros_like(y)
@@ -179,11 +198,11 @@ class NormSubdifferential(MonotoneRelation):
 
     def resolve_block(self, lam, ys):
         ys = np.asarray(ys, dtype=float)
-        r = np.linalg.norm(ys, axis=1, keepdims=True)
+        r = _row_norms(ys)
         th = lam * self.weight
-        with np.errstate(divide="ignore", invalid="ignore"):
-            factor = np.where(r > th, 1.0 - th / np.where(r > 0, r, 1.0), 0.0)
-        return ys * factor
+        # branch as resolve does, so a NaN row stays NaN; the divisor is r
+        # wherever the row is kept, and never zero
+        return np.where(r <= th, 0.0, ys * (1.0 - th / np.maximum(r, th)))
 
     def graph_distance(self, x, v):
         x = np.asarray(x, dtype=float)
@@ -207,30 +226,28 @@ class BallSaturation(MonotoneRelation):
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x)
+        r = _norm(x)
         if r <= self.radius:
             return x.copy()
         return x * (self.radius / r)
 
     def resolve(self, lam, y):
         y = np.asarray(y, dtype=float)
-        r = np.linalg.norm(y)
+        r = _norm(y)
         if r <= self.radius * (1.0 + lam):
             return y / (1.0 + lam)
         return y * ((r - lam * self.radius) / r)
 
     def apply_block(self, xs):
         xs = np.asarray(xs, dtype=float)
-        r = np.linalg.norm(xs, axis=1, keepdims=True)
-        factor = np.where(r > self.radius, self.radius / np.where(r > 0, r, 1.0), 1.0)
-        return xs * factor
+        r = _row_norms(xs)
+        return np.where(r <= self.radius, xs, xs * (self.radius / np.maximum(r, self.radius)))
 
     def resolve_block(self, lam, ys):
         ys = np.asarray(ys, dtype=float)
-        r = np.linalg.norm(ys, axis=1, keepdims=True)
-        inside = r <= self.radius * (1.0 + lam)
-        saturated = ys * ((r - lam * self.radius) / np.where(r > 0, r, 1.0))
-        return np.where(inside, ys / (1.0 + lam), saturated)
+        r = _row_norms(ys)
+        saturated = ys * ((r - lam * self.radius) / np.maximum(r, self.radius))
+        return np.where(r <= self.radius * (1.0 + lam), ys / (1.0 + lam), saturated)
 
 
 class DeviatoricSaturation(MonotoneRelation):
@@ -252,18 +269,16 @@ class DeviatoricSaturation(MonotoneRelation):
         self._ball = BallSaturation(self.BLOCK, radius)
 
     def apply(self, x):
-        return self._ball.apply(mandel_dev(np.asarray(x, dtype=float)))
+        return self.apply_block(np.asarray(x, dtype=float)[None])[0]
 
     def resolve(self, lam, y):
-        y = np.asarray(y, dtype=float)
-        d = mandel_dev(y)
-        sph = y - d
-        return sph + self._ball.resolve(lam, d)
+        return self.resolve_block(lam, np.asarray(y, dtype=float)[None])[0]
 
     def _dev_rows(self, xs):
         xs = np.asarray(xs, dtype=float)
         dev = xs.copy()
-        dev[:, :3] -= xs[:, :3].mean(axis=1, keepdims=True)
+        # the bits of np.mean, without its overhead
+        dev[:, :3] -= np.add.reduce(xs[:, :3], axis=1, keepdims=True) / 3.0
         return dev
 
     def apply_block(self, xs):
@@ -275,76 +290,77 @@ class DeviatoricSaturation(MonotoneRelation):
         return (ys - dev) + self._ball.resolve_block(lam, dev)
 
 
-class NodewiseRelation(MonotoneRelation):
-    """Block-diagonal repetition of a base relation across ``count`` nodes."""
-
-    def __init__(self, base: MonotoneRelation, count: int):
-        self.base = base
-        self.count = count
-        self.dim = base.dim * count
-        self.contains_origin = base.contains_origin
-        self.single_valued = base.single_valued
-        self.cocoercivity = base.cocoercivity
-
-    def _blocks(self, y):
-        return np.asarray(y, dtype=float).reshape(self.count, self.base.dim)
-
-    def resolve(self, lam, y):
-        return self.base.resolve_block(lam, self._blocks(y)).ravel()
-
-    def apply(self, x):
-        return self.base.apply_block(self._blocks(x)).ravel()
-
-    def resolve_block(self, lam, ys):
-        ys = np.asarray(ys, dtype=float)
-        rows = ys.reshape(ys.shape[0] * self.count, self.base.dim)
-        return self.base.resolve_block(lam, rows).reshape(ys.shape)
-
-    def apply_block(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        rows = xs.reshape(xs.shape[0] * self.count, self.base.dim)
-        return self.base.apply_block(rows).reshape(xs.shape)
-
-    def graph_distance(self, x, v):
-        dists = [
-            self.base.graph_distance(xb, vb)
-            for xb, vb in zip(self._blocks(x), self._blocks(v))
-        ]
-        return float(np.linalg.norm(dists))
-
-
 class SlotEmbedded(MonotoneRelation):
-    """Base relation acting on a contiguous slot of a larger state, zero elsewhere."""
+    """Base relation on each of ``count`` nodes of a contiguous slot, zero elsewhere.
 
-    def __init__(self, base: MonotoneRelation, start: int, total_dim: int):
-        if start < 0 or start + base.dim > total_dim:
+    The slot starts at ``start`` in a state of ``total_dim`` entries and holds
+    ``count`` consecutive blocks of ``base.dim`` entries. Every evaluation is
+    one block call of the base on the ``(nodes, base.dim)`` view of the slot.
+    """
+
+    def __init__(self, base: MonotoneRelation, start: int, total_dim: int, count: int = 1):
+        if count < 1 or start < 0 or start + base.dim * count > total_dim:
             raise ContractViolation("slot does not fit in the state vector")
         self.base = base
+        self.count = count
         self.start = start
-        self.stop = start + base.dim
+        self.stop = start + base.dim * count
         self.dim = total_dim
         self.contains_origin = base.contains_origin
         self.single_valued = base.single_valued
         self.cocoercivity = base.cocoercivity
 
+    def _nodes(self, ys):
+        """Slot entries of row-stacked states as rows of ``base.dim``."""
+        return ys[:, self.start : self.stop].reshape(-1, self.base.dim)
+
     def resolve(self, lam, y):
         y = np.asarray(y, dtype=float)
         out = y.copy()
-        out[self.start : self.stop] = self.base.resolve(lam, y[self.start : self.stop])
+        slot = y[self.start : self.stop].reshape(self.count, self.base.dim)
+        out[self.start : self.stop] = self.base.resolve_block(lam, slot).ravel()
         return out
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        out[self.start : self.stop] = self.base.apply(x[self.start : self.stop])
+        slot = x[self.start : self.stop].reshape(self.count, self.base.dim)
+        out[self.start : self.stop] = self.base.apply_block(slot).ravel()
+        return out
+
+    def resolve_block(self, lam, ys):
+        ys = np.asarray(ys, dtype=float)
+        out = ys.copy()
+        nodes = self.base.resolve_block(lam, self._nodes(ys))
+        out[:, self.start : self.stop] = nodes.reshape(len(ys), -1)
+        return out
+
+    def apply_block(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        out = np.zeros_like(xs)
+        nodes = self.base.apply_block(self._nodes(xs))
+        out[:, self.start : self.stop] = nodes.reshape(len(xs), -1)
         return out
 
     def graph_distance(self, x, v):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        d_slot = self.base.graph_distance(x[self.start : self.stop], v[self.start : self.stop])
+        dists = [
+            self.base.graph_distance(xb, vb)
+            for xb, vb in zip(self._nodes(x[None]), self._nodes(v[None]))
+        ]
         rest = np.delete(v, slice(self.start, self.stop))
-        return float(np.hypot(d_slot, np.linalg.norm(rest)))
+        return float(np.hypot(np.linalg.norm(dists), np.linalg.norm(rest)))
+
+
+class NodewiseRelation(SlotEmbedded):
+    """Block-diagonal repetition of a base relation across ``count`` nodes.
+
+    It is the slot embedding whose slot fills the whole state.
+    """
+
+    def __init__(self, base: MonotoneRelation, count: int):
+        super().__init__(base, 0, base.dim * count, count)
 
 
 class StructuredSum(MonotoneRelation):
@@ -423,6 +439,15 @@ class YosidaRelation(MonotoneRelation):
         y = np.asarray(y, dtype=float)
         total = self.lam + gamma
         return (self.lam * y + gamma * self.base.resolve(total, y)) / total
+
+    def apply_block(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        return (xs - self.base.resolve_block(self.lam, xs)) / self.lam
+
+    def resolve_block(self, gamma, ys):
+        ys = np.asarray(ys, dtype=float)
+        total = self.lam + gamma
+        return (self.lam * ys + gamma * self.base.resolve_block(total, ys)) / total
 
 
 def resolvent(a: MonotoneRelation, lam: float, y: np.ndarray) -> np.ndarray:

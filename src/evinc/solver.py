@@ -34,7 +34,7 @@ import numpy as np
 from .calculus import derivative
 from .errors import ContractViolation, StepFailure
 from .fixed_point import CONVERGED, fixed_point
-from .materials import MaterialFamily, dt_max, measure_constants, rho_zero, step_operator
+from .materials import MaterialFamily, _step_matrix, dt_max, measure_constants, rho_zero
 from .relations import MonotoneRelation, YosidaRelation
 from .signals import WeightedSignal, weighted_norm
 
@@ -220,7 +220,10 @@ def _march(
 
     ``(linear, tail)`` is the relation's split. ``past`` is the state before
     the first node and its M0 image, ``(u, M0 u)``; None is the zero past.
-    A node whose iteration stops short of the tolerance raises StepFailure.
+    M0(t) and M1(t) are evaluated once per plan, so once per march for a
+    constant family and once per node otherwise, and the same M0 gives the
+    next node's past image. A node whose iteration stops short of the
+    tolerance raises StepFailure.
     """
     n, dim = forcing.shape
     out = np.empty_like(forcing)
@@ -231,7 +234,9 @@ def _march(
     for k in range(n):
         t = t0 + k * dt
         if plan is None or not family.constant:
-            plan = _plan(linear, tail, *step_operator(family, t, dt), fp_tol, fp_max_iter)
+            M0 = np.asarray(family.M0_at(t), dtype=float)
+            M1 = np.asarray(family.M1_at(t), dtype=float)
+            plan = _plan(linear, tail, *_step_matrix(family, M0, M1, t, dt), fp_tol, fp_max_iter)
         name, step = plan
         b = forcing[k] + prev_m0u / dt
         warm = warm_values[k] if warm_values is not None else prev_state
@@ -246,7 +251,7 @@ def _march(
         out[k] = u
         iterations.append(iters)
         max_res = max(max_res, res)
-        prev_m0u = np.asarray(family.M0_at(t), dtype=float) @ u
+        prev_m0u = M0 @ u
         prev_state = u
     return out, iterations, max_res
 
@@ -277,14 +282,14 @@ def solve_step(
 
 
 def _stage_image_norm(linear, tail, values: np.ndarray, sig: WeightedSignal):
-    """Weighted norm of k -> K u_k + tail(u_k) along a trajectory, row by row."""
+    """Weighted norm of k -> K u_k + tail(u_k) along a trajectory, all nodes at once.
 
-    def image(u):
-        if tail is None:
-            return np.zeros_like(u) if linear is None else linear @ u
-        return tail.apply(u) if linear is None else linear @ u + tail.apply(u)
-
-    return weighted_norm(sig.with_values(np.stack([image(row) for row in values])))
+    The stacked product ``K @ u_k`` gives the bits of the product row by row.
+    """
+    image = np.zeros_like(values) if linear is None else (linear @ values[:, :, None])[:, :, 0]
+    if tail is not None:
+        image += tail.apply_block(values)
+    return weighted_norm(sig.with_values(image))
 
 
 def solve(problem: InclusionProblem) -> SolveReport:
@@ -378,10 +383,9 @@ def lipschitz_certificate(problem: InclusionProblem, g: WeightedSignal) -> float
         return 0.0
     rep_f = solve(problem)
     rep_g = solve(replace(problem, forcing=g))
-    if not (rep_f.converged and rep_g.converged):
-        raise StepFailure(
-            "certificate solve failed", step=rep_f.fail_step or rep_g.fail_step
-        )
+    for rep in (rep_f, rep_g):
+        if not rep.converged:
+            raise StepFailure(f"certificate solve failed: {rep.fail_reason}", step=rep.fail_step)
     num = weighted_norm(
         problem.forcing.with_values(rep_f.solution.values - rep_g.solution.values)
     )

@@ -195,6 +195,11 @@ class TestExitCodes:
         )
         assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
         assert "failing" in capsys.readouterr().err
+        # the report says why each check failed
+        report = (tmp_path / "o" / "report.txt").read_text()
+        errors = [line for line in report.splitlines() if line.startswith("oracle_match.error.")]
+        assert len(errors) == 2
+        assert all("= StepFailure: " in line and "stalled" in line for line in errors)
 
     def test_help_lists_config_keys(self, capsys):
         for cmd in ("solve", "check-conditions", "campaign", "gallery"):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evinc.catalog import make_catalog_problem
 from evinc.errors import ConditionCheckError, ContractViolation, StepSizeError
 from evinc.materials import (
     MaterialFamily,
@@ -197,6 +198,26 @@ class TestStepOperator:
         assert exc.value.suggested_dt is not None
         _, margin = step_operator(fam, 0.0, exc.value.suggested_dt)
         assert margin > 0.0
+
+
+    @pytest.mark.parametrize(
+        "name", ["degenerate_plane", "saturation_plane", "thermoplastic_slab", "viscoplastic_slab"]
+    )
+    def test_step_matrix_bit_for_bit(self, name):
+        # the benchmark's residual check rebuilds each step from this contract
+        fam = make_catalog_problem(name).family
+        t, dt = 0.37, 1e-3
+        S, margin = step_operator(fam, t, dt)
+        M0 = np.asarray(fam.M0_at(t), dtype=float)
+        expected = M0 / dt + np.asarray(fam.M1_at(t), dtype=float)
+        assert S.dtype == np.float64 and S.tobytes() == expected.tobytes()
+        assert margin == float(np.min(np.linalg.eigvalsh(0.5 * (expected + expected.T))))
+
+    def test_step_matrix_of_a_moving_family(self):
+        fam = sinusoidal_family(np.eye(2), np.zeros((2, 2)), amplitude=0.5, frequency=1.0)
+        S, _ = step_operator(fam, 1.1, 0.01)
+        assert S.tobytes() == (fam.M0_at(1.1) / 0.01 + fam.M1_at(1.1)).tobytes()
+        assert not np.array_equal(S, step_operator(fam, 0.0, 0.01)[0])
 
 
 class TestChainRule:

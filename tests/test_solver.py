@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from evinc.catalog import make_catalog_problem
+from evinc.catalog import CatalogProblem, make_catalog_problem
 from evinc import relations
 from evinc.errors import ContractViolation, ResolventFailure
 from evinc.harness import random_forcing
-from evinc.materials import constant_family
+from evinc.materials import constant_family, sinusoidal_family
 from evinc.relations import BallSaturation, NormSubdifferential, YosidaRelation, ZeroRelation
 from evinc.signals import TimeGrid, WeightedSignal, weighted_norm
 from evinc.solver import (
@@ -334,3 +336,47 @@ class TestFailurePaths:
         y = 3.0 * np.random.default_rng(2).standard_normal(rel.dim)
         with pytest.raises(ResolventFailure, match="stalled"):
             rel.resolve(0.5, y)
+
+
+def _counting_m0(family):
+    """The family with an M0_at that records each time it is asked for."""
+    calls = []
+
+    def m0_at(t):
+        calls.append(t)
+        return family.M0_at(t)
+
+    return replace(family, M0_at=m0_at), calls
+
+
+class TestCoefficientEvaluations:
+    """M0(t) is evaluated once per plan: once per march, or once per node if it moves."""
+
+    @pytest.mark.parametrize("n", [3, 30])
+    def test_constant_slab_count_does_not_grow_with_n(self, n):
+        tpl = make_catalog_problem("thermoplastic_slab", n=n)
+        fam, calls = _counting_m0(tpl.family)
+        f = random_forcing(tpl, np.random.default_rng(n))
+        direct = replace(tpl.problem(f), family=fam)
+        assert solve(direct).converged
+        assert len(calls) == 1
+        calls.clear()
+        schedule = (1.0, 0.1, 0.01)
+        path = replace(tpl.problem(f, mode="yosida_path", lambda_schedule=schedule), family=fam)
+        assert solve(path).converged
+        # one measurement of sup M0 for the reference bound, then one per stage
+        assert len(calls) == 1 + len(schedule)
+
+    def test_time_dependent_plane_once_per_node(self):
+        fam = sinusoidal_family(np.eye(2), np.zeros((2, 2)), amplitude=0.3, frequency=2.0)
+        counted, calls = _counting_m0(fam)
+        grid = TimeGrid(0.0, 1e-3, 25)
+        relation = BallSaturation(2, radius=0.5)
+        tpl = CatalogProblem.admissible("sinusoidal_plane", counted, relation, grid)
+        f = random_forcing(tpl, np.random.default_rng(3))
+        rep = solve(tpl.problem(f))
+        assert rep.converged
+        assert calls == [grid.t0 + k * grid.dt for k in range(grid.n)]
+        # the evaluation it saves changes no bit of the answer
+        same = solve(replace(tpl, family=fam).problem(f))
+        assert np.array_equal(rep.solution.values, same.solution.values)
