@@ -111,18 +111,18 @@ def catalog_names():
     return [*_LOW_DIM, *_SLABS]
 
 
-def make_catalog_problem(name: str, n: int = None, dt: float = None, t0: float = 0.0) -> CatalogProblem:
-    """Build a catalog template; n/dt default to per-problem desk-scale values."""
+def make_catalog_problem(name: str, n: int = None, dt: float = 1e-3, t0: float = 0.0) -> CatalogProblem:
+    """Build a catalog template; n defaults to a per-problem desk-scale value."""
     name = name.strip().lower()
     if name in _LOW_DIM:
         m0, m1, relation, default_n = _LOW_DIM[name]
         family, relation, meta = constant_family(m0, m1), relation(), {}
     elif name in _SLABS:
-        model = _SLABS[name](SlabGrid(m=2, dx=0.5))
+        model = _SLABS[name](SlabGrid())
         family, relation, meta, default_n = model.family, model.relation, {"model": model}, 201
     else:
         raise ContractViolation(f"unknown catalog problem {name!r}")
     return CatalogProblem.admissible(
-        name, family, relation, TimeGrid(t0=t0, dt=dt or 1e-3, n=n or default_n),
+        name, family, relation, TimeGrid(t0=t0, dt=dt, n=default_n if n is None else n),
         oracle_capable=name in _LOW_DIM, meta=meta,
     )

@@ -12,41 +12,18 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_config
+from .config import ConfigError, config_help, flag_overrides, load_config
 from .errors import ConditionCheckError, ContractViolation, StepFailure, StepSizeError
-from .harness import ALL_CHECKS, PropertyCampaign, run_campaign
+from .harness import run_campaign
 from .materials import check_conditions, rho_zero
 from .signals import weighted_norm, write_signal_csv
-from .solver import FP_TOL, lipschitz_bound, solve
+from .solver import lipschitz_bound, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONDITIONS = 2
 EXIT_SOLVER = 3
 EXIT_CAMPAIGN = 4
-
-_CONFIG_HELP = """\
-config sections and keys:
-  [problem]           catalog, n, dt, t0
-  [grid]              t0, dt, n
-  [material]          builder (constant|sinusoidal), m0, m1, amplitude,
-                      frequency, c0, c1
-  [relation]          kind (zero|linear|soft_threshold|ball_saturation|
-                      deviatoric_saturation), weight, radius, gain, matrix
-  [forcing]           kind (constant|window|impulse|random|csv), value,
-                      start, stop, path, seed
-  [solver]            rho, c_tilde, mode (direct|yosida_path), fp_tol,
-                      fp_max_iter, lambda_start, lambda_stop, lambda_factor
-  [campaign]          trials, checks, seed, fp_tol
-  [thermoplasticity]  m, dx, M, C, w, kappa, c, tau0, s0
-  [viscoplasticity]   m, dx, M, D, L, N, relation, parameter
-
-Matrices use ';' between rows and ',' between entries. Coefficients are
-"base[,amplitude[,frequency]]". There is no initial-condition interface: the
-past is identically zero, so model initial values with impulsive forcing
-(kind = impulse).
-"""
-
 
 def _add_common(sub):
     sub.add_argument("--config", required=True, help="path to the run configuration")
@@ -71,6 +48,7 @@ def build_parser():
         description="causal solver and property harness for evolutionary inclusions",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    epilog = config_help()
     for name, descr in (
         ("solve", "solve a configured problem, write solution.csv and report.txt"),
         ("check-conditions", "verify the structural conditions of the material"),
@@ -81,25 +59,11 @@ def build_parser():
             name,
             help=descr,
             description=descr,
-            epilog=_CONFIG_HELP,
+            epilog=epilog,
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
         _add_common(sub)
     return parser
-
-
-def _effective_overrides(args):
-    overrides = list(args.overrides)
-    if args.mode is not None:
-        mode = "yosida_path" if args.mode == "yosida" else args.mode
-        overrides.append(f"solver.mode={mode}")
-    if args.rho is not None:
-        overrides.append(f"solver.rho={args.rho}")
-    if args.dt is not None:
-        overrides.append(f"grid.dt={args.dt}")
-    if args.seed is not None:
-        overrides.append(f"campaign.seed={args.seed}")
-    return overrides
 
 
 def _out_dir(args) -> Path:
@@ -180,21 +144,7 @@ def _cmd_campaign(cfg, out: Path) -> int:
         print(f"conditions failed: {cond.failing()}", file=sys.stderr)
         _write(out / "report.txt", cond.to_text() + "\n")
         return EXIT_CONDITIONS
-    sec = cfg.sections.get("campaign", {})
-    trials = int(sec.get("trials", 20))
-    seed = int(sec.get("seed", 0))
-    checks = tuple(
-        c.strip() for c in sec.get("checks", "").split(",") if c.strip()
-    )
-    if not checks:
-        checks = tuple(
-            c for c in ALL_CHECKS if c != "oracle_match" or template.oracle_capable
-        )
-    campaign = PropertyCampaign(
-        template=template, trials=trials, seed=seed, checks=checks,
-        fp_tol=float(sec.get("fp_tol", FP_TOL)),
-    )
-    report = run_campaign(campaign)
+    report = run_campaign(cfg.build_campaign(template))
     (out / "campaign.csv").write_text(report.to_csv())
     print(out / "campaign.csv")
     _write(out / "report.txt", report.to_text() + "\n")
@@ -217,7 +167,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        cfg = load_config(args.config, overrides=_effective_overrides(args))
+        flags = flag_overrides(args.mode, args.rho, args.dt, args.seed)
+        cfg = load_config(args.config, overrides=[*args.overrides, *flags])
         out = _out_dir(args)
         if args.command == "solve":
             return _cmd_solve(cfg, out)

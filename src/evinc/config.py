@@ -1,14 +1,20 @@
-"""INI-style run configuration: strict keys, flat sections, diffable files.
+"""INI-style run configuration: one typed schema, strict keys, diffable files.
 
-A config either references a catalog problem ([problem]), defines a custom
-one ([grid]/[material]/[relation]/[forcing]/[solver]), or assembles a slab
-model ([thermoplasticity]/[viscoplasticity] plus grid/forcing/solver).
-Unknown sections or keys are errors: there are no silent typos.
+``_SCHEMA`` declares every (section, key) with its parser. ``load_config``
+parses each value, from the file or from an override, once; unknown sections
+or keys and malformed values are errors, so there are no silent typos.
+
+A config uses one problem source: a catalog problem ([problem]), a custom
+one ([material] with [relation]), or a slab model ([thermoplasticity] or
+[viscoplasticity]); a section of a second source is an error. [grid],
+[forcing], [solver] and [campaign] go with any source, and ``n``, ``dt`` and
+``t0`` are read from [grid] over [problem].
 """
 
 from __future__ import annotations
 
 import configparser
+import textwrap
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,242 +22,267 @@ import numpy as np
 from .catalog import CatalogProblem, catalog_names, make_catalog_problem
 from .errors import ContractViolation
 from .gallery import Coefficient, SlabGrid, build_thermoplasticity, build_viscoplasticity
+from .harness import ALL_CHECKS, PropertyCampaign
 from .materials import constant_family, sinusoidal_family
 from .relations import relation_from_config
 from .signals import TimeGrid, WeightedSignal, read_signal_csv
-from .solver import FP_MAX_ITER, FP_TOL, InclusionProblem, default_lambda_schedule
+from .solver import InclusionProblem, default_lambda_schedule
 
-__all__ = ["RunConfig", "load_config", "ConfigError"]
+__all__ = ["RunConfig", "load_config", "ConfigError", "config_help", "flag_overrides"]
 
 
 class ConfigError(ContractViolation):
     """Malformed or inconsistent run configuration."""
 
 
+def _floats(text: str) -> list:
+    return [float(x) for x in text.split(",")]
+
+
+def _vector(text: str) -> np.ndarray:
+    return np.array(_floats(text))
+
+
+def _matrix(text: str) -> np.ndarray:
+    rows = [r for r in text.strip().split(";") if r.strip()]
+    if not rows:
+        raise ValueError("a matrix needs at least one row")
+    return np.array([_floats(r) for r in rows])
+
+
+def _coefficient(text: str) -> Coefficient:
+    parts = _floats(text)
+    if len(parts) > 3:
+        raise ValueError("a coefficient is 1-3 comma-separated numbers")
+    return Coefficient(*parts)
+
+
+class _Choice:
+    """One of ``names``; with ``many``, a comma-separated list of them."""
+
+    def __init__(self, *names, many=False):
+        self.names, self.many = names, many
+
+    def __call__(self, text: str):
+        picked = [c.strip() for c in text.split(",") if c.strip()] if self.many else [text]
+        for name in picked:
+            if name not in self.names:
+                raise ValueError(f"{name!r} is not one of {', '.join(self.names)}")
+        return tuple(picked) if self.many else text
+
+
+_FAMILIES = {"constant": constant_family, "sinusoidal": sinusoidal_family}
+_SLABS = {"thermoplasticity": build_thermoplasticity, "viscoplasticity": build_viscoplasticity}
+#: slab keys that the builders name otherwise
+_SLAB_ARGS = {"relation": "relation_kind", "parameter": "relation_param"}
+_GRID = {"n": int, "dt": float, "t0": float}
+
 _SCHEMA = {
-    "problem": {"catalog", "n", "dt", "t0"},
-    "grid": {"t0", "dt", "n"},
-    "material": {"builder", "m0", "m1", "amplitude", "frequency", "c0", "c1"},
-    "relation": {"kind", "weight", "radius", "gain", "matrix"},
-    "forcing": {"kind", "value", "start", "stop", "path", "seed"},
-    "solver": {
-        "rho",
-        "c_tilde",
-        "mode",
-        "fp_tol",
-        "fp_max_iter",
-        "lambda_start",
-        "lambda_stop",
-        "lambda_factor",
+    "problem": {"catalog": _Choice(*catalog_names()), **_GRID},
+    "grid": dict(_GRID),
+    "material": {
+        "builder": _Choice(*_FAMILIES), "m0": _matrix, "m1": _matrix,
+        "amplitude": float, "frequency": float, "c0": float, "c1": float,
     },
-    "campaign": {"trials", "checks", "seed", "fp_tol"},
-    "thermoplasticity": {"m", "dx", "M", "C", "w", "kappa", "c", "tau0", "s0"},
-    "viscoplasticity": {"m", "dx", "M", "D", "L", "N", "relation", "parameter"},
+    "relation": {
+        "kind": _Choice("zero", "linear", "soft_threshold", "ball_saturation",
+                        "deviatoric_saturation"),
+        "weight": float, "radius": float, "gain": float, "matrix": _matrix,
+    },
+    "forcing": {
+        "kind": _Choice("constant", "window", "impulse", "random", "csv"),
+        "value": _vector, "start": float, "stop": float, "path": str, "seed": int,
+    },
+    "solver": {
+        "rho": float, "c_tilde": float, "mode": _Choice("direct", "yosida_path"),
+        "fp_tol": float, "fp_max_iter": int,
+        "lambda_start": float, "lambda_stop": float, "lambda_factor": float,
+    },
+    "campaign": {
+        "trials": int, "checks": _Choice(*ALL_CHECKS, many=True), "seed": int, "fp_tol": float,
+    },
+    "thermoplasticity": {
+        "m": int, "dx": float, "M": _coefficient, "C": _coefficient, "w": _coefficient,
+        "kappa": _coefficient, "c": float, "tau0": float, "s0": float,
+    },
+    "viscoplasticity": {
+        "m": int, "dx": float, "M": _coefficient, "D": _coefficient, "L": _coefficient,
+        "N": int, "relation": _Choice("soft_threshold", "ball_saturation"), "parameter": float,
+    },
 }
 
+#: each problem source and its sections
+_SOURCES = {
+    "catalog": ("problem",),
+    "custom": ("material", "relation"),
+    "thermoplasticity": ("thermoplasticity",),
+    "viscoplasticity": ("viscoplasticity",),
+}
 
-def _parse_matrix(text: str) -> np.ndarray:
-    rows = [r for r in text.strip().split(";") if r.strip()]
-    return np.array([[float(x) for x in r.split(",")] for r in rows])
+_HELP_NOTES = """
+Matrices use ';' between rows and ',' between entries. Coefficients are
+"base[,amplitude[,frequency]]". Campaign checks are a comma-separated list;
+without one, a campaign runs every check its problem supports. A config uses
+one problem source: [problem], [material] with [relation],
+[thermoplasticity] or [viscoplasticity]. The grid's n, dt and t0 come from
+[grid] over [problem]. There is no initial-condition interface: the past is
+identically zero, so model initial values with impulsive forcing (kind =
+impulse).
+"""
 
 
-def _parse_vector(text: str, dim: int) -> np.ndarray:
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) == 1:
-        return np.full(dim, parts[0])
-    if len(parts) != dim:
-        raise ConfigError(f"forcing value has {len(parts)} entries, state dim is {dim}")
-    return np.array(parts)
+def config_help() -> str:
+    """Every config section and key, with the names each choice accepts."""
+    lines = ["config sections and keys:"]
+    for section, keys in _SCHEMA.items():
+        entries = ", ".join(
+            f"{key} ({' | '.join(parse.names)})" if isinstance(parse, _Choice) else key
+            for key, parse in keys.items()
+        )
+        lines += textwrap.wrap(entries, 78, initial_indent=f"  {f'[{section}]':20}",
+                               subsequent_indent=" " * 22)
+    return "\n".join(lines) + "\n" + _HELP_NOTES
 
 
-def _parse_coefficient(text: str) -> Coefficient:
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) == 1:
-        return Coefficient(parts[0])
-    if len(parts) == 2:
-        return Coefficient(parts[0], parts[1])
-    if len(parts) == 3:
-        return Coefficient(parts[0], parts[1], parts[2])
-    raise ConfigError(f"coefficient entry {text!r} needs 1-3 comma-separated numbers")
+def flag_overrides(mode=None, rho=None, dt=None, seed=None) -> list:
+    """Overrides for the flags --mode, --rho, --dt and --seed; ``yosida`` names yosida_path."""
+    flags = {
+        "solver.mode": {"yosida": "yosida_path"}.get(mode, mode),
+        "solver.rho": rho,
+        "grid.dt": dt,
+        "campaign.seed": seed,
+    }
+    return [f"{target}={value}" for target, value in flags.items() if value is not None]
 
 
 @dataclass
 class RunConfig:
-    """Validated configuration ready to produce problems and campaigns."""
+    """Parsed configuration: typed values by section, and its problem source."""
 
     sections: dict
     path: str
+    source: str
 
-    def has(self, section: str) -> bool:
-        return section in self.sections
-
-    def get(self, section: str, key: str, default=None):
-        return self.sections.get(section, {}).get(key, default)
+    def _section(self, name: str) -> dict:
+        return dict(self.sections.get(name, {}))
 
     # -- assembly -----------------------------------------------------------
 
-    def build_grid(self, default_n=1001, default_dt=1e-3) -> TimeGrid:
-        src = "grid" if self.has("grid") else "problem"
-        sec = self.sections.get(src, {})
-        return TimeGrid(
-            t0=float(sec.get("t0", 0.0)),
-            dt=float(sec.get("dt", default_dt)),
-            n=int(sec.get("n", default_n)),
-        )
-
     def build_template(self) -> CatalogProblem:
-        """Resolve the configured problem into a catalog-style template."""
-        if self.has("problem"):
-            sec = self.sections["problem"]
-            name = sec.get("catalog")
-            if name is None:
-                raise ConfigError("[problem] needs 'catalog = <name>'")
-            if name not in catalog_names():
-                raise ConfigError(
-                    f"unknown catalog problem {name!r}; choices: {catalog_names()}"
-                )
-            kwargs = {}
-            if "n" in sec:
-                kwargs["n"] = int(sec["n"])
-            if "dt" in sec:
-                kwargs["dt"] = float(sec["dt"])
-            if "t0" in sec:
-                kwargs["t0"] = float(sec["t0"])
-            return make_catalog_problem(name, **kwargs)
-        if self.has("thermoplasticity") or self.has("viscoplasticity"):
+        """The configured problem without its forcing, at the [solver] admissible pair."""
+        grid_args = {**self._section("problem"), **self._section("grid")}
+        name = grid_args.pop("catalog", "custom")  # a slab model names itself
+        extra = {}
+        if self.source == "catalog":
+            tpl = make_catalog_problem(name, **grid_args)
+            family, relation, grid = tpl.family, tpl.relation, tpl.grid
+            extra = {"oracle_capable": tpl.oracle_capable, "meta": tpl.meta}
+        elif self.source == "custom":
+            family = self.build_family()
+            rel = self._section("relation")
+            relation = relation_from_config(rel.pop("kind", "zero"), family.dim, **rel)
+            grid = TimeGrid(**{"t0": 0.0, "dt": 1e-3, "n": 1001, **grid_args})
+        else:
             model = self.build_gallery_model()
             name, family, relation = model.name, model.family, model.relation
-            grid, meta = self.build_grid(default_n=201), {"model": model}
-        elif self.has("material"):
-            family = self.build_family()
-            rel_sec = dict(self.sections.get("relation", {"kind": "zero"}))
-            kind = rel_sec.pop("kind", "zero")
-            if "matrix" in rel_sec:
-                rel_sec["matrix"] = _parse_matrix(rel_sec["matrix"])
-            relation = relation_from_config(
-                kind, family.dim, **{k: v for k, v in rel_sec.items()}
-            )
-            name, grid, meta = "custom", self.build_grid(), {}
-        else:
-            raise ConfigError(
-                "config needs one of [problem], [material], "
-                "[thermoplasticity] or [viscoplasticity]"
-            )
-        c_tilde, rho = (self.get("solver", key) for key in ("c_tilde", "rho"))
+            grid = TimeGrid(**{"t0": 0.0, "dt": 1e-3, "n": 201, **grid_args})
+            extra = {"meta": {"model": model}}
+        solver = self.sections.get("solver", {})
         return CatalogProblem.admissible(
             name, family, relation, grid,
-            c_tilde=None if c_tilde is None else float(c_tilde),
-            rho=None if rho is None else float(rho),
-            meta=meta,
+            c_tilde=solver.get("c_tilde"), rho=solver.get("rho"), **extra,
         )
 
     def build_family(self):
-        sec = self.sections["material"]
-        builder = sec.get("builder", "constant")
-        m0 = _parse_matrix(sec.get("m0", "1.0"))
-        m1_text = sec.get("m1")
-        m1 = _parse_matrix(m1_text) if m1_text else np.zeros_like(m0)
-        c0 = float(sec["c0"]) if "c0" in sec else None
-        c1 = float(sec["c1"]) if "c1" in sec else None
-        if builder == "constant":
-            return constant_family(m0, m1, c0=c0, c1=c1)
-        if builder == "sinusoidal":
-            return sinusoidal_family(
-                m0,
-                m1,
-                amplitude=float(sec.get("amplitude", 0.5)),
-                frequency=float(sec.get("frequency", 1.0)),
-                c0=c0,
-                c1=c1,
-            )
-        raise ConfigError(f"unknown material builder {builder!r}")
+        sec = self._section("material")
+        builder = sec.pop("builder", "constant")
+        if builder == "constant" and sec.keys() & {"amplitude", "frequency"}:
+            raise ConfigError("[material] amplitude and frequency need builder = sinusoidal")
+        m0 = sec.pop("m0", np.ones((1, 1)))
+        m1 = sec.pop("m1", np.zeros_like(m0))
+        return _FAMILIES[builder](m0, m1, **sec)
 
     def build_gallery_model(self):
-        if self.has("thermoplasticity"):
-            sec = self.sections["thermoplasticity"]
-            grid = SlabGrid(m=int(sec.get("m", 2)), dx=float(sec.get("dx", 0.5)))
-            return build_thermoplasticity(
-                grid,
-                M=_parse_coefficient(sec.get("M", "1.0")),
-                C=_parse_coefficient(sec.get("C", "1.0")),
-                w=_parse_coefficient(sec.get("w", "1.0")),
-                kappa=_parse_coefficient(sec.get("kappa", "1.0")),
-                c=float(sec.get("c", 1.0)),
-                tau0=float(sec.get("tau0", 1.0)),
-                s0=float(sec.get("s0", 1.0)),
-            )
-        if self.has("viscoplasticity"):
-            sec = self.sections["viscoplasticity"]
-            grid = SlabGrid(m=int(sec.get("m", 2)), dx=float(sec.get("dx", 0.5)))
-            return build_viscoplasticity(
-                grid,
-                M=_parse_coefficient(sec.get("M", "1.0")),
-                D=_parse_coefficient(sec.get("D", "1.0")),
-                L=_parse_coefficient(sec.get("L", "1.0")),
-                N=int(sec.get("N", 5)),
-                relation_kind=sec.get("relation", "soft_threshold"),
-                relation_param=float(sec.get("parameter", 1.0)),
-            )
-        raise ConfigError("no gallery section present")
+        if self.source not in _SLABS:
+            raise ConfigError("a gallery model needs [thermoplasticity] or [viscoplasticity]")
+        args = {_SLAB_ARGS.get(k, k): v for k, v in self.sections[self.source].items()}
+        grid = SlabGrid(**{k: args.pop(k) for k in ("m", "dx") if k in args})
+        return _SLABS[self.source](grid, **args)
 
     def build_forcing(self, template: CatalogProblem) -> WeightedSignal:
-        sec = self.sections.get("forcing", {"kind": "window", "value": "1.0"})
+        sec = self.sections.get("forcing", {})
         kind = sec.get("kind", "window")
-        grid = template.grid
-        dim = template.dim
+        grid, dim = template.grid, template.dim
         if kind == "csv":
-            path = sec.get("path")
-            if path is None:
+            if "path" not in sec:
                 raise ConfigError("forcing kind 'csv' needs 'path'")
-            sig = read_signal_csv(path, template.rho)
+            sig = read_signal_csv(sec["path"], template.rho)
             if sig.dim != dim or sig.grid.n != grid.n:
                 raise ConfigError("forcing CSV shape does not match the problem")
             return sig
         if kind == "random":
-            seed = int(sec.get("seed", 0))
-            rng = np.random.default_rng(seed)
-            vals = rng.standard_normal((grid.n, dim))
-            return template.signal(vals)
-        value = _parse_vector(sec.get("value", "1.0"), dim)
+            rng = np.random.default_rng(sec.get("seed", 0))
+            return template.signal(rng.standard_normal((grid.n, dim)))
+        value = sec.get("value", np.ones(1))
+        if value.size not in (1, dim):
+            raise ConfigError(f"forcing value has {value.size} entries, state dim is {dim}")
+        value = np.broadcast_to(value, dim)
         t = grid.times
+        start = sec.get("start", grid.t0)
         if kind == "constant":
             mask = np.ones(grid.n, dtype=bool)
         elif kind == "window":
-            start = float(sec.get("start", grid.t0))
-            stop = float(sec.get("stop", grid.t0 + grid.horizon + grid.dt))
-            mask = (t >= start) & (t < stop)
-        elif kind == "impulse":
-            start = float(sec.get("start", grid.t0))
+            mask = (t >= start) & (t < sec.get("stop", grid.t0 + grid.horizon + grid.dt))
+        else:  # impulse: a unit-area pulse on the node nearest to start
             mask = np.zeros(grid.n, dtype=bool)
             mask[int(np.argmin(np.abs(t - start)))] = True
-            value = value / grid.dt  # unit-area pulse
-        else:
-            raise ConfigError(f"unknown forcing kind {kind!r}")
-        vals = np.where(mask[:, None], value[None, :], 0.0)
-        return template.signal(vals)
+            value = value / grid.dt
+        return template.signal(np.where(mask[:, None], value[None, :], 0.0))
 
     def build_problem(self) -> InclusionProblem:
         template = self.build_template()
         forcing = self.build_forcing(template)
         sec = self.sections.get("solver", {})
-        schedule = None
-        if any(k in sec for k in ("lambda_start", "lambda_stop", "lambda_factor")):
-            schedule = default_lambda_schedule(
-                start=float(sec.get("lambda_start", 1.0)),
-                stop=float(sec.get("lambda_stop", 1e-6)),
-                factor=float(sec.get("lambda_factor", 0.5)),
-            )
-        return template.problem(
-            forcing,
-            mode=sec.get("mode", "direct"),
-            fp_tol=float(sec.get("fp_tol", FP_TOL)),
-            fp_max_iter=int(sec.get("fp_max_iter", FP_MAX_ITER)),
-            lambda_schedule=schedule,
+        lam = {k.removeprefix("lambda_"): v for k, v in sec.items() if k.startswith("lambda_")}
+        knobs = {k: sec[k] for k in ("mode", "fp_tol", "fp_max_iter") if k in sec}
+        schedule = default_lambda_schedule(**lam) if lam else None
+        return template.problem(forcing, lambda_schedule=schedule, **knobs)
+
+    def build_campaign(self, template: CatalogProblem) -> PropertyCampaign:
+        """The [campaign] over ``template``; by default every check it supports."""
+        sec = self._section("campaign")
+        checks = sec.pop("checks", ()) or tuple(
+            c for c in ALL_CHECKS if c != "oracle_match" or template.oracle_capable
         )
+        return PropertyCampaign(template=template, checks=checks, **sec)
+
+
+def _parse(section: str, key: str, text: str):
+    try:
+        return _SCHEMA[section][key](text)
+    except (ValueError, ContractViolation) as exc:
+        raise ConfigError(f"bad value {text!r} for {section}.{key}: {exc}") from exc
+
+
+def _source(sections: dict) -> str:
+    """The one problem source that the sections name."""
+    named = [src for src, secs in _SOURCES.items() if any(s in sections for s in secs)]
+    if not named:
+        raise ConfigError(
+            "config needs one of [problem], [material], [thermoplasticity] or [viscoplasticity]"
+        )
+    if len(named) > 1:
+        found = ", ".join(f"[{s}]" for src in named for s in _SOURCES[src] if s in sections)
+        raise ConfigError(f"{found} belong to different problem sources; a config uses one")
+    if named == ["catalog"] and "catalog" not in sections["problem"]:
+        raise ConfigError("[problem] needs 'catalog = <name>'")
+    if named == ["custom"] and "material" not in sections:
+        raise ConfigError("[relation] needs [material]")
+    return named[0]
 
 
 def load_config(path: str, overrides=None) -> RunConfig:
-    """Parse and validate; overrides are 'section.key=value' strings."""
+    """Read, parse and validate; overrides are 'section.key=value' strings."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # coefficient keys are case-sensitive (m vs M)
     try:
@@ -260,23 +291,24 @@ def load_config(path: str, overrides=None) -> RunConfig:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    sections = {}
+    raw = {}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        sections[section] = {}
-        for key, value in parser.items(section):
+        raw[section] = dict(parser.items(section))
+        for key in raw[section]:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            sections[section][key] = value
     for item in overrides or []:
-        if "=" not in item:
+        target, eq, value = item.partition("=")
+        section, dot, key = target.partition(".")
+        if not (eq and dot):
             raise ConfigError(f"override {item!r} must look like section.key=value")
-        target, value = item.split("=", 1)
-        if "." not in target:
-            raise ConfigError(f"override {item!r} must look like section.key=value")
-        section, key = target.split(".", 1)
-        if section not in _SCHEMA or key not in _SCHEMA[section]:
+        if key not in _SCHEMA.get(section, {}):
             raise ConfigError(f"unknown override target {target!r}")
-        sections.setdefault(section, {})[key] = value
-    return RunConfig(sections=sections, path=str(path))
+        raw.setdefault(section, {})[key] = value
+    sections = {
+        section: {key: _parse(section, key, text) for key, text in entries.items()}
+        for section, entries in raw.items()
+    }
+    return RunConfig(sections=sections, path=str(path), source=_source(sections))

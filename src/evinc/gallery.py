@@ -45,8 +45,8 @@ __all__ = [
 class SlabGrid:
     """m interior cells of width dx; fields depend on x1 only."""
 
-    m: int
-    dx: float
+    m: int = 2
+    dx: float = 0.5
 
     def __post_init__(self):
         if self.m < 2:

@@ -22,7 +22,7 @@ from .relations import (
     ZeroRelation,
 )
 from .signals import WeightedSignal, weighted_inner, weighted_norm
-from .solver import FP_TOL, InclusionProblem, lipschitz_bound, lipschitz_certificate, solve
+from .solver import FP_TOL, lipschitz_bound, lipschitz_certificate, solve
 
 __all__ = [
     "PropertyCampaign",
@@ -59,12 +59,17 @@ class PropertyCampaign:
     """Seed-determined batch of checks over a catalog template."""
 
     template: CatalogProblem
-    trials: int
-    seed: int
+    trials: int = 20
+    seed: int = 0
     checks: tuple = ALL_CHECKS
     fp_tol: float = FP_TOL
 
     def __post_init__(self):
+        if self.trials < 1 or not self.checks:
+            raise ContractViolation(
+                f"a campaign needs at least one trial and one check, got "
+                f"trials={self.trials}, checks={tuple(self.checks)}"
+            )
         unknown = set(self.checks) - set(ALL_CHECKS)
         if unknown:
             raise ContractViolation(f"unknown checks: {sorted(unknown)}")
@@ -148,13 +153,12 @@ def monotonicity_margin(template: CatalogProblem, u: WeightedSignal) -> float:
     dt = grid.dt
     rho = u.rho
     vals = u.values
-    n = grid.n
-    m0u = np.empty_like(vals)
-    m1u = np.empty_like(vals)
-    for k in range(n):
-        t = grid.t0 + k * dt
-        m0u[k] = np.asarray(fam.M0_at(t), dtype=float) @ vals[k]
-        m1u[k] = np.asarray(fam.M1_at(t), dtype=float) @ vals[k]
+    # a constant family is evaluated once; a stacked matmul row is bitwise M0 @ v_k
+    ts = [grid.t0] if fam.constant else [grid.t0 + k * dt for k in range(grid.n)]
+    M0 = np.stack([np.asarray(fam.M0_at(t), dtype=float) for t in ts])
+    M1 = np.stack([np.asarray(fam.M1_at(t), dtype=float) for t in ts])
+    m0u = (M0 @ vals[:, :, None])[:, :, 0]
+    m1u = (M1 @ vals[:, :, None])[:, :, 0]
     d_m0u = np.diff(m0u, axis=0, prepend=np.zeros((1, vals.shape[1]))) / dt
     lhs = weighted_inner(u.with_values(d_m0u + m1u), u)
     eps = 0.5 * (fam.c1 - template.c_tilde)
@@ -293,31 +297,20 @@ def _min_sym_eig(S):
     return float(tr / 2.0 - disc)
 
 
-def oracle_trajectory(problem, forcing: WeightedSignal = None,
+def oracle_trajectory(template: CatalogProblem, forcing: WeightedSignal,
                       tol: float = 1e-12) -> WeightedSignal:
-    """Ground-truth trajectory via per-step branch enumeration (dim <= 2 only).
+    """Ground-truth trajectory of a catalog template via per-step branch enumeration.
 
-    Accepts either a catalog template plus a forcing signal, or an assembled
-    inclusion problem. The per-step solves enumerate the relation's branches
-    and bisect the radial equations; no resolvents, no step-engine code.
+    Restricted to dim <= 2. The per-step solves enumerate the relation's
+    branches and bisect the radial equations; no resolvents, no step-engine
+    code.
     """
-    if isinstance(problem, InclusionProblem):
-        family, relation = problem.family, problem.relation
-        if forcing is None:
-            forcing = problem.forcing
-        name = "problem"
-        capable = True
-    else:
-        family, relation = problem.family, problem.relation
-        name = problem.name
-        capable = problem.oracle_capable
-        if forcing is None:
-            raise ContractViolation("a forcing signal is required with a template")
+    family, relation = template.family, template.relation
     dim = family.dim
     if dim > 2:
         raise ContractViolation("oracle is restricted to dim <= 2")
-    if not capable:
-        raise ContractViolation(f"{name!r} has no oracle")
+    if not template.oracle_capable:
+        raise ContractViolation(f"{template.name!r} has no oracle")
     grid = forcing.grid
     dt = grid.dt
     vals = forcing.values
@@ -325,13 +318,12 @@ def oracle_trajectory(problem, forcing: WeightedSignal = None,
     prev_m0u = np.zeros(dim)
     for k in range(grid.n):
         t = grid.t0 + k * dt
-        S = np.asarray(family.M0_at(t), dtype=float) / dt + np.asarray(
-            family.M1_at(t), dtype=float
-        )
+        M0 = np.asarray(family.M0_at(t), dtype=float)
+        S = M0 / dt + np.asarray(family.M1_at(t), dtype=float)
         b = vals[k] + prev_m0u / dt
         u = _oracle_step(relation, S, b, tol)
         out[k] = u
-        prev_m0u = np.asarray(family.M0_at(t), dtype=float) @ u
+        prev_m0u = M0 @ u
     return forcing.with_values(out)
 
 
@@ -470,7 +462,7 @@ def run_campaign(campaign: PropertyCampaign) -> CampaignReport:
     message; any other exception propagates.
     """
     master = np.random.default_rng(campaign.seed)
-    trial_seeds = master.integers(0, 2**63 - 1, size=max(campaign.trials, 0))
+    trial_seeds = master.integers(0, 2**63 - 1, size=campaign.trials)
     report = CampaignReport(campaign_name=campaign.template.name, seed=campaign.seed)
     for trial, seed in enumerate(trial_seeds):
         for check in campaign.checks:

@@ -53,7 +53,16 @@ FP_MAX_ITER = 200_000  # default per-node budget of fixed-point map evaluations
 
 
 def default_lambda_schedule(start: float = 1.0, stop: float = 1e-6, factor: float = 0.5):
-    """Geometric regularization schedule; warm starts keep each stage cheap."""
+    """Geometric regularization schedule; warm starts keep each stage cheap.
+
+    Needs ``start > 0``, ``stop > 0`` and ``0 < factor < 1``: a regularization
+    parameter must be positive, and with ``factor >= 1`` the loop never ends.
+    """
+    if not (start > 0 and stop > 0 and 0 < factor < 1):
+        raise ContractViolation(
+            f"lambda schedule needs start > 0, stop > 0 and 0 < factor < 1, "
+            f"got start={start}, stop={stop}, factor={factor}"
+        )
     lams = [float(start)]
     while lams[-1] > stop:
         lams.append(lams[-1] * factor)

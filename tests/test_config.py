@@ -1,0 +1,280 @@
+"""The config schema: pinned outputs of the shipped configs, help, typed errors, sources."""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from evinc import config
+from evinc.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# (command, extra arguments) per shipped config; the campaigns run 3 trials,
+# and on the solve configs only the monotonicity check, which needs no solve
+_CAMPAIGN = ("campaign", ("--set", "campaign.trials=3"))
+_MARGIN_CAMPAIGN = ("campaign", ("--set", "campaign.trials=3",
+                                 "--set", "campaign.checks=monotonicity_bound"))
+RUNS = {
+    "campaign_degenerate.ini": [("solve", ()), ("check-conditions", ()), _CAMPAIGN],
+    "scalar_ode.ini": [("solve", ()), ("check-conditions", ()), _MARGIN_CAMPAIGN],
+    "sign_ramp.ini": [("solve", ()), ("check-conditions", ()), _MARGIN_CAMPAIGN],
+    "thermoplastic.ini": [
+        ("solve", ()), ("solve", ("--mode", "yosida")), ("check-conditions", ()),
+        _MARGIN_CAMPAIGN, ("gallery", ()),
+    ],
+    "viscoplastic.ini": [
+        ("solve", ()), ("check-conditions", ()), _MARGIN_CAMPAIGN, ("gallery", ()),
+    ],
+}
+
+# sha256 of every output file, recorded before the schema refactor
+PINS = {
+    ("campaign_degenerate.ini", "solve", ()): {
+        "report.txt": "63947b84a9b35c3d7414e91f9c0e1d8b58528f370b7218afb3114958917f1b6b",
+        "solution.csv": "0933d1bc01409f1874279278438ea8604cc3503f5bae3826ad2455dd2b1f03cf",
+    },
+    ("campaign_degenerate.ini", "check-conditions", ()): {
+        "report.txt": "a02e9f19eacf7d0a1c2b823878b48171934a8c649a04967e206ec08597f68446",
+    },
+    ("campaign_degenerate.ini", "campaign", ("--set", "campaign.trials=3")): {
+        "campaign.csv": "e8f64aa951b0a269869f5331d38ac1c10b97eff6568e2d1cb09e4cece7af4cc1",
+        "report.txt": "293fcfd229dca6688bdf2a9b3a46c64e7382ed879fdde66d21fc1484e1dc6c62",
+    },
+    ("scalar_ode.ini", "solve", ()): {
+        "report.txt": "dcf2fd06645562c54a0236898af86432c9fb6da525fb736d24061a79e647c819",
+        "solution.csv": "6bd6c96fa680804576ee45d4a48068fffa619e4bc4385b086a5fc8a060dd28f8",
+    },
+    ("scalar_ode.ini", "check-conditions", ()): {
+        "report.txt": "fca5f6e6624a894b72eb23aa3b43799aef462e64fbf5f7f612165ce16b5071ea",
+    },
+    ("scalar_ode.ini", "campaign", ("--set", "campaign.trials=3", "--set", "campaign.checks=monotonicity_bound")): {
+        "campaign.csv": "f5d00e025c9829945f321cd7b8923e35038d192542fe750eb6e18e57a1288dbd",
+        "report.txt": "aa246b95adb44c537bf6b026f37f1c1c767d4202f2518e5abfb3e6a73bd93325",
+    },
+    ("sign_ramp.ini", "solve", ()): {
+        "report.txt": "9b85de84dcd8ef437a5c59aca55ebc8c05bbf72df257d125da51b98e4075f393",
+        "solution.csv": "c24b7f992ef99c48f90567258bda50ce4ee48b601b3e92c44d9755e315dc3f4b",
+    },
+    ("sign_ramp.ini", "check-conditions", ()): {
+        "report.txt": "fca5f6e6624a894b72eb23aa3b43799aef462e64fbf5f7f612165ce16b5071ea",
+    },
+    ("sign_ramp.ini", "campaign", ("--set", "campaign.trials=3", "--set", "campaign.checks=monotonicity_bound")): {
+        "campaign.csv": "a229898a0a1813477f99008e5f5974639f870f1e9b25c88b281b59c703e5e953",
+        "report.txt": "c333a79b4a2f44a9bad20c0101ef7b7afb39606cc463602cb129b902034dddf2",
+    },
+    ("thermoplastic.ini", "solve", ()): {
+        "report.txt": "1a0553b5aea880804429507afb718d62314cf3a3f8f41a36e24f6f70d50403b8",
+        "solution.csv": "611d9ecabf96e48bbdc40d500afe071d1fc5958963ccc7d4e2c08ca3bd77859a",
+    },
+    ("thermoplastic.ini", "solve", ("--mode", "yosida")): {
+        "report.txt": "3210dfffa0ce532ea94b9332bb8906d37cfbcff399c537d0627d0e98b34fa118",
+        "solution.csv": "3abc2a6857c7c1689eafa27297395800e47e4fb4703f4dfc493896f74a7378da",
+    },
+    ("thermoplastic.ini", "check-conditions", ()): {
+        "report.txt": "2e1cd1ed4981c7cdefc29353a9542185a7196dc978657561270949a9c0d91be5",
+    },
+    ("thermoplastic.ini", "campaign", ("--set", "campaign.trials=3", "--set", "campaign.checks=monotonicity_bound")): {
+        "campaign.csv": "f3391ddee67253bdd94038b05b3e6933ef2fad6e055667438aab3b12a295f6c5",
+        "report.txt": "703edd955fa7d63920bfd3d511262aa2db431382c48710bad373d1cd5ddeb6f1",
+    },
+    ("thermoplastic.ini", "gallery", ()): {
+        "report.txt": "f683b3d58d2d1a98fa30f0c632c75e00b2ba3833b695f6cde0811392b63d0f88",
+    },
+    ("viscoplastic.ini", "solve", ()): {
+        "report.txt": "e98bea0c4cedcf43c5f12917867789137e367a6522692951988f706b25c4122f",
+        "solution.csv": "1fe669999eb83ac6ac78233fe5bd607ae720b637cb68281c6de7e183aee38a30",
+    },
+    ("viscoplastic.ini", "check-conditions", ()): {
+        "report.txt": "9320d4693008839c7c97bbd07742828cd6a6eec4e2e294eea4bef4b0aa1a5ebf",
+    },
+    ("viscoplastic.ini", "campaign", ("--set", "campaign.trials=3", "--set", "campaign.checks=monotonicity_bound")): {
+        "campaign.csv": "124d6131ed610d0cf55de80fc1bb74598c4d6edb215b3b5aed191e130f51a842",
+        "report.txt": "bae1bc890c1e686fdbdec218365b72ee75c20f7ee9b2014e070dce1b45db5136",
+    },
+    ("viscoplastic.ini", "gallery", ()): {
+        "report.txt": "92788c557279d0737361b29f929a72da09feb56094d4991124338c6d9878acf1",
+    },
+}
+
+# the accepted (section, key) pairs
+KEYS = {
+    "problem": {"catalog", "n", "dt", "t0"},
+    "grid": {"t0", "dt", "n"},
+    "material": {"builder", "m0", "m1", "amplitude", "frequency", "c0", "c1"},
+    "relation": {"kind", "weight", "radius", "gain", "matrix"},
+    "forcing": {"kind", "value", "start", "stop", "path", "seed"},
+    "solver": {"rho", "c_tilde", "mode", "fp_tol", "fp_max_iter",
+               "lambda_start", "lambda_stop", "lambda_factor"},
+    "campaign": {"trials", "checks", "seed", "fp_tol"},
+    "thermoplasticity": {"m", "dx", "M", "C", "w", "kappa", "c", "tau0", "s0"},
+    "viscoplasticity": {"m", "dx", "M", "D", "L", "N", "relation", "parameter"},
+}
+TEXT_KEYS = {("forcing", "path")}
+
+
+def run(tmp_path, command, cfg, *extra):
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), "--out", str(out), *extra])
+    return code, out
+
+
+def report(out) -> dict:
+    lines = (out / "report.txt").read_text().splitlines()
+    return dict(line.split(" = ", 1) for line in lines)
+
+
+def test_every_shipped_config_is_pinned():
+    assert sorted(RUNS) == sorted(p.name for p in CONFIGS.glob("*.ini"))
+
+
+@pytest.mark.parametrize(
+    "name, command, extra",
+    [(name, command, extra) for name, runs in RUNS.items() for command, extra in runs],
+)
+def test_shipped_config_outputs_pinned(tmp_path, name, command, extra):
+    code, out = run(tmp_path, command, CONFIGS / name, *extra)
+    assert code == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+    assert digests == PINS[(name, command, extra)]
+
+
+class TestSchema:
+    def test_accepted_keys_unchanged(self):
+        assert {s: set(keys) for s, keys in config._SCHEMA.items()} == KEYS
+        assert sum(len(keys) for keys in KEYS.values()) == 54
+
+    @pytest.mark.parametrize("command", ["solve", "check-conditions", "campaign", "gallery"])
+    def test_help_lists_every_key(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        listing = text[text.index("config sections and keys:"):].split("\n\n")[0]
+        by_section, section = {}, None
+        for line in listing.splitlines()[1:]:
+            head = line.split()[0]
+            if head.startswith("["):
+                section = head.strip("[]")
+                line = line.replace(head, "", 1)
+            by_section.setdefault(section, []).append(line)
+        for section, keys in KEYS.items():
+            entries = " ".join(by_section[section]).split(",")
+            assert {entry.split("(")[0].strip() for entry in entries} == keys
+
+    def test_help_names_the_choices(self, capsys):
+        main(["solve", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for names in ("direct | yosida_path", "constant | sinusoidal", "soft_threshold | ball_saturation"):
+            assert names in text
+
+
+_MALFORMED = [
+    (section, key, "abc")
+    for section, keys in sorted(KEYS.items())
+    for key in sorted(keys)
+    if (section, key) not in TEXT_KEYS
+] + [
+    ("problem", "n", "2.5"),
+    ("grid", "n", "2.5"),
+    ("campaign", "trials", "1e3"),
+    ("material", "m0", "1,0;0"),
+    ("material", "m1", ""),
+    ("thermoplasticity", "M", "1,0.5,1,2"),
+    ("thermoplasticity", "kappa", "0"),
+    ("viscoplasticity", "L", "1,1.5"),
+    ("campaign", "checks", "causality,nope"),
+    ("problem", "catalog", "Scalar_ODE"),
+]
+
+
+@pytest.mark.parametrize("section, key, value", _MALFORMED)
+def test_malformed_value_is_a_config_error(tmp_path, capsys, section, key, value):
+    code, _ = run(tmp_path, "solve", CONFIGS / "scalar_ode.ini", "--set", f"{section}.{key}={value}")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:") and f"{section}.{key}" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+class TestGrid:
+    def test_dt_flag_reaches_a_catalog_config(self, tmp_path):
+        code, out = run(tmp_path, "solve", CONFIGS / "scalar_ode.ini",
+                        "--dt", "0.002", "--set", "problem.n=301")
+        assert code == 0
+        assert report(out)["dt"] == "0.002" and report(out)["n"] == "301"
+
+    @pytest.mark.parametrize("name", ["sign_ramp.ini", "thermoplastic.ini"])
+    def test_dt_flag_reaches_grid_configs(self, tmp_path, name):
+        code, out = run(tmp_path, "solve", CONFIGS / name, "--dt", "0.002", "--set", "grid.n=31")
+        assert code == 0
+        assert report(out)["dt"] == "0.002" and report(out)["n"] == "31"
+
+    def test_grid_over_problem(self, tmp_path):
+        code, out = run(tmp_path, "solve", CONFIGS / "scalar_ode.ini",
+                        "--set", "grid.n=51", "--set", "problem.n=301")
+        assert code == 0
+        assert report(out)["n"] == "51"
+
+    def test_rho_flag_reaches_a_catalog_config(self, tmp_path):
+        code, out = run(tmp_path, "solve", CONFIGS / "scalar_ode.ini",
+                        "--rho", "3.5", "--set", "problem.n=101")
+        assert code == 0
+        assert report(out)["rho"] == "3.5"
+
+
+class TestSources:
+    @pytest.mark.parametrize("name, target", [
+        ("thermoplastic.ini", "material.m0=2.0"),
+        ("thermoplastic.ini", "relation.kind=zero"),
+        ("thermoplastic.ini", "viscoplasticity.N=3"),
+        ("thermoplastic.ini", "problem.catalog=scalar_ode"),
+        ("viscoplastic.ini", "thermoplasticity.m=3"),
+        ("scalar_ode.ini", "material.m0=2.0"),
+        ("scalar_ode.ini", "relation.kind=zero"),
+        ("sign_ramp.ini", "problem.n=10"),
+        ("sign_ramp.ini", "viscoplasticity.N=3"),
+    ])
+    def test_second_source_is_a_config_error(self, tmp_path, capsys, name, target):
+        code, _ = run(tmp_path, "solve", CONFIGS / name, "--set", target)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and "different problem sources" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("[relation]\nkind = zero\n", "[relation] needs [material]"),
+        ("[problem]\nn = 10\n", "needs 'catalog"),
+        ("[grid]\nn = 10\n", "config needs one of"),
+        ("[material]\nm0 = 1\namplitude = 0.2\n", "need builder = sinusoidal"),
+    ])
+    def test_incomplete_source_is_a_config_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "c.ini"
+        path.write_text(text)
+        code, _ = run(tmp_path, "solve", path)
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+
+class TestTypedRejections:
+    """Values that parse but cannot run fail with a typed error before any work."""
+
+    def test_campaign_without_trials(self, tmp_path, capsys):
+        code, out = run(tmp_path, "campaign", CONFIGS / "campaign_degenerate.ini",
+                        "--set", "campaign.trials=0")
+        err = capsys.readouterr().err
+        assert code == 1 and "at least one trial" in err
+        assert not (out / "campaign.csv").exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        (("--dt", "0"), "dt must be positive"),
+        (("--set", "problem.n=0"), "at least 2 nodes"),
+    ])
+    def test_zero_grid_on_a_catalog_config(self, tmp_path, capsys, extra, message):
+        # zero is a bad grid value, not a request for the catalog default
+        code, _ = run(tmp_path, "solve", CONFIGS / "scalar_ode.ini", *extra)
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    def test_lambda_factor_that_never_reaches_stop(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "solve", CONFIGS / "scalar_ode.ini",
+                      "--set", "solver.lambda_factor=1")
+        assert code == 1
+        assert "lambda schedule" in capsys.readouterr().err

@@ -1,24 +1,59 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from evinc import harness
-from evinc.catalog import make_catalog_problem
+from evinc.catalog import CatalogProblem, make_catalog_problem
 from evinc.errors import ContractViolation
 from evinc.harness import (
     PropertyCampaign,
     fixed_point_iterates,
+    monotonicity_margin,
     oracle_trajectory,
     random_forcing,
     run_campaign,
 )
+from evinc.materials import sinusoidal_family
+from evinc.relations import ZeroRelation
+from evinc.signals import TimeGrid
 from evinc.solver import solve
 
 
+def _counting(family):
+    """The family with M0_at and M1_at that record each time they are asked for."""
+    calls = {"M0": [], "M1": []}
+
+    def m0_at(t):
+        calls["M0"].append(t)
+        return family.M0_at(t)
+
+    def m1_at(t):
+        calls["M1"].append(t)
+        return family.M1_at(t)
+
+    return replace(family, M0_at=m0_at, M1_at=m1_at), calls
+
+
+def _sinusoidal_plane(n):
+    fam = sinusoidal_family(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), amplitude=0.3, frequency=2.0)
+    grid = TimeGrid(0.0, 1e-3, n)
+    return CatalogProblem.admissible("sinusoidal_plane", fam, ZeroRelation(2), grid, oracle_capable=True)
+
+
+def _nodes(grid):
+    return [grid.t0 + k * grid.dt for k in range(grid.n)]
+
+
 class TestCampaign:
-    def test_empty_campaign_passes(self):
+    def test_empty_campaign_rejected(self):
+        # a campaign that checks nothing must not report a pass
         tpl = make_catalog_problem("scalar_ode", n=50)
-        rep = run_campaign(PropertyCampaign(template=tpl, trials=0, seed=1))
-        assert rep.passed and rep.rows == []
+        for trials in (0, -1):
+            with pytest.raises(ContractViolation, match="at least one trial"):
+                PropertyCampaign(template=tpl, trials=trials, seed=1)
+        with pytest.raises(ContractViolation, match="one check"):
+            PropertyCampaign(template=tpl, trials=1, seed=1, checks=())
 
     def test_unknown_check_rejected(self):
         tpl = make_catalog_problem("scalar_ode", n=50)
@@ -120,11 +155,48 @@ class TestOracle:
         with pytest.raises(ContractViolation):
             oracle_trajectory(bad, f)
 
+    def test_coefficients_evaluated_once_per_node(self):
+        for tpl in (make_catalog_problem("degenerate_plane", n=30), _sinusoidal_plane(30)):
+            fam, calls = _counting(tpl.family)
+            f = random_forcing(tpl, np.random.default_rng(4))
+            ref = oracle_trajectory(replace(tpl, family=fam), f)
+            assert calls == {"M0": _nodes(tpl.grid), "M1": _nodes(tpl.grid)}
+            assert np.array_equal(ref.values, oracle_trajectory(tpl, f).values)
+
     def test_dim_cap(self):
         tpl = make_catalog_problem("thermoplastic_slab", n=20)
         f = tpl.signal(np.zeros((20, tpl.dim)))
         with pytest.raises(ContractViolation):
             oracle_trajectory(tpl, f)
+
+
+class TestMonotonicityMargin:
+    @pytest.mark.parametrize("name", ["degenerate_plane", "thermoplastic_slab"])
+    def test_constant_family_evaluated_once(self, name):
+        tpl = make_catalog_problem(name, n=40)
+        fam, calls = _counting(tpl.family)
+        u = random_forcing(tpl, np.random.default_rng(2))
+        monotonicity_margin(replace(tpl, family=fam), u)
+        assert calls == {"M0": [tpl.grid.t0], "M1": [tpl.grid.t0]}
+
+    def test_time_dependent_family_once_per_node(self):
+        tpl = _sinusoidal_plane(25)
+        fam, calls = _counting(tpl.family)
+        monotonicity_margin(replace(tpl, family=fam), random_forcing(tpl, np.random.default_rng(3)))
+        assert calls == {"M0": _nodes(tpl.grid), "M1": _nodes(tpl.grid)}
+
+    @pytest.mark.parametrize("dim", [1, 2, 22, 28])
+    def test_stacked_products_are_bitwise_rowwise(self, dim):
+        # the margin forms every M0(t_k) v_k as one stacked matmul, so its rows
+        # must equal the per-node products bit for bit
+        rng = np.random.default_rng(dim)
+        vals = rng.standard_normal((37, dim))
+        shared = rng.standard_normal((1, dim, dim))
+        per_node = rng.standard_normal((37, dim, dim))
+        for mats in (shared, per_node):
+            rows = (mats @ vals[:, :, None])[:, :, 0]
+            for k in range(37):
+                assert np.array_equal(rows[k], mats[k % len(mats)] @ vals[k])
 
 
 class TestFixedPointIterates:

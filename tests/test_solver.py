@@ -228,6 +228,16 @@ class TestYosidaPath:
         assert lams[-1] <= 1e-6
         assert all(b == a * 0.5 for a, b in zip(lams, lams[1:]))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"start": 0.0}, {"start": -1.0}, {"stop": 0.0}, {"stop": -1e-6},
+        {"factor": 1.0}, {"factor": 2.0}, {"factor": 0.0}, {"factor": -0.5},
+        {"factor": float("nan")},
+    ])
+    def test_schedule_rejects_arguments_that_never_reach_stop(self, kwargs):
+        # checked before the loop: factor >= 1 would grow the list without bound
+        with pytest.raises(ContractViolation, match="lambda schedule"):
+            default_lambda_schedule(**kwargs)
+
     def test_agreement_and_bounded_trace(self):
         rng = np.random.default_rng(9)
         for name in ("sign_scalar", "saturation_plane"):
