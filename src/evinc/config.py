@@ -21,12 +21,14 @@ import numpy as np
 
 from .catalog import CatalogProblem, catalog_names, make_catalog_problem
 from .errors import ContractViolation
-from .gallery import Coefficient, SlabGrid, build_thermoplasticity, build_viscoplasticity
+from .gallery import (
+    VISCOPLASTIC_RELATIONS, Coefficient, SlabGrid, build_thermoplasticity, build_viscoplasticity,
+)
 from .harness import ALL_CHECKS, PropertyCampaign
 from .materials import constant_family, sinusoidal_family
-from .relations import relation_from_config
+from .relations import RELATION_KINDS, relation_from_config
 from .signals import TimeGrid, WeightedSignal, read_signal_csv
-from .solver import InclusionProblem, default_lambda_schedule
+from .solver import FP_TOL, InclusionProblem, default_lambda_schedule
 
 __all__ = ["RunConfig", "load_config", "ConfigError", "config_help", "flag_overrides"]
 
@@ -76,6 +78,14 @@ _SLABS = {"thermoplasticity": build_thermoplasticity, "viscoplasticity": build_v
 #: slab keys that the builders name otherwise
 _SLAB_ARGS = {"relation": "relation_kind", "parameter": "relation_param"}
 _GRID = {"n": int, "dt": float, "t0": float}
+#: forcing kind -> the [forcing] keys it reads
+_FORCING_KEYS = {
+    "constant": ("value",),
+    "window": ("value", "start", "stop"),
+    "impulse": ("value", "start"),
+    "random": ("seed",),
+    "csv": ("path",),
+}
 
 _SCHEMA = {
     "problem": {"catalog": _Choice(*catalog_names()), **_GRID},
@@ -85,12 +95,11 @@ _SCHEMA = {
         "amplitude": float, "frequency": float, "c0": float, "c1": float,
     },
     "relation": {
-        "kind": _Choice("zero", "linear", "soft_threshold", "ball_saturation",
-                        "deviatoric_saturation"),
+        "kind": _Choice(*RELATION_KINDS),
         "weight": float, "radius": float, "gain": float, "matrix": _matrix,
     },
     "forcing": {
-        "kind": _Choice("constant", "window", "impulse", "random", "csv"),
+        "kind": _Choice(*_FORCING_KEYS),
         "value": _vector, "start": float, "stop": float, "path": str, "seed": int,
     },
     "solver": {
@@ -99,7 +108,7 @@ _SCHEMA = {
         "lambda_start": float, "lambda_stop": float, "lambda_factor": float,
     },
     "campaign": {
-        "trials": int, "checks": _Choice(*ALL_CHECKS, many=True), "seed": int, "fp_tol": float,
+        "trials": int, "checks": _Choice(*ALL_CHECKS, many=True), "seed": int,
     },
     "thermoplasticity": {
         "m": int, "dx": float, "M": _coefficient, "C": _coefficient, "w": _coefficient,
@@ -107,7 +116,7 @@ _SCHEMA = {
     },
     "viscoplasticity": {
         "m": int, "dx": float, "M": _coefficient, "D": _coefficient, "L": _coefficient,
-        "N": int, "relation": _Choice("soft_threshold", "ball_saturation"), "parameter": float,
+        "N": int, "relation": _Choice(*VISCOPLASTIC_RELATIONS), "parameter": float,
     },
 }
 
@@ -125,7 +134,9 @@ Matrices use ';' between rows and ',' between entries. Coefficients are
 without one, a campaign runs every check its problem supports. A config uses
 one problem source: [problem], [material] with [relation],
 [thermoplasticity] or [viscoplasticity]. The grid's n, dt and t0 come from
-[grid] over [problem]. There is no initial-condition interface: the past is
+[grid] over [problem]. A [relation] or [forcing] kind takes only the keys it
+reads; linear takes matrix or gain. A campaign takes only fp_tol, rho and
+c_tilde from [solver]. There is no initial-condition interface: the past is
 identically zero, so model initial values with impulsive forcing (kind =
 impulse).
 """
@@ -249,12 +260,17 @@ class RunConfig:
         return template.problem(forcing, lambda_schedule=schedule, **knobs)
 
     def build_campaign(self, template: CatalogProblem) -> PropertyCampaign:
-        """The [campaign] over ``template``; by default every check it supports."""
+        """The [campaign] over ``template`` at [solver] fp_tol; by default every check."""
+        solver = self.sections.get("solver", {})
+        refused = [key for key in solver if key not in ("rho", "c_tilde", "fp_tol")]
+        if refused:
+            raise ConfigError(f"a campaign fixes its solver; drop [solver] {', '.join(refused)}")
         sec = self._section("campaign")
         checks = sec.pop("checks", ()) or tuple(
             c for c in ALL_CHECKS if c != "oracle_match" or template.oracle_capable
         )
-        return PropertyCampaign(template=template, checks=checks, **sec)
+        fp_tol = solver.get("fp_tol", FP_TOL)
+        return PropertyCampaign(template=template, checks=checks, fp_tol=fp_tol, **sec)
 
 
 def _parse(section: str, key: str, text: str):
@@ -279,6 +295,19 @@ def _source(sections: dict) -> str:
     if named == ["custom"] and "material" not in sections:
         raise ConfigError("[relation] needs [material]")
     return named[0]
+
+
+def _check_kinds(sections: dict):
+    """Each [relation] and [forcing] key must be one that its kind reads."""
+    for section, default, reads in [("relation", "zero", lambda kind: RELATION_KINDS[kind][1]),
+                                    ("forcing", "window", _FORCING_KEYS.get)]:
+        sec = sections.get(section, {})
+        kind = sec.get("kind", default)
+        unread = [key for key in sec if key != "kind" and key not in reads(kind)]
+        if unread:
+            raise ConfigError(f"[{section}] kind {kind!r} does not read {', '.join(unread)}")
+    if {"matrix", "gain"} <= sections.get("relation", {}).keys():
+        raise ConfigError("[relation] kind 'linear' takes matrix or gain, not both")
 
 
 def load_config(path: str, overrides=None) -> RunConfig:
@@ -311,4 +340,5 @@ def load_config(path: str, overrides=None) -> RunConfig:
         section: {key: _parse(section, key, text) for key, text in entries.items()}
         for section, entries in raw.items()
     }
+    _check_kinds(sections)
     return RunConfig(sections=sections, path=str(path), source=_source(sections))

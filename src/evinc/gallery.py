@@ -21,10 +21,9 @@ import numpy as np
 from .errors import ConditionCheckError, ContractViolation
 from .materials import ConditionsReport, MaterialFamily, measure_constants
 from .relations import (
-    BallSaturation,
+    RELATION_KINDS,
     DeviatoricSaturation,
     MonotoneRelation,
-    NormSubdifferential,
     SlotEmbedded,
     StructuredSum,
 )
@@ -39,6 +38,9 @@ __all__ = [
     "build_viscoplasticity",
     "GalleryModel",
 ]
+
+#: relation kinds set by one scalar at any dimension: the viscoplastic internal relation
+VISCOPLASTIC_RELATIONS = ("soft_threshold", "ball_saturation")
 
 
 @dataclass(frozen=True)
@@ -321,12 +323,10 @@ def build_viscoplasticity(
             ("T", "T"): (1.0 / D(t)) * np.eye(nT) + linv * np.kron(np.eye(m), BBt),
         }
 
-    if relation_kind == "soft_threshold":
-        base = NormSubdifferential(N, weight=relation_param)
-    elif relation_kind == "ball_saturation":
-        base = BallSaturation(N, radius=relation_param)
-    else:
+    if relation_kind not in VISCOPLASTIC_RELATIONS:
         raise ContractViolation(f"unknown internal-variable relation {relation_kind!r}")
+    make, (key,) = RELATION_KINDS[relation_kind]
+    base = make(N, **{key: relation_param})
     return _slab_model(
         "viscoplasticity", g, ops,
         fields=[("v", nv), ("w", nw), ("T", nT)],

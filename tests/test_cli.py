@@ -191,7 +191,8 @@ class TestExitCodes:
         cfg = write(
             tmp_path / "camp.ini",
             "[problem]\ncatalog = sign_scalar\nn = 80\n\n"
-            "[campaign]\ntrials = 2\nchecks = oracle_match\nfp_tol = 1e-30\n",
+            "[solver]\nfp_tol = 1e-30\n\n"
+            "[campaign]\ntrials = 2\nchecks = oracle_match\n",
         )
         assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
         assert "failing" in capsys.readouterr().err

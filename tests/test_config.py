@@ -106,7 +106,7 @@ KEYS = {
     "forcing": {"kind", "value", "start", "stop", "path", "seed"},
     "solver": {"rho", "c_tilde", "mode", "fp_tol", "fp_max_iter",
                "lambda_start", "lambda_stop", "lambda_factor"},
-    "campaign": {"trials", "checks", "seed", "fp_tol"},
+    "campaign": {"trials", "checks", "seed"},
     "thermoplasticity": {"m", "dx", "M", "C", "w", "kappa", "c", "tau0", "s0"},
     "viscoplasticity": {"m", "dx", "M", "D", "L", "N", "relation", "parameter"},
 }
@@ -142,7 +142,7 @@ def test_shipped_config_outputs_pinned(tmp_path, name, command, extra):
 class TestSchema:
     def test_accepted_keys_unchanged(self):
         assert {s: set(keys) for s, keys in config._SCHEMA.items()} == KEYS
-        assert sum(len(keys) for keys in KEYS.values()) == 54
+        assert sum(len(keys) for keys in KEYS.values()) == 53
 
     @pytest.mark.parametrize("command", ["solve", "check-conditions", "campaign", "gallery"])
     def test_help_lists_every_key(self, capsys, command):
@@ -278,3 +278,53 @@ class TestTypedRejections:
                       "--set", "solver.lambda_factor=1")
         assert code == 1
         assert "lambda schedule" in capsys.readouterr().err
+
+
+def config_error(capsys, code) -> str:
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("config error:")
+    assert "Traceback" not in err and err.count("\n") == 1
+    return err
+
+
+class TestKindKeys:
+    """A [relation] or [forcing] key that its kind does not read is a config error."""
+
+    @pytest.mark.parametrize("name, targets, message", [
+        ("sign_ramp.ini", ("relation.radius=5", "relation.gain=9", "forcing.seed=3"),
+         "[relation] kind 'soft_threshold' does not read radius, gain"),
+        ("sign_ramp.ini", ("relation.kind=linear",), "kind 'linear' does not read weight"),
+        ("sign_ramp.ini", ("forcing.seed=3",), "[forcing] kind 'window' does not read seed"),
+        ("sign_ramp.ini", ("forcing.kind=csv", "forcing.path=f.csv"),
+         "kind 'csv' does not read value, start, stop"),
+        ("scalar_ode.ini", ("forcing.kind=constant",), "kind 'constant' does not read start"),
+        ("scalar_ode.ini", ("forcing.kind=impulse", "forcing.stop=1"), "does not read stop"),
+        ("thermoplastic.ini", ("forcing.kind=random",), "kind 'random' does not read value"),
+    ])
+    def test_unread_key(self, tmp_path, capsys, name, targets, message):
+        overrides = [arg for target in targets for arg in ("--set", target)]
+        code, out = run(tmp_path, "solve", CONFIGS / name, *overrides)
+        assert message in config_error(capsys, code)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("kind = linear\nmatrix = 2\ngain = 3\n", "matrix or gain, not both"),
+        ("weight = 2\n", "kind 'zero' does not read weight"),
+    ])
+    def test_relation_section(self, tmp_path, capsys, text, message):
+        path = tmp_path / "c.ini"
+        path.write_text("[material]\nm0 = 1\n\n[relation]\n" + text)
+        code, _ = run(tmp_path, "solve", path)
+        assert message in config_error(capsys, code)
+
+
+class TestCampaignSolver:
+    @pytest.mark.parametrize("target", [
+        "solver.mode=yosida_path", "solver.fp_max_iter=5", "solver.lambda_start=0.5",
+    ])
+    def test_campaign_refuses_solve_only_keys(self, tmp_path, capsys, target):
+        code, out = run(tmp_path, "campaign", CONFIGS / "campaign_degenerate.ini",
+                        "--set", "campaign.trials=1", "--set", "solver.fp_tol=1e-3",
+                        "--set", target)
+        assert target.split("=")[0].split(".")[1] in config_error(capsys, code)
+        assert not (out / "campaign.csv").exists()

@@ -8,12 +8,14 @@ from evinc.relations import (
     BallSaturation,
     DeviatoricSaturation,
     LinearRelation,
+    MonotoneRelation,
     NodewiseRelation,
     NormSubdifferential,
     SlotEmbedded,
     StructuredSum,
     YosidaRelation,
     ZeroRelation,
+    _LipschitzPerturbedSum,
     lift,
     minty_scan,
     relation_from_config,
@@ -314,6 +316,8 @@ def test_relation_factory_names():
     assert isinstance(lin, LinearRelation)
     with pytest.raises(ContractViolation):
         relation_from_config("nope", 2)
+    with pytest.raises(ContractViolation, match="not both"):
+        relation_from_config("linear", 2, matrix=np.eye(2), gain=3.0)
 
 
 def test_minty_scan_degrades_without_eval():
@@ -357,6 +361,15 @@ PARITY_CASES = {
         YosidaRelation(SlotEmbedded(BallSaturation(2, radius=0.7), 1, 6, count=2), 0.3),
         1, 2, 2, False, lambda lam: (0.7 * 1.3, 0.7 * (1.3 + lam)),
     ),
+    # a vector reaches the base's fast path, a stack its array form
+    "yosida_soft": (
+        YosidaRelation(NormSubdifferential(1, weight=1.3), 0.4), 0, 1, 1, False,
+        lambda lam: (1.3 * 0.4, 1.3 * (0.4 + lam)),
+    ),
+    "yosida_ball": (
+        YosidaRelation(BallSaturation(2, radius=0.8), 0.3), 0, 1, 2, False,
+        lambda lam: (0.8 * 1.3, 0.8 * (1.3 + lam)),
+    ),
 }
 
 
@@ -382,18 +395,22 @@ def _parity_rows(name, lam, kinds, seed):
 def _assert_rows_match(name, lam, kinds, seed):
     rel = PARITY_CASES[name][0]
     ys = _parity_rows(name, lam, kinds, seed)
-    block = rel.resolve_block(lam, ys)
-    assert block.shape == ys.shape
-    for y, row in zip(ys, block):
-        assert row.tobytes() == rel.resolve(lam, y).tobytes()
+    forms = [(lambda y: rel.resolve(lam, y), lambda y: rel.resolve_block(lam, y))]
     if rel.single_valued:
-        block = rel.apply_block(ys)
-        for x, row in zip(ys, block):
-            assert row.tobytes() == rel.apply(x).tobytes()
+        forms.append((rel.apply, rel.apply_block))
+    for vector, block in forms:
+        rows = [vector(y).tobytes() for y in ys]
+        for out in (block(ys), vector(ys)):
+            assert out.shape == ys.shape
+            assert [row.tobytes() for row in out] == rows
+        out = vector(np.stack([ys, ys[::-1]]))
+        assert out.shape == (2, *ys.shape)
+        assert [row.tobytes() for row in out.reshape(ys.shape[0] * 2, -1)] == rows + rows[::-1]
 
 
 class TestBlockParity:
-    """Row i of resolve_block and apply_block is resolve and apply on row i, bit for bit."""
+    """Every evaluation on a (rows, dim) or (2, rows, dim) stack, by either name,
+    gives row i the bits of that evaluation on row i alone."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -419,8 +436,9 @@ class TestBlockParity:
     def test_non_finite_rows_stay_non_finite(self, name):
         rel = PARITY_CASES[name][0]
         ys = np.ones((3, rel.dim))
-        ys[1, -2] = np.nan
-        ys[2, -2] = np.inf
+        col = max(rel.dim - 2, 0)  # inside every slot
+        ys[1, col] = np.nan
+        ys[2, col] = np.inf
         with np.errstate(invalid="ignore"):
             pairs = [(rel.resolve_block(0.5, ys), lambda y: rel.resolve(0.5, y))]
             if rel.single_valued:
@@ -443,3 +461,39 @@ class TestBlockParity:
         assert out[0] == 0.0 and out[7] == 7.0
         emb.resolve_block(0.4, np.ones((5, 8)))
         assert calls[-1] == (15, 2)
+
+    def test_every_relation_class_has_a_parity_case(self):
+        def subclasses(cls):
+            return [c for sub in cls.__subclasses__() for c in (sub, *subclasses(sub))]
+
+        # these resolve row by row by iteration, each row to its own tolerance
+        exempt = {StructuredSum, _LipschitzPerturbedSum}
+        concrete = {c for c in subclasses(MonotoneRelation) if c.__module__ == "evinc.relations"}
+        covered = {type(case[0]) for case in PARITY_CASES.values()}
+        assert concrete - exempt - covered == set()
+
+
+class TestShapeContract:
+    def test_relation_without_resolve_is_not_implemented(self):
+        class Bare(MonotoneRelation):
+            dim = 2
+
+        for evaluate in (Bare().resolve, Bare().resolve_block):
+            with pytest.raises(NotImplementedError):
+                evaluate(0.5, np.ones(2))
+
+    def test_set_valued_relation_has_no_apply(self):
+        with pytest.raises(NotImplementedError, match="not single-valued"):
+            NormSubdifferential(2).apply(np.ones(2))
+
+    def test_iterative_sums_resolve_stacks_row_by_row(self):
+        rels = [
+            StructuredSum(np.array([[0.0, 2.0], [-2.0, 0.0]]), BallSaturation(2, radius=0.7)),
+            sum_with_lipschitz(NormSubdifferential(2), lambda u: 0.5 * u, 0.5),
+        ]
+        ys = np.random.default_rng(3).standard_normal((2, 3, 2)) * 3
+        for rel in rels:
+            out = rel.resolve_block(0.4, ys)
+            assert out.shape == ys.shape
+            for y, row in zip(ys.reshape(-1, 2), out.reshape(-1, 2)):
+                assert row.tobytes() == rel.resolve(0.4, y).tobytes()
