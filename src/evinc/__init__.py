@@ -26,7 +26,14 @@ from .materials import (
     sinusoidal_family,
     step_operator,
 )
-from .solver import InclusionProblem, SolveReport, lipschitz_certificate, solve, solve_step
+from .solver import (
+    InclusionProblem,
+    SolveReport,
+    lipschitz_certificate,
+    solve,
+    solve_batch,
+    solve_step,
+)
 from .harness import PropertyCampaign, fixed_point_iterates, oracle_trajectory, run_campaign
 from .catalog import catalog_names, make_catalog_problem
 from .gallery import SlabGrid, build_slab_operators, build_thermoplasticity, build_viscoplasticity

@@ -12,6 +12,15 @@ map iterated here is, so an accepted residual above ten times the first one,
 ``|G(x0) - x0|``, marks a map that is not and stops the run as diverging.
 Mixing starts once two residuals exist, so a solve that stops after one or
 two evaluations takes exactly the plain steps. Deterministic throughout.
+
+``fixed_point_stack(G, X0, tol, max_iter)`` runs the same iteration on each
+row of ``X0`` at once: the arithmetic is stacked, the bookkeeping stays per
+row, and each row gets bit for bit what ``fixed_point`` gives it alone. Two
+numpy facts carry that, and the tests pin both: a stacked matmul gives each
+slice the bits of the per-vector product, so every dot product here is
+written as one (``sq_norms``; ``einsum`` and ``(R*R).sum(1)`` differ in the
+last bit), and a stacked ``np.linalg.solve`` with a ``(rows, k, 1)``
+right-hand side solves each slice as the vector solve does.
 """
 
 from __future__ import annotations
@@ -20,7 +29,16 @@ import math
 
 import numpy as np
 
-__all__ = ["fixed_point", "CONVERGED", "BUDGET", "DIVERGING", "STALLED", "NONFINITE"]
+__all__ = [
+    "fixed_point",
+    "fixed_point_stack",
+    "sq_norms",
+    "CONVERGED",
+    "BUDGET",
+    "DIVERGING",
+    "STALLED",
+    "NONFINITE",
+]
 
 CONVERGED = "converged"
 BUDGET = "budget"
@@ -43,6 +61,21 @@ def _mix(gx, r, dgs, drs):
     gram.flat[:: len(drs) + 1] += RIDGE * gram.trace() + 1e-300
     g = np.linalg.solve(gram, dR @ r)
     return gx - g @ np.array(dgs)
+
+
+def _mix_stack(gx, r, dg, dr):
+    """``_mix`` of each row: dg and dr are ``(rows, k, dim)`` stacks of one history length k."""
+    gram = dr @ dr.mT
+    k = dr.shape[1]
+    diag = np.arange(k)
+    gram[:, diag, diag] += (RIDGE * np.trace(gram, axis1=1, axis2=2) + 1e-300)[:, None]
+    g = np.linalg.solve(gram, dr @ r[:, :, None])
+    return gx - (g.mT @ dg)[:, 0]
+
+
+def sq_norms(x):
+    """``x @ x`` of each vector over the last axis of ``x``, as a stacked matmul."""
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
 
 def fixed_point(G, x0, tol, max_iter):
@@ -101,3 +134,105 @@ def fixed_point(G, x0, tol, max_iter):
             return out, it, res, STALLED
     return out, it, res, CONVERGED
 
+
+def fixed_point_stack(G, X0, tol, max_iter):
+    """``fixed_point`` on each row of ``X0``; returns ``(out, iterations, residuals, reasons)``.
+
+    ``G(X, rows)`` evaluates the maps of the rows ``rows`` (indices into
+    ``X0``) at the stack ``X`` and returns ``(GX, OUT)``. A row leaves the
+    stack at its own exit; ``out`` holds each row's output and the three
+    lists its iterations, residual and reason, all as ``fixed_point`` gives
+    them for that row alone.
+    """
+    size = len(X0)
+    out = np.empty_like(X0)
+    its, resids, reasons = [1] * size, [0.0] * size, [None] * size
+    ids = np.arange(size)
+    gx, o = G(X0, ids)
+    r = gx - X0
+    res = np.sqrt(sq_norms(r)).tolist()
+    it = 1
+    first, best = list(res), list(res)
+    best_it = [it] * size
+    # per live row: a previous accepted step exists, and the history length
+    has_prev = [False] * size
+    count = [0] * size
+    pgx = pr = dgs = drs = None
+    exits = [(NONFINITE if not math.isfinite(v) else CONVERGED if v <= tol else None) for v in res]
+    while True:
+        if it >= max_iter:
+            exits = [e or BUDGET for e in exits]
+        gone = [j for j, e in enumerate(exits) if e is not None]
+        for j in gone:
+            i = ids[j]
+            out[i], its[i], resids[i], reasons[i] = o[j], it, res[j], exits[j]
+        if gone:
+            if len(gone) == len(ids):
+                return out, its, resids, reasons
+            keep = [j for j, e in enumerate(exits) if e is None]
+            ids, gx, r, o = ids[keep], gx[keep], r[keep], o[keep]
+            res, first, best, best_it, has_prev, count = (
+                [v[j] for j in keep] for v in (res, first, best, best_it, has_prev, count)
+            )
+            if pgx is not None:
+                pgx, pr = pgx[keep], pr[keep]
+            if dgs is not None:
+                dgs, drs = dgs[keep], drs[keep]
+        # the history takes the last accepted step of each row that has one
+        mixed = [j for j, p in enumerate(has_prev) if p]
+        x = gx
+        if mixed:
+            if dgs is None:
+                dgs = np.empty((len(ids), MEMORY) + gx.shape[1:])
+                drs = np.empty_like(dgs)
+            full = [j for j in mixed if count[j] == MEMORY]
+            if full:
+                dgs[full, :-1] = dgs[full, 1:]
+                drs[full, :-1] = drs[full, 1:]
+            at = [min(count[j], MEMORY - 1) for j in mixed]
+            dgs[mixed, at] = gx[mixed] - pgx[mixed]
+            drs[mixed, at] = r[mixed] - pr[mixed]
+            for j in mixed:
+                count[j] = min(count[j] + 1, MEMORY)
+            x = gx.copy()
+            for k in {count[j] for j in mixed}:
+                rows = [j for j in mixed if count[j] == k]
+                x[rows] = _mix_stack(gx[rows], r[rows], dgs[rows, :k], drs[rows, :k])
+        g_new, o_new = G(x, ids)
+        r_new = g_new - x
+        res_new = np.sqrt(sq_norms(r_new)).tolist()
+        it += 1
+        accepted = []
+        exits = [None] * len(ids)
+        for j, v in enumerate(res_new):
+            if not math.isfinite(v):
+                # leaves with this evaluation's output and residual
+                exits[j] = NONFINITE
+                accepted.append(j)
+                res[j] = v
+                continue
+            if v < best[j]:
+                best[j], best_it[j] = v, it
+            if has_prev[j] and not v < res[j]:
+                # safeguard: drop the candidate, restart from the plain step
+                has_prev[j] = False
+                count[j] = 0
+            else:
+                accepted.append(j)
+                has_prev[j] = True
+                res[j] = v
+            if res[j] > 10.0 * first[j]:
+                exits[j] = DIVERGING
+            elif it - best_it[j] >= PATIENCE:
+                exits[j] = STALLED
+            elif res[j] <= tol:
+                exits[j] = CONVERGED
+        if len(accepted) == len(ids):
+            pgx, pr, gx, r, o = gx, r, g_new, r_new, o_new
+        elif accepted:
+            if pgx is None:
+                pgx, pr = np.empty_like(gx), np.empty_like(r)
+            pgx[accepted], pr[accepted] = gx[accepted], r[accepted]
+            gx, r, o = gx.copy(), r.copy(), o.copy()
+            gx[accepted], r[accepted] = g_new[accepted], r_new[accepted]
+            o[accepted] = o_new[accepted]

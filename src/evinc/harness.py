@@ -22,7 +22,14 @@ from .relations import (
     ZeroRelation,
 )
 from .signals import WeightedSignal, weighted_inner, weighted_norm
-from .solver import FP_TOL, lipschitz_bound, lipschitz_certificate, solve
+from .solver import (
+    FP_TOL,
+    certificate_gain,
+    certificate_problems,
+    lipschitz_bound,
+    solve,
+    solve_batch,
+)
 
 __all__ = [
     "PropertyCampaign",
@@ -353,16 +360,29 @@ def fixed_point_iterates(f_map, g_map, x: np.ndarray, n_iter: int,
 #: failures that a campaign records as a failed check; anything else propagates
 _TYPED_FAILURES = (StepFailure, ResolventFailure, ContractViolation)
 
+# A check is split in two. Its draw, ``(template, rng, fp_tol) -> (problems,
+# judge)``, takes everything random from its rng and builds the problems it
+# needs solved; its judge takes their reports, in the same order, and gives
+# ``(passed, margin)``. In between, the campaign solves the problems of all
+# its draws as one batch per mode.
 
-def _solved(problem):
-    """The converged report of ``problem``; a failed march is re-raised as its StepFailure."""
-    rep = solve(problem)
+
+def _report(outcome):
+    """The report of a solve; a solve that raised a typed failure raises it here."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _converged(outcome):
+    """The converged report of a solve; a failed march raises its StepFailure."""
+    rep = _report(outcome)
     if not rep.converged:
         raise StepFailure(rep.fail_reason, step=rep.fail_step)
     return rep
 
 
-def _check_causality(template, rng, fp_tol):
+def _draw_causality(template, rng, fp_tol):
     n = template.grid.n
     f = random_forcing(template, rng)
     g = random_forcing(template, rng)
@@ -370,108 +390,182 @@ def _check_causality(template, rng, fp_tol):
     g_vals = g.values.copy()
     g_vals[:cut] = f.values[:cut]
     g = template.signal(g_vals)
-    rep_f = _solved(template.problem(f, fp_tol=fp_tol))
-    rep_g = _solved(template.problem(g, fp_tol=fp_tol))
-    diff = np.max(
-        np.abs(rep_f.solution.values[:cut] - rep_g.solution.values[:cut]), initial=0.0
-    )
-    return diff == 0.0, -float(diff)
+
+    def judge(rep_f, rep_g):
+        u_f, u_g = (_converged(rep).solution.values[:cut] for rep in (rep_f, rep_g))
+        diff = np.max(np.abs(u_f - u_g), initial=0.0)
+        return diff == 0.0, -float(diff)
+
+    return [template.problem(f, fp_tol=fp_tol), template.problem(g, fp_tol=fp_tol)], judge
 
 
-def _check_lipschitz(template, rng, fp_tol):
+def _draw_lipschitz(template, rng, fp_tol):
     f = random_forcing(template, rng)
     g = random_forcing(template, rng)
     prob = template.problem(f, fp_tol=fp_tol)
-    ratio = lipschitz_certificate(prob, g)
-    bound = lipschitz_bound(prob)
-    return ratio <= bound, float(bound - ratio)
+    pair = certificate_problems(prob, g)
+
+    def judge(*reports):
+        ratio = certificate_gain(pair, [_report(rep) for rep in reports])
+        bound = lipschitz_bound(prob)
+        return ratio <= bound, float(bound - ratio)
+
+    return pair, judge
 
 
-def _check_monotonicity(template, rng, fp_tol):
+def _draw_monotonicity(template, rng, fp_tol):
     u = random_forcing(template, rng)
-    margin = monotonicity_margin(template, u)
-    return margin >= 0.0, margin
+
+    def judge():
+        margin = monotonicity_margin(template, u)
+        return margin >= 0.0, margin
+
+    return [], judge
 
 
-def _check_rho_independence(template, rng, fp_tol):
+def _draw_rho_independence(template, rng, fp_tol):
     f = random_forcing(template, rng)
-    rho_a, rho_b = template.admissible_rho_pair()
-    rep_a = _solved(template.problem(template.signal(f.values, rho_a), rho=rho_a, fp_tol=fp_tol))
-    rep_b = _solved(template.problem(template.signal(f.values, rho_b), rho=rho_b, fp_tol=fp_tol))
-    diff = np.max(np.abs(rep_a.solution.values - rep_b.solution.values), initial=0.0)
-    return diff == 0.0, -float(diff)
+    rhos = template.admissible_rho_pair()
+
+    def judge(rep_a, rep_b):
+        u_a, u_b = (_converged(rep).solution.values for rep in (rep_a, rep_b))
+        diff = np.max(np.abs(u_a - u_b), initial=0.0)
+        return diff == 0.0, -float(diff)
+
+    return [
+        template.problem(template.signal(f.values, rho), rho=rho, fp_tol=fp_tol) for rho in rhos
+    ], judge
 
 
-def _check_yosida(template, rng, fp_tol):
+def _draw_yosida(template, rng, fp_tol):
     f = random_forcing(template, rng)
-    direct = _solved(template.problem(f, fp_tol=fp_tol))
-    path = _solved(template.problem(f, mode="yosida_path", fp_tol=fp_tol))
-    lam_min = path.lambda_trace[-1][0]
-    tol = 10.0 * fp_tol + 5.0 * lam_min
-    err = float(
-        np.max(np.abs(direct.solution.values - path.solution.values), initial=0.0)
-    )
-    norms = [nrm for _, nrm in path.lambda_trace]
-    ratio_ok = all(
-        b <= 2.0 * a + 10.0 * fp_tol for a, b in zip(norms, norms[1:])
-    )
-    return (err <= tol) and ratio_ok, float(tol - err)
+
+    def judge(direct, path):
+        direct, path = _converged(direct), _converged(path)
+        lam_min = path.lambda_trace[-1][0]
+        tol = 10.0 * fp_tol + 5.0 * lam_min
+        err = float(
+            np.max(np.abs(direct.solution.values - path.solution.values), initial=0.0)
+        )
+        norms = [nrm for _, nrm in path.lambda_trace]
+        ratio_ok = all(
+            b <= 2.0 * a + 10.0 * fp_tol for a, b in zip(norms, norms[1:])
+        )
+        return (err <= tol) and ratio_ok, float(tol - err)
+
+    return [
+        template.problem(f, fp_tol=fp_tol),
+        template.problem(f, mode="yosida_path", fp_tol=fp_tol),
+    ], judge
 
 
-def _check_oracle(template, rng, fp_tol):
+def _draw_oracle(template, rng, fp_tol):
     f = random_forcing(template, rng)
-    rep = _solved(template.problem(f, fp_tol=fp_tol))
-    ref = oracle_trajectory(template, f)
-    err = float(np.max(np.abs(rep.solution.values - ref.values), initial=0.0))
-    tol = 10.0 * fp_tol
-    return err <= tol, float(tol - err)
+
+    def judge(rep):
+        rep = _converged(rep)
+        ref = oracle_trajectory(template, f)
+        err = float(np.max(np.abs(rep.solution.values - ref.values), initial=0.0))
+        tol = 10.0 * fp_tol
+        return err <= tol, float(tol - err)
+
+    return [template.problem(f, fp_tol=fp_tol)], judge
 
 
+#: check -> its draw
 _CHECK_FNS = {
-    "causality": _check_causality,
-    "lipschitz": _check_lipschitz,
-    "monotonicity_bound": _check_monotonicity,
-    "rho_independence": _check_rho_independence,
-    "yosida_agreement": _check_yosida,
-    "oracle_match": _check_oracle,
+    "causality": _draw_causality,
+    "lipschitz": _draw_lipschitz,
+    "monotonicity_bound": _draw_monotonicity,
+    "rho_independence": _draw_rho_independence,
+    "yosida_agreement": _draw_yosida,
+    "oracle_match": _draw_oracle,
 }
+
+
+def _solve_alone(problem):
+    try:
+        return solve(problem)
+    except _TYPED_FAILURES as exc:
+        return exc
+
+
+def _solve_all(problems):
+    """One report per problem, from one batch.
+
+    A typed failure of the batch as a whole (a relation that raises, say)
+    is not one member's: then each problem is solved alone, and one that
+    raises gets its failure in place of its report.
+    """
+    try:
+        return solve_batch(problems)
+    except _TYPED_FAILURES:
+        return [_solve_alone(p) for p in problems]
+
+
+def _run_checks(template, cases, fp_tol):
+    """``(passed, margin, error)`` of each ``(seed, check)`` in ``cases``, in order.
+
+    Every case draws from its own rng, seeded by its seed and check; then the
+    problems of all draws are solved with one ``solve_batch`` per mode, and
+    then each case is judged. A typed failure in a case's draw, solve or
+    judge fails that case alone, with margin ``-inf``; it is its ``error``.
+    """
+    drawn = []
+    for seed, check in cases:
+        rng = np.random.default_rng([int(seed), ALL_CHECKS.index(check)])
+        try:
+            drawn.append(_CHECK_FNS[check](template, rng, fp_tol))
+        except _TYPED_FAILURES as exc:
+            drawn.append(exc)
+    problems = [p for d in drawn if not isinstance(d, Exception) for p in d[0]]
+    outcomes = [None] * len(problems)
+    for mode in dict.fromkeys(p.mode for p in problems):
+        at = [i for i, p in enumerate(problems) if p.mode == mode]
+        for i, outcome in zip(at, _solve_all([problems[i] for i in at])):
+            outcomes[i] = outcome
+    outcomes = iter(outcomes)
+    results = []
+    for d in drawn:
+        if isinstance(d, Exception):
+            results.append((False, float("-inf"), d))
+            continue
+        case_problems, judge = d
+        reports = [next(outcomes) for _ in case_problems]
+        try:
+            results.append((*judge(*reports), None))
+        except _TYPED_FAILURES as exc:
+            results.append((False, float("-inf"), exc))
+    return results
 
 
 def replay_check(template: CatalogProblem, check: str, seed: int,
                  fp_tol: float = FP_TOL):
     """Re-run one trial check from its recorded seed; returns (passed, margin).
 
-    A typed failure gives the row ``run_campaign`` records for it.
+    It takes the campaign's path, so a typed failure gives the row
+    ``run_campaign`` records for it.
     """
-    try:
-        return _run_check(template, check, seed, fp_tol)
-    except _TYPED_FAILURES:
-        return False, float("-inf")
-
-
-def _run_check(template, check, seed, fp_tol):
-    rng = np.random.default_rng([int(seed), ALL_CHECKS.index(check)])
-    return _CHECK_FNS[check](template, rng, fp_tol)
+    passed, margin, _ = _run_checks(template, [(seed, check)], fp_tol)[0]
+    return passed, margin
 
 
 def run_campaign(campaign: PropertyCampaign) -> CampaignReport:
     """Run every selected check over seeded trials; failures never abort.
 
-    A ``StepFailure``, ``ResolventFailure`` or ``ContractViolation`` is a
-    failed check with margin ``-inf``, and the report keeps its type and
-    message; any other exception propagates.
+    Every (trial, check) is drawn first, in trial order; the problems of all
+    of them are solved as one batch per mode; then each is judged, in the
+    same order. A ``StepFailure``, ``ResolventFailure`` or
+    ``ContractViolation`` is a failed check with margin ``-inf``, and the
+    report keeps its type and message; any other exception propagates.
     """
     master = np.random.default_rng(campaign.seed)
     trial_seeds = master.integers(0, 2**63 - 1, size=campaign.trials)
+    rows = [(trial, seed, check) for trial, seed in enumerate(trial_seeds)
+            for check in campaign.checks]
+    cases = [(seed, check) for _, seed, check in rows]
+    results = _run_checks(campaign.template, cases, campaign.fp_tol)
     report = CampaignReport(campaign_name=campaign.template.name, seed=campaign.seed)
-    for trial, seed in enumerate(trial_seeds):
-        for check in campaign.checks:
-            error = None
-            try:
-                passed, margin = _run_check(
-                    campaign.template, check, seed, campaign.fp_tol
-                )
-            except _TYPED_FAILURES as exc:
-                passed, margin, error = False, float("-inf"), exc
-            report.add(trial, check, passed, margin, seed, error)
+    for (trial, seed, check), (passed, margin, error) in zip(rows, results):
+        report.add(trial, check, passed, margin, seed, error)
     return report

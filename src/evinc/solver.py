@@ -20,6 +20,17 @@ safeguarded Anderson(5) on one fixed-point kernel
 (``fixed_point.fixed_point``), which also owns the stop rule, the iteration
 budget, the divergence guard, the stall exit and the non-finite exit.
 
+The march has a member axis. ``solve_batch`` marches problems that differ
+only in forcing, rho and c_tilde together: one plan per node serves every
+member, and each inner iteration is one stacked evaluation of the members
+still iterating (``fixed_point.fixed_point_stack``), each keeping its own
+stop, safeguard and exits. Numpy's stacked products and solves give each
+member the bits it gets alone, so a member's report does not depend on the
+batch around it, and a member whose node fails drops out with the report a
+solo solve gives it. ``solve`` is a batch of one; a node with one live
+member runs on vectors through ``fixed_point``, which is the faster kernel
+at that size.
+
 The weight rho is used for admission checks and norms only — it never enters
 the stepping arithmetic, so solutions agree bit for bit across admissible
 weights, and the march is strictly causal: node k sees f_0..f_k only.
@@ -27,13 +38,14 @@ weights, and the march is strictly causal: node k sees f_0..f_k only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .calculus import derivative
 from .errors import ContractViolation, StepFailure
-from .fixed_point import CONVERGED, fixed_point
+from .fixed_point import CONVERGED, fixed_point, fixed_point_stack, sq_norms
 from .materials import MaterialFamily, _step_matrix, dt_max, measure_constants, rho_zero
 from .relations import MonotoneRelation, YosidaRelation
 from .signals import WeightedSignal, weighted_norm
@@ -42,7 +54,10 @@ __all__ = [
     "InclusionProblem",
     "SolveReport",
     "solve",
+    "solve_batch",
     "solve_step",
+    "certificate_problems",
+    "certificate_gain",
     "lipschitz_certificate",
     "lipschitz_bound",
     "default_lambda_schedule",
@@ -129,7 +144,10 @@ class SolveReport:
     ``per_step_iterations[k]`` counts the fixed-point map evaluations spent
     on node k; on the Yosida path it is the sum over all lambda-stages.
     ``max_residual`` is the largest stop residual over the nodes of the
-    (last) march.
+    (last) march. It is what each engine stops on, so it means a different
+    thing per engine: on a Douglas-Rachford node it is the splitting gap
+    ``|w - x|``, which can understate the node's natural residual (by about
+    600x on ``viscoplastic_slab``); it is not an error bound.
     """
 
     solution: WeightedSignal
@@ -152,21 +170,37 @@ class SolveReport:
 # per-step engines
 
 
+def _mv(A, x):
+    """``A @ x`` for each vector over the last axis of ``x``, as a stacked matmul.
+
+    Each vector gets the bits of ``A @ v`` alone, whatever the stack; a
+    single vector takes the plain product, which is those bits too and
+    cheaper by a third at dimension 1.
+    """
+    return A @ x if x.ndim == 1 else (A @ x[..., None])[..., 0]
+
+
 def _plan(linear, tail, S: np.ndarray, margin: float, fp_tol: float, fp_max_iter: int):
     """Per-node plan for S u + K u + tail(u) ∋ b, with (K, tail) = relation.split().
 
     Returns (engine name, step(b, warm) -> (u, iterations, residual, reason)).
-    The engine depends only on the split and on S, never on the data, so
-    identical inputs reproduce identical iterates.
+    ``b`` and ``warm`` are one state ``(dim,)`` or a stack ``(rows, dim)`` of
+    independent members; a stack runs the stacked kernel and gives lists of
+    iterations, residuals and reasons, row by row the values a single state
+    gives. The engine depends only on the split and on S, never on the data,
+    so identical inputs reproduce identical iterates.
     """
     lam_mat = S if linear is None else S + linear
     if tail is None:
         inv = np.linalg.inv(lam_mat)
 
         def direct(b, warm):
-            u = inv @ b
-            res = float(np.linalg.norm(lam_mat @ u - b) / (1.0 + np.linalg.norm(b)))
-            return u, 1, res, CONVERGED
+            u = _mv(inv, b)
+            r = _mv(lam_mat, u) - b
+            if b.ndim == 1:
+                return u, 1, math.sqrt(r @ r) / (1.0 + math.sqrt(b @ b)), CONVERGED
+            res = np.sqrt(sq_norms(r)) / (1.0 + np.sqrt(sq_norms(b)))
+            return u, [1] * len(b), res.tolist(), [CONVERGED] * len(b)
 
         return "direct", direct
     eye = np.eye(S.shape[0])
@@ -177,7 +211,7 @@ def _plan(linear, tail, S: np.ndarray, margin: float, fp_tol: float, fp_max_iter
         inv = np.linalg.inv(eye + gamma * lam_mat)
 
         def G(u, b):
-            u_new = inv @ (u - gamma * tail.apply(u) + gamma * b)
+            u_new = _mv(inv, u - gamma * tail.apply(u) + gamma * b)
             return u_new, u_new
 
     else:
@@ -196,7 +230,7 @@ def _plan(linear, tail, S: np.ndarray, margin: float, fp_tol: float, fp_max_iter
             gamma = m_hat / big**2
 
             def G(u, b):
-                u_new = tail.resolve(gamma, u - gamma * (lam_mat @ u - b))
+                u_new = tail.resolve(gamma, u - gamma * (_mv(lam_mat, u) - b))
                 return u_new, u_new
 
         else:
@@ -206,11 +240,21 @@ def _plan(linear, tail, S: np.ndarray, margin: float, fp_tol: float, fp_max_iter
             inv = np.linalg.inv(eye + gamma * lam_mat)
 
             def G(z, b):
-                x = inv @ (z + gamma * b)
+                x = _mv(inv, z + gamma * b)
                 w = tail.resolve(gamma, 2.0 * x - z)
                 return z + (w - x), w
 
-    return name, lambda b, warm: fixed_point(lambda x: G(x, b), warm, fp_tol, fp_max_iter)
+    def step(b, warm):
+        if b.ndim == 1:
+            return fixed_point(lambda x: G(x, b), warm, fp_tol, fp_max_iter)
+        return fixed_point_stack(lambda x, rows: G(x, b[rows]), warm, fp_tol, fp_max_iter)
+
+    return name, step
+
+
+def _node_major(values, rows):
+    """The rows' ``(n, dim)`` values with the node axis first, so node k is one index."""
+    return np.ascontiguousarray(values[rows].swapaxes(0, -2))
 
 
 def _march(
@@ -225,44 +269,69 @@ def _march(
     warm_values: np.ndarray = None,
     past=None,
 ):
-    """Causal sweep over the grid; returns (values, iteration counts, residual).
+    """Causal sweep of a batch over the grid; returns (values, iterations, residuals, failures).
 
+    ``forcing`` is ``(members, n, dim)``, as are ``warm_values`` and the
+    returned values; ``iterations`` is ``(members, n)``, ``residuals[m]`` is
+    member m's largest stop residual and ``failures[m]`` is None or the
+    StepFailure of the node at which its iteration stopped short of the
+    tolerance. A failed member drops out there; the others go on.
     ``(linear, tail)`` is the relation's split. ``past`` is the state before
-    the first node and its M0 image, ``(u, M0 u)``; None is the zero past.
-    M0(t) and M1(t) are evaluated once per plan, so once per march for a
-    constant family and once per node otherwise, and the same M0 gives the
-    next node's past image. A node whose iteration stops short of the
-    tolerance raises StepFailure.
+    the first node and its M0 image, ``(u, M0 u)``, each ``(members, dim)``;
+    None is the zero past. M0(t) and M1(t) are evaluated once per plan, so
+    once per march for a constant family and once per node otherwise, and
+    one plan serves every member; the same M0 gives the next node's past.
+    While one member is live a node runs on its rows as vectors through
+    ``fixed_point``, otherwise on the stack of live members through
+    ``fixed_point_stack``.
     """
-    n, dim = forcing.shape
-    out = np.empty_like(forcing)
-    iterations = []
-    max_res = 0.0
-    prev_state, prev_m0u = (np.zeros(dim), np.zeros(dim)) if past is None else past
+    size, n, dim = forcing.shape
+    out = np.zeros_like(forcing)
+    iterations = np.zeros((size, n), dtype=int)
+    max_res = [0.0] * size
+    failures = [None] * size
+    state, m0u = (np.zeros((size, dim)), np.zeros((size, dim))) if past is None else past
+    live = keep = list(range(size))
     plan = None
     for k in range(n):
+        if keep:
+            # the live members' rows: one member's as vectors, more as a stack
+            rows, at = (live[0], keep[0]) if len(live) == 1 else (np.array(live), keep)
+            state, m0u = state[at], m0u[at]
+            F = _node_major(forcing, rows)
+            W = None if warm_values is None else _node_major(warm_values, rows)
+            keep = None
         t = t0 + k * dt
         if plan is None or not family.constant:
             M0 = np.asarray(family.M0_at(t), dtype=float)
             M1 = np.asarray(family.M1_at(t), dtype=float)
             plan = _plan(linear, tail, *_step_matrix(family, M0, M1, t, dt), fp_tol, fp_max_iter)
         name, step = plan
-        b = forcing[k] + prev_m0u / dt
-        warm = warm_values[k] if warm_values is not None else prev_state
-        u, iters, res, reason = step(b, warm)
-        if reason != CONVERGED:
-            raise StepFailure(
-                f"{name} step {k} did not converge: {reason} after "
-                f"{iters} iterations (residual {res:.3e})",
-                step=k,
-                residual=res,
-            )
-        out[k] = u
-        iterations.append(iters)
-        max_res = max(max_res, res)
-        prev_m0u = M0 @ u
-        prev_state = u
-    return out, iterations, max_res
+        b = F[k] + m0u / dt
+        u, iters, res, reasons = step(b, state if W is None else W[k])
+        out[rows, k] = u
+        iterations[rows, k] = iters
+        state, m0u = u, _mv(M0, u)
+        if b.ndim == 1:
+            iters, res, reasons = (iters,), (res,), (reasons,)
+        dropped = False
+        for m, it, r, reason in zip(live, iters, res, reasons):
+            if reason != CONVERGED:
+                failures[m] = StepFailure(
+                    f"{name} step {k} did not converge: {reason} after "
+                    f"{it} iterations (residual {r:.3e})",
+                    step=k,
+                    residual=r,
+                )
+                dropped = True
+            elif r > max_res[m]:
+                max_res[m] = r
+        if dropped:
+            keep = [j for j, m in enumerate(live) if failures[m] is None]
+            live = [live[j] for j in keep]
+            if not live:
+                break
+    return out, iterations, max_res, failures
 
 
 def solve_step(
@@ -279,26 +348,133 @@ def solve_step(
     """One implicit step: S u + A(u) ∋ f_k + prev_m0u/dt, warm-started at prev_state.
 
     ``prev_m0u`` is M0(t - dt) @ prev_state; pass None to have it computed.
-    This is a one-node march from that past.
+    This is a one-node march of one member from that past.
     """
     prev_state = np.asarray(prev_state, dtype=float)
     if prev_m0u is None:
         prev_m0u = np.asarray(family.M0_at(t - dt), dtype=float) @ prev_state
-    forcing = np.asarray(f_k, dtype=float).reshape(1, -1)
-    past = (prev_state, np.asarray(prev_m0u, dtype=float))
-    vals, _, _ = _march(family, *relation.split(), forcing, t, dt, fp_tol, fp_max_iter, past=past)
-    return vals[0]
+    forcing = np.asarray(f_k, dtype=float).reshape(1, 1, -1)
+    past = (prev_state[None], np.asarray(prev_m0u, dtype=float)[None])
+    vals, _, _, failures = _march(
+        family, *relation.split(), forcing, t, dt, fp_tol, fp_max_iter, past=past
+    )
+    if failures[0] is not None:
+        raise failures[0]
+    return vals[0, 0]
 
 
-def _stage_image_norm(linear, tail, values: np.ndarray, sig: WeightedSignal):
-    """Weighted norm of k -> K u_k + tail(u_k) along a trajectory, all nodes at once.
+def _stage_image_norms(linear, tail, values: np.ndarray, signals):
+    """Weighted norms of k -> K u_k + tail(u_k) along each member's trajectory.
 
-    The stacked product ``K @ u_k`` gives the bits of the product row by row.
+    ``values`` is ``(members, n, dim)``; every node of every member goes
+    through one stacked product and one block call, which give the bits of
+    the product and the call row by row. Member m's norm is taken in the
+    weight of ``signals[m]``.
     """
-    image = np.zeros_like(values) if linear is None else (linear @ values[:, :, None])[:, :, 0]
+    image = np.zeros_like(values) if linear is None else _mv(linear, values)
     if tail is not None:
         image += tail.apply_block(values)
-    return weighted_norm(sig.with_values(image))
+    return [weighted_norm(sig.with_values(img)) for sig, img in zip(signals, image)]
+
+
+def _failed_report(problem: InclusionProblem, failure: StepFailure) -> SolveReport:
+    return SolveReport(
+        solution=problem.forcing.with_values(np.zeros_like(problem.forcing.values)),
+        per_step_iterations=[],
+        max_residual=float("inf"),
+        status="failed",
+        fail_step=failure.step,
+        fail_reason=str(failure),
+    )
+
+
+def _batch_key(p: InclusionProblem):
+    return (p.forcing.grid, p.mode, p.schedule(), p.fp_tol, p.fp_max_iter)
+
+
+def solve_batch(problems) -> list:
+    """Solve a batch of problems on one template; returns one SolveReport each.
+
+    The members share the family, the relation, the grid, the mode, the
+    λ-schedule, ``fp_tol`` and ``fp_max_iter``, or ContractViolation is
+    raised; their forcing, rho and c_tilde may differ, because rho never
+    enters the stepping. They march together: one plan per node serves every
+    member and one stacked relation call per inner iteration evaluates every
+    member still iterating. Each member's report is bit for bit the one
+    ``solve`` gives it alone, failures included: a member whose node fails
+    gets solve's failed report and drops out, and the others go on.
+    """
+    problems = list(problems)
+    if not problems:
+        return []
+    head = problems[0]
+    key = _batch_key(head)
+    for p in problems[1:]:
+        if p.family is not head.family or p.relation is not head.relation or _batch_key(p) != key:
+            raise ContractViolation(
+                "a batch must share family, relation, grid, mode, lambda schedule, "
+                "fp_tol and fp_max_iter"
+            )
+    grid = head.forcing.grid
+    forcing = np.stack([p.forcing.values for p in problems])
+    linear, tail = head.relation.split()
+
+    def march(stage_tail, values, warm_values=None):
+        return _march(head.family, linear, stage_tail, values, grid.t0, grid.dt,
+                      head.fp_tol, head.fp_max_iter, warm_values)
+
+    if head.mode == "direct":
+        vals, iters, res, failures = march(tail, forcing)
+        return [
+            _failed_report(p, failures[m]) if failures[m] is not None else SolveReport(
+                solution=p.forcing.with_values(vals[m]),
+                per_step_iterations=iters[m].tolist(),
+                max_residual=res[m],
+                status="converged",
+            )
+            for m, p in enumerate(problems)
+        ]
+    # yosida_path: the stages in lockstep, each member warm-started from its own last stage
+    fam = head.family
+    delta = 2.0 * (fam.sup_M1 + fam.lip_M0) + 1.0
+    ts = [grid.t0] if fam.constant else grid.t0 + grid.dt * np.linspace(0, grid.n - 1, 16)
+    sup_m0 = measure_constants(fam.M0_at, fam.M1_at, fam.kernel_basis, fam.range_basis, ts).sup_M0
+    reports = [None] * len(problems)
+    traces = [[] for _ in problems]
+    live, warm, total = list(range(len(problems))), None, 0
+    for lam in head.schedule():
+        stage = None if tail is None else YosidaRelation(tail, lam)
+        vals, stage_iters, res, failures = march(stage, forcing, warm)
+        total = total + stage_iters
+        ok = [j for j, failure in enumerate(failures) if failure is None]
+        if len(ok) < len(live):
+            for j, m in enumerate(live):
+                if failures[j] is not None:
+                    reports[m] = _failed_report(problems[m], failures[j])
+            live, res = [live[j] for j in ok], [res[j] for j in ok]
+            forcing, vals, total = forcing[ok], vals[ok], total[ok]
+            if not live:
+                break
+        norms = _stage_image_norms(linear, stage, vals, [problems[m].forcing for m in live])
+        for m, norm in zip(live, norms):
+            traces[m].append((lam, norm))
+        warm = vals
+    for j, m in enumerate(live):
+        p = problems[m]
+        reference = (1.0 + delta / p.c_tilde) * weighted_norm(p.forcing) + (
+            sup_m0 / p.c_tilde
+        ) * weighted_norm(derivative(p.forcing))
+        reports[m] = SolveReport(
+            solution=p.forcing.with_values(vals[j]),
+            per_step_iterations=total[j].tolist(),
+            max_residual=res[j],
+            status="converged",
+            lambda_trace=traces[m],
+            yosida_sup_norm=max(norm for _, norm in traces[m]),
+            delta=delta,
+            yosida_reference_bound=reference,
+        )
+    return reports
 
 
 def solve(problem: InclusionProblem) -> SolveReport:
@@ -308,67 +484,9 @@ def solve(problem: InclusionProblem) -> SolveReport:
     march with the relation's nonlinear tail replaced by its Yosida surrogate
     at every scheduled lambda, warm-starting from the previous stage, and
     reports the weighted norms of the stage images (they must stay bounded as
-    lambda shrinks); the last stage is the answer.
+    lambda shrinks); the last stage is the answer. It is a batch of one.
     """
-    grid = problem.forcing.grid
-    f_vals = problem.forcing.values
-    linear, tail = problem.relation.split()
-
-    def march(stage_tail, warm_values=None):
-        return _march(problem.family, linear, stage_tail, f_vals, grid.t0, grid.dt,
-                      problem.fp_tol, problem.fp_max_iter, warm_values)
-
-    try:
-        if problem.mode == "direct":
-            vals, iters, res = march(tail)
-            return SolveReport(
-                solution=problem.forcing.with_values(vals),
-                per_step_iterations=iters,
-                max_residual=res,
-                status="converged",
-            )
-        # yosida_path
-        fam = problem.family
-        delta = 2.0 * (fam.sup_M1 + fam.lip_M0) + 1.0
-        ts = [grid.t0] if fam.constant else grid.t0 + grid.dt * np.linspace(0, grid.n - 1, 16)
-        sup_m0 = measure_constants(
-            fam.M0_at, fam.M1_at, fam.kernel_basis, fam.range_basis, ts
-        ).sup_M0
-        f_norm = weighted_norm(problem.forcing)
-        df_norm = weighted_norm(derivative(problem.forcing))
-        reference = (1.0 + delta / problem.c_tilde) * f_norm + (
-            sup_m0 / problem.c_tilde
-        ) * df_norm
-        trace = []
-        prev_vals = None
-        iters = np.zeros(grid.n, dtype=int)
-        res = 0.0
-        for lam in problem.schedule():
-            stage = None if tail is None else YosidaRelation(tail, lam)
-            vals, stage_iters, res = march(stage, prev_vals)
-            iters += stage_iters
-            trace.append((lam, _stage_image_norm(linear, stage, vals, problem.forcing)))
-            prev_vals = vals
-        return SolveReport(
-            solution=problem.forcing.with_values(prev_vals),
-            per_step_iterations=iters.tolist(),
-            max_residual=res,
-            status="converged",
-            lambda_trace=trace,
-            yosida_sup_norm=max(norm for _, norm in trace),
-            delta=delta,
-            yosida_reference_bound=reference,
-        )
-    except StepFailure as exc:
-        empty = problem.forcing.with_values(np.zeros_like(f_vals))
-        return SolveReport(
-            solution=empty,
-            per_step_iterations=[],
-            max_residual=float("inf"),
-            status="failed",
-            fail_step=exc.step,
-            fail_reason=str(exc),
-        )
+    return solve_batch([problem])[0]
 
 
 def lipschitz_bound(problem: InclusionProblem) -> float:
@@ -378,24 +496,34 @@ def lipschitz_bound(problem: InclusionProblem) -> float:
     return (1.0 + tol_dt) / problem.c_tilde
 
 
-def lipschitz_certificate(problem: InclusionProblem, g: WeightedSignal) -> float:
-    """Observed gain |u_f - u_g| / |f - g| in the weighted norm (0 for f = g)."""
+def certificate_problems(problem: InclusionProblem, g: WeightedSignal) -> list:
+    """The pair a Lipschitz certificate solves: ``problem`` and ``problem`` forced by g."""
     if (
         g.grid != problem.forcing.grid
         or g.dim != problem.forcing.dim
         or g.rho != problem.forcing.rho
     ):
         raise ContractViolation("g must live on the forcing's grid, dim and rho")
-    diff = problem.forcing.with_values(problem.forcing.values - g.values)
-    denom = weighted_norm(diff)
+    return [problem, replace(problem, forcing=g)]
+
+
+def certificate_gain(pair, reports) -> float:
+    """|u_f - u_g| / |f - g| in the weighted norm from the pair's reports (0 for f = g)."""
+    f, g = (p.forcing for p in pair)
+    denom = weighted_norm(f.with_values(f.values - g.values))
     if denom == 0.0:
         return 0.0
-    rep_f = solve(problem)
-    rep_g = solve(replace(problem, forcing=g))
-    for rep in (rep_f, rep_g):
+    for rep in reports:
         if not rep.converged:
             raise StepFailure(f"certificate solve failed: {rep.fail_reason}", step=rep.fail_step)
-    num = weighted_norm(
-        problem.forcing.with_values(rep_f.solution.values - rep_g.solution.values)
-    )
-    return num / denom
+    rep_f, rep_g = reports
+    return weighted_norm(f.with_values(rep_f.solution.values - rep_g.solution.values)) / denom
+
+
+def lipschitz_certificate(problem: InclusionProblem, g: WeightedSignal) -> float:
+    """Observed gain |u_f - u_g| / |f - g| in the weighted norm (0 for f = g).
+
+    The two solves run as one batch.
+    """
+    pair = certificate_problems(problem, g)
+    return certificate_gain(pair, solve_batch(pair))

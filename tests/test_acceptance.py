@@ -30,7 +30,13 @@ from evinc.relations import (
     ZeroRelation,
 )
 from evinc.signals import TimeGrid
-from evinc.solver import lipschitz_bound, lipschitz_certificate, solve
+from evinc.solver import (
+    certificate_gain,
+    certificate_problems,
+    lipschitz_bound,
+    solve,
+    solve_batch,
+)
 from evinc.tensors import deviatoric_basis
 from window_norm import window_integral_norm
 
@@ -131,14 +137,17 @@ def test_criterion_03_solution_operator_lipschitz(templates):
     summary = []
     ok = True
     for tpl in templates:
-        worst = 0.0
-        bound = None
+        # the certificate's pairs, drawn in order and solved as one batch
+        certs = []
         for _ in range(pairs):
             f = random_forcing(tpl, rng)
             g = random_forcing(tpl, rng)
-            prob = tpl.problem(f, fp_tol=FP_TOL)
-            bound = lipschitz_bound(prob)
-            worst = max(worst, lipschitz_certificate(prob, g))
+            certs.append(certificate_problems(tpl.problem(f, fp_tol=FP_TOL), g))
+        reports = solve_batch([p for pair in certs for p in pair])
+        bound = lipschitz_bound(certs[-1][0])
+        worst = max(
+            certificate_gain(pair, reports[2 * i : 2 * i + 2]) for i, pair in enumerate(certs)
+        )
         ok = ok and worst <= bound
         summary.append(f"{tpl.name}: {worst:.3f}<={bound:.3f}")
     report(3, "solution-operator lipschitz", ok, "; ".join(summary))
@@ -154,15 +163,20 @@ def test_criterion_04_causality(templates):
     ok = True
     summary = []
     for tpl in templates:
-        agree = 0
+        # the trials' forcings, drawn in order and solved as one batch
+        problems, cuts = [], []
         for _ in range(trials):
             f = random_forcing(tpl, rng)
             g = random_forcing(tpl, rng)
             cut = int(rng.integers(1, tpl.grid.n - 1))
             gv = g.values.copy()
             gv[:cut] = f.values[:cut]
-            rep_f = solve(tpl.problem(f, fp_tol=FP_TOL))
-            rep_g = solve(tpl.problem(tpl.signal(gv), fp_tol=FP_TOL))
+            problems += [tpl.problem(f, fp_tol=FP_TOL), tpl.problem(tpl.signal(gv), fp_tol=FP_TOL)]
+            cuts.append(cut)
+        reports = solve_batch(problems)
+        agree = 0
+        for i, cut in enumerate(cuts):
+            rep_f, rep_g = reports[2 * i : 2 * i + 2]
             if np.array_equal(rep_f.solution.values[:cut], rep_g.solution.values[:cut]):
                 agree += 1
         ok = ok and agree == trials
@@ -181,8 +195,9 @@ def test_criterion_05_weight_independence(templates):
     for tpl in templates:
         f = random_forcing(tpl, rng)
         rho_a, rho_b = tpl.admissible_rho_pair()
-        rep_a = solve(tpl.problem(tpl.signal(f.values, rho_a), rho=rho_a, fp_tol=FP_TOL))
-        rep_b = solve(tpl.problem(tpl.signal(f.values, rho_b), rho=rho_b, fp_tol=FP_TOL))
+        rep_a, rep_b = solve_batch(
+            tpl.problem(tpl.signal(f.values, rho), rho=rho, fp_tol=FP_TOL) for rho in (rho_a, rho_b)
+        )
         same = np.array_equal(rep_a.solution.values, rep_b.solution.values)
         ok = ok and same
         summary.append(f"{tpl.name}: rho {rho_a:.3g} vs {rho_b:.3g} identical={same}")
@@ -233,10 +248,10 @@ def test_criterion_07_oracle_equivalence():
     summary = []
     for name in ("scalar_ode", "degenerate_plane", "sign_scalar", "saturation_plane"):
         tpl = make_catalog_problem(name, n=500)
+        forcings = [random_forcing(tpl, rng) for _ in range(5)]
+        reports = solve_batch(tpl.problem(f, fp_tol=FP_TOL) for f in forcings)
         worst = 0.0
-        for _ in range(5):
-            f = random_forcing(tpl, rng)
-            rep = solve(tpl.problem(f, fp_tol=FP_TOL))
+        for f, rep in zip(forcings, reports):
             ref = oracle_trajectory(tpl, f)
             worst = max(worst, float(np.max(np.abs(rep.solution.values - ref.values))))
         ok = ok and worst <= tol

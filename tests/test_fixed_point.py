@@ -1,4 +1,4 @@
-"""The shared fixed-point kernel: stop rules, safeguard, determinism, slab rates."""
+"""The shared fixed-point kernel: stop rules, safeguard, determinism, slab rates, stacked form."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,15 @@ from evinc.fixed_point import (
     BUDGET,
     CONVERGED,
     DIVERGING,
+    MEMORY,
     NONFINITE,
     PATIENCE,
     STALLED,
+    _mix,
+    _mix_stack,
     fixed_point,
+    fixed_point_stack,
+    sq_norms,
 )
 from evinc.signals import weighted_norm
 from evinc.solver import solve
@@ -185,3 +190,105 @@ def test_slab_iterations_per_node(name, gate):
     rep = solve(tpl.problem(tpl.signal(values / weighted_norm(f))))
     assert rep.converged
     assert np.mean(rep.per_step_iterations) <= gate
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernel: numpy's stacked forms give each row its per-vector bits
+
+DIMS = [1, 2, 22, 28, 88]
+SIZES = [1, 7, 100]
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("dim", DIMS)
+def test_stacked_matmul_and_dot_are_per_vector_bits(dim, size):
+    rng = np.random.default_rng([dim, size])
+    A = rng.standard_normal((dim, dim))
+    U = rng.standard_normal((size, dim))
+    products = (A @ U[..., None])[..., 0]
+    dots = sq_norms(U)
+    for u, prod, dot in zip(U, products, dots):
+        assert prod.tobytes() == (A @ u).tobytes()
+        assert dot == u @ u
+        assert sq_norms(u) == u @ u
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("dim", DIMS)
+def test_stacked_solve_and_anderson_step_are_per_vector_bits(dim, size):
+    rng = np.random.default_rng([dim, size, 1])
+    for k in range(1, MEMORY + 1):
+        gram = rng.standard_normal((size, k, k)) + 3.0 * np.eye(k)
+        rhs = rng.standard_normal((size, k))
+        stacked = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+        gx, r = rng.standard_normal((2, size, dim))
+        dg, dr = rng.standard_normal((2, size, k, dim))
+        mixed = _mix_stack(gx, r, dg, dr)
+        for i in range(size):
+            assert stacked[i].tobytes() == np.linalg.solve(gram[i], rhs[i]).tobytes()
+            assert mixed[i].tobytes() == _mix(gx[i], r[i], list(dg[i]), list(dr[i])).tobytes()
+
+
+def test_einsum_dot_is_not_the_per_vector_bits():
+    # why every dot product in the stacked kernel is a matmul: einsum sums in
+    # another order and misses the per-vector dot in the last bit
+    rng = np.random.default_rng(0)
+    U = rng.standard_normal((100, 22))
+    assert np.array_equal(sq_norms(U), [u @ u for u in U])
+    assert not np.array_equal(np.einsum("bi,bi->b", U, U), [u @ u for u in U])
+
+
+def _exit_maps():
+    """One map per exit of the kernel, all on the plane, each with its own call count."""
+    M = np.array([[-0.94, 0.03], [0.03, 0.94]])
+    c = np.array([2.2, 2.0])
+    calls = [0] * 6
+
+    def affine(x, i):  # converges; mixes and hits the safeguard (see above)
+        return _soft(M @ x + c, 0.85)
+
+    def shift(x, i):  # no fixed point: budget or stall
+        return x + 1.0
+
+    def growing(x, i):  # a residual that grows with every evaluation
+        return x + 1.03 ** calls[i]
+
+    def breaking(x, i):  # non-finite at its third evaluation
+        return 0.5 * x + 1.0 if calls[i] != 3 else x * np.nan
+
+    def fixed(x, i):  # at tolerance from the start
+        return x.copy()
+
+    maps = [affine, shift, growing, breaking, fixed, affine]
+
+    def G(X, rows):
+        gx = []
+        for x, i in zip(X, rows):
+            calls[i] += 1
+            gx.append(maps[i](x, i))
+        gx = np.array(gx)
+        return gx, 2.0 * gx
+
+    return G
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 50, 200_000])
+def test_stacked_kernel_gives_each_row_its_own_run(max_iter):
+    # a mix of rows that converge, stall, run out of budget, diverge and turn
+    # non-finite at different evaluations; each row leaves the stack at its
+    # own exit with what fixed_point gives it alone
+    X0 = np.array([[-7.0, -4.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 2.0], [3.0, -1.0]])
+    out, its, res, reasons = fixed_point_stack(_exit_maps(), X0, 1e-12, max_iter)
+    seen = set()
+    for i, x0 in enumerate(X0):
+        G = _exit_maps()
+        alone = fixed_point(lambda x: tuple(a[0] for a in G(x[None], [i])), x0, 1e-12, max_iter)
+        assert (its[i], res[i], reasons[i]) == alone[1:] or (
+            np.isnan(res[i]) and np.isnan(alone[2]) and (its[i], reasons[i]) == (alone[1], alone[3])
+        )
+        assert out[i].tobytes() == alone[0].tobytes()
+        seen.add(reasons[i])
+    if max_iter == 200_000:
+        assert seen == {CONVERGED, STALLED, DIVERGING, NONFINITE}
+    if max_iter == 50:
+        assert BUDGET in seen and CONVERGED in seen

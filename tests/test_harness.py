@@ -5,7 +5,7 @@ import pytest
 
 from evinc import harness
 from evinc.catalog import CatalogProblem, make_catalog_problem
-from evinc.errors import ContractViolation
+from evinc.errors import ContractViolation, ResolventFailure
 from evinc.harness import (
     PropertyCampaign,
     fixed_point_iterates,
@@ -15,7 +15,7 @@ from evinc.harness import (
     run_campaign,
 )
 from evinc.materials import sinusoidal_family
-from evinc.relations import ZeroRelation
+from evinc.relations import NormSubdifferential, ZeroRelation
 from evinc.signals import TimeGrid
 from evinc.solver import solve
 
@@ -106,6 +106,35 @@ class TestCampaign:
         campaign = PropertyCampaign(template=tpl, trials=1, seed=1, checks=("causality",))
         with pytest.raises(TypeError, match="broken check"):
             run_campaign(campaign)
+
+    def test_a_relation_that_raises_fails_only_its_own_checks(self):
+        # a resolvent failure raised inside a batch is no one member's: each
+        # problem is then solved alone, and only the checks whose own solves
+        # raise record it
+        class Brittle(NormSubdifferential):
+            def resolve(self, lam, y):
+                if np.max(np.abs(y)) > 0.05:
+                    raise ResolventFailure("too far out")
+                return super().resolve(lam, y)
+
+        base = make_catalog_problem("sign_scalar", n=40)
+        tpl = replace(base, relation=Brittle(1, weight=1.0))
+        checks = ("causality", "rho_independence")
+        rep = run_campaign(PropertyCampaign(template=tpl, trials=6, seed=3, checks=checks))
+        expected = set()
+        for trial, check, passed, margin, seed in rep.rows:
+            rng = np.random.default_rng([seed, harness.ALL_CHECKS.index(check)])
+            problems, _ = harness._CHECK_FNS[check](tpl, rng, 1e-10)
+            try:
+                for p in problems:
+                    solve(p)
+            except ResolventFailure:
+                expected.add((trial, check))
+        assert 0 < len(expected) < len(rep.rows)
+        assert set(rep.errors) == expected
+        assert all(text == "ResolventFailure: too far out" for text in rep.errors.values())
+        assert all(passed for trial, check, passed, *_ in rep.rows if (trial, check) not in expected)
+
 
 class TestOracle:
     def test_linear_scalar_matches_closed_form(self):

@@ -1,10 +1,11 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from evinc.catalog import CatalogProblem, make_catalog_problem
-from evinc import relations
+from evinc.catalog import CatalogProblem, catalog_names, make_catalog_problem
+from evinc import relations, solver
 from evinc.errors import ContractViolation, ResolventFailure
 from evinc.harness import random_forcing
 from evinc.materials import constant_family, sinusoidal_family
@@ -17,6 +18,7 @@ from evinc.solver import (
     lipschitz_bound,
     lipschitz_certificate,
     solve,
+    solve_batch,
     solve_step,
 )
 
@@ -270,13 +272,15 @@ class TestYosidaPath:
         prev = None
         linear, tail = tpl.relation.split()
         for lam in default_lambda_schedule():
-            vals, iters, _ = _march(
-                tpl.family, linear, YosidaRelation(tail, lam), f.values,
+            vals, iters, _, failures = _march(
+                tpl.family, linear, YosidaRelation(tail, lam), f.values[None],
                 tpl.grid.t0, tpl.grid.dt, 1e-10, 200_000, warm_values=prev,
             )
+            assert failures == [None]
+            iters = iters[0]
             total += iters
             prev = vals
-        assert np.array_equal(prev, path.solution.values)
+        assert np.array_equal(prev[0], path.solution.values)
         assert path.per_step_iterations == total.tolist()
         assert sum(path.per_step_iterations) > sum(iters)
 
@@ -359,6 +363,101 @@ def _counting_m0(family):
     return replace(family, M0_at=m0_at), calls
 
 
+def _same_report(batch, alone):
+    """Bit for bit the same answer, iterations, residual, stage norms and outcome."""
+    return (
+        batch.solution.values.tobytes() == alone.solution.values.tobytes()
+        and batch.per_step_iterations == alone.per_step_iterations
+        and float(batch.max_residual).hex() == float(alone.max_residual).hex()
+        and [(lam, float(nrm).hex()) for lam, nrm in batch.lambda_trace]
+        == [(lam, float(nrm).hex()) for lam, nrm in alone.lambda_trace]
+        and (batch.status, batch.fail_step, batch.fail_reason)
+        == (alone.status, alone.fail_step, alone.fail_reason)
+        and batch.yosida_reference_bound == alone.yosida_reference_bound
+    )
+
+
+def _members(tpl, mode, seed, count=7, low=-3, **kwargs):
+    """``count`` problems on ``tpl``, forcings scaled by 10**[low, 1), at both admissible weights."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for rho in itertools.islice(itertools.cycle(tpl.admissible_rho_pair()), count):
+        values = random_forcing(tpl, rng).values * 10.0 ** rng.uniform(low, 1)
+        out.append(tpl.problem(tpl.signal(values, rho), rho=rho, mode=mode, **kwargs))
+    return out
+
+
+class TestBatch:
+    """A member of a batch gets the report solve gives it alone, wherever it stands."""
+
+    @pytest.mark.parametrize("mode", ["direct", "yosida_path"])
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_members_get_their_solo_reports(self, name, mode):
+        tpl = make_catalog_problem(name, n=6 if name.endswith("slab") else 30)
+        distinct = _members(tpl, mode, seed=len(name))
+        alone = [solve(p) for p in distinct]
+        rng = np.random.default_rng(1)
+        for picks in ([3], rng.permutation(7), rng.permutation(np.arange(100) % 7)):
+            reports = solve_batch([distinct[i] for i in picks])
+            assert len(reports) == len(picks)
+            for i, rep in zip(picks, reports):
+                assert rep.converged
+                assert _same_report(rep, alone[i])
+
+    @pytest.mark.parametrize("name, mode, budget, seed", [
+        ("thermoplastic_slab", "direct", 4, 1),
+        ("thermoplastic_slab", "yosida_path", 4, 1),
+        ("viscoplastic_slab", "direct", 6, 1),
+        ("viscoplastic_slab", "yosida_path", 4, 0),
+    ])
+    def test_a_failed_member_drops_out_alone(self, name, mode, budget, seed):
+        # at this budget some members fail, some at a later node than others
+        # or in a later stage, and the others converge; each gets its own
+        # solo report
+        tpl = make_catalog_problem(name, n=10)
+        distinct = _members(tpl, mode, seed, count=12, low=-8, fp_max_iter=budget)
+        rng = np.random.default_rng(2)
+        picks = rng.permutation(np.arange(30) % 12)
+        reports = solve_batch([distinct[i] for i in picks])
+        alone = [solve(p) for p in distinct]
+        for i, rep in zip(picks, reports):
+            assert _same_report(rep, alone[i])
+        steps = {rep.fail_step for rep in reports}
+        assert None in steps and len(steps - {None, 0}) >= 1
+
+    def test_members_must_share_the_template_and_the_solver_settings(self):
+        tpl = make_catalog_problem("sign_scalar", n=20)
+        other = make_catalog_problem("sign_scalar", n=20)
+        f = tpl.signal(np.ones((20, 1)))
+        base = tpl.problem(f)
+        for odd in (
+            other.problem(f),  # another family and relation object
+            tpl.problem(f, mode="yosida_path"),
+            tpl.problem(f, fp_tol=1e-9),
+            tpl.problem(f, fp_max_iter=50),
+            tpl.problem(f, lambda_schedule=(0.5, 0.25)),
+            make_catalog_problem("sign_scalar", n=21).problem(
+                make_catalog_problem("sign_scalar", n=21).signal(np.ones((21, 1)))
+            ),
+        ):
+            with pytest.raises(ContractViolation, match="a batch must share"):
+                solve_batch([base, odd])
+        assert solve_batch([]) == []
+
+    def test_certificate_pair_is_one_batch(self, monkeypatch):
+        tpl = make_catalog_problem("saturation_plane", n=40)
+        rng = np.random.default_rng(4)
+        f, g = random_forcing(tpl, rng), random_forcing(tpl, rng)
+        prob = tpl.problem(f)
+        batches = []
+        monkeypatch.setattr(solver, "solve_batch", lambda ps: batches.append(ps) or solve_batch(ps))
+        gain = lipschitz_certificate(prob, g)
+        assert [len(b) for b in batches] == [2]
+        rep_f, rep_g = solve(prob), solve(tpl.problem(g))
+        diff = weighted_norm(f.with_values(rep_f.solution.values - rep_g.solution.values))
+        assert gain == diff / weighted_norm(f.with_values(f.values - g.values))
+
+
 class TestCoefficientEvaluations:
     """M0(t) is evaluated once per plan: once per march, or once per node if it moves."""
 
@@ -390,3 +489,28 @@ class TestCoefficientEvaluations:
         # the evaluation it saves changes no bit of the answer
         same = solve(replace(tpl, family=fam).problem(f))
         assert np.array_equal(rep.solution.values, same.solution.values)
+
+    def test_time_dependent_plane_batch_once_per_node(self):
+        # one plan per node serves all seven members
+        fam = sinusoidal_family(np.eye(2), np.zeros((2, 2)), amplitude=0.3, frequency=2.0)
+        counted, calls = _counting_m0(fam)
+        grid = TimeGrid(0.0, 1e-3, 25)
+        relation = BallSaturation(2, radius=0.5)
+        tpl = CatalogProblem.admissible("sinusoidal_plane", counted, relation, grid)
+        problems = _members(tpl, "direct", seed=5)
+        reports = solve_batch(problems)
+        assert all(rep.converged for rep in reports)
+        assert calls == [grid.t0 + k * grid.dt for k in range(grid.n)]
+        plain = replace(tpl, family=fam)
+        for p, rep in zip(problems, reports):
+            assert _same_report(rep, solve(plain.problem(p.forcing, rho=p.rho)))
+
+    @pytest.mark.parametrize("mode, marches", [("direct", 1), ("yosida_path", 3)])
+    def test_constant_slab_batch_once_per_march(self, mode, marches):
+        tpl = make_catalog_problem("thermoplastic_slab", n=5)
+        fam, calls = _counting_m0(tpl.family)
+        schedule = (1.0, 0.1, 0.01)
+        problems = [replace(p, family=fam) for p in _members(tpl, mode, 6, lambda_schedule=schedule)]
+        assert all(rep.converged for rep in solve_batch(problems))
+        # the Yosida path also measures sup M0 once for its reference bound
+        assert len(calls) == marches + (mode == "yosida_path")
