@@ -13,14 +13,24 @@ map iterated here is, so an accepted residual above ten times the first one,
 Mixing starts once two residuals exist, so a solve that stops after one or
 two evaluations takes exactly the plain steps. Deterministic throughout.
 
+The one-member step pays numpy's dispatch more than arithmetic, so it keeps
+the dispatch small and the bits those of the plain formula. The history
+lives in one ``(MEMORY, dim)`` pair of arrays, allocated when the kernel
+first mixes and shifted up in place once full, so its k latest differences
+are a C-contiguous ``(k, dim)`` block: the layout ``np.array`` of a list
+gives, which takes the same BLAS calls. The Gram system goes straight to
+``_umath_linalg.solve1``, the LAPACK gufunc that ``np.linalg.solve`` calls,
+and the ridge's trace is the diagonal's sum as a list, in the order
+``trace()`` sums it; the tests pin both against the wrapped forms.
+
 ``fixed_point_stack(G, X0, tol, max_iter)`` runs the same iteration on each
 row of ``X0`` at once: the arithmetic is stacked, the bookkeeping stays per
 row, and each row gets bit for bit what ``fixed_point`` gives it alone. Two
 numpy facts carry that, and the tests pin both: a stacked matmul gives each
 slice the bits of the per-vector product, so every dot product here is
 written as one (``sq_norms``; ``einsum`` and ``(R*R).sum(1)`` differ in the
-last bit), and a stacked ``np.linalg.solve`` with a ``(rows, k, 1)``
-right-hand side solves each slice as the vector solve does.
+last bit), and a stacked solve (``_umath_linalg.solve``) with a
+``(rows, k, 1)`` right-hand side solves each slice as the vector solve does.
 """
 
 from __future__ import annotations
@@ -28,6 +38,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
+
+_solve1 = _umath_linalg.solve1  # a (k, k) system, one right-hand side (k,)
+_solve = _umath_linalg.solve  # a stack of (k, k) systems, right-hand sides (..., k, 1)
 
 __all__ = [
     "fixed_point",
@@ -51,16 +65,22 @@ PATIENCE = 100  # evaluations without a new least residual before the stall exit
 RIDGE = 1e-12  # Tikhonov term of the mixing's normal equations, relative to their trace
 
 
-def _mix(gx, r, dgs, drs):
+def _mix(gx, r, dG, dR):
     """Type-II Anderson point G(x) - dG g, g = argmin |r - dR g| by normal equations.
 
-    dG and dR hold differences of successive map values and residuals.
+    dG and dR hold the k latest differences of successive map values and
+    residuals, as ``(k, dim)`` arrays or as lists of k vectors.
     """
-    dR = np.array(drs)
+    dR = np.asarray(dR)
     gram = dR @ dR.T
-    gram.flat[:: len(drs) + 1] += RIDGE * gram.trace() + 1e-300
-    g = np.linalg.solve(gram, dR @ r)
-    return gx - g @ np.array(dgs)
+    # the diagonal's sum in the order of gram.trace(), without its dispatch
+    gram.ravel()[:: len(dR) + 1] += RIDGE * sum(gram.diagonal().tolist()) + 1e-300
+    # the LAPACK gufunc behind np.linalg.solve, without the wrapper's checks:
+    # the diagonal above is positive and the kernel exits on any non-finite
+    # residual before mixing, so no pivot is zero; coefficients that still
+    # came out NaN would give a non-finite next residual, the NONFINITE exit
+    g = _solve1(gram, dR @ r)
+    return gx - g @ np.asarray(dG)
 
 
 def _mix_stack(gx, r, dg, dr):
@@ -69,7 +89,7 @@ def _mix_stack(gx, r, dg, dr):
     k = dr.shape[1]
     diag = np.arange(k)
     gram[:, diag, diag] += (RIDGE * np.trace(gram, axis1=1, axis2=2) + 1e-300)[:, None]
-    g = np.linalg.solve(gram, dr @ r[:, :, None])
+    g = _solve(gram, dr @ r[:, :, None])
     return gx - (g.mT @ dg)[:, 0]
 
 
@@ -99,17 +119,25 @@ def fixed_point(G, x0, tol, max_iter):
     first = res
     best, best_it = res, it
     prev = None  # (G(x), r) before the last accepted step, once two residuals exist
-    dgs, drs = [], []
+    # the history: its k latest differences are rows :k of dG and dR, oldest first
+    dG = dR = None
+    k = 0
     while res > tol:
         if it >= max_iter:
             return out, it, res, BUDGET
         mixed = prev is not None
         if mixed:
-            dgs.append(gx - prev[0])
-            drs.append(r - prev[1])
-            if len(dgs) > MEMORY:
-                del dgs[0], drs[0]
-            x_new = _mix(gx, r, dgs, drs)
+            if dG is None:
+                dG = np.empty((MEMORY,) + gx.shape)
+                dR = np.empty_like(dG)
+            if k == MEMORY:
+                dG[:-1] = dG[1:]
+                dR[:-1] = dR[1:]
+            else:
+                k += 1
+            np.subtract(gx, prev[0], out=dG[k - 1])
+            np.subtract(r, prev[1], out=dR[k - 1])
+            x_new = _mix(gx, r, dG[:k], dR[:k])
         else:
             x_new = gx
         g_new, out_new = G(x_new)
@@ -122,8 +150,7 @@ def fixed_point(G, x0, tol, max_iter):
             best, best_it = res_new, it
         if mixed and not res_new < res:
             # safeguard: drop the candidate, restart from the plain step
-            dgs.clear()
-            drs.clear()
+            k = 0
             prev = None
         else:
             prev = (gx, r)

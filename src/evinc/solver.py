@@ -209,9 +209,10 @@ def _plan(linear, tail, S: np.ndarray, margin: float, fp_tol: float, fp_max_iter
         name = "forward-backward"
         gamma = min(tail.cocoercivity, 1.0)
         inv = np.linalg.inv(eye + gamma * lam_mat)
+        scaled = True
 
-        def G(u, b):
-            u_new = _mv(inv, u - gamma * tail.apply(u) + gamma * b)
+        def G(u, gb):
+            u_new = _mv(inv, u - gamma * tail.apply(u) + gb)
             return u_new, u_new
 
     else:
@@ -228,6 +229,7 @@ def _plan(linear, tail, S: np.ndarray, margin: float, fp_tol: float, fp_max_iter
             # the splitting; gamma = m/L^2 minimizes the factor
             name = "forward-backward"
             gamma = m_hat / big**2
+            scaled = False  # gamma * (L u - b) is not gamma L u - gamma b in the last bit
 
             def G(u, b):
                 u_new = tail.resolve(gamma, u - gamma * (_mv(lam_mat, u) - b))
@@ -238,16 +240,19 @@ def _plan(linear, tail, S: np.ndarray, margin: float, fp_tol: float, fp_max_iter
             name = "Douglas-Rachford"
             gamma = 1.0 / np.sqrt(m_hat * big)
             inv = np.linalg.inv(eye + gamma * lam_mat)
+            scaled = True
 
-            def G(z, b):
-                x = _mv(inv, z + gamma * b)
+            def G(z, gb):
+                x = _mv(inv, z + gb)
                 w = tail.resolve(gamma, 2.0 * x - z)
                 return z + (w - x), w
 
     def step(b, warm):
+        # the map's per-node constant: gamma * b where the map takes it, computed once
+        c = gamma * b if scaled else b
         if b.ndim == 1:
-            return fixed_point(lambda x: G(x, b), warm, fp_tol, fp_max_iter)
-        return fixed_point_stack(lambda x, rows: G(x, b[rows]), warm, fp_tol, fp_max_iter)
+            return fixed_point(lambda x: G(x, c), warm, fp_tol, fp_max_iter)
+        return fixed_point_stack(lambda x, rows: G(x, c[rows]), warm, fp_tol, fp_max_iter)
 
     return name, step
 

@@ -1,5 +1,7 @@
 """The shared fixed-point kernel: stop rules, safeguard, determinism, slab rates, stacked form."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,12 @@ from evinc.fixed_point import (
     MEMORY,
     NONFINITE,
     PATIENCE,
+    RIDGE,
     STALLED,
     _mix,
     _mix_stack,
+    _solve,
+    _solve1,
     fixed_point,
     fixed_point_stack,
     sq_norms,
@@ -292,3 +297,83 @@ def test_stacked_kernel_gives_each_row_its_own_run(max_iter):
         assert seen == {CONVERGED, STALLED, DIVERGING, NONFINITE}
     if max_iter == 50:
         assert BUDGET in seen and CONVERGED in seen
+
+
+# ---------------------------------------------------------------------------
+# the lean one-member step: the LAPACK gufunc behind np.linalg.solve, the
+# diagonal's sum as a list, and the history in preallocated rows give the
+# bits of the wrapped, stacked step
+
+NUMPY = f"numpy {np.__version__}"
+
+
+def _mix_wrapped(gx, r, dgs, drs):
+    """The Anderson step through np.linalg.solve and gram.trace(), on stacked lists."""
+    dR = np.array(drs)
+    gram = dR @ dR.T
+    gram.flat[:: len(drs) + 1] += RIDGE * gram.trace() + 1e-300
+    return gx - np.linalg.solve(gram, dR @ r) @ np.array(dgs)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_lean_step_is_the_wrapped_step_bits(dim):
+    rng = np.random.default_rng([dim, 2])
+    # the history rows as the kernel keeps them: shifted up in place once full
+    dG, dR = np.empty((2, MEMORY, dim))
+    dgs, drs = [], []
+    for step in range(2 * MEMORY):
+        k = min(step + 1, MEMORY)
+        if step >= MEMORY:
+            dG[:-1] = dG[1:]
+            dR[:-1] = dR[1:]
+            del dgs[0], drs[0]
+        dg, dr = rng.standard_normal((2, dim))
+        dG[k - 1], dR[k - 1] = dg, dr
+        dgs.append(dg)
+        drs.append(dr)
+        gx, r = rng.standard_normal((2, dim))
+        gram = dR[:k] @ dR[:k].T + k * np.eye(k)
+        rhs = rng.standard_normal(k)
+        assert _solve1(gram, rhs).tobytes() == np.linalg.solve(gram, rhs).tobytes(), (
+            f"solve1 left the bits of np.linalg.solve at k={k} under {NUMPY}"
+        )
+        grams = rng.standard_normal((7, k, k)) + 3.0 * np.eye(k)
+        rhss = rng.standard_normal((7, k, 1))
+        assert _solve(grams, rhss).tobytes() == np.linalg.solve(grams, rhss).tobytes(), (
+            f"the stacked solve left the bits of np.linalg.solve at k={k} under {NUMPY}"
+        )
+        for g in (gram, *grams):
+            assert sum(g.diagonal().tolist()) == g.trace(), (
+                f"the diagonal's list sum left the bits of trace() at k={k} under {NUMPY}"
+            )
+        lean = _mix(gx, r, dG[:k], dR[:k])
+        assert lean.tobytes() == _mix(gx, r, dgs, drs).tobytes(), (
+            f"_mix on buffer rows left its bits on lists at k={k} under {NUMPY}"
+        )
+        assert lean.tobytes() == _mix_wrapped(gx, r, dgs, drs).tobytes(), (
+            f"_mix left the bits of the wrapped step at k={k} under {NUMPY}"
+        )
+
+
+def _degenerate(kind, k, v):
+    if kind == "zero":
+        return np.zeros((k, len(v)))
+    if kind == "some zero":
+        return np.array([v if i % 2 == 0 else 0.0 * v for i in range(k)])
+    return np.tile(v, (k, 1))  # repeated: rank one
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+@pytest.mark.parametrize("kind", ["zero", "some zero", "repeated"])
+@pytest.mark.parametrize("dim", DIMS)
+def test_degenerate_histories_mix_quietly(dim, kind, scale):
+    # with dG = the first rows of the identity and gx = 0 the mixed point is
+    # minus the coefficients: they must come out finite, and the direct
+    # gufunc call must raise no warning
+    rng = np.random.default_rng([dim, 3])
+    for k in range(1, MEMORY + 1):
+        v, r = scale * rng.standard_normal((2, dim))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mixed = _mix(np.zeros(dim), r, np.eye(k, dim), _degenerate(kind, k, v))
+        assert np.all(np.isfinite(mixed)), f"{kind} history at k={k} under {NUMPY}"
