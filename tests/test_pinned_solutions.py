@@ -11,8 +11,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from evinc.catalog import make_catalog_problem
+from evinc.catalog import CatalogProblem, make_catalog_problem
+from evinc.gallery import Coefficient, SlabGrid, build_thermoplasticity, build_viscoplasticity
 from evinc.harness import random_forcing
+from evinc.materials import sinusoidal_family
+from evinc.relations import BallSaturation, LinearRelation, NormSubdifferential, ZeroRelation
+from evinc.signals import TimeGrid
 from evinc.solver import solve
 
 # (template, n, mode, sha256)
@@ -33,13 +37,15 @@ PINNED = [
 TEMPLATES = list(dict.fromkeys(name for name, *_ in PINNED))
 
 
-def _digest(rep):
+def _digest(rep, with_bound=False):
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(rep.solution.values, dtype=np.float64).tobytes())
     h.update(np.asarray(rep.per_step_iterations, dtype=np.int64).tobytes())
     h.update(float(rep.max_residual).hex().encode())
     for lam, norm in rep.lambda_trace:
         h.update(float(lam).hex().encode() + float(norm).hex().encode())
+    if with_bound and rep.yosida_reference_bound is not None:
+        h.update(float(rep.yosida_reference_bound).hex().encode())
     return h.hexdigest()
 
 
@@ -68,3 +74,73 @@ def test_slab_digest_without_the_solve_wrapper(monkeypatch, name, n, mode, expec
 
     monkeypatch.setattr(np.linalg, "solve", wrapper)
     assert _pinned_digest(name, n, mode) == expected
+
+
+# Moving (non-autonomous) families, pinned before the march's planning moved
+# out of its node loop. The planes move as sinusoidal_family(amplitude=0.5,
+# frequency=8.0); the slabs move M and kappa, or M and D. Between them they
+# reach every engine (direct, the two forward-backward forms and
+# Douglas-Rachford), and n = 60 and n = 21 run past more than one planning
+# block. These digests also cover the Yosida path's reference bound.
+
+
+def _moving_plane(m0, m1, relation):
+    family = sinusoidal_family(m0, m1, amplitude=0.5, frequency=8.0)
+    return lambda name, grid: CatalogProblem.admissible(name, family, relation, grid)
+
+
+def _moving_slab(build, **coefficients):
+    model = build(SlabGrid(), **coefficients)
+    return lambda name, grid: CatalogProblem.admissible(name, model.family, model.relation, grid)
+
+
+MOVING_TEMPLATES = {
+    "moving_scalar_ode": lambda: _moving_plane([[1.0]], [[0.0]], LinearRelation([[1.0]])),
+    "moving_degenerate_plane": lambda: _moving_plane(
+        np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), ZeroRelation(2)
+    ),
+    "moving_sign_scalar": lambda: _moving_plane([[1.0]], [[0.0]], NormSubdifferential(1)),
+    "moving_saturation_plane": lambda: _moving_plane(np.eye(2), np.zeros((2, 2)), BallSaturation(2)),
+    "moving_sign_plane": lambda: _moving_plane(
+        np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), NormSubdifferential(2)
+    ),
+    "moving_thermoplastic_slab": lambda: _moving_slab(
+        build_thermoplasticity, M=Coefficient(1.0, 0.3, 2.0), kappa=Coefficient(1.0, 0.4, 0.5)
+    ),
+    "moving_viscoplastic_slab": lambda: _moving_slab(
+        build_viscoplasticity, M=Coefficient(1.0, 0.3, 2.0), D=Coefficient(1.0, 0.3, 1.0)
+    ),
+}
+
+# (template, n, mode, sha256)
+MOVING_PINNED = [
+    ("moving_scalar_ode", 60, "direct", "ddb11871937a88fb5178e08f4b80ba66561b084ae04a47f73401a7c81e315e44"),
+    ("moving_scalar_ode", 60, "yosida_path", "8674f8c71dc84913e5b50e3e6ca44f5e5336a94ef8279b631ad3e8336435a8d3"),
+    ("moving_degenerate_plane", 60, "direct", "a1a6879b228f89e81bddb17244c778f7298f72d338811e8de7e1412e68d4b574"),
+    ("moving_degenerate_plane", 60, "yosida_path", "b9f6ef6200c7b8432a71490b19f230a0eeb79b7eaa968a48f78925d61729eaf2"),
+    ("moving_sign_scalar", 60, "direct", "93589d505949c5e647f04c77821850bbf8496390503c00b0453b87ed2b86787f"),
+    ("moving_sign_scalar", 60, "yosida_path", "4eb033e63946a8a1a1d9d963a776064c1ce97bd2474b66bf08e0fd594e47ad9e"),
+    ("moving_saturation_plane", 60, "direct", "2e8b30ed101ddbe65db06803883f3a9c834b9f943bc3f0c2e211c8c17b34f887"),
+    ("moving_saturation_plane", 60, "yosida_path", "529630846c8574094812b15930accc96f1755790da37ee628809bc90e546b635"),
+    ("moving_sign_plane", 60, "direct", "8f72fa31397ccd5771de7e845f9200169fe79a296aa4095901a13e1c1807234a"),
+    ("moving_sign_plane", 60, "yosida_path", "6b1618f21ed7eb8da2cc92134f34aa1ed0b196fbbb4ce51fe35edb1078806149"),
+    ("moving_thermoplastic_slab", 21, "direct", "4eec500c61edfe75178d1a3df0481bde6aec7ba836b012602e96e75e91176c84"),
+    ("moving_thermoplastic_slab", 21, "yosida_path", "a45f04ed9a1362cb4c299942c518901c8cf283e28b823e42a9aa1b5c40c320ce"),
+    ("moving_viscoplastic_slab", 21, "direct", "914736bedc01fe9516467f4d5281352867338abe2a5b416a98e11c3deef5be1b"),
+    ("moving_viscoplastic_slab", 21, "yosida_path", "7163f59a41698d1741ad8bfb5c8b10026ce92c79a5793b9408ed4a95bfad96e4"),
+]
+
+
+def _moving_digest(name, n, mode):
+    tpl = MOVING_TEMPLATES[name]()(name, TimeGrid(t0=0.0, dt=1e-3, n=n))
+    f = random_forcing(tpl, np.random.default_rng(list(MOVING_TEMPLATES).index(name)))
+    rep = solve(tpl.problem(f, mode=mode))
+    assert rep.converged
+    return _digest(rep, with_bound=True)
+
+
+@pytest.mark.parametrize(
+    "name, n, mode, expected", MOVING_PINNED, ids=[f"{p[0]}-{p[2]}" for p in MOVING_PINNED]
+)
+def test_moving_solution_digest(name, n, mode, expected):
+    assert _moving_digest(name, n, mode) == expected
