@@ -32,6 +32,7 @@ __all__ = [
     "rho_zero",
     "dt_max",
     "step_operator",
+    "step_matrices",
     "constant_family",
     "sinusoidal_family",
 ]
@@ -80,7 +81,7 @@ class MaterialFamily:
     c1: float
     kernel_basis: np.ndarray
     range_basis: np.ndarray = field(default=None)
-    #: constant-in-time families let the solver cache per-step factorizations
+    #: the solver plans a constant family once per march (``solver._node_plans``)
     constant: bool = False
 
     def __post_init__(self):
@@ -279,6 +280,26 @@ def dt_max(family: MaterialFamily, c_tilde: float) -> float:
     return 1.0 / rho_zero(family, c_tilde)
 
 
+def step_matrices(family: MaterialFamily, ts, dt: float):
+    """M0(t), S(t) = M0(t)/dt + M1(t) and its margin, each stacked over the times ``ts``.
+
+    The coefficients are evaluated once per time; a margin is the least
+    eigenvalue of sym S(t), and whoever asks raises on a nonpositive one.
+    """
+    if dt <= 0:
+        raise ContractViolation("dt must be positive")
+    M0 = np.stack([np.asarray(family.M0_at(t), dtype=float) for t in ts])
+    S = M0 / dt + np.stack([np.asarray(family.M1_at(t), dtype=float) for t in ts])
+    return M0, S, np.linalg.eigvalsh(0.5 * (S + S.mT)).min(axis=-1)
+
+
+def _step_size_error(family: MaterialFamily, t: float, margin: float) -> StepSizeError:
+    """The error of a step matrix at t with a nonpositive margin, suggesting a dt."""
+    dt = dt_max(family, 0.5 * family.c1)
+    return StepSizeError(f"implicit step matrix at t={t} has nonpositive symmetric part "
+                         f"(margin {margin:.3e}); try dt <= {dt:.6g}", suggested_dt=dt)
+
+
 def step_operator(family: MaterialFamily, t: float, dt: float):
     """Implicit step matrix S(t) = M0(t)/dt + M1(t) and its coercivity margin.
 
@@ -286,24 +307,10 @@ def step_operator(family: MaterialFamily, t: float, dt: float):
     part. A nonpositive margin raises a step-size error carrying the
     suggested dt (computed with the reference c_tilde = c1/2).
     """
-    M0 = np.asarray(family.M0_at(t), dtype=float)
-    return _step_matrix(family, M0, np.asarray(family.M1_at(t), dtype=float), t, dt)
-
-
-def _step_matrix(family: MaterialFamily, M0: np.ndarray, M1: np.ndarray, t: float, dt: float):
-    """``step_operator`` from the float arrays M0(t) and M1(t), already evaluated at t."""
-    if dt <= 0:
-        raise ContractViolation("dt must be positive")
-    S = M0 / dt + M1
-    margin = float(np.min(np.linalg.eigvalsh(0.5 * (S + S.T))))
+    _, (S,), (margin,) = step_matrices(family, [t], dt)
     if margin <= 0.0:
-        suggestion = dt_max(family, 0.5 * family.c1)
-        raise StepSizeError(
-            f"implicit step matrix at t={t} has nonpositive symmetric part "
-            f"(margin {margin:.3e}); try dt <= {suggestion:.6g}",
-            suggested_dt=suggestion,
-        )
-    return S, margin
+        raise _step_size_error(family, t, margin)
+    return S, float(margin)
 
 
 def _vacuous_if_empty(measured: float) -> float:

@@ -17,8 +17,7 @@ the stepper:
 - ``graph_distance(x, v)`` measures dist(v, A(x)) for brute-force oracles.
 
 Shape contract: ``resolve`` and ``apply`` take ``(..., dim)`` states and give
-each row the bits of that row alone; ``resolve_block``/``apply_block`` name
-the same code. The two sums that resolve by iteration loop over the rows.
+each row the bits of that row alone. The two sums that resolve by iteration loop over the rows.
 ``NormSubdifferential`` and ``BallSaturation`` keep a one-vector fast path for
 the march at dimension 1-2: 4.5 us against 10.9 us in the array form for the
 soft threshold, 5.1 us against 11.2 us for the ball ``apply``.
@@ -110,13 +109,6 @@ class MonotoneRelation:
     def apply(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError(f"{type(self).__name__} is not single-valued")
 
-    # the same (..., dim) contract; hot-path classes bind these to their own methods
-    def resolve_block(self, lam: float, ys: np.ndarray) -> np.ndarray:
-        return self.resolve(lam, ys)
-
-    def apply_block(self, xs: np.ndarray) -> np.ndarray:
-        return self.apply(xs)
-
     def split(self):
         """Decompose A = linear + tail for the step engines."""
         return None, self
@@ -195,8 +187,6 @@ class NormSubdifferential(MonotoneRelation):
         # a NaN row stays NaN; the divisor is r wherever the row is kept, never 0
         return np.where(r <= th, 0.0, y * (1.0 - th / np.maximum(r, th)))
 
-    resolve_block = resolve
-
     def graph_distance(self, x, v):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
@@ -235,8 +225,6 @@ class BallSaturation(MonotoneRelation):
         saturated = y * ((r - lam * self.radius) / np.maximum(r, self.radius))
         return np.where(r <= edge, y / (1.0 + lam), saturated)
 
-    apply_block, resolve_block = apply, resolve
-
 
 class DeviatoricSaturation(MonotoneRelation):
     """T -> projection of dev T onto a ball, on Mandel 6-vectors.
@@ -264,14 +252,12 @@ class DeviatoricSaturation(MonotoneRelation):
         return dev
 
     def apply(self, x):
-        return self._ball.apply_block(self._dev_rows(x))
+        return self._ball.apply(self._dev_rows(x))
 
     def resolve(self, lam, y):
         y = np.asarray(y, dtype=float)
         dev = self._dev_rows(y)
-        return (y - dev) + self._ball.resolve_block(lam, dev)
-
-    apply_block, resolve_block = apply, resolve
+        return (y - dev) + self._ball.resolve(lam, dev)
 
 
 class SlotEmbedded(MonotoneRelation):
@@ -299,19 +285,17 @@ class SlotEmbedded(MonotoneRelation):
     def resolve(self, lam, y):
         y = np.asarray(y, dtype=float)
         nodes = y[..., self.start : self.stop].reshape(-1, self.base.dim)
-        nodes = self.base.resolve_block(lam, nodes)
+        nodes = self.base.resolve(lam, nodes)
         out = y.copy()
         out[..., self.start : self.stop] = nodes.reshape(y.shape[:-1] + (-1,))
         return out
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
-        nodes = self.base.apply_block(x[..., self.start : self.stop].reshape(-1, self.base.dim))
+        nodes = self.base.apply(x[..., self.start : self.stop].reshape(-1, self.base.dim))
         out = np.zeros_like(x)
         out[..., self.start : self.stop] = nodes.reshape(x.shape[:-1] + (-1,))
         return out
-
-    apply_block, resolve_block = apply, resolve
 
     def graph_distance(self, x, v):
         slot = slice(self.start, self.stop)
@@ -400,14 +384,12 @@ class YosidaRelation(MonotoneRelation):
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
-        return (x - self.base.resolve_block(self.lam, x)) / self.lam
+        return (x - self.base.resolve(self.lam, x)) / self.lam
 
     def resolve(self, gamma, y):
         y = np.asarray(y, dtype=float)
         total = self.lam + gamma
-        return (self.lam * y + gamma * self.base.resolve_block(total, y)) / total
-
-    apply_block, resolve_block = apply, resolve
+        return (self.lam * y + gamma * self.base.resolve(total, y)) / total
 
 
 def resolvent(a: MonotoneRelation, lam: float, y: np.ndarray) -> np.ndarray:
@@ -435,7 +417,7 @@ class LiftedRelation:
         self.rho = rho
 
     def resolve_signal(self, lam, u):
-        return u.with_values(self.base.resolve_block(lam, u.values))
+        return u.with_values(self.base.resolve(lam, u.values))
 
     def yosida_signal(self, lam, u):
         return u.with_values(YosidaRelation(self.base, lam).apply(u.values))

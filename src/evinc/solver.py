@@ -12,11 +12,14 @@ S u + A(u) ∋ b with S = M0(t_k)/dt + M1(t_k), using only resolvents of A:
   and the tail resolvent when it is stiff (the degenerate regime).
 
 The relation's split A = K + tail is taken once per solve and the pair
-(K, tail) is passed down: ``_plan`` builds the per-node engine from it,
-``_march`` sweeps the nodes from a given past (zero by default, so
-``solve_step`` is a one-node march), and the Yosida path marches
-(K, A_lam) with the surrogate A_lam of the tail. Every iterative engine runs
-safeguarded Anderson(5) on one fixed-point kernel
+(K, tail) is passed down to ``_node_plans``, the one place that plans nodes:
+it yields each node's M0(t_k), engine and step, planning a constant family
+once and a moving one PLAN_BLOCK nodes at a time, with stacked eigvalsh,
+2-norm and inverse calls, as the march reaches them. ``_march`` consumes
+that stream and sweeps the nodes from a given past (zero by default, so
+``solve_step`` is a one-node march); it evaluates no coefficient. The
+Yosida path marches (K, A_lam) with the surrogate A_lam of the tail. Every
+iterative engine runs safeguarded Anderson(5) on one fixed-point kernel
 (``fixed_point.fixed_point``), which also owns the stop rule, the iteration
 budget, the divergence guard, the stall exit and the non-finite exit.
 
@@ -38,6 +41,7 @@ weights, and the march is strictly causal: node k sees f_0..f_k only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -46,7 +50,9 @@ import numpy as np
 from .calculus import derivative
 from .errors import ContractViolation, StepFailure
 from .fixed_point import CONVERGED, fixed_point, fixed_point_stack, sq_norms
-from .materials import MaterialFamily, _step_matrix, dt_max, measure_constants, rho_zero
+from .materials import (
+    MaterialFamily, _step_size_error, dt_max, measure_constants, rho_zero, step_matrices,
+)
 from .relations import MonotoneRelation, YosidaRelation
 from .signals import WeightedSignal, weighted_norm
 
@@ -180,19 +186,18 @@ def _mv(A, x):
     return A @ x if x.ndim == 1 else (A @ x[..., None])[..., 0]
 
 
-def _plan(linear, tail, S: np.ndarray, margin: float, fp_tol: float, fp_max_iter: int):
-    """Per-node plan for S u + K u + tail(u) ∋ b, with (K, tail) = relation.split().
+PLAN_BLOCK = 16  # nodes of a moving family planned by one stacked pass
 
-    Returns (engine name, step(b, warm) -> (u, iterations, residual, reason)).
+
+def _node_step(name, tail, lam_mat, gamma, inv, fp_tol: float, fp_max_iter: int):
+    """One node's step(b, warm) -> (u, iterations, residual, reason) on its engine.
+
     ``b`` and ``warm`` are one state ``(dim,)`` or a stack ``(rows, dim)`` of
-    independent members; a stack runs the stacked kernel and gives lists of
-    iterations, residuals and reasons, row by row the values a single state
-    gives. The engine depends only on the split and on S, never on the data,
-    so identical inputs reproduce identical iterates.
+    members; a stack runs the stacked kernel and gives lists, row by row the
+    values a single state gives. ``inv`` is None on forward-backward through
+    the tail resolvent.
     """
-    lam_mat = S if linear is None else S + linear
-    if tail is None:
-        inv = np.linalg.inv(lam_mat)
+    if name == "direct":
 
         def direct(b, warm):
             u = _mv(inv, b)
@@ -202,50 +207,26 @@ def _plan(linear, tail, S: np.ndarray, margin: float, fp_tol: float, fp_max_iter
             res = np.sqrt(sq_norms(r)) / (1.0 + np.sqrt(sq_norms(b)))
             return u, [1] * len(b), res.tolist(), [CONVERGED] * len(b)
 
-        return "direct", direct
-    eye = np.eye(S.shape[0])
-    if tail.single_valued and tail.cocoercivity >= 0.25:
-        # the whole linear part implicit, the cocoercive tail explicit
-        name = "forward-backward"
-        gamma = min(tail.cocoercivity, 1.0)
-        inv = np.linalg.inv(eye + gamma * lam_mat)
-        scaled = True
+        return direct
+    scaled = inv is not None  # gamma * (L u - b) is not gamma L u - gamma b in the last bit
+    if name == "Douglas-Rachford":
+
+        def G(z, gb):
+            x = _mv(inv, z + gb)
+            w = tail.resolve(gamma, 2.0 * x - z)
+            return z + (w - x), w
+
+    elif scaled:
 
         def G(u, gb):
             u_new = _mv(inv, u - gamma * tail.apply(u) + gb)
             return u_new, u_new
 
     else:
-        sym = 0.5 * (lam_mat + lam_mat.T)
-        m_hat = float(np.min(np.linalg.eigvalsh(sym)))
-        big = float(np.linalg.norm(lam_mat, 2))
-        if m_hat <= 0:
-            # margin of S is positive, so this only happens for a
-            # non-monotone linear part, rejected at relation build time
-            m_hat = margin
-        if m_hat / big >= 0.9:
-            # well-conditioned step: plain forward-backward through the
-            # tail resolvent contracts at sqrt(1 - (m/L)^2) and beats
-            # the splitting; gamma = m/L^2 minimizes the factor
-            name = "forward-backward"
-            gamma = m_hat / big**2
-            scaled = False  # gamma * (L u - b) is not gamma L u - gamma b in the last bit
 
-            def G(u, b):
-                u_new = tail.resolve(gamma, u - gamma * (_mv(lam_mat, u) - b))
-                return u_new, u_new
-
-        else:
-            # stiff step: Douglas-Rachford between the affine part and the tail
-            name = "Douglas-Rachford"
-            gamma = 1.0 / np.sqrt(m_hat * big)
-            inv = np.linalg.inv(eye + gamma * lam_mat)
-            scaled = True
-
-            def G(z, gb):
-                x = _mv(inv, z + gb)
-                w = tail.resolve(gamma, 2.0 * x - z)
-                return z + (w - x), w
+        def G(u, b):
+            u_new = tail.resolve(gamma, u - gamma * (_mv(lam_mat, u) - b))
+            return u_new, u_new
 
     def step(b, warm):
         # the map's per-node constant: gamma * b where the map takes it, computed once
@@ -254,7 +235,57 @@ def _plan(linear, tail, S: np.ndarray, margin: float, fp_tol: float, fp_max_iter
             return fixed_point(lambda x: G(x, c), warm, fp_tol, fp_max_iter)
         return fixed_point_stack(lambda x, rows: G(x, c[rows]), warm, fp_tol, fp_max_iter)
 
-    return name, step
+    return step
+
+
+def _node_plans(family: MaterialFamily, linear, tail, t0: float, dt: float, n: int,
+                fp_tol: float, fp_max_iter: int):
+    """Yield (M0(t_k), engine name, step) for the nodes k < n of a march from t0.
+
+    The one place that plans nodes. Node k solves S_k u + K u + tail(u) ∋ b,
+    (K, tail) the relation's split, on an engine chosen from the split and
+    S_k alone. A constant family is planned once, at t0. A moving one is
+    planned PLAN_BLOCK nodes at a time as the march reaches them, with M0 and
+    M1 evaluated once per node and one stacked ``eigvalsh``, 2-norm and
+    ``inv`` per block, which give each node the bits of its own calls
+    (pinned in test_fixed_point.py). A node whose step matrix is not coercive
+    raises StepSizeError when the march asks for it, not before.
+    """
+    # a constant family is planned at t0 alone, and that plan serves all n nodes
+    size, repeat = (1, n) if family.constant else (PLAN_BLOCK, 1)
+    eye = np.eye(family.dim)
+    for lo in range(0, n, size * repeat):
+        ts = [t0 + k * dt for k in range(lo, min(lo + size, n))]
+        M0, S, margins = step_matrices(family, ts, dt)
+        ok = next((k for k, margin in enumerate(margins) if margin <= 0.0), len(ts))
+        lam = S[:ok] if linear is None else S[:ok] + linear
+        # each node's (engine, gamma), and the nodes whose engine takes an inverse
+        if tail is None:
+            rules, need, mats = [("direct", None)] * ok, range(ok), lam
+        elif tail.single_valued and tail.cocoercivity >= 0.25:
+            # the whole linear part implicit, the cocoercive tail explicit
+            gamma = min(tail.cocoercivity, 1.0)
+            rules, need, mats = [("forward-backward", gamma)] * ok, range(ok), eye + gamma * lam
+        else:
+            rules = []
+            m_hats = np.linalg.eigvalsh(0.5 * (lam + lam.mT)).min(axis=-1).tolist()
+            bigs = np.linalg.norm(lam, 2, axis=(-2, -1)).tolist()
+            for m_hat, big, margin in zip(m_hats, bigs, margins):
+                # m_hat <= 0 needs a non-monotone linear part, rejected at relation build
+                m_hat = margin if m_hat <= 0 else m_hat
+                # well-conditioned: forward-backward through the tail resolvent contracts
+                # at sqrt(1 - (m/L)^2), least at gamma = m/L^2, and beats the splitting;
+                # stiff: Douglas-Rachford between the affine part and the tail
+                rules.append(("forward-backward", m_hat / big**2) if m_hat / big >= 0.9
+                             else ("Douglas-Rachford", 1.0 / np.sqrt(m_hat * big)))
+            need = [k for k, (name, _) in enumerate(rules) if name == "Douglas-Rachford"]
+            mats = eye + np.array([rules[k][1] for k in need])[:, None, None] * lam[need]
+        invs = dict(zip(need, np.linalg.inv(mats)))
+        for k, (m0, lam_mat, (name, gamma)) in enumerate(zip(M0, lam, rules)):
+            step = _node_step(name, tail, lam_mat, gamma, invs.get(k), fp_tol, fp_max_iter)
+            yield from itertools.repeat((m0, name, step), repeat)
+        if ok < len(ts):
+            raise _step_size_error(family, ts[ok], margins[ok])
 
 
 def _node_major(values, rows):
@@ -262,33 +293,19 @@ def _node_major(values, rows):
     return np.ascontiguousarray(values[rows].swapaxes(0, -2))
 
 
-def _march(
-    family: MaterialFamily,
-    linear,
-    tail,
-    forcing: np.ndarray,
-    t0: float,
-    dt: float,
-    fp_tol: float,
-    fp_max_iter: int,
-    warm_values: np.ndarray = None,
-    past=None,
-):
+def _march(plans, forcing: np.ndarray, dt: float, warm_values: np.ndarray = None, past=None):
     """Causal sweep of a batch over the grid; returns (values, iterations, residuals, failures).
 
-    ``forcing`` is ``(members, n, dim)``, as are ``warm_values`` and the
-    returned values; ``iterations`` is ``(members, n)``, ``residuals[m]`` is
-    member m's largest stop residual and ``failures[m]`` is None or the
-    StepFailure of the node at which its iteration stopped short of the
-    tolerance. A failed member drops out there; the others go on.
-    ``(linear, tail)`` is the relation's split. ``past`` is the state before
-    the first node and its M0 image, ``(u, M0 u)``, each ``(members, dim)``;
-    None is the zero past. M0(t) and M1(t) are evaluated once per plan, so
-    once per march for a constant family and once per node otherwise, and
-    one plan serves every member; the same M0 gives the next node's past.
-    While one member is live a node runs on its rows as vectors through
-    ``fixed_point``, otherwise on the stack of live members through
-    ``fixed_point_stack``.
+    ``plans`` yields each node's (M0(t_k), engine name, step), one for every
+    member, from ``_node_plans``: the march plans nothing. ``forcing`` is
+    ``(members, n, dim)``, as are ``warm_values`` and the values; iterations
+    are ``(members, n)``, ``residuals[m]`` is member m's largest stop residual
+    and ``failures[m]`` None or the StepFailure of the node where its
+    iteration stopped short of the tolerance. A failed member drops out
+    there; the others go on, and with none left no plan is asked for.
+    ``past`` is ``(u, M0 u)`` before the first node, each ``(members, dim)``;
+    None is the zero past. A node's M0 gives the next node's past. One live
+    member runs as vectors (``fixed_point``), more as a stack (``fixed_point_stack``).
     """
     size, n, dim = forcing.shape
     out = np.zeros_like(forcing)
@@ -297,8 +314,7 @@ def _march(
     failures = [None] * size
     state, m0u = (np.zeros((size, dim)), np.zeros((size, dim))) if past is None else past
     live = keep = list(range(size))
-    plan = None
-    for k in range(n):
+    for k, (M0, name, step) in enumerate(plans):
         if keep:
             # the live members' rows: one member's as vectors, more as a stack
             rows, at = (live[0], keep[0]) if len(live) == 1 else (np.array(live), keep)
@@ -306,12 +322,6 @@ def _march(
             F = _node_major(forcing, rows)
             W = None if warm_values is None else _node_major(warm_values, rows)
             keep = None
-        t = t0 + k * dt
-        if plan is None or not family.constant:
-            M0 = np.asarray(family.M0_at(t), dtype=float)
-            M1 = np.asarray(family.M1_at(t), dtype=float)
-            plan = _plan(linear, tail, *_step_matrix(family, M0, M1, t, dt), fp_tol, fp_max_iter)
-        name, step = plan
         b = F[k] + m0u / dt
         u, iters, res, reasons = step(b, state if W is None else W[k])
         out[rows, k] = u
@@ -360,9 +370,8 @@ def solve_step(
         prev_m0u = np.asarray(family.M0_at(t - dt), dtype=float) @ prev_state
     forcing = np.asarray(f_k, dtype=float).reshape(1, 1, -1)
     past = (prev_state[None], np.asarray(prev_m0u, dtype=float)[None])
-    vals, _, _, failures = _march(
-        family, *relation.split(), forcing, t, dt, fp_tol, fp_max_iter, past=past
-    )
+    plans = _node_plans(family, *relation.split(), t, dt, 1, fp_tol, fp_max_iter)
+    vals, _, _, failures = _march(plans, forcing, dt, past=past)
     if failures[0] is not None:
         raise failures[0]
     return vals[0, 0]
@@ -378,7 +387,7 @@ def _stage_image_norms(linear, tail, values: np.ndarray, signals):
     """
     image = np.zeros_like(values) if linear is None else _mv(linear, values)
     if tail is not None:
-        image += tail.apply_block(values)
+        image += tail.apply(values)
     return [weighted_norm(sig.with_values(img)) for sig, img in zip(signals, image)]
 
 
@@ -425,8 +434,9 @@ def solve_batch(problems) -> list:
     linear, tail = head.relation.split()
 
     def march(stage_tail, values, warm_values=None):
-        return _march(head.family, linear, stage_tail, values, grid.t0, grid.dt,
-                      head.fp_tol, head.fp_max_iter, warm_values)
+        plans = _node_plans(head.family, linear, stage_tail, grid.t0, grid.dt, grid.n,
+                            head.fp_tol, head.fp_max_iter)
+        return _march(plans, values, grid.dt, warm_values)
 
     if head.mode == "direct":
         vals, iters, res, failures = march(tail, forcing)

@@ -108,8 +108,8 @@ def test_criterion_02_resolvent_yosida_suite():
         for lam in (0.5, 2.0):
             xs = rng.standard_normal((n_pairs, dim)) * 3.0
             ys = rng.standard_normal((n_pairs, dim)) * 3.0
-            rx = rel.resolve_block(lam, xs)
-            ry = rel.resolve_block(lam, ys)
+            rx = rel.resolve(lam, xs)
+            ry = rel.resolve(lam, ys)
             gaps = np.linalg.norm(xs - ys, axis=1)
             slack = np.max(np.linalg.norm(rx - ry, axis=1) - gaps)
             worst_slack = max(worst_slack, slack)

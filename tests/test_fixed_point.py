@@ -243,6 +243,23 @@ def test_einsum_dot_is_not_the_per_vector_bits():
     assert not np.array_equal(np.einsum("bi,bi->b", U, U), [u @ u for u in U])
 
 
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("dim", DIMS)
+def test_stacked_planning_calls_are_per_matrix_bits(dim, size):
+    # the solver plans a block of nodes with one inv, eigvalsh and 2-norm
+    # call each; every node must get the bits of the calls on it alone
+    rng = np.random.default_rng([dim, size, 2])
+    mats = rng.standard_normal((size, dim, dim)) + dim * np.eye(dim)
+    syms = 0.5 * (mats + mats.mT)
+    invs = np.linalg.inv(mats)
+    eigs = np.linalg.eigvalsh(syms)
+    norms = np.linalg.norm(mats, 2, axis=(-2, -1))
+    for A, sym, inv, eig, nrm in zip(mats, syms, invs, eigs, norms):
+        assert inv.tobytes() == np.linalg.inv(A).tobytes()
+        assert eig.tobytes() == np.linalg.eigvalsh(sym).tobytes()
+        assert float(nrm).hex() == float(np.linalg.norm(A, 2)).hex()
+
+
 def _exit_maps():
     """One map per exit of the kernel, all on the plane, each with its own call count."""
     M = np.array([[-0.94, 0.03], [0.03, 0.94]])

@@ -395,22 +395,22 @@ def _parity_rows(name, lam, kinds, seed):
 def _assert_rows_match(name, lam, kinds, seed):
     rel = PARITY_CASES[name][0]
     ys = _parity_rows(name, lam, kinds, seed)
-    forms = [(lambda y: rel.resolve(lam, y), lambda y: rel.resolve_block(lam, y))]
+    forms = [lambda y: rel.resolve(lam, y)]
     if rel.single_valued:
-        forms.append((rel.apply, rel.apply_block))
-    for vector, block in forms:
-        rows = [vector(y).tobytes() for y in ys]
-        for out in (block(ys), vector(ys)):
-            assert out.shape == ys.shape
-            assert [row.tobytes() for row in out] == rows
-        out = vector(np.stack([ys, ys[::-1]]))
+        forms.append(rel.apply)
+    for evaluate in forms:
+        rows = [evaluate(y).tobytes() for y in ys]
+        out = evaluate(ys)
+        assert out.shape == ys.shape
+        assert [row.tobytes() for row in out] == rows
+        out = evaluate(np.stack([ys, ys[::-1]]))
         assert out.shape == (2, *ys.shape)
         assert [row.tobytes() for row in out.reshape(ys.shape[0] * 2, -1)] == rows + rows[::-1]
 
 
 class TestBlockParity:
-    """Every evaluation on a (rows, dim) or (2, rows, dim) stack, by either name,
-    gives row i the bits of that evaluation on row i alone."""
+    """Every evaluation on a (rows, dim) or (2, rows, dim) stack gives row i the
+    bits of that evaluation on row i alone."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -440,9 +440,9 @@ class TestBlockParity:
         ys[1, col] = np.nan
         ys[2, col] = np.inf
         with np.errstate(invalid="ignore"):
-            pairs = [(rel.resolve_block(0.5, ys), lambda y: rel.resolve(0.5, y))]
+            pairs = [(rel.resolve(0.5, ys), lambda y: rel.resolve(0.5, y))]
             if rel.single_valued:
-                pairs.append((rel.apply_block(ys), rel.apply))
+                pairs.append((rel.apply(ys), rel.apply))
             for block, vector in pairs:
                 for y, row in zip(ys, block):
                     assert np.array_equal(row, vector(y), equal_nan=True)
@@ -451,15 +451,15 @@ class TestBlockParity:
         calls = []
 
         class Counting(BallSaturation):
-            def resolve_block(self, lam, ys):
+            def resolve(self, lam, ys):
                 calls.append(np.shape(ys))
-                return super().resolve_block(lam, ys)
+                return super().resolve(lam, ys)
 
         emb = SlotEmbedded(Counting(2, radius=0.5), 1, 8, count=3)
         out = emb.resolve(0.4, np.arange(8.0))
         assert calls == [(3, 2)]
         assert out[0] == 0.0 and out[7] == 7.0
-        emb.resolve_block(0.4, np.ones((5, 8)))
+        emb.resolve(0.4, np.ones((5, 8)))
         assert calls[-1] == (15, 2)
 
     def test_every_relation_class_has_a_parity_case(self):
@@ -478,9 +478,8 @@ class TestShapeContract:
         class Bare(MonotoneRelation):
             dim = 2
 
-        for evaluate in (Bare().resolve, Bare().resolve_block):
-            with pytest.raises(NotImplementedError):
-                evaluate(0.5, np.ones(2))
+        with pytest.raises(NotImplementedError):
+            Bare().resolve(0.5, np.ones(2))
 
     def test_set_valued_relation_has_no_apply(self):
         with pytest.raises(NotImplementedError, match="not single-valued"):
@@ -493,7 +492,7 @@ class TestShapeContract:
         ]
         ys = np.random.default_rng(3).standard_normal((2, 3, 2)) * 3
         for rel in rels:
-            out = rel.resolve_block(0.4, ys)
+            out = rel.resolve(0.4, ys)
             assert out.shape == ys.shape
             for y, row in zip(ys.reshape(-1, 2), out.reshape(-1, 2)):
                 assert row.tobytes() == rel.resolve(0.4, y).tobytes()

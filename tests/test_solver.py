@@ -6,14 +6,15 @@ import pytest
 
 from evinc.catalog import CatalogProblem, catalog_names, make_catalog_problem
 from evinc import relations, solver
-from evinc.errors import ContractViolation, ResolventFailure
+from evinc.errors import ContractViolation, ResolventFailure, StepSizeError
 from evinc.harness import random_forcing
-from evinc.materials import constant_family, sinusoidal_family
+from evinc.materials import MaterialFamily, constant_family, sinusoidal_family, step_operator
 from evinc.relations import BallSaturation, NormSubdifferential, YosidaRelation, ZeroRelation
 from evinc.signals import TimeGrid, WeightedSignal, weighted_norm
 from evinc.solver import (
     InclusionProblem,
     _march,
+    _node_plans,
     default_lambda_schedule,
     lipschitz_bound,
     lipschitz_certificate,
@@ -48,12 +49,18 @@ class TestSolveStep:
 
     @pytest.mark.parametrize(
         "name",
-        ["scalar_ode", "saturation_plane", "sign_scalar", "viscoplastic_slab"],
-        ids=["direct", "explicit_fb", "resolvent_fb", "douglas_rachford"],
+        ["scalar_ode", "saturation_plane", "sign_scalar", "viscoplastic_slab", "moving_sign_plane"],
+        ids=["direct", "explicit_fb", "resolvent_fb", "douglas_rachford", "moving_douglas_rachford"],
     )
     def test_matches_the_march(self, name):
-        # from the march's own state at node k-1, one step gives node k bit for bit
-        tpl = make_catalog_problem(name, n=12)
+        # from the march's own state at node k-1, one step gives node k bit for
+        # bit; the moving plane's march runs past its first planning block
+        if name == "moving_sign_plane":
+            family = sinusoidal_family(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 0.5, 8.0)
+            grid = TimeGrid(0.0, 1e-3, solver.PLAN_BLOCK + 4)
+            tpl = CatalogProblem.admissible(name, family, NormSubdifferential(2), grid)
+        else:
+            tpl = make_catalog_problem(name, n=12)
         f = random_forcing(tpl, np.random.default_rng(12))
         u = solve(tpl.problem(f)).solution.values
         t0, dt = tpl.grid.t0, tpl.grid.dt
@@ -272,10 +279,9 @@ class TestYosidaPath:
         prev = None
         linear, tail = tpl.relation.split()
         for lam in default_lambda_schedule():
-            vals, iters, _, failures = _march(
-                tpl.family, linear, YosidaRelation(tail, lam), f.values[None],
-                tpl.grid.t0, tpl.grid.dt, 1e-10, 200_000, warm_values=prev,
-            )
+            plans = _node_plans(tpl.family, linear, YosidaRelation(tail, lam),
+                                tpl.grid.t0, tpl.grid.dt, tpl.grid.n, 1e-10, 200_000)
+            vals, iters, _, failures = _march(plans, f.values[None], tpl.grid.dt, warm_values=prev)
             assert failures == [None]
             iters = iters[0]
             total += iters
@@ -350,6 +356,49 @@ class TestFailurePaths:
         y = 3.0 * np.random.default_rng(2).standard_normal(rel.dim)
         with pytest.raises(ResolventFailure, match="stalled"):
             rel.resolve(0.5, y)
+
+
+def _coercive_until(node, dt=1e-3):
+    """A scalar family whose step matrix 1/dt + M1(t) turns negative at ``node``.
+
+    Its claims are those of a coercive family, so every problem on it is
+    admitted; only planning the node sees the defect.
+    """
+    return MaterialFamily(
+        dim=1, M0_at=lambda t: np.eye(1),
+        M1_at=lambda t: np.eye(1) * (0.0 if t < (node - 0.5) * dt else -2.0 / dt),
+        lip_M0=0.0, sup_M1=0.0, c0=1.0, c1=1.0, kernel_basis=np.zeros((1, 0)),
+    )
+
+
+class TestNodePlans:
+    def _template(self, node, n=20):
+        grid = TimeGrid(0.0, 1e-3, n)
+        return CatalogProblem.admissible("turning", _coercive_until(node), NormSubdifferential(1), grid)
+
+    def test_non_coercive_node_raises_when_the_march_reaches_it(self):
+        tpl = self._template(5)
+        with pytest.raises(StepSizeError) as planned:
+            solve(tpl.problem(tpl.signal(np.full((20, 1), 5.0))))
+        with pytest.raises(StepSizeError) as alone:
+            step_operator(tpl.family, 5 * tpl.grid.dt, tpl.grid.dt)
+        assert str(planned.value) == str(alone.value)
+        assert planned.value.suggested_dt == alone.value.suggested_dt
+        # the nodes before it are planned and handed out first
+        plans = _node_plans(tpl.family, None, tpl.relation, 0.0, tpl.grid.dt, 20, 1e-10, 100)
+        seen = []
+        with pytest.raises(StepSizeError):
+            for plan in plans:
+                seen.append(plan)
+        assert len(seen) == 5
+
+    def test_no_error_for_a_node_every_member_failed_before(self):
+        # with one evaluation per node every member fails at node 0, so the
+        # march never asks for node 5, although its block holds it
+        tpl = self._template(5)
+        forcing = tpl.signal(np.full((20, 1), 5.0))
+        reports = solve_batch([tpl.problem(forcing, fp_max_iter=1)] * 2)
+        assert [(rep.status, rep.fail_step) for rep in reports] == [("failed", 0)] * 2
 
 
 def _counting_m0(family):
