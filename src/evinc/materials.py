@@ -281,16 +281,16 @@ def dt_max(family: MaterialFamily, c_tilde: float) -> float:
 
 
 def step_matrices(family: MaterialFamily, ts, dt: float):
-    """M0(t), S(t) = M0(t)/dt + M1(t) and its margin, each stacked over the times ``ts``.
+    """M0(t) and S(t) = M0(t)/dt + M1(t) stacked over the times ``ts``, and the margins.
 
-    The coefficients are evaluated once per time; a margin is the least
-    eigenvalue of sym S(t), and whoever asks raises on a nonpositive one.
+    Each coefficient is evaluated once per time. A margin is the least eigenvalue
+    of sym S(t), as a float; the caller raises on a nonpositive one.
     """
     if dt <= 0:
         raise ContractViolation("dt must be positive")
-    M0 = np.stack([np.asarray(family.M0_at(t), dtype=float) for t in ts])
-    S = M0 / dt + np.stack([np.asarray(family.M1_at(t), dtype=float) for t in ts])
-    return M0, S, np.linalg.eigvalsh(0.5 * (S + S.mT)).min(axis=-1)
+    M0 = np.array([family.M0_at(t) for t in ts], dtype=float)
+    S = M0 / dt + np.array([family.M1_at(t) for t in ts], dtype=float)
+    return M0, S, np.linalg.eigvalsh(0.5 * (S + S.mT)).min(axis=-1).tolist()
 
 
 def _step_size_error(family: MaterialFamily, t: float, margin: float) -> StepSizeError:
@@ -310,7 +310,7 @@ def step_operator(family: MaterialFamily, t: float, dt: float):
     _, (S,), (margin,) = step_matrices(family, [t], dt)
     if margin <= 0.0:
         raise _step_size_error(family, t, margin)
-    return S, float(margin)
+    return S, margin
 
 
 def _vacuous_if_empty(measured: float) -> float:

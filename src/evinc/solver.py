@@ -286,6 +286,7 @@ def _node_plans(family: MaterialFamily, linear, tail, t0: float, dt: float, n: i
             yield from itertools.repeat((m0, name, step), repeat)
         if ok < len(ts):
             raise _step_size_error(family, ts[ok], margins[ok])
+        del S, mats  # not kept while the next block is built, so memory stays flat
 
 
 def _node_major(values, rows):
