@@ -85,29 +85,31 @@ def test_slab_digest_without_the_solve_wrapper(monkeypatch, name, n, mode, expec
 
 
 def _moving_plane(m0, m1, relation):
-    family = sinusoidal_family(m0, m1, amplitude=0.5, frequency=8.0)
-    return lambda name, grid: CatalogProblem.admissible(name, family, relation, grid)
+    def template(name, grid):
+        family = sinusoidal_family(m0, m1, amplitude=0.5, frequency=8.0)
+        return CatalogProblem.admissible(name, family, relation, grid)
+
+    return template
 
 
 def _moving_slab(build, **coefficients):
-    model = build(SlabGrid(), **coefficients)
-    return lambda name, grid: CatalogProblem.admissible(name, model.family, model.relation, grid)
+    def template(name, grid):
+        model = build(SlabGrid(), **coefficients)
+        return CatalogProblem.admissible(name, model.family, model.relation, grid)
+
+    return template
 
 
 MOVING_TEMPLATES = {
-    "moving_scalar_ode": lambda: _moving_plane([[1.0]], [[0.0]], LinearRelation([[1.0]])),
-    "moving_degenerate_plane": lambda: _moving_plane(
-        np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), ZeroRelation(2)
-    ),
-    "moving_sign_scalar": lambda: _moving_plane([[1.0]], [[0.0]], NormSubdifferential(1)),
-    "moving_saturation_plane": lambda: _moving_plane(np.eye(2), np.zeros((2, 2)), BallSaturation(2)),
-    "moving_sign_plane": lambda: _moving_plane(
-        np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), NormSubdifferential(2)
-    ),
-    "moving_thermoplastic_slab": lambda: _moving_slab(
+    "moving_scalar_ode": _moving_plane([[1.0]], [[0.0]], LinearRelation([[1.0]])),
+    "moving_degenerate_plane": _moving_plane(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), ZeroRelation(2)),
+    "moving_sign_scalar": _moving_plane([[1.0]], [[0.0]], NormSubdifferential(1)),
+    "moving_saturation_plane": _moving_plane(np.eye(2), np.zeros((2, 2)), BallSaturation(2)),
+    "moving_sign_plane": _moving_plane(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), NormSubdifferential(2)),
+    "moving_thermoplastic_slab": _moving_slab(
         build_thermoplasticity, M=Coefficient(1.0, 0.3, 2.0), kappa=Coefficient(1.0, 0.4, 0.5)
     ),
-    "moving_viscoplastic_slab": lambda: _moving_slab(
+    "moving_viscoplastic_slab": _moving_slab(
         build_viscoplasticity, M=Coefficient(1.0, 0.3, 2.0), D=Coefficient(1.0, 0.3, 1.0)
     ),
 }
@@ -132,7 +134,7 @@ MOVING_PINNED = [
 
 
 def _moving_digest(name, n, mode):
-    tpl = MOVING_TEMPLATES[name]()(name, TimeGrid(t0=0.0, dt=1e-3, n=n))
+    tpl = MOVING_TEMPLATES[name](name, TimeGrid(t0=0.0, dt=1e-3, n=n))
     f = random_forcing(tpl, np.random.default_rng(list(MOVING_TEMPLATES).index(name)))
     rep = solve(tpl.problem(f, mode=mode))
     assert rep.converged
