@@ -254,12 +254,11 @@ def fixed_point_stack(G, X0, tol, max_iter):
                 exits[j] = STALLED
             elif res[j] <= tol:
                 exits[j] = CONVERGED
+        # a refused row takes a plain step next, so its previous step is never read
+        pgx, pr = gx, r
         if len(accepted) == len(ids):
-            pgx, pr, gx, r, o = gx, r, g_new, r_new, o_new
+            gx, r, o = g_new, r_new, o_new
         elif accepted:
-            if pgx is None:
-                pgx, pr = np.empty_like(gx), np.empty_like(r)
-            pgx[accepted], pr[accepted] = gx[accepted], r[accepted]
             gx, r, o = gx.copy(), r.copy(), o.copy()
             gx[accepted], r[accepted] = g_new[accepted], r_new[accepted]
             o[accepted] = o_new[accepted]

@@ -212,13 +212,7 @@ class ConditionsReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.symmetric
-            and self.lipschitz_ok
-            and self.kernel_constant
-            and self.range_coercive
-            and self.kernel_coercive
-        )
+        return not self.failing()
 
     def failing(self) -> list[str]:
         names = {

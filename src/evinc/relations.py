@@ -373,8 +373,8 @@ class YosidaRelation(MonotoneRelation):
     """
 
     def __init__(self, base: MonotoneRelation, lam: float):
-        if lam <= 0:
-            raise ContractViolation("lam must be positive")
+        if not 0 < lam < np.inf:
+            raise ContractViolation(f"lam must be finite and positive, got {lam}")
         self.base = base
         self.lam = float(lam)
         self.dim = base.dim

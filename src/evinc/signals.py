@@ -65,8 +65,8 @@ class WeightedSignal:
             raise ContractViolation(
                 f"values must have shape (n, dim) with n={self.grid.n}, got {vals.shape}"
             )
-        if not self.rho > 0:
-            raise ContractViolation(f"rho must be positive, got {self.rho}")
+        if not 0 < self.rho < np.inf:
+            raise ContractViolation(f"rho must be finite and positive, got {self.rho}")
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)

@@ -17,11 +17,13 @@ it yields each node's M0(t_k), engine and step, planning a constant family
 once and a moving one PLAN_BLOCK nodes at a time, with stacked eigvalsh,
 2-norm and inverse calls, as the march reaches them. ``_march`` consumes
 that stream and sweeps the nodes from a given past (zero by default, so
-``solve_step`` is a one-node march); it evaluates no coefficient. The
-Yosida path marches (K, A_lam) with the surrogate A_lam of the tail. Every
-iterative engine runs safeguarded Anderson(5) on one fixed-point kernel
-(``fixed_point.fixed_point``), which also owns the stop rule, the iteration
-budget, the divergence guard, the stall exit and the non-finite exit.
+``solve_step`` is a one-node march); it evaluates no coefficient. A solve
+is a list of stages, each one march: direct mode is the one stage (K,
+tail), the Yosida path the stages (K, A_lam) with the surrogate A_lam of
+the tail at each scheduled lambda. Every iterative engine runs safeguarded
+Anderson(5) on one fixed-point kernel (``fixed_point.fixed_point``), which
+also owns the stop rule, the iteration budget, the divergence guard, the
+stall exit and the non-finite exit.
 
 The march has a member axis. ``solve_batch`` marches problems that differ
 only in forcing, rho and c_tilde together: one plan per node serves every
@@ -29,10 +31,11 @@ member, and each inner iteration is one stacked evaluation of the members
 still iterating (``fixed_point.fixed_point_stack``), each keeping its own
 stop, safeguard and exits. Numpy's stacked products and solves give each
 member the bits it gets alone, so a member's report does not depend on the
-batch around it, and a member whose node fails drops out with the report a
-solo solve gives it. ``solve`` is a batch of one; a node with one live
-member runs on vectors through ``fixed_point``, which is the faster kernel
-at that size.
+batch around it. ``_march`` alone decides who marches, from the batch's
+list of member failures: a member whose node fails drops out of that stage
+and every later one, and gets the report a solo solve gives it. ``solve``
+is a batch of one; a node with one live member runs on vectors through
+``fixed_point``, which is the faster kernel at that size.
 
 The weight rho is used for admission checks and norms only — it never enters
 the stepping arithmetic, so solutions agree bit for bit across admissible
@@ -76,12 +79,13 @@ FP_MAX_ITER = 200_000  # default per-node budget of fixed-point map evaluations
 def default_lambda_schedule(start: float = 1.0, stop: float = 1e-6, factor: float = 0.5):
     """Geometric regularization schedule; warm starts keep each stage cheap.
 
-    Needs ``start > 0``, ``stop > 0`` and ``0 < factor < 1``: a regularization
-    parameter must be positive, and with ``factor >= 1`` the loop never ends.
+    Needs a finite ``start > 0``, ``stop > 0`` and ``0 < factor < 1``: a
+    regularization parameter must be finite and positive, and with an
+    infinite start or ``factor >= 1`` the loop never ends.
     """
-    if not (start > 0 and stop > 0 and 0 < factor < 1):
+    if not (0 < start < math.inf and stop > 0 and 0 < factor < 1):
         raise ContractViolation(
-            f"lambda schedule needs start > 0, stop > 0 and 0 < factor < 1, "
+            f"lambda schedule needs finite start > 0, stop > 0 and 0 < factor < 1, "
             f"got start={start}, stop={stop}, factor={factor}"
         )
     lams = [float(start)]
@@ -131,8 +135,8 @@ class InclusionProblem:
             raise ContractViolation("problem rho and forcing rho disagree")
         if self.lambda_schedule is not None:
             lams = tuple(float(l) for l in self.lambda_schedule)
-            if not lams or any(l <= 0 for l in lams):
-                raise ContractViolation("lambda schedule must be nonempty and positive")
+            if not lams or not all(0 < l < math.inf for l in lams):
+                raise ContractViolation("lambda schedule must be nonempty, finite and positive")
             if any(b >= a for a, b in zip(lams, lams[1:])):
                 raise ContractViolation("lambda schedule must be strictly decreasing")
             object.__setattr__(self, "lambda_schedule", lams)
@@ -294,27 +298,32 @@ def _node_major(values, rows):
     return np.ascontiguousarray(values[rows].swapaxes(0, -2))
 
 
-def _march(plans, forcing: np.ndarray, dt: float, warm_values: np.ndarray = None, past=None):
-    """Causal sweep of a batch over the grid; returns (values, iterations, residuals, failures).
+def _march(plans, forcing: np.ndarray, dt: float, failures: list, warm_values: np.ndarray = None,
+           past=None):
+    """Causal sweep of a batch over the grid; returns (values, iterations, residuals).
 
     ``plans`` yields each node's (M0(t_k), engine name, step), one for every
     member, from ``_node_plans``: the march plans nothing. ``forcing`` is
     ``(members, n, dim)``, as are ``warm_values`` and the values; iterations
-    are ``(members, n)``, ``residuals[m]`` is member m's largest stop residual
-    and ``failures[m]`` None or the StepFailure of the node where its
-    iteration stopped short of the tolerance. A failed member drops out
-    there; the others go on, and with none left no plan is asked for.
-    ``past`` is ``(u, M0 u)`` before the first node, each ``(members, dim)``;
-    None is the zero past. A node's M0 gives the next node's past. One live
-    member runs as vectors (``fixed_point``), more as a stack (``fixed_point_stack``).
+    are ``(members, n)`` and ``residuals[m]`` is member m's largest stop
+    residual. ``failures`` is the batch's list of member failures and the
+    march alone decides from it who marches: a member whose entry is set
+    (it failed in an earlier stage) is skipped, and a member whose iteration
+    stops short of the tolerance gets the StepFailure naming that node and
+    drops out there. The others go on, and with none left no plan is asked
+    for. ``past`` is ``(u, M0 u)`` before the first node, each
+    ``(members, dim)``; None is the zero past. A node's M0 gives the next
+    node's past. One live member runs as vectors (``fixed_point``), more as a
+    stack (``fixed_point_stack``).
     """
     size, n, dim = forcing.shape
     out = np.zeros_like(forcing)
     iterations = np.zeros((size, n), dtype=int)
     max_res = [0.0] * size
-    failures = [None] * size
     state, m0u = (np.zeros((size, dim)), np.zeros((size, dim))) if past is None else past
-    live = keep = list(range(size))
+    live = keep = [m for m, failure in enumerate(failures) if failure is None]
+    if not live:
+        return out, iterations, max_res
     for k, (M0, name, step) in enumerate(plans):
         if keep:
             # the live members' rows: one member's as vectors, more as a stack
@@ -347,7 +356,7 @@ def _march(plans, forcing: np.ndarray, dt: float, warm_values: np.ndarray = None
             live = [live[j] for j in keep]
             if not live:
                 break
-    return out, iterations, max_res, failures
+    return out, iterations, max_res
 
 
 def solve_step(
@@ -372,7 +381,8 @@ def solve_step(
     forcing = np.asarray(f_k, dtype=float).reshape(1, 1, -1)
     past = (prev_state[None], np.asarray(prev_m0u, dtype=float)[None])
     plans = _node_plans(family, *relation.split(), t, dt, 1, fp_tol, fp_max_iter)
-    vals, _, _, failures = _march(plans, forcing, dt, past=past)
+    failures = [None]
+    vals, _, _ = _march(plans, forcing, dt, failures, past=past)
     if failures[0] is not None:
         raise failures[0]
     return vals[0, 0]
@@ -392,17 +402,6 @@ def _stage_image_norms(linear, tail, values: np.ndarray, signals):
     return [weighted_norm(sig.with_values(img)) for sig, img in zip(signals, image)]
 
 
-def _failed_report(problem: InclusionProblem, failure: StepFailure) -> SolveReport:
-    return SolveReport(
-        solution=problem.forcing.with_values(np.zeros_like(problem.forcing.values)),
-        per_step_iterations=[],
-        max_residual=float("inf"),
-        status="failed",
-        fail_step=failure.step,
-        fail_reason=str(failure),
-    )
-
-
 def _batch_key(p: InclusionProblem):
     return (p.forcing.grid, p.mode, p.schedule(), p.fp_tol, p.fp_max_iter)
 
@@ -415,9 +414,12 @@ def solve_batch(problems) -> list:
     raised; their forcing, rho and c_tilde may differ, because rho never
     enters the stepping. They march together: one plan per node serves every
     member and one stacked relation call per inner iteration evaluates every
-    member still iterating. Each member's report is bit for bit the one
-    ``solve`` gives it alone, failures included: a member whose node fails
-    gets solve's failed report and drops out, and the others go on.
+    member still iterating. Direct mode is the one-stage path and the Yosida
+    path one stage per λ, all through one loop; ``_march`` records each
+    member's failure and skips that member in later stages, and every report
+    is built after the loop, in one place. Each member's report is bit for
+    bit the one ``solve`` gives it alone, failures included: a member whose
+    node fails gets solve's failed report and drops out, and the others go on.
     """
     problems = list(problems)
     if not problems:
@@ -433,63 +435,63 @@ def solve_batch(problems) -> list:
     grid = head.forcing.grid
     forcing = np.stack([p.forcing.values for p in problems])
     linear, tail = head.relation.split()
-
-    def march(stage_tail, values, warm_values=None):
-        plans = _node_plans(head.family, linear, stage_tail, grid.t0, grid.dt, grid.n,
-                            head.fp_tol, head.fp_max_iter)
-        return _march(plans, values, grid.dt, warm_values)
-
-    if head.mode == "direct":
-        vals, iters, res, failures = march(tail, forcing)
-        return [
-            _failed_report(p, failures[m]) if failures[m] is not None else SolveReport(
-                solution=p.forcing.with_values(vals[m]),
-                per_step_iterations=iters[m].tolist(),
-                max_residual=res[m],
-                status="converged",
-            )
-            for m, p in enumerate(problems)
-        ]
-    # yosida_path: the stages in lockstep, each member warm-started from its own last stage
     fam = head.family
-    delta = 2.0 * (fam.sup_M1 + fam.lip_M0) + 1.0
-    ts = [grid.t0] if fam.constant else grid.t0 + grid.dt * np.linspace(0, grid.n - 1, 16)
-    sup_m0 = measure_constants(fam.M0_at, fam.M1_at, fam.kernel_basis, fam.range_basis, ts).sup_M0
-    reports = [None] * len(problems)
+    yosida = head.mode == "yosida_path"
+    # direct mode is the one-stage path; each Yosida stage warm-starts from the last
+    stages = [(None, tail)] if not yosida else [
+        (lam, None if tail is None else YosidaRelation(tail, lam)) for lam in head.schedule()
+    ]
+    failures = [None] * len(problems)
     traces = [[] for _ in problems]
-    live, warm, total = list(range(len(problems))), None, 0
-    for lam in head.schedule():
-        stage = None if tail is None else YosidaRelation(tail, lam)
-        vals, stage_iters, res, failures = march(stage, forcing, warm)
-        total = total + stage_iters
-        ok = [j for j, failure in enumerate(failures) if failure is None]
-        if len(ok) < len(live):
-            for j, m in enumerate(live):
-                if failures[j] is not None:
-                    reports[m] = _failed_report(problems[m], failures[j])
-            live, res = [live[j] for j in ok], [res[j] for j in ok]
-            forcing, vals, total = forcing[ok], vals[ok], total[ok]
-            if not live:
-                break
-        norms = _stage_image_norms(linear, stage, vals, [problems[m].forcing for m in live])
-        for m, norm in zip(live, norms):
-            traces[m].append((lam, norm))
-        warm = vals
-    for j, m in enumerate(live):
-        p = problems[m]
-        reference = (1.0 + delta / p.c_tilde) * weighted_norm(p.forcing) + (
-            sup_m0 / p.c_tilde
-        ) * weighted_norm(derivative(p.forcing))
-        reports[m] = SolveReport(
-            solution=p.forcing.with_values(vals[j]),
-            per_step_iterations=total[j].tolist(),
-            max_residual=res[j],
+    vals, total = None, 0
+    for lam, stage in stages:
+        plans = _node_plans(fam, linear, stage, grid.t0, grid.dt, grid.n, head.fp_tol,
+                            head.fp_max_iter)
+        vals, iters, res = _march(plans, forcing, grid.dt, failures, vals)
+        total = total + iters
+        live = [m for m, failure in enumerate(failures) if failure is None]
+        if not live:
+            break
+        if yosida:
+            norms = _stage_image_norms(linear, stage, vals[live], [problems[m].forcing for m in live])
+            for m, norm in zip(live, norms):
+                traces[m].append((lam, norm))
+    if yosida:
+        delta = 2.0 * (fam.sup_M1 + fam.lip_M0) + 1.0
+        ts = [grid.t0] if fam.constant else grid.t0 + grid.dt * np.linspace(0, grid.n - 1, 16)
+        sup_m0 = measure_constants(fam.M0_at, fam.M1_at, fam.kernel_basis, fam.range_basis,
+                                   ts).sup_M0
+    reports = []
+    for m, p in enumerate(problems):
+        failure = failures[m]
+        if failure is not None:
+            reports.append(SolveReport(
+                solution=p.forcing.with_values(np.zeros_like(p.forcing.values)),
+                per_step_iterations=[],
+                max_residual=float("inf"),
+                status="failed",
+                fail_step=failure.step,
+                fail_reason=str(failure),
+            ))
+            continue
+        path = {}
+        if yosida:
+            reference = (1.0 + delta / p.c_tilde) * weighted_norm(p.forcing) + (
+                sup_m0 / p.c_tilde
+            ) * weighted_norm(derivative(p.forcing))
+            path = dict(
+                lambda_trace=traces[m],
+                yosida_sup_norm=max(norm for _, norm in traces[m]),
+                delta=delta,
+                yosida_reference_bound=reference,
+            )
+        reports.append(SolveReport(
+            solution=p.forcing.with_values(vals[m]),
+            per_step_iterations=total[m].tolist(),
+            max_residual=res[m],
             status="converged",
-            lambda_trace=traces[m],
-            yosida_sup_norm=max(norm for _, norm in traces[m]),
-            delta=delta,
-            yosida_reference_bound=reference,
-        )
+            **path,
+        ))
     return reports
 
 

@@ -279,6 +279,12 @@ class TestTypedRejections:
         assert code == 1
         assert "lambda schedule" in capsys.readouterr().err
 
+    def test_infinite_rho(self, tmp_path, capsys):
+        code, out = run(tmp_path, "solve", CONFIGS / "sign_ramp.ini", "--rho", "inf")
+        assert code == 1
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not (out / "report.txt").exists()
+
 
 def config_error(capsys, code) -> str:
     err = capsys.readouterr().err

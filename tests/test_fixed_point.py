@@ -264,7 +264,7 @@ def _exit_maps():
     """One map per exit of the kernel, all on the plane, each with its own call count."""
     M = np.array([[-0.94, 0.03], [0.03, 0.94]])
     c = np.array([2.2, 2.0])
-    calls = [0] * 6
+    calls = [0] * 7
 
     def affine(x, i):  # converges; mixes and hits the safeguard (see above)
         return _soft(M @ x + c, 0.85)
@@ -281,7 +281,10 @@ def _exit_maps():
     def fixed(x, i):  # at tolerance from the start
         return x.copy()
 
-    maps = [affine, shift, growing, breaking, fixed, affine]
+    def blowing(x, i):  # non-finite at its first evaluation
+        return x * np.inf
+
+    maps = [affine, shift, growing, breaking, fixed, affine, blowing]
 
     def G(X, rows):
         gx = []
@@ -299,7 +302,8 @@ def test_stacked_kernel_gives_each_row_its_own_run(max_iter):
     # a mix of rows that converge, stall, run out of budget, diverge and turn
     # non-finite at different evaluations; each row leaves the stack at its
     # own exit with what fixed_point gives it alone
-    X0 = np.array([[-7.0, -4.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 2.0], [3.0, -1.0]])
+    X0 = np.array([[-7.0, -4.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 2.0], [3.0, -1.0],
+                   [1.0, 1.0]])
     out, its, res, reasons = fixed_point_stack(_exit_maps(), X0, 1e-12, max_iter)
     seen = set()
     for i, x0 in enumerate(X0):

@@ -115,6 +115,11 @@ class TestYosida:
             recon = x + 0.9 * surrogate.apply(x)
             assert recon[0] == pytest.approx(y, abs=1e-12)
 
+    @pytest.mark.parametrize("lam", [0.0, -0.3, float("nan"), float("inf")])
+    def test_yosida_relation_needs_a_finite_positive_lam(self, lam):
+        with pytest.raises(ContractViolation):
+            YosidaRelation(NormSubdifferential(1, weight=1.0), lam)
+
 
 class TestNonexpansiveness:
     def test_bulk_random_pairs(self):

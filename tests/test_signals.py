@@ -36,6 +36,8 @@ class TestGridAndSignal:
             WeightedSignal(grid, np.zeros((3, 2)), 1.0)
         with pytest.raises(ContractViolation):
             WeightedSignal(grid, np.zeros((4, 2)), -1.0)
+        with pytest.raises(ContractViolation):
+            WeightedSignal(grid, np.zeros((4, 2)), np.inf)
 
     def test_values_immutable(self):
         u = make_signal([1.0, 2.0, 3.0])

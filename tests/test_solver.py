@@ -240,10 +240,10 @@ class TestYosidaPath:
     @pytest.mark.parametrize("kwargs", [
         {"start": 0.0}, {"start": -1.0}, {"stop": 0.0}, {"stop": -1e-6},
         {"factor": 1.0}, {"factor": 2.0}, {"factor": 0.0}, {"factor": -0.5},
-        {"factor": float("nan")},
+        {"factor": float("nan")}, {"start": float("inf")},
     ])
     def test_schedule_rejects_arguments_that_never_reach_stop(self, kwargs):
-        # checked before the loop: factor >= 1 would grow the list without bound
+        # checked before the loop: factor >= 1 or an infinite start would grow the list without bound
         with pytest.raises(ContractViolation, match="lambda schedule"):
             default_lambda_schedule(**kwargs)
 
@@ -281,7 +281,8 @@ class TestYosidaPath:
         for lam in default_lambda_schedule():
             plans = _node_plans(tpl.family, linear, YosidaRelation(tail, lam),
                                 tpl.grid.t0, tpl.grid.dt, tpl.grid.n, 1e-10, 200_000)
-            vals, iters, _, failures = _march(plans, f.values[None], tpl.grid.dt, warm_values=prev)
+            failures = [None]
+            vals, iters, _ = _march(plans, f.values[None], tpl.grid.dt, failures, warm_values=prev)
             assert failures == [None]
             iters = iters[0]
             total += iters
@@ -293,8 +294,10 @@ class TestYosidaPath:
     def test_increasing_schedule_rejected(self):
         tpl = make_catalog_problem("sign_scalar", n=100)
         f = tpl.signal(np.ones((100, 1)))
-        with pytest.raises(ContractViolation):
-            tpl.problem(f, mode="yosida_path", lambda_schedule=(0.25, 0.5))
+        # a non-finite schedule too, though NaN and a leading inf pass the order check
+        for schedule in ((0.25, 0.5), (1.0, float("nan")), (float("inf"), 0.5)):
+            with pytest.raises(ContractViolation):
+                tpl.problem(f, mode="yosida_path", lambda_schedule=schedule)
 
 
 class TestReport:
