@@ -364,7 +364,7 @@ _TYPED_FAILURES = (StepFailure, ResolventFailure, ContractViolation)
 # judge)``, takes everything random from its rng and builds the problems it
 # needs solved; its judge takes their reports, in the same order, and gives
 # ``(passed, margin)``. In between, the campaign solves the problems of all
-# its draws as one batch per mode.
+# its draws in one ``solve_batch`` call, which decides what shares a march.
 
 
 def _report(outcome):
@@ -491,9 +491,9 @@ def _solve_alone(problem):
 
 
 def _solve_all(problems):
-    """One report per problem, from one batch.
+    """One report per problem, from one ``solve_batch`` call.
 
-    A typed failure of the batch as a whole (a relation that raises, say)
+    A typed failure of the call as a whole (a relation that raises, say)
     is not one member's: then each problem is solved alone, and one that
     raises gets its failure in place of its report.
     """
@@ -507,8 +507,8 @@ def _run_checks(template, cases, fp_tol):
     """``(passed, margin, error)`` of each ``(seed, check)`` in ``cases``, in order.
 
     Every case draws from its own rng, seeded by its seed and check; then the
-    problems of all draws are solved with one ``solve_batch`` per mode, and
-    then each case is judged. A typed failure in a case's draw, solve or
+    problems of all draws are solved with one ``solve_batch`` call, and then
+    each case is judged. A typed failure in a case's draw, solve or
     judge fails that case alone, with margin ``-inf``; it is its ``error``.
     """
     drawn = []
@@ -518,13 +518,7 @@ def _run_checks(template, cases, fp_tol):
             drawn.append(_CHECK_FNS[check](template, rng, fp_tol))
         except _TYPED_FAILURES as exc:
             drawn.append(exc)
-    problems = [p for d in drawn if not isinstance(d, Exception) for p in d[0]]
-    outcomes = [None] * len(problems)
-    for mode in dict.fromkeys(p.mode for p in problems):
-        at = [i for i, p in enumerate(problems) if p.mode == mode]
-        for i, outcome in zip(at, _solve_all([problems[i] for i in at])):
-            outcomes[i] = outcome
-    outcomes = iter(outcomes)
+    outcomes = iter(_solve_all([p for d in drawn if not isinstance(d, Exception) for p in d[0]]))
     results = []
     for d in drawn:
         if isinstance(d, Exception):
@@ -554,8 +548,8 @@ def run_campaign(campaign: PropertyCampaign) -> CampaignReport:
     """Run every selected check over seeded trials; failures never abort.
 
     Every (trial, check) is drawn first, in trial order; the problems of all
-    of them are solved as one batch per mode; then each is judged, in the
-    same order. A ``StepFailure``, ``ResolventFailure`` or
+    of them are solved in one ``solve_batch`` call; then each is judged, in
+    the same order. A ``StepFailure``, ``ResolventFailure`` or
     ``ContractViolation`` is a failed check with margin ``-inf``, and the
     report keeps its type and message; any other exception propagates.
     """

@@ -25,9 +25,9 @@ Anderson(5) on one fixed-point kernel (``fixed_point.fixed_point``), which
 also owns the stop rule, the iteration budget, the divergence guard, the
 stall exit and the non-finite exit.
 
-The march has a member axis. ``solve_batch`` marches problems that differ
-only in forcing, rho and c_tilde together: one plan per node serves every
-member, and each inner iteration is one stacked evaluation of the members
+The march has a member axis. ``solve_batch`` takes any list and marches
+the problems that differ only in forcing, rho and c_tilde together: one
+plan per node serves every member, and each inner iteration is one stacked evaluation of the members
 still iterating (``fixed_point.fixed_point_stack``), each keeping its own
 stop, safeguard and exits. Numpy's stacked products and solves give each
 member the bits it gets alone, so a member's report does not depend on the
@@ -402,36 +402,38 @@ def _stage_image_norms(linear, tail, values: np.ndarray, signals):
     return [weighted_norm(sig.with_values(img)) for sig, img in zip(signals, image)]
 
 
-def _batch_key(p: InclusionProblem):
-    return (p.forcing.grid, p.mode, p.schedule(), p.fp_tol, p.fp_max_iter)
+def _march_key(p: InclusionProblem):
+    # direct mode never reads the λ-schedule, so only the Yosida path is split by it
+    lams = tuple(p.schedule()) if p.mode == "yosida_path" else None
+    return (id(p.family), id(p.relation), p.forcing.grid, p.mode, lams, p.fp_tol, p.fp_max_iter)
 
 
 def solve_batch(problems) -> list:
-    """Solve a batch of problems on one template; returns one SolveReport each.
+    """Solve any list of problems; returns one SolveReport each, in input order.
 
-    The members share the family, the relation, the grid, the mode, the
-    λ-schedule, ``fp_tol`` and ``fp_max_iter``, or ContractViolation is
-    raised; their forcing, rho and c_tilde may differ, because rho never
-    enters the stepping. They march together: one plan per node serves every
-    member and one stacked relation call per inner iteration evaluates every
-    member still iterating. Direct mode is the one-stage path and the Yosida
-    path one stage per λ, all through one loop; ``_march`` records each
-    member's failure and skips that member in later stages, and every report
-    is built after the loop, in one place. Each member's report is bit for
-    bit the one ``solve`` gives it alone, failures included: a member whose
-    node fails gets solve's failed report and drops out, and the others go on.
+    Problems with one ``_march_key`` (family and relation objects, grid, mode,
+    ``fp_tol``, ``fp_max_iter`` and, on the Yosida path, the λ-schedule)
+    march together, key by key in order of first appearance; their forcing,
+    rho and c_tilde may differ, because rho never enters the stepping. In a
+    march one plan per node serves every member and one stacked relation call
+    per inner iteration evaluates every member still iterating. Direct mode is
+    the one-stage path and the Yosida path one stage per λ, all through one
+    loop; ``_march`` records each member's failure and skips that member in
+    later stages, and every report is built after the loop, in one place. Each
+    member's report is bit for bit the one ``solve`` gives it alone, failures
+    included, so the grouping changes no answer.
     """
     problems = list(problems)
-    if not problems:
-        return []
+    groups = {}
+    for m, p in enumerate(problems):
+        groups.setdefault(_march_key(p), []).append(m)
+    if len(groups) != 1:  # none, or one march per key
+        reports = [None] * len(problems)
+        for members in groups.values():
+            for m, rep in zip(members, solve_batch([problems[m] for m in members])):
+                reports[m] = rep
+        return reports
     head = problems[0]
-    key = _batch_key(head)
-    for p in problems[1:]:
-        if p.family is not head.family or p.relation is not head.relation or _batch_key(p) != key:
-            raise ContractViolation(
-                "a batch must share family, relation, grid, mode, lambda schedule, "
-                "fp_tol and fp_max_iter"
-            )
     grid = head.forcing.grid
     forcing = np.stack([p.forcing.values for p in problems])
     linear, tail = head.relation.split()

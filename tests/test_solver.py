@@ -477,23 +477,38 @@ class TestBatch:
         steps = {rep.fail_step for rep in reports}
         assert None in steps and len(steps - {None, 0}) >= 1
 
-    def test_members_must_share_the_template_and_the_solver_settings(self):
+    def test_any_list_marches_key_by_key(self, monkeypatch):
+        # the base problem interleaved with problems that each differ in one
+        # march setting: every member gets its solo report, in input order
         tpl = make_catalog_problem("sign_scalar", n=20)
         other = make_catalog_problem("sign_scalar", n=20)
-        f = tpl.signal(np.ones((20, 1)))
-        base = tpl.problem(f)
-        for odd in (
-            other.problem(f),  # another family and relation object
-            tpl.problem(f, mode="yosida_path"),
-            tpl.problem(f, fp_tol=1e-9),
-            tpl.problem(f, fp_max_iter=50),
-            tpl.problem(f, lambda_schedule=(0.5, 0.25)),
-            make_catalog_problem("sign_scalar", n=21).problem(
-                make_catalog_problem("sign_scalar", n=21).signal(np.ones((21, 1)))
-            ),
-        ):
-            with pytest.raises(ContractViolation, match="a batch must share"):
-                solve_batch([base, odd])
+        longer = make_catalog_problem("sign_scalar", n=21)
+        rng = np.random.default_rng(8)
+        base = tpl.problem(random_forcing(tpl, rng))
+        odd = [
+            other.problem(random_forcing(other, rng)),  # another family and relation object
+            tpl.problem(random_forcing(tpl, rng), mode="yosida_path"),
+            tpl.problem(random_forcing(tpl, rng), fp_tol=1e-9),
+            tpl.problem(random_forcing(tpl, rng), fp_max_iter=50),
+            longer.problem(random_forcing(longer, rng)),  # another grid
+            tpl.problem(random_forcing(tpl, rng), lambda_schedule=(0.5, 0.25)),  # not read
+        ]
+        problems = [q for p in odd for q in (base, p)]
+        alone = [solve(p) for p in problems]
+        march, sizes = solver._march, []
+
+        def counting(plans, forcing, *args, **kwargs):
+            sizes.append(len(forcing))
+            return march(plans, forcing, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_march", counting)
+        reports = solve_batch(problems)
+        assert len(reports) == len(problems)
+        assert all(_same_report(rep, ref) for rep, ref in zip(reports, alone))
+        # one march per key in order of first appearance: the six bases with
+        # the direct problem whose schedule direct mode never reads, then each
+        # odd problem alone, the Yosida one once per stage
+        assert sizes == [7, 1, *[1] * len(default_lambda_schedule()), 1, 1, 1]
         assert solve_batch([]) == []
 
     def test_certificate_pair_is_one_batch(self, monkeypatch):
