@@ -25,21 +25,21 @@ EXIT_CONDITIONS = 2
 EXIT_SOLVER = 3
 EXIT_CAMPAIGN = 4
 
-def _add_common(sub):
-    sub.add_argument("--config", required=True, help="path to the run configuration")
-    sub.add_argument("--out", default=".", help="output directory (created if missing)")
-    sub.add_argument("--seed", type=int, default=None, help="campaign seed override")
-    sub.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        metavar="SECTION.KEY=VALUE",
-        dest="overrides",
-        help="override a config entry (repeatable)",
-    )
-    sub.add_argument("--mode", choices=["direct", "yosida"], default=None)
-    sub.add_argument("--rho", type=float, default=None)
-    sub.add_argument("--dt", type=float, default=None)
+#: the flags that override a config entry, each on the commands that read it
+_FLAGS = {
+    "--mode": dict(choices=["direct", "yosida"], help="solve mode (yosida: the Yosida path)"),
+    "--seed": dict(type=int, help="campaign seed override"),
+    "--rho": dict(type=float, help="weight override"),
+    "--dt": dict(type=float, help="time step override"),
+}
+#: command -> (description, the flags it reads)
+_COMMANDS = {
+    "solve": ("solve a configured problem, write solution.csv and report.txt",
+              ("--mode", "--rho", "--dt")),
+    "check-conditions": ("verify the structural conditions of the material", ("--dt",)),
+    "campaign": ("run randomized property checks, write campaign.csv", ("--seed", "--rho", "--dt")),
+    "gallery": ("assemble a slab model and write its structural summary", ()),
+}
 
 
 def build_parser():
@@ -49,12 +49,7 @@ def build_parser():
     )
     subs = parser.add_subparsers(dest="command", required=True)
     epilog = config_help()
-    for name, descr in (
-        ("solve", "solve a configured problem, write solution.csv and report.txt"),
-        ("check-conditions", "verify the structural conditions of the material"),
-        ("campaign", "run randomized property checks, write campaign.csv"),
-        ("gallery", "assemble a slab model and write its structural summary"),
-    ):
+    for name, (descr, flags) in _COMMANDS.items():
         sub = subs.add_parser(
             name,
             help=descr,
@@ -62,7 +57,19 @@ def build_parser():
             epilog=epilog,
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
-        _add_common(sub)
+        sub.add_argument("--config", required=True, help="path to the run configuration")
+        sub.add_argument("--out", default=".", help="output directory (created if missing)")
+        sub.add_argument(
+            "--set",
+            action="append",
+            default=[],
+            metavar="SECTION.KEY=VALUE",
+            dest="overrides",
+            help="override a config entry (repeatable)",
+        )
+        for flag in flags:
+            sub.add_argument(flag, **_FLAGS[flag])
+        sub.set_defaults(**{flag[2:]: None for flag in _FLAGS})  # a flag not read is None
     return parser
 
 

@@ -14,6 +14,7 @@ one ([material] with [relation]), or a slab model ([thermoplasticity] or
 from __future__ import annotations
 
 import configparser
+import math
 import textwrap
 from dataclasses import dataclass
 
@@ -37,8 +38,15 @@ class ConfigError(ContractViolation):
     """Malformed or inconsistent run configuration."""
 
 
+def _float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _floats(text: str) -> list:
-    return [float(x) for x in text.split(",")]
+    return [_float(x) for x in text.split(",")]
 
 
 def _vector(text: str) -> np.ndarray:
@@ -77,7 +85,7 @@ _FAMILIES = {"constant": constant_family, "sinusoidal": sinusoidal_family}
 _SLABS = {"thermoplasticity": build_thermoplasticity, "viscoplasticity": build_viscoplasticity}
 #: slab keys that the builders name otherwise
 _SLAB_ARGS = {"relation": "relation_kind", "parameter": "relation_param"}
-_GRID = {"n": int, "dt": float, "t0": float}
+_GRID = {"n": int, "dt": _float, "t0": _float}
 #: forcing kind -> the [forcing] keys it reads
 _FORCING_KEYS = {
     "constant": ("value",),
@@ -92,31 +100,31 @@ _SCHEMA = {
     "grid": dict(_GRID),
     "material": {
         "builder": _Choice(*_FAMILIES), "m0": _matrix, "m1": _matrix,
-        "amplitude": float, "frequency": float, "c0": float, "c1": float,
+        "amplitude": _float, "frequency": _float, "c0": _float, "c1": _float,
     },
     "relation": {
         "kind": _Choice(*RELATION_KINDS),
-        "weight": float, "radius": float, "gain": float, "matrix": _matrix,
+        "weight": _float, "radius": _float, "gain": _float, "matrix": _matrix,
     },
     "forcing": {
         "kind": _Choice(*_FORCING_KEYS),
-        "value": _vector, "start": float, "stop": float, "path": str, "seed": int,
+        "value": _vector, "start": _float, "stop": _float, "path": str, "seed": int,
     },
     "solver": {
-        "rho": float, "c_tilde": float, "mode": _Choice("direct", "yosida_path"),
-        "fp_tol": float, "fp_max_iter": int,
-        "lambda_start": float, "lambda_stop": float, "lambda_factor": float,
+        "rho": _float, "c_tilde": _float, "mode": _Choice("direct", "yosida_path"),
+        "fp_tol": _float, "fp_max_iter": int,
+        "lambda_start": _float, "lambda_stop": _float, "lambda_factor": _float,
     },
     "campaign": {
         "trials": int, "checks": _Choice(*ALL_CHECKS, many=True), "seed": int,
     },
     "thermoplasticity": {
-        "m": int, "dx": float, "M": _coefficient, "C": _coefficient, "w": _coefficient,
-        "kappa": _coefficient, "c": float, "tau0": float, "s0": float,
+        "m": int, "dx": _float, "M": _coefficient, "C": _coefficient, "w": _coefficient,
+        "kappa": _coefficient, "c": _float, "tau0": _float, "s0": _float,
     },
     "viscoplasticity": {
-        "m": int, "dx": float, "M": _coefficient, "D": _coefficient, "L": _coefficient,
-        "N": int, "relation": _Choice(*VISCOPLASTIC_RELATIONS), "parameter": float,
+        "m": int, "dx": _float, "M": _coefficient, "D": _coefficient, "L": _coefficient,
+        "N": int, "relation": _Choice(*VISCOPLASTIC_RELATIONS), "parameter": _float,
     },
 }
 
@@ -135,8 +143,9 @@ without one, a campaign runs every check its problem supports. A config uses
 one problem source: [problem], [material] with [relation],
 [thermoplasticity] or [viscoplasticity]. The grid's n, dt and t0 come from
 [grid] over [problem]. A [relation] or [forcing] kind takes only the keys it
-reads; linear takes matrix or gain. A campaign takes only fp_tol, rho and
-c_tilde from [solver]. There is no initial-condition interface: the past is
+reads; linear takes matrix or gain. Only mode = yosida_path reads the
+lambda keys of [solver], and a campaign takes only fp_tol, rho and c_tilde
+from [solver]. Every number must be finite. There is no initial-condition interface: the past is
 identically zero, so model initial values with impulsive forcing (kind =
 impulse).
 """
@@ -255,6 +264,10 @@ class RunConfig:
         forcing = self.build_forcing(template)
         sec = self.sections.get("solver", {})
         lam = {k.removeprefix("lambda_"): v for k, v in sec.items() if k.startswith("lambda_")}
+        if lam and sec.get("mode") != "yosida_path":
+            unread = ", ".join(f"lambda_{k}" for k in lam)
+            raise ConfigError(f"a direct solve reads no lambda schedule; drop [solver] {unread} "
+                              "or set mode = yosida_path")
         knobs = {k: sec[k] for k in ("mode", "fp_tol", "fp_max_iter") if k in sec}
         schedule = default_lambda_schedule(**lam) if lam else None
         return template.problem(forcing, lambda_schedule=schedule, **knobs)

@@ -53,8 +53,8 @@ class SlabGrid:
     def __post_init__(self):
         if self.m < 2:
             raise ContractViolation("need at least 2 cells")
-        if not self.dx > 0:
-            raise ContractViolation("dx must be positive")
+        if not 0 < self.dx < np.inf:
+            raise ContractViolation(f"dx must be finite and positive, got {self.dx}")
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,14 @@ class Coefficient:
     frequency: float = 1.0
 
     def __post_init__(self):
-        if self.base <= 0:
-            raise ContractViolation("coefficient base must be positive")
+        if not 0 < self.base < np.inf:
+            raise ContractViolation(
+                f"coefficient base must be finite and positive, got {self.base}"
+            )
         if not abs(self.amplitude) < 1.0:
             raise ContractViolation("coefficient amplitude must have magnitude < 1")
+        if not np.isfinite(self.frequency):
+            raise ContractViolation(f"coefficient frequency must be finite, got {self.frequency}")
 
     def __call__(self, t: float) -> float:
         return self.base * (1.0 + self.amplitude * np.sin(self.frequency * t))
@@ -245,8 +249,10 @@ def build_thermoplasticity(
     the kernel is exactly the q slot and the zeroth-order heat-conduction term
     provides the coercivity there.
     """
-    if c <= 0 or tau0 <= 0 or s0 <= 0:
-        raise ContractViolation("c, tau0 and s0 must be positive")
+    if not all(0 < x < np.inf for x in (c, tau0, s0)):
+        raise ContractViolation(
+            f"c, tau0 and s0 must be finite and positive, got c={c}, tau0={tau0}, s0={s0}"
+        )
     ops = build_slab_operators(g)
     m = g.m
     nv, nT, nth, nq = 3 * m, 6 * m, m, m

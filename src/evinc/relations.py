@@ -171,8 +171,8 @@ class NormSubdifferential(MonotoneRelation):
     """
 
     def __init__(self, dim: int, weight: float = 1.0):
-        if weight <= 0:
-            raise ContractViolation("weight must be positive")
+        if not 0 < weight < np.inf:
+            raise ContractViolation(f"weight must be finite and positive, got {weight}")
         self.dim = dim
         self.weight = float(weight)
         self.single_valued = False
@@ -200,8 +200,8 @@ class BallSaturation(MonotoneRelation):
     """A(x) = projection of x onto the ball of the given radius (single-valued)."""
 
     def __init__(self, dim: int, radius: float = 1.0):
-        if radius <= 0:
-            raise ContractViolation("radius must be positive")
+        if not 0 < radius < np.inf:
+            raise ContractViolation(f"radius must be finite and positive, got {radius}")
         self.dim = dim
         self.radius = float(radius)
         self.single_valued = True
@@ -236,8 +236,8 @@ class DeviatoricSaturation(MonotoneRelation):
     BLOCK = 6
 
     def __init__(self, radius: float = 1.0):
-        if radius <= 0:
-            raise ContractViolation("radius must be positive")
+        if not 0 < radius < np.inf:
+            raise ContractViolation(f"radius must be finite and positive, got {radius}")
         self.dim = self.BLOCK
         self.radius = float(radius)
         self.single_valued = True
@@ -394,8 +394,8 @@ class YosidaRelation(MonotoneRelation):
 
 def resolvent(a: MonotoneRelation, lam: float, y: np.ndarray) -> np.ndarray:
     """(1 + lam A)^{-1} y; nonexpansive in y, defined for every y."""
-    if lam <= 0:
-        raise ContractViolation(f"resolvent parameter must be positive, got {lam}")
+    if not 0 < lam < np.inf:
+        raise ContractViolation(f"resolvent parameter must be finite and positive, got {lam}")
     return a.resolve(lam, np.asarray(y, dtype=float))
 
 
@@ -461,8 +461,8 @@ def minty_scan(a: MonotoneRelation, lam: float, samples: int, radius: float,
     ``graph_distance`` when the relation can evaluate it), and consecutive
     resolvent outputs must be nonexpansive in the inputs.
     """
-    if lam <= 0:
-        raise ContractViolation("lam must be positive")
+    if not 0 < lam < np.inf:
+        raise ContractViolation(f"lam must be finite and positive, got {lam}")
     rng = np.random.default_rng(seed)
     has_eval = a.has_eval()
     incl_fail = 0

@@ -34,8 +34,10 @@ class TimeGrid:
     n: int
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ContractViolation(f"dt must be positive, got {self.dt}")
+        if not np.isfinite(self.t0):
+            raise ContractViolation(f"t0 must be finite, got {self.t0}")
+        if not 0 < self.dt < np.inf:
+            raise ContractViolation(f"dt must be positive and finite, got {self.dt}")
         if self.n < 2:
             raise ContractViolation(f"need at least 2 nodes, got n={self.n}")
 

@@ -25,17 +25,17 @@ Anderson(5) on one fixed-point kernel (``fixed_point.fixed_point``), which
 also owns the stop rule, the iteration budget, the divergence guard, the
 stall exit and the non-finite exit.
 
-The march has a member axis. ``solve_batch`` takes any list and marches
-the problems that differ only in forcing, rho and c_tilde together: one
-plan per node serves every member, and each inner iteration is one stacked evaluation of the members
-still iterating (``fixed_point.fixed_point_stack``), each keeping its own
-stop, safeguard and exits. Numpy's stacked products and solves give each
-member the bits it gets alone, so a member's report does not depend on the
-batch around it. ``_march`` alone decides who marches, from the batch's
-list of member failures: a member whose node fails drops out of that stage
-and every later one, and gets the report a solo solve gives it. ``solve``
-is a batch of one; a node with one live member runs on vectors through
-``fixed_point``, which is the faster kernel at that size.
+The march has a member axis. ``solve_batch`` takes any list and marches the
+problems that differ only in forcing, rho and c_tilde together: one plan per
+node serves every member, and each inner iteration is one stacked evaluation
+of the members still iterating (``fixed_point.fixed_point_stack``), each
+keeping its own stop, safeguard and exits. Numpy's stacked products and
+solves give each member the bits it gets alone, so a member's report does
+not depend on the batch around it. ``_march`` alone decides who marches,
+from the batch's list of member failures: a member whose node fails drops
+out of that stage and every later one, and gets the report a solo solve
+gives it. ``solve`` is a batch of one; a node with one live member runs on
+vectors through ``fixed_point``, which is the faster kernel at that size.
 
 The weight rho is used for admission checks and norms only — it never enters
 the stepping arithmetic, so solutions agree bit for bit across admissible

@@ -256,6 +256,16 @@ def test_criterion_07_oracle_equivalence():
             worst = max(worst, float(np.max(np.abs(rep.solution.values - ref.values))))
         ok = ok and worst <= tol
         summary.append(f"{name}: {worst:.2e}")
+    # unit forcings never leave the saturation ball; thirty times them saturate it
+    tpl = make_catalog_problem("saturation_plane", n=500)
+    forcings = [tpl.signal(30.0 * random_forcing(tpl, rng).values) for _ in range(5)]
+    worst, saturated = 0.0, 0
+    for f, rep in zip(forcings, solve_batch(tpl.problem(f, fp_tol=FP_TOL) for f in forcings)):
+        ref = oracle_trajectory(tpl, f)
+        worst = max(worst, float(np.max(np.abs(rep.solution.values - ref.values))))
+        saturated += int(np.sum(np.linalg.norm(ref.values, axis=1) > tpl.relation.radius))
+    ok = ok and worst <= tol and saturated > 0
+    summary.append(f"saturation_plane x30: {worst:.2e}, {saturated} saturated nodes")
     # the set-valued ramp: slope +1 up, -1 down, then rest
     tpl = make_catalog_problem("sign_scalar", n=3001, dt=1e-3)
     t = tpl.grid.times

@@ -1,3 +1,7 @@
+import re
+
+import pytest
+
 from evinc.cli import main
 
 
@@ -209,3 +213,27 @@ class TestExitCodes:
             assert code == 0
             assert "config sections and keys" in out
             assert "[solver]" in out
+
+    @pytest.mark.parametrize("command, flags", [
+        ("solve", {"--mode", "--rho", "--dt"}),
+        ("check-conditions", {"--dt"}),
+        ("campaign", {"--seed", "--rho", "--dt"}),
+        ("gallery", set()),
+    ])
+    def test_help_lists_exactly_the_flags_a_command_reads(self, capsys, command, flags):
+        assert main([command, "--help"]) == 0
+        listed = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+        assert listed == {"--help", "--config", "--out", "--set"} | flags
+
+    @pytest.mark.parametrize("command, config, extra", [
+        ("solve", SCALAR_CONFIG, ("--seed", "7")),
+        ("check-conditions", SCALAR_CONFIG, ("--rho", "99")),
+        ("check-conditions", SCALAR_CONFIG, ("--mode", "yosida")),
+        ("gallery", GALLERY_CONFIG, ("--dt", "0.5")),
+    ])
+    def test_unread_flag_is_a_usage_error(self, tmp_path, capsys, command, config, extra):
+        cfg = write(tmp_path / "run.ini", config)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), *extra]) == 1
+        assert "unrecognized arguments: " + " ".join(extra) in capsys.readouterr().err
+        assert not out.exists()

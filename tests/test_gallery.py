@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evinc.errors import ConditionCheckError
+from evinc.errors import ConditionCheckError, ContractViolation
 from evinc.gallery import (
     Coefficient,
     SlabGrid,
@@ -84,6 +84,25 @@ class TestThermoplasticity:
         )
         assert model.conditions.passed
         assert model.family.lip_M0 > 0
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_scalars_must_be_finite_and_positive(value):
+    for build in (
+        lambda: Coefficient(value),
+        lambda: SlabGrid(m=2, dx=value),
+        lambda: build_thermoplasticity(SlabGrid(), c=value),
+        lambda: build_thermoplasticity(SlabGrid(), tau0=value),
+        lambda: build_thermoplasticity(SlabGrid(), s0=value),
+    ):
+        with pytest.raises(ContractViolation, match="finite and positive"):
+            build()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_coefficient_frequency_must_be_finite(value):
+    with pytest.raises(ContractViolation, match="finite"):
+        Coefficient(1.0, 0.3, value)
 
 
 class TestViscoplasticity:

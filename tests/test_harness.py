@@ -14,10 +14,11 @@ from evinc.harness import (
     random_forcing,
     run_campaign,
 )
-from evinc.materials import sinusoidal_family
-from evinc.relations import NormSubdifferential, ZeroRelation
+from evinc import solver
+from evinc.materials import constant_family, sinusoidal_family
+from evinc.relations import BallSaturation, NormSubdifferential, ZeroRelation
 from evinc.signals import TimeGrid
-from evinc.solver import solve
+from evinc.solver import FP_TOL, solve, solve_batch
 
 
 def _counting(family):
@@ -94,6 +95,18 @@ class TestCampaign:
         rep = run_campaign(campaign)  # must not raise
         assert len(rep.rows) == 2
 
+    @pytest.mark.parametrize("name", ["sign_scalar", "saturation_plane", "thermoplastic_slab"])
+    def test_yosida_agreement_campaign_solves_in_one_call(self, monkeypatch, name):
+        # the direct and Yosida-path problems of all trials go to one
+        # solve_batch call, which marches them as two groups
+        tpl = make_catalog_problem(name, n=40)
+        calls = []
+        monkeypatch.setattr(harness, "solve_batch", lambda ps: calls.append(ps) or solve_batch(ps))
+        checks = ("causality", "yosida_agreement")
+        rep = run_campaign(PropertyCampaign(template=tpl, trials=2, seed=7, checks=checks))
+        assert rep.passed and len(rep.rows) == 4
+        assert [len(ps) for ps in calls] == [8]
+        assert len({solver._march_key(p) for p in calls[0]}) == 2
 
     def test_programming_error_propagates(self, monkeypatch):
         # only solver, resolvent and contract failures are recorded as failed
@@ -156,6 +169,38 @@ class TestOracle:
             rep = solve(tpl.problem(f, fp_tol=1e-11))
             ref = oracle_trajectory(tpl, f)
             assert np.max(np.abs(rep.solution.values - ref.values)) <= 10 * 1e-11
+
+    @pytest.mark.parametrize("size", [0.5, 2.0, 10.0])
+    @pytest.mark.parametrize("s", [0.5, 3.0])
+    def test_planar_steps_match_closed_form(self, s, size):
+        # with S = s I both planar relations act radially, so each step has a
+        # closed form: soft thresholding for the sign, and for the ball the
+        # free step b/(s+1) until it leaves the ball, then the saturated one
+        b = size * np.array([0.6, -0.8])
+        S = s * np.eye(2)
+        sign = harness._oracle_step(NormSubdifferential(2, weight=1.0), S, b, 1e-12)
+        assert np.max(np.abs(sign - max(size - 1.0, 0.0) / s * b / size)) <= 10 * FP_TOL
+        ball = harness._oracle_step(BallSaturation(2, radius=1.0), S, b, 1e-12)
+        free = b / (s + 1.0)
+        exact = free if size / (s + 1.0) <= 1.0 else (size - 1.0) / s * b / size
+        assert np.max(np.abs(ball - exact)) <= 10 * FP_TOL
+
+    def test_matches_solver_on_an_isotropic_sign_plane(self):
+        # the planar sign relation on both of its branches: forcings at unit
+        # weighted norm, and thirty times that
+        tpl = CatalogProblem.admissible(
+            "sign_plane", constant_family(np.eye(2), np.zeros((2, 2))),
+            NormSubdifferential(2, weight=1.0), TimeGrid(0.0, 1e-3, 60), oracle_capable=True,
+        )
+        rng = np.random.default_rng(13)
+        forcings = [random_forcing(tpl, rng) for _ in range(3)]
+        forcings += [tpl.signal(30.0 * f.values) for f in forcings]
+        branches = set()
+        for f, rep in zip(forcings, solve_batch([tpl.problem(f) for f in forcings])):
+            ref = oracle_trajectory(tpl, f)
+            assert np.max(np.abs(rep.solution.values - ref.values)) <= 10 * FP_TOL
+            branches |= set(np.linalg.norm(ref.values, axis=1) > 0.0)
+        assert branches == {False, True}
 
     def test_sign_ramp_exact(self):
         tpl = make_catalog_problem("sign_scalar", n=2001, dt=1e-3)

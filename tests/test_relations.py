@@ -57,6 +57,23 @@ class TestResolvent:
         with pytest.raises(ContractViolation):
             resolvent(ZeroRelation(1), 0.0, np.array([1.0]))
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
+    def test_lambda_must_be_finite_and_positive(self, lam):
+        with pytest.raises(ContractViolation):
+            resolvent(ZeroRelation(1), lam, np.array([1.0]))
+        with pytest.raises(ContractViolation):
+            minty_scan(ZeroRelation(1), lam, samples=2, radius=1.0)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_weight_and_radius_must_be_finite_and_positive(self, value):
+        for build in (
+            lambda: NormSubdifferential(1, weight=value),
+            lambda: BallSaturation(2, radius=value),
+            lambda: DeviatoricSaturation(radius=value),
+        ):
+            with pytest.raises(ContractViolation, match="finite and positive"):
+                build()
+
     def test_ball_saturation_cases(self):
         a = BallSaturation(2, radius=1.0)
         inside = resolvent(a, 1.0, np.array([1.0, 0.0]))

@@ -29,6 +29,9 @@ class TestGridAndSignal:
             TimeGrid(0.0, -0.1, 5)
         with pytest.raises(ContractViolation):
             TimeGrid(0.0, 0.1, 1)
+        for t0, dt in ((np.nan, 1e-3), (np.inf, 1e-3), (0.0, np.nan), (0.0, np.inf)):
+            with pytest.raises(ContractViolation):
+                TimeGrid(t0, dt, 10)
 
     def test_signal_shape_check(self):
         grid = TimeGrid(0.0, 0.5, 4)
