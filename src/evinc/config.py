@@ -143,11 +143,11 @@ without one, a campaign runs every check its problem supports. A config uses
 one problem source: [problem], [material] with [relation],
 [thermoplasticity] or [viscoplasticity]. The grid's n, dt and t0 come from
 [grid] over [problem]. A [relation] or [forcing] kind takes only the keys it
-reads; linear takes matrix or gain. Only mode = yosida_path reads the
-lambda keys of [solver], and a campaign takes only fp_tol, rho and c_tilde
-from [solver]. Every number must be finite. There is no initial-condition interface: the past is
-identically zero, so model initial values with impulsive forcing (kind =
-impulse).
+reads; linear takes matrix or gain. Only mode = yosida_path reads the lambda
+keys of [solver], and a campaign takes only fp_tol, rho and c_tilde from
+[solver]. Every number must be finite. There is no initial-condition
+interface: the past is identically zero, so model initial values with
+impulsive forcing (kind = impulse).
 """
 
 
@@ -260,14 +260,14 @@ class RunConfig:
         return template.signal(np.where(mask[:, None], value[None, :], 0.0))
 
     def build_problem(self) -> InclusionProblem:
-        template = self.build_template()
-        forcing = self.build_forcing(template)
         sec = self.sections.get("solver", {})
         lam = {k.removeprefix("lambda_"): v for k, v in sec.items() if k.startswith("lambda_")}
         if lam and sec.get("mode") != "yosida_path":
             unread = ", ".join(f"lambda_{k}" for k in lam)
             raise ConfigError(f"a direct solve reads no lambda schedule; drop [solver] {unread} "
                               "or set mode = yosida_path")
+        template = self.build_template()
+        forcing = self.build_forcing(template)
         knobs = {k: sec[k] for k in ("mode", "fp_tol", "fp_max_iter") if k in sec}
         schedule = default_lambda_schedule(**lam) if lam else None
         return template.problem(forcing, lambda_schedule=schedule, **knobs)
