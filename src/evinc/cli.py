@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, config_help, flag_overrides, load_config
+from .config import ConfigError, config_help, load_config
 from .errors import ConditionCheckError, ContractViolation, StepFailure, StepSizeError
 from .harness import run_campaign
 from .materials import check_conditions, rho_zero
@@ -25,21 +25,16 @@ EXIT_CONDITIONS = 2
 EXIT_SOLVER = 3
 EXIT_CAMPAIGN = 4
 
-#: the flags that override a config entry, each on the commands that read it
+#: flag -> (the config entry it sets, its argparse options); the config parses the value
 _FLAGS = {
-    "--mode": dict(choices=["direct", "yosida"], help="solve mode (yosida: the Yosida path)"),
-    "--seed": dict(type=int, help="campaign seed override"),
-    "--rho": dict(type=float, help="weight override"),
-    "--dt": dict(type=float, help="time step override"),
+    "--mode": ("solver.mode", dict(choices=["direct", "yosida"],
+                                   help="solve mode (yosida: the Yosida path)")),
+    "--seed": ("campaign.seed", dict(help="campaign seed override")),
+    "--rho": ("solver.rho", dict(help="weight override")),
+    "--dt": ("grid.dt", dict(help="time step override")),
 }
-#: command -> (description, the flags it reads)
-_COMMANDS = {
-    "solve": ("solve a configured problem, write solution.csv and report.txt",
-              ("--mode", "--rho", "--dt")),
-    "check-conditions": ("verify the structural conditions of the material", ("--dt",)),
-    "campaign": ("run randomized property checks, write campaign.csv", ("--seed", "--rho", "--dt")),
-    "gallery": ("assemble a slab model and write its structural summary", ()),
-}
+#: flag values that name their config value otherwise
+_ALIASES = {"yosida": "yosida_path"}
 
 
 def build_parser():
@@ -49,7 +44,7 @@ def build_parser():
     )
     subs = parser.add_subparsers(dest="command", required=True)
     epilog = config_help()
-    for name, (descr, flags) in _COMMANDS.items():
+    for name, (descr, flags, _) in _COMMANDS.items():
         sub = subs.add_parser(
             name,
             help=descr,
@@ -68,9 +63,9 @@ def build_parser():
             help="override a config entry (repeatable)",
         )
         for flag in flags:
-            sub.add_argument(flag, **_FLAGS[flag])
-        sub.set_defaults(**{flag[2:]: None for flag in _FLAGS})  # a flag not read is None
+            sub.add_argument(flag, **_FLAGS[flag][1])
     return parser
+
 
 
 def _out_dir(args) -> Path:
@@ -131,6 +126,7 @@ def _conditions_report(cfg):
 
 
 def _cmd_check_conditions(cfg, out: Path) -> int:
+    cfg.fixed_solver()
     template, report = _conditions_report(cfg)
     rho0 = None
     if report.passed:
@@ -162,9 +158,22 @@ def _cmd_campaign(cfg, out: Path) -> int:
 
 
 def _cmd_gallery(cfg, out: Path) -> int:
+    cfg.fixed_solver()
     model = cfg.build_gallery_model()
     _write(out / "report.txt", model.summary() + "\n")
     return EXIT_OK
+
+
+#: command -> (description, the flags it reads, handler)
+_COMMANDS = {
+    "solve": ("solve a configured problem, write solution.csv and report.txt",
+              ("--mode", "--rho", "--dt"), _cmd_solve),
+    "check-conditions": ("verify the structural conditions of the material", ("--dt",),
+                         _cmd_check_conditions),
+    "campaign": ("run randomized property checks, write campaign.csv", ("--seed", "--rho", "--dt"),
+                 _cmd_campaign),
+    "gallery": ("assemble a slab model and write its structural summary", (), _cmd_gallery),
+}
 
 
 def main(argv=None) -> int:
@@ -174,19 +183,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        flags = flag_overrides(args.mode, args.rho, args.dt, args.seed)
+        given = {target: getattr(args, flag[2:], None) for flag, (target, _) in _FLAGS.items()}
+        flags = [f"{target}={_ALIASES.get(v, v)}" for target, v in given.items() if v is not None]
         cfg = load_config(args.config, overrides=[*args.overrides, *flags])
-        out = _out_dir(args)
-        if args.command == "solve":
-            return _cmd_solve(cfg, out)
-        if args.command == "check-conditions":
-            return _cmd_check_conditions(cfg, out)
-        if args.command == "campaign":
-            return _cmd_campaign(cfg, out)
-        if args.command == "gallery":
-            return _cmd_gallery(cfg, out)
-        parser.error(f"unknown command {args.command!r}")
-        return EXIT_USAGE
+        return _COMMANDS[args.command][2](cfg, _out_dir(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,16 +22,14 @@ import numpy as np
 
 from .catalog import CatalogProblem, catalog_names, make_catalog_problem
 from .errors import ContractViolation
-from .gallery import (
-    VISCOPLASTIC_RELATIONS, Coefficient, SlabGrid, build_thermoplasticity, build_viscoplasticity,
-)
-from .harness import ALL_CHECKS, PropertyCampaign
-from .materials import constant_family, sinusoidal_family
+from .gallery import VISCOPLASTIC_RELATIONS, SlabGrid, build_thermoplasticity, build_viscoplasticity
+from .harness import ALL_CHECKS, PropertyCampaign, supported_checks
+from .materials import Coefficient, constant_family, sinusoidal_family
 from .relations import RELATION_KINDS, relation_from_config
 from .signals import TimeGrid, WeightedSignal, read_signal_csv
 from .solver import FP_TOL, InclusionProblem, default_lambda_schedule
 
-__all__ = ["RunConfig", "load_config", "ConfigError", "config_help", "flag_overrides"]
+__all__ = ["RunConfig", "load_config", "ConfigError", "config_help"]
 
 
 class ConfigError(ContractViolation):
@@ -143,11 +141,12 @@ without one, a campaign runs every check its problem supports. A config uses
 one problem source: [problem], [material] with [relation],
 [thermoplasticity] or [viscoplasticity]. The grid's n, dt and t0 come from
 [grid] over [problem]. A [relation] or [forcing] kind takes only the keys it
-reads; linear takes matrix or gain. Only mode = yosida_path reads the lambda
-keys of [solver], and a campaign takes only fp_tol, rho and c_tilde from
-[solver]. Every number must be finite. There is no initial-condition
-interface: the past is identically zero, so model initial values with
-impulsive forcing (kind = impulse).
+reads; linear takes matrix or gain. Only evinc solve reads [solver] mode,
+fp_max_iter and the lambda keys (these with mode = yosida_path only); every
+other command takes only rho, c_tilde and fp_tol from [solver]. Every number
+must be finite. There is no initial-condition interface: the past is
+identically zero, so model initial values with impulsive forcing (kind =
+impulse).
 """
 
 
@@ -164,17 +163,6 @@ def config_help() -> str:
     return "\n".join(lines) + "\n" + _HELP_NOTES
 
 
-def flag_overrides(mode=None, rho=None, dt=None, seed=None) -> list:
-    """Overrides for the flags --mode, --rho, --dt and --seed; ``yosida`` names yosida_path."""
-    flags = {
-        "solver.mode": {"yosida": "yosida_path"}.get(mode, mode),
-        "solver.rho": rho,
-        "grid.dt": dt,
-        "campaign.seed": seed,
-    }
-    return [f"{target}={value}" for target, value in flags.items() if value is not None]
-
-
 @dataclass
 class RunConfig:
     """Parsed configuration: typed values by section, and its problem source."""
@@ -185,6 +173,14 @@ class RunConfig:
 
     def _section(self, name: str) -> dict:
         return dict(self.sections.get(name, {}))
+
+    def fixed_solver(self) -> dict:
+        """[solver] of every command but solve, which alone reads mode, fp_max_iter and lambda_*."""
+        solver = self._section("solver")
+        refused = [key for key in solver if key not in ("rho", "c_tilde", "fp_tol")]
+        if refused:
+            raise ConfigError(f"only evinc solve reads [solver] {', '.join(refused)}")
+        return solver
 
     # -- assembly -----------------------------------------------------------
 
@@ -273,16 +269,10 @@ class RunConfig:
         return template.problem(forcing, lambda_schedule=schedule, **knobs)
 
     def build_campaign(self, template: CatalogProblem) -> PropertyCampaign:
-        """The [campaign] over ``template`` at [solver] fp_tol; by default every check."""
-        solver = self.sections.get("solver", {})
-        refused = [key for key in solver if key not in ("rho", "c_tilde", "fp_tol")]
-        if refused:
-            raise ConfigError(f"a campaign fixes its solver; drop [solver] {', '.join(refused)}")
+        """The [campaign] over ``template`` at [solver] fp_tol; by default each supported check."""
+        fp_tol = self.fixed_solver().get("fp_tol", FP_TOL)
         sec = self._section("campaign")
-        checks = sec.pop("checks", ()) or tuple(
-            c for c in ALL_CHECKS if c != "oracle_match" or template.oracle_capable
-        )
-        fp_tol = solver.get("fp_tol", FP_TOL)
+        checks = sec.pop("checks", ()) or supported_checks(template)
         return PropertyCampaign(template=template, checks=checks, fp_tol=fp_tol, **sec)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditionCheckError, ContractViolation
-from .materials import ConditionsReport, MaterialFamily, measure_constants
+from .materials import Coefficient, ConditionsReport, MaterialFamily, measure_constants
 from .relations import (
     RELATION_KINDS,
     DeviatoricSaturation,
@@ -84,48 +84,6 @@ def build_slab_operators(g: SlabGrid) -> SpatialOperators:
     Div = -Grad_c.T
     trace_op = np.kron(np.eye(m), TRACE_VECTOR[None, :])
     return SpatialOperators(grad_c=grad_c, div=div, Grad_c=Grad_c, Div=Div, trace_op=trace_op)
-
-
-@dataclass(frozen=True)
-class Coefficient:
-    """Scalar time-sampled coefficient base*(1 + amplitude*sin(frequency*t)).
-
-    Carries analytic bounds so the structural constants can be claimed
-    without sampling slack; |amplitude| < 1 keeps it uniformly positive.
-    """
-
-    base: float
-    amplitude: float = 0.0
-    frequency: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.base < np.inf:
-            raise ContractViolation(
-                f"coefficient base must be finite and positive, got {self.base}"
-            )
-        if not abs(self.amplitude) < 1.0:
-            raise ContractViolation("coefficient amplitude must have magnitude < 1")
-        if not np.isfinite(self.frequency):
-            raise ContractViolation(f"coefficient frequency must be finite, got {self.frequency}")
-
-    def __call__(self, t: float) -> float:
-        return self.base * (1.0 + self.amplitude * np.sin(self.frequency * t))
-
-    @property
-    def lower(self) -> float:
-        return self.base * (1.0 - abs(self.amplitude))
-
-    @property
-    def upper(self) -> float:
-        return self.base * (1.0 + abs(self.amplitude))
-
-    @property
-    def lip(self) -> float:
-        return self.base * abs(self.amplitude) * abs(self.frequency)
-
-    @property
-    def constant(self) -> bool:
-        return self.amplitude == 0.0
 
 
 @dataclass(frozen=True)

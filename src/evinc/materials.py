@@ -8,7 +8,8 @@ pass that reads structural constants off time samples: the family builders
 here and the slab builders derive their claims from it, and
 ``check_conditions`` compares claims against it, so it can only falsify them
 on samples, never certify. Pointwise differentiability off a null set is
-assumed by construction for the shipped builders and not tested.
+assumed by construction for the shipped builders and not tested. Both the
+sinusoidal family and the slab models vary in time through ``Coefficient``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import ConditionCheckError, ContractViolation, StepSizeError
 
 __all__ = [
+    "Coefficient",
     "MaterialFamily",
     "kernel_decompose",
     "m0_prime",
@@ -38,6 +40,48 @@ __all__ = [
 ]
 
 KERNEL_EIG_TOL = 1e-9  # relative eigenvalue threshold; kernels are exact in models
+
+
+@dataclass(frozen=True)
+class Coefficient:
+    """Scalar time-sampled coefficient base*(1 + amplitude*sin(frequency*t)).
+
+    Carries analytic bounds so the structural constants can be claimed
+    without sampling slack; |amplitude| < 1 keeps it uniformly positive.
+    """
+
+    base: float
+    amplitude: float = 0.0
+    frequency: float = 1.0
+
+    def __post_init__(self):
+        if not 0 < self.base < np.inf:
+            raise ContractViolation(
+                f"coefficient base must be finite and positive, got {self.base}"
+            )
+        if not abs(self.amplitude) < 1.0:
+            raise ContractViolation("coefficient amplitude must have magnitude < 1")
+        if not np.isfinite(self.frequency):
+            raise ContractViolation(f"coefficient frequency must be finite, got {self.frequency}")
+
+    def __call__(self, t: float) -> float:
+        return self.base * (1.0 + self.amplitude * np.sin(self.frequency * t))
+
+    @property
+    def lower(self) -> float:
+        return self.base * (1.0 - abs(self.amplitude))
+
+    @property
+    def upper(self) -> float:
+        return self.base * (1.0 + abs(self.amplitude))
+
+    @property
+    def lip(self) -> float:
+        return self.base * abs(self.amplitude) * abs(self.frequency)
+
+    @property
+    def constant(self) -> bool:
+        return self.amplitude == 0.0
 
 
 def kernel_decompose(m0_sample: np.ndarray, tol: float = KERNEL_EIG_TOL):
@@ -90,10 +134,10 @@ class MaterialFamily:
         if self.range_basis is None:
             rb = _orthonormal_complement(kb, self.dim)
             object.__setattr__(self, "range_basis", rb)
-        if not self.c0 > 0 or not self.c1 > 0:
-            raise ContractViolation("c0 and c1 must be positive claims")
-        if self.lip_M0 < 0 or self.sup_M1 < 0:
-            raise ContractViolation("lip_M0 and sup_M1 must be nonnegative")
+        if not (0 < self.c0 < math.inf and 0 < self.c1 < math.inf):
+            raise ContractViolation("c0 and c1 must be finite positive claims")
+        if not (0 <= self.lip_M0 < math.inf and 0 <= self.sup_M1 < math.inf):
+            raise ContractViolation("lip_M0 and sup_M1 must be finite and nonnegative")
 
 
 def _orthonormal_complement(basis: np.ndarray, dim: int) -> np.ndarray:
@@ -325,35 +369,34 @@ def sinusoidal_family(
     c0=None,
     c1=None,
 ) -> MaterialFamily:
-    """M0(t) = (1 + amplitude*sin(frequency*t)) * m0_base, M1 constant.
+    """M0(t) = Coefficient(1, amplitude, frequency)(t) * m0_base, M1 constant.
 
     Requires |amplitude| < 1 so the kernel and coercivity are preserved in
-    time; the Lipschitz claim is amplitude*frequency*|m0_base|. A zero
-    amplitude gives the constant family, which lets the solver reuse its
+    time; the Lipschitz claim is the coefficient's rate times |m0_base|. A
+    zero amplitude gives the constant family, which lets the solver reuse its
     per-step preparation.
     """
-    if not abs(amplitude) < 1.0:
-        raise ContractViolation("amplitude must have magnitude < 1")
+    coef = Coefficient(1.0, amplitude, frequency)
     M0 = np.atleast_2d(np.asarray(m0_base, dtype=float))
     M1 = np.atleast_2d(np.asarray(m1_base, dtype=float))
-    dim = M0.shape[0]
+    if not (np.isfinite(M0).all() and np.isfinite(M1).all()):
+        raise ContractViolation("m0 and m1 must be finite")
     kb, rb = kernel_decompose(M0)
-    # the base matrices bound every time: M0(t) >= (1 - |amplitude|) m0_base
+    # the base matrices bound every time: M0(t) >= coef.lower * m0_base
     base = measure_constants(lambda t: M0, lambda t: M1, kb, rb, [0.0])
-    constant = amplitude == 0.0
 
     def m0_at(t):
-        return M0 if constant else (1.0 + amplitude * np.sin(frequency * t)) * M0
+        return M0 if coef.constant else coef(t) * M0
 
     return MaterialFamily(
-        dim=dim,
+        dim=M0.shape[0],
         M0_at=m0_at,
         M1_at=lambda t: M1,
-        lip_M0=abs(amplitude) * abs(frequency) * base.sup_M0,
+        lip_M0=coef.lip * base.sup_M0,
         sup_M1=base.sup_M1,
-        c0=_vacuous_if_empty((1.0 - abs(amplitude)) * base.c0) if c0 is None else c0,
+        c0=_vacuous_if_empty(coef.lower * base.c0) if c0 is None else c0,
         c1=_vacuous_if_empty(base.c1) if c1 is None else c1,
         kernel_basis=kb,
         range_basis=rb,
-        constant=constant,
+        constant=coef.constant,
     )

@@ -3,10 +3,12 @@
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from evinc import config
 from evinc.cli import main
+from evinc.signals import read_signal_csv, write_signal_csv
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -229,6 +231,58 @@ class TestGrid:
         assert report(out)["rho"] == "3.5"
 
 
+RANDOM_CONFIG = """
+[problem]
+catalog = sign_scalar
+n = 300
+
+[forcing]
+kind = random
+seed = 7
+"""
+
+
+class TestForcingKinds:
+    """The impulse, random and csv forcings, each against what it must reproduce."""
+
+    def test_impulse_is_the_implicit_euler_pulse(self, tmp_path):
+        # du/dt + u = delta(t - 0.1): u_k = (1 + dt)^-(k - k0 + 1) from the pulse node k0 on
+        code, out = run(tmp_path, "solve", CONFIGS / "scalar_ode.ini", "--set", "problem.n=400",
+                        "--set", "forcing.kind=impulse", "--set", "forcing.start=0.1")
+        assert code == 0
+        u = read_signal_csv(out / "solution.csv", 1.0).values[:, 0]
+        dt, k0 = 0.001, 100
+        k = np.arange(400)
+        expected = np.where(k >= k0, (1.0 + dt) ** -(k - k0 + 1.0), 0.0)
+        assert np.max(np.abs(u - expected)) <= 1e-12
+
+    def test_random_draws_from_its_seed(self, tmp_path):
+        path = tmp_path / "random.ini"
+        path.write_text(RANDOM_CONFIG)
+        cfg = config.load_config(str(path))
+        template = cfg.build_template()
+        forcing = cfg.build_forcing(template)
+        draws = np.random.default_rng(7).standard_normal((template.grid.n, template.dim))
+        expected = template.signal(draws)
+        assert forcing.grid == expected.grid and forcing.rho == expected.rho
+        assert np.array_equal(forcing.values, expected.values)
+
+    def test_csv_replays_a_written_forcing(self, tmp_path):
+        random_ini, csv_ini = tmp_path / "random.ini", tmp_path / "csv.ini"
+        random_ini.write_text(RANDOM_CONFIG)
+        cfg = config.load_config(str(random_ini))
+        template = cfg.build_template()
+        write_signal_csv(cfg.build_forcing(template), tmp_path / "forcing.csv")
+        csv_ini.write_text(RANDOM_CONFIG.replace(
+            "kind = random\nseed = 7", f"kind = csv\npath = {tmp_path / 'forcing.csv'}"))
+        solutions = []
+        for ini in (random_ini, csv_ini):
+            out = tmp_path / ini.stem
+            assert main(["solve", "--config", str(ini), "--out", str(out)]) == 0
+            solutions.append((out / "solution.csv").read_bytes())
+        assert solutions[0] == solutions[1]
+
+
 class TestSources:
     @pytest.mark.parametrize("name, target", [
         ("thermoplastic.ini", "material.m0=2.0"),
@@ -374,3 +428,24 @@ class TestCampaignSolver:
                         "--set", target)
         assert target.split("=")[0].split(".")[1] in config_error(capsys, code)
         assert not (out / "campaign.csv").exists()
+
+
+class TestFixedSolver:
+    """Every command but solve takes only rho, c_tilde and fp_tol from [solver]."""
+
+    SOLVE_ONLY = ("solver.lambda_start=0.5", "solver.mode=yosida_path", "solver.fp_max_iter=3")
+
+    @pytest.mark.parametrize("command", ["check-conditions", "gallery"])
+    def test_solve_only_keys_refused(self, tmp_path, capsys, command):
+        # both commands once accepted these keys, ignored them and exited 0
+        overrides = [arg for target in self.SOLVE_ONLY for arg in ("--set", target)]
+        code, out = run(tmp_path, command, CONFIGS / "thermoplastic.ini", *overrides)
+        err = config_error(capsys, code)
+        assert all(target.split("=")[0].split(".")[1] in err for target in self.SOLVE_ONLY)
+        assert not (out / "report.txt").exists()
+
+    @pytest.mark.parametrize("command", ["check-conditions", "gallery"])
+    def test_fixed_keys_accepted(self, tmp_path, command):
+        code, out = run(tmp_path, command, CONFIGS / "thermoplastic.ini",
+                        "--set", "solver.fp_tol=1e-9", "--set", "solver.c_tilde=0.25")
+        assert code == 0 and (out / "report.txt").exists()

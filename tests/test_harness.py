@@ -66,6 +66,13 @@ class TestCampaign:
         with pytest.raises(ContractViolation):
             PropertyCampaign(template=tpl, trials=1, seed=1, checks=("oracle_match",))
 
+    @pytest.mark.parametrize("name, oracle", [("scalar_ode", True), ("thermoplastic_slab", False)])
+    def test_supported_checks_are_the_accepted_ones(self, name, oracle):
+        tpl = make_catalog_problem(name, n=30)
+        checks = harness.supported_checks(tpl)
+        assert checks == tuple(c for c in harness.ALL_CHECKS if oracle or c != "oracle_match")
+        assert PropertyCampaign(template=tpl, trials=1, checks=checks).checks == checks
+
     def test_causality_campaign_all_pass(self):
         tpl = make_catalog_problem("scalar_ode", n=200)
         rep = run_campaign(

@@ -168,6 +168,35 @@ class TestRhoZero:
             rho_zero(fam, 0.0)
 
 
+class TestNonFiniteInput:
+    """Non-finite matrices and claims are refused where a family is built."""
+
+    @pytest.mark.parametrize("m0, m1", [
+        ([[np.nan]], [[0.0]]),  # once an untyped LinAlgError from the SVD
+        ([[1.0]], [[np.inf]]),  # once accepted with sup_M1 = 0
+    ])
+    def test_constant_family_matrices(self, m0, m1):
+        with pytest.raises(ContractViolation, match="finite"):
+            constant_family(np.array(m0), np.array(m1))
+
+    @pytest.mark.parametrize("frequency", [np.nan, np.inf])
+    def test_sinusoidal_family_frequency(self, frequency):
+        # once accepted with lip_M0 = nan
+        with pytest.raises(ContractViolation, match="finite"):
+            sinusoidal_family(np.eye(1), np.zeros((1, 1)), amplitude=0.3, frequency=frequency)
+
+    @pytest.mark.parametrize("claim, value", [
+        ("lip_M0", np.nan), ("lip_M0", np.inf), ("sup_M1", np.nan), ("sup_M1", np.inf),
+        ("c0", np.nan), ("c0", np.inf), ("c1", np.nan), ("c1", np.inf),
+    ])
+    def test_family_claims(self, claim, value):
+        # lip_M0 = nan once gave rho_zero = dt_max = nan, which admitted any rho and dt
+        claims = {"lip_M0": 0.0, "sup_M1": 0.0, "c0": 1.0, "c1": 1.0, claim: value}
+        with pytest.raises(ContractViolation, match="finite"):
+            MaterialFamily(dim=1, M0_at=lambda t: np.eye(1), M1_at=lambda t: np.zeros((1, 1)),
+                           kernel_basis=np.zeros((1, 0)), **claims)
+
+
 class TestStepOperator:
     def test_identity(self):
         fam = constant_family(np.eye(2), np.zeros((2, 2)))

@@ -222,6 +222,36 @@ class TestMintyScan:
         assert good.passed
 
 
+class TestAssembledMaximality:
+    """Minty scans of the assembled relations that the paper's examples rest on."""
+
+    @pytest.mark.parametrize("name", ["thermoplastic_slab", "viscoplastic_slab"])
+    def test_slab_relation(self, name):
+        from evinc.catalog import make_catalog_problem
+
+        rel = make_catalog_problem(name, n=3).relation
+        rep = minty_scan(rel, 0.5, samples=200, radius=5.0, seed=1)
+        assert rep.passed and rep.inclusion_checked, repr(rep)
+        assert rep.max_residual <= 1e-9 and rep.max_expansion_slack <= 0.0
+
+    def test_single_valued_slab_apply_inverts_its_resolvent(self):
+        from evinc.catalog import make_catalog_problem
+
+        rel = make_catalog_problem("thermoplastic_slab", n=3).relation
+        y = np.random.default_rng(2).standard_normal((4, rel.dim)) * 5.0
+        x = rel.resolve(0.5, y)
+        assert np.max(np.abs(x + 0.5 * rel.apply(x) - y)) <= 1e-9
+
+    @pytest.mark.parametrize("rel, lam", [
+        (SlotEmbedded(NormSubdifferential(2), 1, 6, count=2), 0.5),  # set-valued slot
+        (sum_with_lipschitz(NormSubdifferential(2), lambda u: 0.5 * u, 0.5), 0.8),
+    ], ids=["slot", "lipschitz_sum"])
+    def test_embedded_and_perturbed(self, rel, lam):
+        rep = minty_scan(rel, lam, samples=200, radius=5.0, seed=1)
+        assert rep.passed and rep.inclusion_checked, repr(rep)
+        assert rep.max_residual <= 1e-9
+
+
 class TestSumWithLipschitz:
     def test_zero_perturbation_reduces_to_base(self):
         a = NormSubdifferential(1, weight=1.0)
