@@ -439,6 +439,43 @@ def _members(tpl, mode, seed, count=7, low=-3, **kwargs):
     return out
 
 
+#: (status, fail_step, fail_reason, per_step_iterations) of each distinct member of the
+#: Yosida cases of test_a_failed_member_drops_out_alone, recorded before the march
+#: solved its cells in waves. On the viscoplastic slab the sixth member fails in
+#: stage 5 and the others that fail in stage 3, so the pins fix which failure a
+#: member reports: the first one of its lowest failing stage.
+FAILED_YOSIDA_MEMBERS = {
+    'thermoplastic_slab': [
+        ('failed', 3, 'forward-backward step 3 did not converge: budget after 4 iterations (residual 1.101e-10)', []),
+        ('failed', 0, 'forward-backward step 0 did not converge: budget after 4 iterations (residual 1.091e-04)', []),
+        ('failed', 2, 'forward-backward step 2 did not converge: budget after 4 iterations (residual 3.308e-10)', []),
+        ('converged', None, None, [23, 23, 23, 28, 38, 40, 40, 41, 41, 41]),
+        ('failed', 0, 'forward-backward step 0 did not converge: budget after 4 iterations (residual 2.503e-10)', []),
+        ('failed', 0, 'forward-backward step 0 did not converge: budget after 4 iterations (residual 3.520e-06)', []),
+        ('failed', 0, 'forward-backward step 0 did not converge: budget after 4 iterations (residual 4.041e-07)', []),
+        ('failed', 0, 'forward-backward step 0 did not converge: budget after 4 iterations (residual 1.736e-04)', []),
+        ('failed', 0, 'forward-backward step 0 did not converge: budget after 4 iterations (residual 8.760e-10)', []),
+        ('failed', 0, 'forward-backward step 0 did not converge: budget after 4 iterations (residual 5.431e-09)', []),
+        ('failed', 1, 'forward-backward step 1 did not converge: budget after 4 iterations (residual 1.239e-10)', []),
+        ('failed', 0, 'forward-backward step 0 did not converge: budget after 4 iterations (residual 1.865e-07)', []),
+    ],
+    'viscoplastic_slab': [
+        ('failed', 0, 'Douglas-Rachford step 0 did not converge: budget after 4 iterations (residual 3.705e-10)', []),
+        ('converged', None, None, [79, 79, 79, 79, 79, 79, 79, 80, 80, 80]),
+        ('failed', 0, 'Douglas-Rachford step 0 did not converge: budget after 4 iterations (residual 1.037e-08)', []),
+        ('failed', 7, 'Douglas-Rachford step 7 did not converge: budget after 4 iterations (residual 1.194e-10)', []),
+        ('failed', 0, 'Douglas-Rachford step 0 did not converge: budget after 4 iterations (residual 1.709e-10)', []),
+        ('failed', 9, 'Douglas-Rachford step 9 did not converge: budget after 4 iterations (residual 1.002e-10)', []),
+        ('converged', None, None, [33, 34, 35, 37, 40, 38, 40, 40, 42, 42]),
+        ('failed', 1, 'Douglas-Rachford step 1 did not converge: budget after 4 iterations (residual 1.068e-10)', []),
+        ('failed', 0, 'Douglas-Rachford step 0 did not converge: budget after 4 iterations (residual 2.204e-08)', []),
+        ('converged', None, None, [22, 22, 22, 32, 22, 22, 25, 27, 25, 30]),
+        ('converged', None, None, [79, 79, 79, 79, 79, 79, 79, 79, 79, 79]),
+        ('converged', None, None, [79, 79, 79, 79, 79, 79, 79, 79, 79, 79]),
+    ],
+}
+
+
 class TestBatch:
     """A member of a batch gets the report solve gives it alone, wherever it stands."""
 
@@ -476,6 +513,15 @@ class TestBatch:
             assert _same_report(rep, alone[i])
         steps = {rep.fail_step for rep in reports}
         assert None in steps and len(steps - {None, 0}) >= 1
+
+    @pytest.mark.parametrize("name, seed", [("thermoplastic_slab", 1), ("viscoplastic_slab", 0)])
+    def test_failed_yosida_members_pinned(self, name, seed):
+        # the Yosida cases above, each member's outcome as recorded, in a batch and alone
+        tpl = make_catalog_problem(name, n=10)
+        distinct = _members(tpl, "yosida_path", seed, count=12, low=-8, fp_max_iter=4)
+        for reports in (solve_batch(distinct), [solve(p) for p in distinct]):
+            got = [(r.status, r.fail_step, r.fail_reason, r.per_step_iterations) for r in reports]
+            assert got == FAILED_YOSIDA_MEMBERS[name]
 
     def test_any_list_marches_key_by_key(self, monkeypatch):
         # the base problem interleaved with problems that each differ in one
