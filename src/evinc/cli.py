@@ -68,13 +68,9 @@ def build_parser():
 
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write(path: Path, text: str):
+    # the output directory is made with the first file, so a run that fails before leaves none
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     print(path)
 
@@ -86,6 +82,7 @@ def _cmd_solve(cfg, out: Path) -> int:
         print(f"solver failed at step {report.fail_step}: {report.fail_reason}",
               file=sys.stderr)
         return EXIT_SOLVER
+    out.mkdir(parents=True, exist_ok=True)
     write_signal_csv(report.solution, out / "solution.csv")
     print(out / "solution.csv")
     sol_norm = weighted_norm(report.solution)
@@ -148,8 +145,7 @@ def _cmd_campaign(cfg, out: Path) -> int:
         _write(out / "report.txt", cond.to_text() + "\n")
         return EXIT_CONDITIONS
     report = run_campaign(cfg.build_campaign(template))
-    (out / "campaign.csv").write_text(report.to_csv())
-    print(out / "campaign.csv")
+    _write(out / "campaign.csv", report.to_csv())
     _write(out / "report.txt", report.to_text() + "\n")
     if not report.passed:
         print(f"{len(report.failures)} failing trial checks", file=sys.stderr)
@@ -186,7 +182,7 @@ def main(argv=None) -> int:
         given = {target: getattr(args, flag[2:], None) for flag, (target, _) in _FLAGS.items()}
         flags = [f"{target}={_ALIASES.get(v, v)}" for target, v in given.items() if v is not None]
         cfg = load_config(args.config, overrides=[*args.overrides, *flags])
-        return _COMMANDS[args.command][2](cfg, _out_dir(args))
+        return _COMMANDS[args.command][2](cfg, Path(args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

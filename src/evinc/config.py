@@ -23,7 +23,7 @@ import numpy as np
 from .catalog import CatalogProblem, catalog_names, make_catalog_problem
 from .errors import ContractViolation
 from .gallery import VISCOPLASTIC_RELATIONS, SlabGrid, build_thermoplasticity, build_viscoplasticity
-from .harness import ALL_CHECKS, PropertyCampaign, supported_checks
+from .harness import ALL_CHECKS, PropertyCampaign
 from .materials import Coefficient, constant_family, sinusoidal_family
 from .relations import RELATION_KINDS, relation_from_config
 from .signals import TimeGrid, WeightedSignal, read_signal_csv
@@ -272,7 +272,7 @@ class RunConfig:
         """The [campaign] over ``template`` at [solver] fp_tol; by default each supported check."""
         fp_tol = self.fixed_solver().get("fp_tol", FP_TOL)
         sec = self._section("campaign")
-        checks = sec.pop("checks", ()) or supported_checks(template)
+        checks = sec.pop("checks", ()) or None  # none given: the campaign's default
         return PropertyCampaign(template=template, checks=checks, fp_tol=fp_tol, **sec)
 
 

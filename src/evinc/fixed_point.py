@@ -166,7 +166,9 @@ def fixed_point_stack(G, X0, tol, max_iter):
     """``fixed_point`` on each row of ``X0``; returns ``(out, iterations, residuals, reasons)``.
 
     ``G(X, rows)`` evaluates the maps of the rows ``rows`` (indices into
-    ``X0``) at the stack ``X`` and returns ``(GX, OUT)``. A row leaves the
+    ``X0``) at the stack ``X`` and returns ``(GX, OUT)``; ``rows`` is one
+    array object from call to call until a row exits, so ``G`` may select
+    its rows' parameters once per object. A row leaves the
     stack at its own exit; ``out`` holds each row's output and the three
     lists its iterations, residual and reason, all as ``fixed_point`` gives
     them for that row alone.

@@ -9,6 +9,7 @@ an independent branch-enumeration solver that never touches a resolvent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,15 +70,20 @@ def random_forcing(template: CatalogProblem, rng: np.random.Generator) -> Weight
 
 @dataclass(frozen=True)
 class PropertyCampaign:
-    """Seed-determined batch of checks over a catalog template."""
+    """Seed-determined batch of checks over a catalog template.
+
+    ``checks`` defaults to every check the template supports.
+    """
 
     template: CatalogProblem
     trials: int = 20
     seed: int = 0
-    checks: tuple = ALL_CHECKS
+    checks: tuple = None
     fp_tol: float = FP_TOL
 
     def __post_init__(self):
+        if self.checks is None:
+            object.__setattr__(self, "checks", supported_checks(self.template))
         if self.trials < 1 or not self.checks:
             raise ContractViolation(
                 f"a campaign needs at least one trial and one check, got "
@@ -220,12 +226,17 @@ def _bisect_radius(phi, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
+def _norm(v) -> float:
+    """The 2-norm of a vector: what ``np.linalg.norm`` computes for one, without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 def _oracle_step(relation, S: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     """Solve S u + A(u) ∋ b by exhaustive branch enumeration plus bisection."""
-    scale = 1.0 + float(np.linalg.norm(b))
+    scale = 1.0 + _norm(b)
 
     def residual(u, a_val):
-        return float(np.linalg.norm(S @ u + a_val - b))
+        return _norm(S @ u + a_val - b)
 
     if isinstance(relation, ZeroRelation):
         u = _cramer_solve(S, b)
@@ -258,19 +269,19 @@ def _oracle_step(relation, S: np.ndarray, b: np.ndarray, tol: float) -> np.ndarr
                         return u
             raise StepFailure("oracle: no sign branch admits a solution", step=-1)
         # planar: zero branch, else radial equation on the smooth branch
-        if np.linalg.norm(b) <= wgt * (1.0 + 1e-14):
+        if _norm(b) <= wgt * (1.0 + 1e-14):
             return np.zeros(2)
 
         def phi(r):
             u = _cramer_solve(S + (wgt / r) * np.eye(2), b)
-            return float(np.linalg.norm(u)) - r
+            return _norm(u) - r
 
-        hi = (np.linalg.norm(b) + wgt) / max(_min_sym_eig(S), 1e-12) + 1.0
+        hi = (_norm(b) + wgt) / max(_min_sym_eig(S), 1e-12) + 1.0
         root = _bisect_radius(phi, 1e-14, hi)
         if root is None:
             raise StepFailure("oracle: radial bisection failed", step=-1)
         u = _cramer_solve(S + (wgt / root) * np.eye(2), b)
-        if residual(u, wgt * u / np.linalg.norm(u)) <= tol * scale:
+        if residual(u, wgt * u / _norm(u)) <= tol * scale:
             return u
         raise StepFailure("oracle: smooth branch residual too large", step=-1)
 
@@ -278,20 +289,20 @@ def _oracle_step(relation, S: np.ndarray, b: np.ndarray, tol: float) -> np.ndarr
         s0 = relation.radius
         eye = np.eye(S.shape[0])
         u = _cramer_solve(S + eye, b)  # unsaturated branch: A(u) = u
-        if np.linalg.norm(u) <= s0 * (1.0 + 1e-14):
+        if _norm(u) <= s0 * (1.0 + 1e-14):
             if residual(u, u) <= tol * scale:
                 return u
 
         def phi(r):
             v = _cramer_solve(S + (s0 / r) * eye, b)
-            return float(np.linalg.norm(v)) - r
+            return _norm(v) - r
 
-        hi = (np.linalg.norm(b) + s0) / max(_min_sym_eig(S), 1e-12) + 1.0
+        hi = (_norm(b) + s0) / max(_min_sym_eig(S), 1e-12) + 1.0
         root = _bisect_radius(phi, s0, hi)
         if root is None:
             raise StepFailure("oracle: no saturation branch admits a solution", step=-1)
         u = _cramer_solve(S + (s0 / root) * eye, b)
-        if residual(u, s0 * u / np.linalg.norm(u)) <= tol * scale:
+        if residual(u, s0 * u / _norm(u)) <= tol * scale:
             return u
         raise StepFailure("oracle: saturated branch residual too large", step=-1)
 
@@ -327,10 +338,15 @@ def oracle_trajectory(template: CatalogProblem, forcing: WeightedSignal,
     vals = forcing.values
     out = np.empty_like(vals)
     prev_m0u = np.zeros(dim)
-    for k in range(grid.n):
-        t = grid.t0 + k * dt
+
+    def matrices(t):
         M0 = np.asarray(family.M0_at(t), dtype=float)
-        S = M0 / dt + np.asarray(family.M1_at(t), dtype=float)
+        return M0, M0 / dt + np.asarray(family.M1_at(t), dtype=float)
+
+    # a constant family is evaluated once, as the march plans it
+    fixed = matrices(grid.t0) if family.constant else None
+    for k in range(grid.n):
+        M0, S = fixed or matrices(grid.t0 + k * dt)
         b = vals[k] + prev_m0u / dt
         u = _oracle_step(relation, S, b, tol)
         out[k] = u

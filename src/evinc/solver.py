@@ -11,31 +11,38 @@ S u + A(u) ∋ b with S = M0(t_k)/dt + M1(t_k), using only resolvents of A:
   matrix is well conditioned, and Douglas-Rachford between the affine part
   and the tail resolvent when it is stiff (the degenerate regime).
 
-The relation's split A = K + tail is taken once per solve and the pair
-(K, tail) is passed down to ``_node_plans``, the one place that plans nodes:
-it yields each node's M0(t_k), engine and step, planning a constant family
-once and a moving one PLAN_BLOCK nodes at a time, with stacked eigvalsh,
-2-norm and inverse calls, as the march reaches them. ``_march`` consumes
-that stream and sweeps the nodes from a given past (zero by default, so
-``solve_step`` is a one-node march); it evaluates no coefficient. A solve
-is a list of stages, each one march: direct mode is the one stage (K,
-tail), the Yosida path the stages (K, A_lam) with the surrogate A_lam of
-the tail at each scheduled lambda. Every iterative engine runs safeguarded
-Anderson(5) on one fixed-point kernel (``fixed_point.fixed_point``), which
-also owns the stop rule, the iteration budget, the divergence guard, the
-stall exit and the non-finite exit.
+A solve is a list of stages over one split A = K + tail of the relation:
+direct mode is the one stage (K, tail), the Yosida path the stages (K, A_lam)
+with the surrogate A_lam of the tail at each scheduled lambda, each
+warm-started from the one before. ``_node_plans`` is the one place that plans
+nodes: it yields each node's M0(t_k), S_k + K and, per stage, the engine and
+its gamma and inverse, planning a node once for every stage, a constant
+family once, and a moving one PLAN_BLOCK nodes at a time with stacked
+eigvalsh, 2-norm and inverse calls, as the march reaches them.
 
-The march has a member axis. ``solve_batch`` takes any list and marches the
-problems that differ only in forcing, rho and c_tilde together: one plan per
-node serves every member, and each inner iteration is one stacked evaluation
-of the members still iterating (``fixed_point.fixed_point_stack``), each
-keeping its own stop, safeguard and exits. Numpy's stacked products and
-solves give each member the bits it gets alone, so a member's report does
-not depend on the batch around it. ``_march`` alone decides who marches,
-from the batch's list of member failures: a member whose node fails drops
-out of that stage and every later one, and gets the report a solo solve
-gives it. ``solve`` is a batch of one; a node with one live member runs on
-vectors through ``fixed_point``, which is the faster kernel at that size.
+``_march`` consumes that stream and evaluates no coefficient. It schedules
+cells, one node k of one stage s of one member. Cell (s, k) reads its stage's
+past, cell (s, k-1), and its warm start, cell (s-1, k), so the cells of one
+anti-diagonal d = s + k are independent: the march solves them in waves, and
+in each wave the cells that share an engine make one kernel call. Direct
+mode is the one-stage case, where a wave is a node and its rows are the
+members; the Yosida path's waves stack up to one cell per stage, each row
+with its own gamma, inverse and lambda. Every iterative engine runs
+safeguarded Anderson(5) on one fixed-point kernel (``fixed_point.fixed_point``
+on one vector, ``fixed_point.fixed_point_stack`` on a stack), which also owns
+the stop rule, the iteration budget, the divergence guard, the stall exit and
+the non-finite exit.
+
+``solve_batch`` takes any list and marches the problems that differ only in
+forcing, rho and c_tilde together: one plan per node serves every member and
+every stage, and each row of a stack keeps its own stop, safeguard and exits.
+Numpy's stacked products and solves, and the relations' evaluation at a
+lambda column, give each row the bits it gets alone, so a member's report
+does not depend on the batch or the wave around it: it is bit for bit the
+report of a stage-by-stage march of that member alone. ``_march`` alone
+decides who marches, from the batch's list of member failures: a member
+reports the first failure of its lowest failing stage. ``solve`` is a batch
+of one, and ``solve_step`` a one-node, one-stage march.
 
 The weight rho is used for admission checks and norms only — it never enters
 the stepping arithmetic, so solutions agree bit for bit across admissible
@@ -185,7 +192,8 @@ def _mv(A, x):
 
     Each vector gets the bits of ``A @ v`` alone, whatever the stack; a
     single vector takes the plain product, which is those bits too and
-    cheaper by a third at dimension 1.
+    cheaper by a third at dimension 1. ``A`` may also hold one matrix per
+    vector, ``(rows, dim, dim)`` for ``(rows, dim)``, with the same bits.
     """
     return A @ x if x.ndim == 1 else (A @ x[..., None])[..., 0]
 
@@ -193,13 +201,41 @@ def _mv(A, x):
 PLAN_BLOCK = 16  # nodes of a moving family planned by one stacked pass
 
 
-def _node_step(name, tail, lam_mat, gamma, inv, fp_tol: float, fp_max_iter: int):
-    """One node's step(b, warm) -> (u, iterations, residual, reason) on its engine.
+def _engine_map(name, tail, lam_mat, gamma, inv):
+    """The map G(x, c) -> (Gx, out) of an iterative engine; c is its per-node constant."""
+    if name == "Douglas-Rachford":
 
-    ``b`` and ``warm`` are one state ``(dim,)`` or a stack ``(rows, dim)`` of
-    members; a stack runs the stacked kernel and gives lists, row by row the
-    values a single state gives. ``inv`` is None on forward-backward through
-    the tail resolvent.
+        def G(z, gb):
+            x = _mv(inv, z + gb)
+            w = tail.resolve(gamma, 2.0 * x - z)
+            return z + (w - x), w
+
+    elif inv is not None:
+
+        def G(u, gb):
+            u_new = _mv(inv, u - gamma * tail.apply(u) + gb)
+            return u_new, u_new
+
+    else:
+
+        def G(u, b):
+            u_new = tail.resolve(gamma, u - gamma * (_mv(lam_mat, u) - b))
+            return u_new, u_new
+
+    return G
+
+
+def _node_step(name, tail, lam_mat, gamma, inv, fp_tol: float, fp_max_iter: int, lams=None):
+    """One engine's step(b, warm) -> (u, iterations, residual, reason).
+
+    ``b`` and ``warm`` are one state ``(dim,)`` or a stack ``(rows, dim)``; a
+    stack runs the stacked kernel and gives lists, row by row the values a
+    single state gives. The parameters are one node's, shared by every row,
+    or, for the cells of several stages, each row's own: ``gamma`` a
+    ``(rows, 1)`` column, ``inv`` and ``lam_mat`` ``(rows, dim, dim)`` stacks,
+    and ``lams`` the rows' lambda as a ``(rows, 1)`` column, each row then
+    stepping the Yosida surrogate of ``tail`` at its own lambda. ``inv`` is
+    None on forward-backward through the tail resolvent.
     """
     if name == "direct":
 
@@ -213,150 +249,250 @@ def _node_step(name, tail, lam_mat, gamma, inv, fp_tol: float, fp_max_iter: int)
 
         return direct
     scaled = inv is not None  # gamma * (L u - b) is not gamma L u - gamma b in the last bit
-    if name == "Douglas-Rachford":
+    rowwise = lams is not None or np.ndim(gamma) == 2 or np.ndim(inv) == 3 or np.ndim(lam_mat) == 3
+    shared = None if rowwise else _engine_map(name, tail, lam_mat, gamma, inv)
 
-        def G(z, gb):
-            x = _mv(inv, z + gb)
-            w = tail.resolve(gamma, 2.0 * x - z)
-            return z + (w - x), w
-
-    elif scaled:
-
-        def G(u, gb):
-            u_new = _mv(inv, u - gamma * tail.apply(u) + gb)
-            return u_new, u_new
-
-    else:
-
-        def G(u, b):
-            u_new = tail.resolve(gamma, u - gamma * (_mv(lam_mat, u) - b))
-            return u_new, u_new
+    def select(rows):
+        # the map of the stack's rows ``rows``, with their own parameters where they differ
+        if not rowwise:
+            return shared
+        pick = [p[rows] if np.ndim(p) == per_row else p
+                for p, per_row in ((lam_mat, 3), (gamma, 2), (inv, 3))]
+        return _engine_map(name, tail if lams is None else YosidaRelation(tail, lams[rows]), *pick)
 
     def step(b, warm):
         # the map's per-node constant: gamma * b where the map takes it, computed once
         c = gamma * b if scaled else b
         if b.ndim == 1:
-            return fixed_point(lambda x: G(x, c), warm, fp_tol, fp_max_iter)
-        return fixed_point_stack(lambda x, rows: G(x, c[rows]), warm, fp_tol, fp_max_iter)
+            return fixed_point(lambda x: shared(x, c), warm, fp_tol, fp_max_iter)
+        chosen = [None, None, None]  # rows, their map and their constant
+
+        def G(x, rows):
+            # the kernel passes one rows array until a row exits, so select once per array
+            if rows is not chosen[0]:
+                chosen[:] = rows, select(rows), c[rows]
+            return chosen[1](x, chosen[2])
+
+        return fixed_point_stack(G, warm, fp_tol, fp_max_iter)
 
     return step
 
 
-def _node_plans(family: MaterialFamily, linear, tail, t0: float, dt: float, n: int,
-                fp_tol: float, fp_max_iter: int):
-    """Yield (M0(t_k), engine name, step) for the nodes k < n of a march from t0.
+def _node_plans(family: MaterialFamily, linear, tails, t0: float, dt: float, n: int):
+    """Yield one plan (M0(t_k), S_k + K, rules, steps) per node k < n of a march from t0.
 
-    The one place that plans nodes. Node k solves S_k u + K u + tail(u) ∋ b,
-    (K, tail) the relation's split, on an engine chosen from the split and
-    S_k alone. A constant family is planned once, at t0. A moving one is
-    planned PLAN_BLOCK nodes at a time as the march reaches them, with M0 and
-    M1 evaluated once per node and one stacked ``eigvalsh``, 2-norm and
-    ``inv`` per block, which give each node the bits of its own calls
-    (pinned in test_fixed_point.py). A node whose step matrix is not coercive
-    raises StepSizeError when the march asks for it, not before.
+    The one place that plans nodes, once for every stage. Node k solves
+    S_k u + K u + tail_s(u) ∋ b in stage s, (K, tail) the relation's split and
+    ``tails`` the stages' tails; ``rules[s]`` is stage s's engine there, as
+    ``(name, gamma, inv)``, chosen from tail_s and S_k alone, and ``steps`` is
+    an empty dict in which the march keeps each stage's step at the node. The
+    stages share what does not depend on the tail: M0, S_k, the least
+    eigenvalue and 2-norm behind the node's own engine rule, and each
+    inverse, one per distinct gamma. A constant family is planned once, at
+    t0, and that plan serves all n nodes. A moving one is planned PLAN_BLOCK
+    nodes at a time as the march reaches them, with M0 and M1 evaluated once
+    per node and one stacked ``eigvalsh``, 2-norm and ``inv`` per block, which
+    give each node the bits of its own calls (pinned in test_fixed_point.py).
+    A node whose step matrix is not coercive raises StepSizeError when the
+    march asks for it, not before.
     """
-    # a constant family is planned at t0 alone, and that plan serves all n nodes
     size, repeat = (1, n) if family.constant else (PLAN_BLOCK, 1)
     eye = np.eye(family.dim)
+    # each stage's engine where it does not depend on the node, as (name, gamma, inverted):
+    # a linear solve; the whole linear part implicit and a cocoercive tail explicit; else None
+    kinds = [
+        ("direct", None, True) if tail is None
+        else ("forward-backward", min(tail.cocoercivity, 1.0), True)
+        if tail.single_valued and tail.cocoercivity >= 0.25 else None
+        for tail in tails
+    ]
     for lo in range(0, n, size * repeat):
         ts = [t0 + k * dt for k in range(lo, min(lo + size, n))]
         M0, S, margins = step_matrices(family, ts, dt)
         ok = next((k for k, margin in enumerate(margins) if margin <= 0.0), len(ts))
         lam = S[:ok] if linear is None else S[:ok] + linear
-        # each node's (engine, gamma), and the nodes whose engine takes an inverse
-        if tail is None:
-            rules, need, mats = [("direct", None)] * ok, range(ok), lam
-        elif tail.single_valued and tail.cocoercivity >= 0.25:
-            # the whole linear part implicit, the cocoercive tail explicit
-            gamma = min(tail.cocoercivity, 1.0)
-            rules, need, mats = [("forward-backward", gamma)] * ok, range(ok), eye + gamma * lam
-        else:
-            rules = []
+        own = [None] * ok  # each node's own rule, for the stages that take one
+        if None in kinds:
             m_hats = np.linalg.eigvalsh(0.5 * (lam + lam.mT)).min(axis=-1).tolist()
             bigs = np.linalg.norm(lam, 2, axis=(-2, -1)).tolist()
-            for m_hat, big, margin in zip(m_hats, bigs, margins):
+            for k, (m_hat, big, margin) in enumerate(zip(m_hats, bigs, margins)):
                 # m_hat <= 0 needs a non-monotone linear part, rejected at relation build
                 m_hat = margin if m_hat <= 0 else m_hat
                 # well-conditioned: forward-backward through the tail resolvent contracts
                 # at sqrt(1 - (m/L)^2), least at gamma = m/L^2, and beats the splitting;
                 # stiff: Douglas-Rachford between the affine part and the tail
-                rules.append(("forward-backward", m_hat / big**2) if m_hat / big >= 0.9
-                             else ("Douglas-Rachford", 1.0 / np.sqrt(m_hat * big)))
-            need = [k for k, (name, _) in enumerate(rules) if name == "Douglas-Rachford"]
-            mats = eye + np.array([rules[k][1] for k in need])[:, None, None] * lam[need]
-        invs = dict(zip(need, np.linalg.inv(mats)))
-        for k, (m0, lam_mat, (name, gamma)) in enumerate(zip(M0, lam, rules)):
-            step = _node_step(name, tail, lam_mat, gamma, invs.get(k), fp_tol, fp_max_iter)
-            yield from itertools.repeat((m0, name, step), repeat)
+                own[k] = (("forward-backward", m_hat / big**2, False) if m_hat / big >= 0.9
+                          else ("Douglas-Rachford", 1.0 / np.sqrt(m_hat * big), True))
+        # the distinct rules of each node, and one stacked inverse for those that take one
+        node_kinds = [list(dict.fromkeys(kind or own[k] for kind in kinds)) for k in range(ok)]
+        need = [(k, gamma) for k, ks in enumerate(node_kinds) for _, gamma, inverted in ks if inverted]
+        invs = {}
+        if need:
+            mats = np.stack([lam[k] if gamma is None else eye + gamma * lam[k] for k, gamma in need])
+            invs = dict(zip(need, np.linalg.inv(mats)))
+        for k in range(ok):
+            rule = {kind: (kind[0], kind[1], invs[k, kind[1]] if kind[2] else None)
+                    for kind in node_kinds[k]}
+            rules = tuple(rule[kind or own[k]] for kind in kinds)
+            yield from itertools.repeat((M0[k], lam[k], rules, {}), repeat)
         if ok < len(ts):
             raise _step_size_error(family, ts[ok], margins[ok])
-        del S, mats  # not kept while the next block is built, so memory stays flat
+        del S  # not kept while the next block is built, so memory stays flat
 
 
-def _node_major(values, rows):
-    """The rows' ``(n, dim)`` values with the node axis first, so node k is one index."""
-    return np.ascontiguousarray(values[rows].swapaxes(0, -2))
+def _per_row(values, counts):
+    """The value all cells share, else each row's: a ``(rows, 1)`` column or ``(rows, d, d)``."""
+    first = values[0]
+    if all(v is first for v in values):
+        return first
+    stacked = np.repeat(np.array(values), counts, axis=0)
+    return stacked[:, None] if stacked.ndim == 1 else stacked
 
 
-def _march(plans, forcing: np.ndarray, dt: float, failures: list, warm_values: np.ndarray = None,
-           past=None):
-    """Causal sweep of a batch over the grid; returns (values, iterations, residuals).
+def _march(plans, forcing: np.ndarray, dt: float, failures: list, tails, fp_tol: float,
+           fp_max_iter: int, past=None):
+    """Causal sweep of a batch through every stage; returns (values, iterations, residuals).
 
-    ``plans`` yields each node's (M0(t_k), engine name, step), one for every
-    member, from ``_node_plans``: the march plans nothing. ``forcing`` is
-    ``(members, n, dim)``, as are ``warm_values`` and the values; iterations
-    are ``(members, n)`` and ``residuals[m]`` is member m's largest stop
-    residual. ``failures`` is the batch's list of member failures and the
-    march alone decides from it who marches: a member whose entry is set
-    (it failed in an earlier stage) is skipped, and a member whose iteration
-    stops short of the tolerance gets the StepFailure naming that node and
-    drops out there. The others go on, and with none left no plan is asked
-    for. ``past`` is ``(u, M0 u)`` before the first node, each
-    ``(members, dim)``; None is the zero past. A node's M0 gives the next
-    node's past. One live member runs as vectors (``fixed_point``), more as a
-    stack (``fixed_point_stack``).
+    A cell is one node k of one stage s. It reads its stage's past, cell
+    (s, k-1), and its warm start, cell (s-1, k), or (0, k-1) in stage 0; so
+    the cells of one anti-diagonal d = s + k are independent and the march
+    solves them together, wave after wave. ``tails`` holds each stage's tail
+    (several stages are the Yosida surrogates of one tail), ``plans`` yields
+    each node's plan for all of them, from ``_node_plans``: the march plans
+    nothing, and asks for node d at wave d. In a wave, the cells that share
+    an engine make one kernel call: a single cell takes its node's shared
+    parameters, and its members as vectors (``fixed_point``) if it has one,
+    else as a stack (``fixed_point_stack``); several cells make one stack of
+    all their rows, each with its own gamma, inverse and lambda. Direct mode
+    is the one-stage case: its wave is the node and its rows the members.
+
+    ``forcing`` is ``(members, n, dim)``; values are ``(stages, members, n,
+    dim)``, iterations ``(members, n)`` summed over the stages, and
+    ``residuals[m]`` member m's largest stop residual in the last stage.
+    ``failures`` is the batch's list of member failures and the march alone
+    decides from it who marches: a member whose entry is set is skipped, and
+    a member whose iteration stops short of the tolerance gets the
+    StepFailure naming that node, as a stage-by-stage march would give it:
+    the first failure of its lowest failing stage. So a failure ends the
+    member's cells in that stage and the later ones, while its earlier
+    stages go on. With no member left no plan is asked for. ``past`` is ``(u,
+    M0 u)`` before the first node, each ``(members, dim)``; None is the zero
+    past. A node's M0 gives the next node's past.
     """
+    stages = len(tails)
     size, n, dim = forcing.shape
-    out = np.zeros_like(forcing)
-    iterations = np.zeros((size, n), dtype=int)
+    F = np.ascontiguousarray(forcing.swapaxes(0, 1))  # node k of every member is F[k]
+    # node-major stages: cell (s, k) of member m is U[s, k + 1, m], and U[:, 0] the past state
+    U = np.zeros((stages, n + 1, size, dim))
+    m0u = np.zeros((stages, size, dim))  # each stage's M0 u at its last node
+    iterations = np.zeros((stages, n, size), dtype=int)
+    if past is not None:
+        U[:, 0], m0u[:] = past
     max_res = [0.0] * size
-    state, m0u = (np.zeros((size, dim)), np.zeros((size, dim))) if past is None else past
-    live = keep = [m for m, failure in enumerate(failures) if failure is None]
-    if not live:
-        return out, iterations, max_res
-    for k, (M0, name, step) in enumerate(plans):
-        if keep:
-            # the live members' rows: one member's as vectors, more as a stack
-            rows, at = (live[0], keep[0]) if len(live) == 1 else (np.array(live), keep)
-            state, m0u = state[at], m0u[at]
-            F = _node_major(forcing, rows)
-            W = None if warm_values is None else _node_major(warm_values, rows)
-            keep = None
-        b = F[k] + m0u / dt
-        u, iters, res, reasons = step(b, state if W is None else W[k])
-        out[rows, k] = u
-        iterations[rows, k] = iters
-        state, m0u = u, _mv(M0, u)
-        if b.ndim == 1:
-            iters, res, reasons = (iters,), (res,), (reasons,)
-        dropped = False
-        for m, it, r, reason in zip(live, iters, res, reasons):
+    top = [stages if failure is None else 0 for failure in failures]  # m marches stages < top[m]
+    live, lanes = [], []
+
+    def relane():
+        # each stage's live members and, where one index selects them all or one, views
+        # of its forcing, warm starts, values, M0 u and iterations, in which a cell is one index
+        live[:] = [[m for m in range(size) if top[m] > s] for s in range(stages)]
+        lanes[:] = [None] * stages
+        for s, members in enumerate(live):
+            if len(members) == 1 or len(members) == size:
+                rows = members[0] if len(members) == 1 else slice(None)
+                lanes[s] = (F[:, rows], U[max(s - 1, 0), int(s > 0):, rows], U[s, 1:, rows],
+                            m0u[s, rows], iterations[s, :, rows])
+
+    def settle(s, k, name, members, its, res, reasons):
+        # record the cells' failures, keeping each member's lowest stage, and the last
+        # stage's residuals; True if a member failed
+        failed = False
+        for m, it, r, reason in zip(members, its, res, reasons):
             if reason != CONVERGED:
-                failures[m] = StepFailure(
-                    f"{name} step {k} did not converge: {reason} after "
-                    f"{it} iterations (residual {r:.3e})",
-                    step=k,
-                    residual=r,
-                )
-                dropped = True
-            elif r > max_res[m]:
+                if s < top[m]:
+                    failures[m] = StepFailure(
+                        f"{name} step {k} did not converge: {reason} after "
+                        f"{it} iterations (residual {r:.3e})",
+                        step=k,
+                        residual=r,
+                    )
+                    top[m] = s
+                    failed = True
+            elif s == stages - 1 and r > max_res[m]:
                 max_res[m] = r
-        if dropped:
-            keep = [j for j, m in enumerate(live) if failures[m] is None]
-            live = [live[j] for j in keep]
-            if not live:
-                break
-    return out, iterations, max_res
+        return failed
+
+    relane()
+    ring = [None] * stages  # the plans of the nodes in flight: node k's is ring[k % stages]
+    for d in range(n + stages - 1):
+        if not live[0]:
+            break
+        if d < n:
+            ring[d % stages] = next(plans)
+        cells = range(d - n + 1 if d >= n else 0, d + 1 if d < stages else stages)
+        if len(cells) == 1:
+            groups = (cells,)
+        else:
+            groups = {}
+            for s in cells:
+                if live[s]:
+                    name, _, inv = ring[(d - s) % stages][2][s]
+                    groups.setdefault((name, inv is None), []).append(s)
+            groups = groups.values()
+        failed = False
+        for group in groups:
+            s = group[0]
+            if len(group) == 1 and lanes[s] is not None:
+                # one cell on its node's own step: its members as vectors or as a stack
+                k = d - s
+                M0, lam_mat, rules, steps = ring[k % stages]
+                step = steps.get(s)
+                if step is None:
+                    name, gamma, inv = rules[s]
+                    step = steps[s] = _node_step(name, tails[s], lam_mat, gamma, inv, fp_tol, fp_max_iter)
+                forcing_s, warm, values, m0u_s, iterations_s = lanes[s]
+                u, its, res, reasons = step(forcing_s[k] + m0u_s / dt, warm[k])
+                values[k] = u
+                iterations_s[k] = its
+                m0u_s[...] = _mv(M0, u)
+                if u.ndim == 1:
+                    its, res, reasons = (its,), (res,), (reasons,)
+                failed |= settle(s, k, rules[s][0], live[s], its, res, reasons)
+                continue
+            if not live[s]:
+                continue
+            # one stack of every row of the group's cells, each row with its own parameters
+            members = [live[s] for s in group]
+            counts = [len(cell) for cell in members]
+            ss = np.repeat(group, counts)
+            kk = d - ss
+            ms = np.concatenate(members)
+            later = ss > 0
+            node_plans = [ring[(d - s) % stages] for s in group]
+            rules = [plan[2][s] for plan, s in zip(node_plans, group)]
+            tail, lams = tails[group[0]], None
+            if len(group) > 1 and tail is not None:  # the stages' surrogates of one tail
+                tail, lams = tail.base, np.repeat([tails[s].lam for s in group], counts)[:, None]
+            name = rules[0][0]
+            step = _node_step(
+                name, tail,
+                _per_row([plan[1] for plan in node_plans], counts),
+                _per_row([rule[1] for rule in rules], counts),
+                _per_row([rule[2] for rule in rules], counts),
+                fp_tol, fp_max_iter, lams,
+            )
+            u, its, res, reasons = step(F[kk, ms] + m0u[ss, ms] / dt, U[ss - later, kk + later, ms])
+            U[ss, kk + 1, ms] = u
+            iterations[ss, kk, ms] = its
+            m0u[ss, ms] = _mv(_per_row([plan[0] for plan in node_plans], counts), u)
+            end = 0
+            for s, cell in zip(group, members):
+                start, end = end, end + len(cell)
+                failed |= settle(s, d - s, name, cell, its[start:end], res[start:end],
+                                 reasons[start:end])
+        if failed:
+            relane()
+    return U[:, 1:].swapaxes(1, 2), iterations.sum(axis=0).T, max_res
 
 
 def solve_step(
@@ -373,33 +509,40 @@ def solve_step(
     """One implicit step: S u + A(u) ∋ f_k + prev_m0u/dt, warm-started at prev_state.
 
     ``prev_m0u`` is M0(t - dt) @ prev_state; pass None to have it computed.
-    This is a one-node march of one member from that past.
+    This is a one-node, one-stage march of one member from that past.
     """
     prev_state = np.asarray(prev_state, dtype=float)
     if prev_m0u is None:
         prev_m0u = np.asarray(family.M0_at(t - dt), dtype=float) @ prev_state
     forcing = np.asarray(f_k, dtype=float).reshape(1, 1, -1)
     past = (prev_state[None], np.asarray(prev_m0u, dtype=float)[None])
-    plans = _node_plans(family, *relation.split(), t, dt, 1, fp_tol, fp_max_iter)
+    linear, tail = relation.split()
+    plans = _node_plans(family, linear, [tail], t, dt, 1)
     failures = [None]
-    vals, _, _ = _march(plans, forcing, dt, failures, past=past)
+    vals, _, _ = _march(plans, forcing, dt, failures, [tail], fp_tol, fp_max_iter, past=past)
     if failures[0] is not None:
         raise failures[0]
-    return vals[0, 0]
+    return vals[0, 0, 0]
 
 
-def _stage_image_norms(linear, tail, values: np.ndarray, signals):
-    """Weighted norms of k -> K u_k + tail(u_k) along each member's trajectory.
+def _stage_image_norms(linear, tails, values: np.ndarray, signals):
+    """Weighted norms of k -> K u_k + tail_s(u_k) along each stage's trajectory of each member.
 
-    ``values`` is ``(members, n, dim)``; every node of every member goes
-    through one stacked product and one block call, which give the bits of
-    the product and the call row by row. Member m's norm is taken in the
-    weight of ``signals[m]``.
+    ``values`` is ``(stages, members, n, dim)`` and ``tails`` the stages'
+    Yosida surrogates of one tail (or all None). Every node of every stage
+    and member goes through one stacked product and one block call, at a
+    lambda column, which give the bits of the product and of each stage's
+    call row by row. Returns ``norms[s][m]``, member m's norm in stage s,
+    taken in the weight of ``signals[m]``.
     """
-    image = np.zeros_like(values) if linear is None else _mv(linear, values)
-    if tail is not None:
-        image += tail.apply(values)
-    return [weighted_norm(sig.with_values(img)) for sig, img in zip(signals, image)]
+    flat = values.reshape(-1, values.shape[-1])
+    image = np.zeros_like(flat) if linear is None else _mv(linear, flat)
+    if tails[0] is not None:
+        lams = np.repeat([tail.lam for tail in tails], len(flat) // len(tails))[:, None]
+        image += YosidaRelation(tails[0].base, lams).apply(flat)
+    image = image.reshape(values.shape)
+    return [[weighted_norm(sig.with_values(img)) for sig, img in zip(signals, stage)]
+            for stage in image]
 
 
 def _march_key(p: InclusionProblem):
@@ -414,14 +557,15 @@ def solve_batch(problems) -> list:
     Problems with one ``_march_key`` (family and relation objects, grid, mode,
     ``fp_tol``, ``fp_max_iter`` and, on the Yosida path, the λ-schedule)
     march together, key by key in order of first appearance; their forcing,
-    rho and c_tilde may differ, because rho never enters the stepping. In a
-    march one plan per node serves every member and one stacked relation call
-    per inner iteration evaluates every member still iterating. Direct mode is
-    the one-stage path and the Yosida path one stage per λ, all through one
-    loop; ``_march`` records each member's failure and skips that member in
-    later stages, and every report is built after the loop, in one place. Each
-    member's report is bit for bit the one ``solve`` gives it alone, failures
-    included, so the grouping changes no answer.
+    rho and c_tilde may differ, because rho never enters the stepping. Each key
+    is one ``_march`` call: direct mode is the one-stage march and the Yosida
+    path one stage per λ, one plan per node serves every member and every
+    stage, and one stacked relation call per inner iteration evaluates every
+    row still iterating in a wave. ``_march`` records each member's failure;
+    the stage image norms of the Yosida path are taken after it, in one block
+    call, and every report is built after that, in one place. Each member's
+    report is bit for bit the one ``solve`` gives it alone, failures included,
+    so the grouping changes no answer.
     """
     problems = list(problems)
     groups = {}
@@ -440,24 +584,17 @@ def solve_batch(problems) -> list:
     fam = head.family
     yosida = head.mode == "yosida_path"
     # direct mode is the one-stage path; each Yosida stage warm-starts from the last
-    stages = [(None, tail)] if not yosida else [
-        (lam, None if tail is None else YosidaRelation(tail, lam)) for lam in head.schedule()
-    ]
+    lams = head.schedule() if yosida else [None]
+    tails = [tail] if not yosida else [None if tail is None else YosidaRelation(tail, lam) for lam in lams]
+    plans = _node_plans(fam, linear, tails, grid.t0, grid.dt, grid.n)
     failures = [None] * len(problems)
-    traces = [[] for _ in problems]
-    vals, total = None, 0
-    for lam, stage in stages:
-        plans = _node_plans(fam, linear, stage, grid.t0, grid.dt, grid.n, head.fp_tol,
-                            head.fp_max_iter)
-        vals, iters, res = _march(plans, forcing, grid.dt, failures, vals)
-        total = total + iters
-        live = [m for m, failure in enumerate(failures) if failure is None]
-        if not live:
-            break
-        if yosida:
-            norms = _stage_image_norms(linear, stage, vals[live], [problems[m].forcing for m in live])
-            for m, norm in zip(live, norms):
-                traces[m].append((lam, norm))
+    vals, total, res = _march(plans, forcing, grid.dt, failures, tails, head.fp_tol, head.fp_max_iter)
+    live = [m for m, failure in enumerate(failures) if failure is None]
+    traces = {}
+    if yosida and live:
+        norms = _stage_image_norms(linear, tails, vals[:, live], [problems[m].forcing for m in live])
+        traces = {m: list(zip(lams, stage_norms)) for m, stage_norms in zip(live, zip(*norms))}
+    final = vals[-1].copy()  # so the reports do not keep the earlier stages alive
     if yosida:
         delta = 2.0 * (fam.sup_M1 + fam.lip_M0) + 1.0
         ts = [grid.t0] if fam.constant else grid.t0 + grid.dt * np.linspace(0, grid.n - 1, 16)
@@ -488,7 +625,7 @@ def solve_batch(problems) -> list:
                 yosida_reference_bound=reference,
             )
         reports.append(SolveReport(
-            solution=p.forcing.with_values(vals[m]),
+            solution=p.forcing.with_values(final[m]),
             per_step_iterations=total[m].tolist(),
             max_residual=res[m],
             status="converged",
@@ -500,9 +637,9 @@ def solve_batch(problems) -> list:
 def solve(problem: InclusionProblem) -> SolveReport:
     """March the inclusion causally; optionally through a Yosida-regularized path.
 
-    Direct mode steps the relation itself. The regularized path repeats the
-    march with the relation's nonlinear tail replaced by its Yosida surrogate
-    at every scheduled lambda, warm-starting from the previous stage, and
+    Direct mode steps the relation itself. The regularized path marches with
+    the relation's nonlinear tail replaced by its Yosida surrogate at every
+    scheduled lambda, each stage warm-started from the previous one, and
     reports the weighted norms of the stage images (they must stay bounded as
     lambda shrinks); the last stage is the answer. It is a batch of one.
     """

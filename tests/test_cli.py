@@ -237,3 +237,29 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(out), *extra]) == 1
         assert "unrecognized arguments: " + " ".join(extra) in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOutputDirectory:
+    """The output directory is made with the first output file, not before the run."""
+
+    CONFIGS = __import__("pathlib").Path(__file__).resolve().parent.parent / "configs"
+
+    @pytest.mark.parametrize("command, config, override, code", [
+        ("gallery", "thermoplastic.ini", "solver.mode=direct", 1),
+        ("check-conditions", "thermoplastic.ini", "solver.fp_max_iter=3", 1),
+        ("campaign", "campaign_degenerate.ini", "campaign.trials=0", 1),
+        ("solve", "thermoplastic.ini", "solver.fp_max_iter=1", 3),
+    ])
+    def test_a_run_that_writes_nothing_leaves_no_directory(self, tmp_path, capsys, command,
+                                                           config, override, code):
+        # each error is raised inside the command, after the config loaded
+        out = tmp_path / "o" / "deeper"
+        args = [command, "--config", str(self.CONFIGS / config), "--out", str(out), "--set", override]
+        assert main(args) == code
+        assert capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_a_run_that_writes_makes_the_directory(self, tmp_path):
+        out = tmp_path / "o" / "deeper"
+        assert main(["gallery", "--config", str(self.CONFIGS / "thermoplastic.ini"), "--out", str(out)]) == 0
+        assert (out / "report.txt").is_file()

@@ -234,6 +234,19 @@ def test_stacked_solve_and_anderson_step_are_per_vector_bits(dim, size):
             assert mixed[i].tobytes() == _mix(gx[i], r[i], list(dg[i]), list(dr[i])).tobytes()
 
 
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("dim", DIMS)
+def test_product_with_a_matrix_per_row_is_per_vector_bits(dim, size):
+    # the march stacks cells of several nodes and stages, each row with its
+    # own inverse, step matrix or M0: row i must get the bits of A[i] @ x[i]
+    rng = np.random.default_rng([dim, size, 3])
+    A = rng.standard_normal((size, dim, dim))
+    X = rng.standard_normal((size, dim))
+    products = (A @ X[..., None])[..., 0]
+    for a, x, prod in zip(A, X, products):
+        assert prod.tobytes() == (a @ x).tobytes()
+
+
 def test_einsum_dot_is_not_the_per_vector_bits():
     # why every dot product in the stacked kernel is a matmul: einsum sums in
     # another order and misses the per-vector dot in the last bit

@@ -73,6 +73,12 @@ class TestCampaign:
         assert checks == tuple(c for c in harness.ALL_CHECKS if oracle or c != "oracle_match")
         assert PropertyCampaign(template=tpl, trials=1, checks=checks).checks == checks
 
+    @pytest.mark.parametrize("name", ["scalar_ode", "thermoplastic_slab"])
+    def test_default_checks_are_the_supported_ones(self, name):
+        # a template without an oracle takes a campaign with no checks named
+        tpl = make_catalog_problem(name, n=30)
+        assert PropertyCampaign(template=tpl, trials=1).checks == harness.supported_checks(tpl)
+
     def test_causality_campaign_all_pass(self):
         tpl = make_catalog_problem("scalar_ode", n=200)
         rep = run_campaign(
@@ -237,12 +243,20 @@ class TestOracle:
             oracle_trajectory(bad, f)
 
     def test_coefficients_evaluated_once_per_node(self):
-        for tpl in (make_catalog_problem("degenerate_plane", n=30), _sinusoidal_plane(30)):
-            fam, calls = _counting(tpl.family)
-            f = random_forcing(tpl, np.random.default_rng(4))
-            ref = oracle_trajectory(replace(tpl, family=fam), f)
-            assert calls == {"M0": _nodes(tpl.grid), "M1": _nodes(tpl.grid)}
-            assert np.array_equal(ref.values, oracle_trajectory(tpl, f).values)
+        tpl = _sinusoidal_plane(30)
+        fam, calls = _counting(tpl.family)
+        f = random_forcing(tpl, np.random.default_rng(4))
+        ref = oracle_trajectory(replace(tpl, family=fam), f)
+        assert calls == {"M0": _nodes(tpl.grid), "M1": _nodes(tpl.grid)}
+        assert np.array_equal(ref.values, oracle_trajectory(tpl, f).values)
+
+    def test_constant_family_evaluated_once(self):
+        tpl = make_catalog_problem("degenerate_plane", n=30)
+        fam, calls = _counting(tpl.family)
+        f = random_forcing(tpl, np.random.default_rng(4))
+        ref = oracle_trajectory(replace(tpl, family=fam), f)
+        assert calls == {"M0": [tpl.grid.t0], "M1": [tpl.grid.t0]}
+        assert np.array_equal(ref.values, oracle_trajectory(tpl, f).values)
 
     def test_dim_cap(self):
         tpl = make_catalog_problem("thermoplastic_slab", n=20)

@@ -525,6 +525,76 @@ class TestBlockParity:
         assert concrete - exempt - covered == set()
 
 
+def _slab_tail(name):
+    from evinc.catalog import make_catalog_problem
+
+    return make_catalog_problem(name, n=3).relation.split()[1]
+
+
+# bases whose Yosida surrogates the march stacks with a lambda column: every
+# parity case, both slab tails and the two sums that resolve row by row
+COLUMN_BASES = {
+    **{name: case[0] for name, case in PARITY_CASES.items()},
+    "thermoplastic_tail": _slab_tail("thermoplastic_slab"),
+    "viscoplastic_tail": _slab_tail("viscoplastic_slab"),
+    "structured_sum": StructuredSum(np.array([[0.0, 2.0], [-2.0, 0.0]]), BallSaturation(2, radius=0.7)),
+    "perturbed_sum": sum_with_lipschitz(NormSubdifferential(2), lambda u: 0.5 * u, 0.5),
+}
+
+
+def _column_rows(name, lams, gammas, seed):
+    """One row per (lam, gamma): on a branch radius of resolve(lam + gamma), inside, zero or random."""
+    base = COLUMN_BASES[name]
+    rng = np.random.default_rng(seed)
+    kinds = rng.choice(["zero", "inside", "edge", "random"], size=(len(lams), 3)).tolist()
+    if name not in PARITY_CASES:
+        rows = rng.standard_normal((len(lams), base.dim)) * rng.uniform(0.01, 5.0, (len(lams), 1))
+        rows[[k[0] == "zero" for k in kinds]] = 0.0
+        return rows
+    return np.concatenate([
+        _parity_rows(name, lam + gamma, [kind], seed + i)
+        for i, (lam, gamma, kind) in enumerate(zip(lams, gammas, kinds))
+    ])
+
+
+class TestLambdaColumn:
+    """A (rows, dim) stack at a (rows, 1) column of lambda (and gamma) gives row i
+    the bits of the same evaluation on row i alone at lam[i] (and gamma[i])."""
+
+    @pytest.mark.parametrize("name", sorted(COLUMN_BASES))
+    def test_stacked_yosida_rows_are_solo_bits(self, name):
+        base = COLUMN_BASES[name]
+        rng = np.random.default_rng(sorted(COLUMN_BASES).index(name))
+        rows = 40 if name.endswith("sum") else 200
+        # the march's lambdas, 1 down to 1e-6, and gammas around the engines' steps
+        lams = 0.5 ** rng.integers(0, 21, rows).astype(float)
+        gammas = 10.0 ** rng.uniform(-3, -0.05, rows)  # lam + gamma < 2 = 1/Lip(B) of perturbed_sum
+        ys = _column_rows(name, lams, gammas, 11)
+        stacked = YosidaRelation(base, lams[:, None])
+        resolved = stacked.resolve(gammas[:, None], ys)
+        applied = stacked.apply(ys)
+        assert resolved.shape == applied.shape == ys.shape
+        for lam, gamma, y, res, app in zip(lams, gammas, ys, resolved, applied):
+            alone = YosidaRelation(base, lam)
+            assert res.tobytes() == alone.resolve(gamma, y).tobytes()
+            assert app.tobytes() == alone.apply(y).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(COLUMN_BASES))
+    def test_stacked_base_rows_are_solo_bits(self, name):
+        base = COLUMN_BASES[name]
+        rng = np.random.default_rng([sorted(COLUMN_BASES).index(name), 1])
+        lams = 10.0 ** rng.uniform(-6, 0.25, 40 if name.endswith("sum") else 200)
+        ys = _column_rows(name, lams, np.zeros_like(lams), 12)
+        out = base.resolve(lams[:, None], ys)
+        for lam, y, row in zip(lams, ys, out):
+            assert row.tobytes() == base.resolve(lam, y).tobytes()
+
+    @pytest.mark.parametrize("bad", [[[0.5], [0.0]], [[0.5], [np.nan]], [[np.inf]], np.zeros((0, 1))])
+    def test_a_lam_column_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ContractViolation, match="lam column"):
+            YosidaRelation(BallSaturation(2), np.array(bad, dtype=float))
+
+
 class TestShapeContract:
     def test_relation_without_resolve_is_not_implemented(self):
         class Bare(MonotoneRelation):

@@ -7,6 +7,7 @@ import pytest
 from evinc.catalog import CatalogProblem, catalog_names, make_catalog_problem
 from evinc import relations, solver
 from evinc.errors import ContractViolation, ResolventFailure, StepSizeError
+from evinc.gallery import Coefficient, SlabGrid, build_thermoplasticity
 from evinc.harness import random_forcing
 from evinc.materials import MaterialFamily, constant_family, sinusoidal_family, step_operator
 from evinc.relations import BallSaturation, NormSubdifferential, YosidaRelation, ZeroRelation
@@ -271,25 +272,28 @@ class TestYosidaPath:
         assert [lam for lam, _ in path.lambda_trace] == [0.5, 0.25, 0.125]
 
     def test_iterations_summed_over_stages(self):
+        # stage j's cells read only stages up to j, so the march over the first j
+        # stages gives them as the whole path does: the difference of two such
+        # marches is stage j's iterations, at least one per node
         tpl = make_catalog_problem("viscoplastic_slab", n=21)
         f = random_forcing(tpl, np.random.default_rng(11))
         path = solve(tpl.problem(f, mode="yosida_path"))
         assert path.converged
         total = np.zeros(tpl.grid.n, dtype=int)
-        prev = None
         linear, tail = tpl.relation.split()
-        for lam in default_lambda_schedule():
-            plans = _node_plans(tpl.family, linear, YosidaRelation(tail, lam),
-                                tpl.grid.t0, tpl.grid.dt, tpl.grid.n, 1e-10, 200_000)
+        tails = [YosidaRelation(tail, lam) for lam in default_lambda_schedule()]
+        for j in range(1, len(tails) + 1):
+            plans = _node_plans(tpl.family, linear, tails[:j], tpl.grid.t0, tpl.grid.dt, tpl.grid.n)
             failures = [None]
-            vals, iters, _ = _march(plans, f.values[None], tpl.grid.dt, failures, warm_values=prev)
+            vals, iters, _ = _march(plans, f.values[None], tpl.grid.dt, failures, tails[:j],
+                                    1e-10, 200_000)
             assert failures == [None]
-            iters = iters[0]
-            total += iters
-            prev = vals
-        assert np.array_equal(prev[0], path.solution.values)
+            stage = iters[0] - total
+            assert stage.min() >= 1
+            total += stage
+        assert np.array_equal(vals[-1, 0], path.solution.values)
         assert path.per_step_iterations == total.tolist()
-        assert sum(path.per_step_iterations) > sum(iters)
+        assert sum(path.per_step_iterations) > sum(stage)
 
     def test_increasing_schedule_rejected(self):
         tpl = make_catalog_problem("sign_scalar", n=100)
@@ -388,7 +392,7 @@ class TestNodePlans:
         assert str(planned.value) == str(alone.value)
         assert planned.value.suggested_dt == alone.value.suggested_dt
         # the nodes before it are planned and handed out first
-        plans = _node_plans(tpl.family, None, tpl.relation, 0.0, tpl.grid.dt, 20, 1e-10, 100)
+        plans = _node_plans(tpl.family, None, [tpl.relation], 0.0, tpl.grid.dt, 20)
         seen = []
         with pytest.raises(StepSizeError):
             for plan in plans:
@@ -553,8 +557,8 @@ class TestBatch:
         assert all(_same_report(rep, ref) for rep, ref in zip(reports, alone))
         # one march per key in order of first appearance: the six bases with
         # the direct problem whose schedule direct mode never reads, then each
-        # odd problem alone, the Yosida one once per stage
-        assert sizes == [7, 1, *[1] * len(default_lambda_schedule()), 1, 1, 1]
+        # odd problem alone, the Yosida one with all its stages
+        assert sizes == [7, 1, 1, 1, 1, 1]
         assert solve_batch([]) == []
 
     def test_certificate_pair_is_one_batch(self, monkeypatch):
@@ -586,8 +590,8 @@ class TestCoefficientEvaluations:
         schedule = (1.0, 0.1, 0.01)
         path = replace(tpl.problem(f, mode="yosida_path", lambda_schedule=schedule), family=fam)
         assert solve(path).converged
-        # one measurement of sup M0 for the reference bound, then one per stage
-        assert len(calls) == 1 + len(schedule)
+        # one plan for every stage, then one measurement of sup M0 for the reference bound
+        assert len(calls) == 2
 
     def test_time_dependent_plane_once_per_node(self):
         fam = sinusoidal_family(np.eye(2), np.zeros((2, 2)), amplitude=0.3, frequency=2.0)
@@ -602,6 +606,19 @@ class TestCoefficientEvaluations:
         # the evaluation it saves changes no bit of the answer
         same = solve(replace(tpl, family=fam).problem(f))
         assert np.array_equal(rep.solution.values, same.solution.values)
+
+    def test_moving_slab_yosida_path_once_per_node(self):
+        # one plan per node serves all 21 stages; sup M0 is measured at 16 times
+        model = build_thermoplasticity(
+            SlabGrid(), M=Coefficient(1.0, 0.3, 2.0), kappa=Coefficient(1.0, 0.4, 0.5)
+        )
+        counted, calls = _counting_m0(model.family)
+        grid = TimeGrid(0.0, 1e-3, 101)
+        tpl = CatalogProblem.admissible("moving_thermoplastic_slab", counted, model.relation, grid)
+        rep = solve(tpl.problem(random_forcing(tpl, np.random.default_rng(12)), mode="yosida_path"))
+        assert rep.converged
+        assert len(rep.lambda_trace) == len(default_lambda_schedule())
+        assert len(calls) == grid.n + 16
 
     def test_time_dependent_plane_batch_once_per_node(self):
         # one plan per node serves all seven members
@@ -618,12 +635,13 @@ class TestCoefficientEvaluations:
         for p, rep in zip(problems, reports):
             assert _same_report(rep, solve(plain.problem(p.forcing, rho=p.rho)))
 
-    @pytest.mark.parametrize("mode, marches", [("direct", 1), ("yosida_path", 3)])
-    def test_constant_slab_batch_once_per_march(self, mode, marches):
+    @pytest.mark.parametrize("mode, stages", [("direct", 1), ("yosida_path", 3)])
+    def test_constant_slab_batch_once_per_march(self, mode, stages):
+        # one plan serves every member and every stage
         tpl = make_catalog_problem("thermoplastic_slab", n=5)
         fam, calls = _counting_m0(tpl.family)
-        schedule = (1.0, 0.1, 0.01)
+        schedule = (1.0, 0.1, 0.01)[:stages]
         problems = [replace(p, family=fam) for p in _members(tpl, mode, 6, lambda_schedule=schedule)]
         assert all(rep.converged for rep in solve_batch(problems))
         # the Yosida path also measures sup M0 once for its reference bound
-        assert len(calls) == marches + (mode == "yosida_path")
+        assert len(calls) == 1 + (mode == "yosida_path")
