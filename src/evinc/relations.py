@@ -393,14 +393,16 @@ class YosidaRelation(MonotoneRelation):
         if isinstance(lam, np.ndarray):
             if not (lam.size and np.all((lam > 0) & (lam < np.inf))):
                 raise ContractViolation("a lam column must be nonempty, finite and positive")
-        elif not 0 < lam < np.inf:
+            self.cocoercivity = float(lam.min())
+        elif 0 < lam < np.inf:
+            lam = self.cocoercivity = float(lam)
+        else:
             raise ContractViolation(f"lam must be finite and positive, got {lam}")
         self.base = base
-        self.lam = lam if isinstance(lam, np.ndarray) else float(lam)
+        self.lam = lam
         self.dim = base.dim
         self.contains_origin = base.contains_origin
         self.single_valued = True
-        self.cocoercivity = float(lam.min()) if isinstance(lam, np.ndarray) else self.lam
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
