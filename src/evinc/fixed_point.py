@@ -24,8 +24,12 @@ and the ridge's trace is the diagonal's sum as a list, in the order
 ``trace()`` sums it; the tests pin both against the wrapped forms.
 
 ``fixed_point_stack(G, X0, tol, max_iter)`` runs the same iteration on each
-row of ``X0`` at once: the arithmetic is stacked, the bookkeeping stays per
-row, and each row gets bit for bit what ``fixed_point`` gives it alone. Two
+row of ``X0`` at once, with a map of the same signature ``G(X) -> (GX, OUT)``
+on the whole stack: the arithmetic is stacked, the bookkeeping stays per
+row, and each row gets bit for bit what ``fixed_point`` gives it alone.
+Rows never leave the stack: a row that has exited is evaluated at its start
+``X0[j]`` from then on, a replay of its first evaluation that raises no new
+warning or failure in a stateless map, and its results are ignored. Two
 numpy facts carry that, and the tests pin both: a stacked matmul gives each
 slice the bits of the per-vector product, so every dot product here is
 written as one (``sq_norms``; ``einsum`` and ``(R*R).sum(1)`` differ in the
@@ -165,54 +169,49 @@ def fixed_point(G, x0, tol, max_iter):
 def fixed_point_stack(G, X0, tol, max_iter):
     """``fixed_point`` on each row of ``X0``; returns ``(out, iterations, residuals, reasons)``.
 
-    ``G(X, rows)`` evaluates the maps of the rows ``rows`` (indices into
-    ``X0``) at the stack ``X`` and returns ``(GX, OUT)``; ``rows`` is one
-    array object from call to call until a row exits, so ``G`` may select
-    its rows' parameters once per object. A row leaves the
-    stack at its own exit; ``out`` holds each row's output and the three
-    lists its iterations, residual and reason, all as ``fixed_point`` gives
-    them for that row alone.
+    ``G(X) -> (GX, OUT)`` evaluates every row's map at the stack ``X``, as
+    ``fixed_point``'s map does one vector. Rows keep their place until the
+    call returns: a row's output, iterations, residual and reason are
+    recorded at its own exit, as ``fixed_point`` gives them for that row
+    alone, and from then on the row is evaluated at its start ``X0[j]``, a
+    replay of its first evaluation, whose results are ignored.
     """
     size = len(X0)
     out = np.empty_like(X0)
     its, resids, reasons = [1] * size, [0.0] * size, [None] * size
-    ids = np.arange(size)
-    gx, o = G(X0, ids)
+    gx, o = G(X0)
     r = gx - X0
     res = np.sqrt(sq_norms(r)).tolist()
     it = 1
     first, best = list(res), list(res)
     best_it = [it] * size
-    # per live row: a previous accepted step exists, and the history length
+    # per row: a previous accepted step exists, and the history length
     has_prev = [False] * size
     count = [0] * size
     pgx = pr = dgs = drs = None
-    exits = [(NONFINITE if not math.isfinite(v) else CONVERGED if v <= tol else None) for v in res]
+    live, done = list(range(size)), []
+    # the rows that exit at this evaluation, with their reasons
+    exits = {j: NONFINITE if not math.isfinite(v) else CONVERGED
+             for j, v in enumerate(res) if not math.isfinite(v) or v <= tol}
     while True:
         if it >= max_iter:
-            exits = [e or BUDGET for e in exits]
-        gone = [j for j, e in enumerate(exits) if e is not None]
-        for j in gone:
-            i = ids[j]
-            out[i], its[i], resids[i], reasons[i] = o[j], it, res[j], exits[j]
-        if gone:
-            if len(gone) == len(ids):
+            exits = {j: exits.get(j, BUDGET) for j in live}
+        if exits:
+            for j, e in exits.items():
+                out[j], its[j], resids[j], reasons[j] = o[j], it, res[j], e
+            done += exits
+            if len(done) == size:
                 return out, its, resids, reasons
-            keep = [j for j, e in enumerate(exits) if e is None]
-            ids, gx, r, o = ids[keep], gx[keep], r[keep], o[keep]
-            res, first, best, best_it, has_prev, count = (
-                [v[j] for j in keep] for v in (res, first, best, best_it, has_prev, count)
-            )
-            if pgx is not None:
-                pgx, pr = pgx[keep], pr[keep]
-            if dgs is not None:
-                dgs, drs = dgs[keep], drs[keep]
+            live = [j for j in live if j not in exits]
         # the history takes the last accepted step of each row that has one
-        mixed = [j for j, p in enumerate(has_prev) if p]
+        mixed = [j for j in live if has_prev[j]]
         x = gx
+        if mixed or done:
+            x = gx.copy()
+            x[done] = X0[done]
         if mixed:
             if dgs is None:
-                dgs = np.empty((len(ids), MEMORY) + gx.shape[1:])
+                dgs = np.empty((size, MEMORY) + gx.shape[1:])
                 drs = np.empty_like(dgs)
             full = [j for j in mixed if count[j] == MEMORY]
             if full:
@@ -223,17 +222,17 @@ def fixed_point_stack(G, X0, tol, max_iter):
             drs[mixed, at] = r[mixed] - pr[mixed]
             for j in mixed:
                 count[j] = min(count[j] + 1, MEMORY)
-            x = gx.copy()
             for k in {count[j] for j in mixed}:
                 rows = [j for j in mixed if count[j] == k]
                 x[rows] = _mix_stack(gx[rows], r[rows], dgs[rows, :k], drs[rows, :k])
-        g_new, o_new = G(x, ids)
+        g_new, o_new = G(x)
         r_new = g_new - x
         res_new = np.sqrt(sq_norms(r_new)).tolist()
         it += 1
         accepted = []
-        exits = [None] * len(ids)
-        for j, v in enumerate(res_new):
+        exits = {}
+        for j in live:
+            v = res_new[j]
             if not math.isfinite(v):
                 # leaves with this evaluation's output and residual
                 exits[j] = NONFINITE
@@ -256,9 +255,10 @@ def fixed_point_stack(G, X0, tol, max_iter):
                 exits[j] = STALLED
             elif res[j] <= tol:
                 exits[j] = CONVERGED
-        # a refused row takes a plain step next, so its previous step is never read
+        # a refused row takes a plain step next, so its previous step is never read;
+        # an exited row's entries are never read
         pgx, pr = gx, r
-        if len(accepted) == len(ids):
+        if len(accepted) == len(live):
             gx, r, o = g_new, r_new, o_new
         elif accepted:
             gx, r, o = gx.copy(), r.copy(), o.copy()

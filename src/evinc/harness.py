@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import CatalogProblem
-from .errors import ContractViolation, ResolventFailure, StepFailure
+from .errors import ContractViolation, ResolventFailure, StepFailure, StepSizeError
 from .relations import (
     BallSaturation,
     LinearRelation,
@@ -378,7 +378,7 @@ def fixed_point_iterates(f_map, g_map, x: np.ndarray, n_iter: int,
 # campaign driver
 
 #: failures that a campaign records as a failed check; anything else propagates
-_TYPED_FAILURES = (StepFailure, ResolventFailure, ContractViolation)
+_TYPED_FAILURES = (StepFailure, StepSizeError, ResolventFailure, ContractViolation)
 
 # A check is split in two. Its draw, ``(template, rng, fp_tol) -> (problems,
 # judge)``, takes everything random from its rng and builds the problems it
@@ -569,7 +569,8 @@ def run_campaign(campaign: PropertyCampaign) -> CampaignReport:
 
     Every (trial, check) is drawn first, in trial order; the problems of all
     of them are solved in one ``solve_batch`` call; then each is judged, in
-    the same order. A ``StepFailure``, ``ResolventFailure`` or
+    the same order. A ``StepFailure``, ``StepSizeError`` (a node whose
+    step matrix is not coercive), ``ResolventFailure`` or
     ``ContractViolation`` is a failed check with margin ``-inf``, and the
     report keeps its type and message; any other exception propagates.
     """

@@ -128,20 +128,33 @@ def read_signal_csv(path, rho: float) -> WeightedSignal:
     """Read a signal written by :func:`write_signal_csv`.
 
     The grid is reconstructed from the time column; spacing must be uniform
-    to ~1e-12 relative.
+    to ~1e-12 relative. A row that is not one number per header column is
+    a ContractViolation naming the file and line.
     """
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("t,"):
             raise ContractViolation(f"not a signal CSV (header {header!r})")
-        rows = [list(map(float, line.split(","))) for line in fh if line.strip()]
+        width = header.count(",") + 1
+        rows = []
+        for number, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                row = [float(v) for v in line.split(",")]
+            except ValueError:
+                row = None
+            if row is None or len(row) != width:
+                raise ContractViolation(
+                    f"{path}, line {number}: expected {width} numbers, got {line.strip()!r}")
+            rows.append(row)
     data = np.asarray(rows)
     if data.shape[0] < 2:
         raise ContractViolation("signal CSV needs at least 2 rows")
     t = data[:, 0]
     dts = np.diff(t)
     dt = float(dts[0])
-    if np.max(np.abs(dts - dt)) > 1e-12 * max(abs(dt), 1.0):
+    if not np.max(np.abs(dts - dt)) <= 1e-12 * max(abs(dt), 1.0):  # a NaN time fails too
         raise ContractViolation("non-uniform time column in signal CSV")
     grid = TimeGrid(t0=float(t[0]), dt=dt, n=data.shape[0])
     return WeightedSignal(grid, data[:, 1:], rho)

@@ -29,7 +29,8 @@ mode is the one-stage case, where a wave is a node and its rows are the
 members; the Yosida path's waves stack up to one cell per stage, each row
 with its own gamma, inverse and lambda. Every iterative engine runs
 safeguarded Anderson(5) on one fixed-point kernel (``fixed_point.fixed_point``
-on one vector, ``fixed_point.fixed_point_stack`` on a stack), which also owns
+on one vector, ``fixed_point.fixed_point_stack`` on a stack, both iterating
+one map G(x) -> (Gx, out)), which also owns
 the stop rule, the iteration budget, the divergence guard, the stall exit and
 the non-finite exit.
 
@@ -234,8 +235,10 @@ def _node_step(name, tail, lam_mat, gamma, inv, fp_tol: float, fp_max_iter: int,
     or, for the cells of several stages, each row's own: ``gamma`` a
     ``(rows, 1)`` column, ``inv`` and ``lam_mat`` ``(rows, dim, dim)`` stacks,
     and ``lams`` the rows' lambda as a ``(rows, 1)`` column, each row then
-    stepping the Yosida surrogate of ``tail`` at its own lambda. ``inv`` is
-    None on forward-backward through the tail resolvent.
+    stepping the Yosida surrogate of ``tail`` at its own lambda. The engine's
+    map is built once, from these parameters, and always evaluates the whole
+    stack: the kernel keeps an exited row in place. ``inv`` is None on
+    forward-backward through the tail resolvent.
     """
     if name == "direct":
 
@@ -249,31 +252,13 @@ def _node_step(name, tail, lam_mat, gamma, inv, fp_tol: float, fp_max_iter: int,
 
         return direct
     scaled = inv is not None  # gamma * (L u - b) is not gamma L u - gamma b in the last bit
-    rowwise = lams is not None or np.ndim(gamma) == 2 or np.ndim(inv) == 3 or np.ndim(lam_mat) == 3
-    shared = None if rowwise else _engine_map(name, tail, lam_mat, gamma, inv)
-
-    def select(rows):
-        # the map of the stack's rows ``rows``, with their own parameters where they differ
-        if not rowwise:
-            return shared
-        pick = [p[rows] if np.ndim(p) == per_row else p
-                for p, per_row in ((lam_mat, 3), (gamma, 2), (inv, 3))]
-        return _engine_map(name, tail if lams is None else YosidaRelation(tail, lams[rows]), *pick)
+    G = _engine_map(name, tail if lams is None else YosidaRelation(tail, lams), lam_mat, gamma, inv)
 
     def step(b, warm):
         # the map's per-node constant: gamma * b where the map takes it, computed once
         c = gamma * b if scaled else b
-        if b.ndim == 1:
-            return fixed_point(lambda x: shared(x, c), warm, fp_tol, fp_max_iter)
-        chosen = [None, None, None]  # rows, their map and their constant
-
-        def G(x, rows):
-            # the kernel passes one rows array until a row exits, so select once per array
-            if rows is not chosen[0]:
-                chosen[:] = rows, select(rows), c[rows]
-            return chosen[1](x, chosen[2])
-
-        return fixed_point_stack(G, warm, fp_tol, fp_max_iter)
+        kernel = fixed_point if b.ndim == 1 else fixed_point_stack
+        return kernel(lambda x: G(x, c), warm, fp_tol, fp_max_iter)
 
     return step
 

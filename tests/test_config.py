@@ -282,6 +282,25 @@ class TestForcingKinds:
             solutions.append((out / "solution.csv").read_bytes())
         assert solutions[0] == solutions[1]
 
+    @pytest.mark.parametrize("row", ["0.001", "0.001,abc"])
+    def test_malformed_csv_row_is_an_invalid_configuration(self, tmp_path, capsys, row):
+        # a row missing its value or holding a non-number names its file and line
+        random_ini, csv_ini = tmp_path / "random.ini", tmp_path / "csv.ini"
+        random_ini.write_text(RANDOM_CONFIG)
+        cfg = config.load_config(str(random_ini))
+        path = tmp_path / "forcing.csv"
+        write_signal_csv(cfg.build_forcing(cfg.build_template()), path)
+        lines = path.read_text().splitlines()
+        lines[2] = row
+        path.write_text("\n".join(lines) + "\n")
+        csv_ini.write_text(RANDOM_CONFIG.replace("kind = random\nseed = 7", f"kind = csv\npath = {path}"))
+        code, out = run(tmp_path, "solve", csv_ini)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == [
+            f"invalid configuration: {path}, line 3: expected 2 numbers, got {row!r}"]
+        assert not (out / "report.txt").exists()
+
 
 class TestSources:
     @pytest.mark.parametrize("name, target", [

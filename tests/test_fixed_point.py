@@ -299,7 +299,7 @@ def _exit_maps():
 
     maps = [affine, shift, growing, breaking, fixed, affine, blowing]
 
-    def G(X, rows):
+    def G(X, rows=range(len(maps))):  # the whole stack, or the rows named
         gx = []
         for x, i in zip(X, rows):
             calls[i] += 1
@@ -331,6 +331,40 @@ def test_stacked_kernel_gives_each_row_its_own_run(max_iter):
         assert seen == {CONVERGED, STALLED, DIVERGING, NONFINITE}
     if max_iter == 50:
         assert BUDGET in seen and CONVERGED in seen
+
+
+def _tagged_rows(rates, shifts, seen):
+    """Map G(X) -> (a X + c, tag) of rows x -> a_j x + c_j; it records every X it gets.
+
+    The output of every row is the evaluation's number, counted per map, so
+    an output taken from a later evaluation than the one it belongs to shows.
+    """
+
+    def G(X):
+        seen.append(X.copy())
+        return rates * X + shifts, np.full(X.shape, float(len(seen)))
+
+    return G
+
+
+def test_stacked_map_gets_the_whole_stack_and_exited_rows_at_their_start():
+    # rows that exit at different evaluations: contractions at four rates, a
+    # shift without a fixed point (budget) and a row at its fixed point (first
+    # evaluation)
+    X0 = np.array([[1.0, -2.0], [3.0, 0.5], [-1.0, 4.0], [2.0, 2.0], [0.0, 0.0], [5.0, 5.0]])
+    rates = np.array([0.1, 0.5, 0.9, 0.99, 1.0, 0.0])[:, None]
+    shifts = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, -1.0], [0.5, 0.5], [1.0, 1.0], [5.0, 5.0]])
+    seen = []
+    out, its, res, reasons = fixed_point_stack(_tagged_rows(rates, shifts, seen), X0, 1e-12, 40)
+    assert reasons[4] == BUDGET and reasons[5] == CONVERGED and its[5] == 1
+    assert len(set(its)) >= 4
+    assert len(seen) == max(its) and all(X.shape == X0.shape for X in seen)
+    for j, x0 in enumerate(X0):
+        # from the evaluation after its exit on, a row is evaluated at its start
+        assert all(X[j].tobytes() == x0.tobytes() for X in seen[its[j]:])
+        alone = fixed_point(_tagged_rows(rates[j], shifts[j], []), x0, 1e-12, 40)
+        assert out[j].tobytes() == alone[0].tobytes() and out[j, 0] <= its[j]
+        assert (its[j], res[j], reasons[j]) == alone[1:]
 
 
 # ---------------------------------------------------------------------------

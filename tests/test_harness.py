@@ -12,6 +12,7 @@ from evinc.harness import (
     monotonicity_margin,
     oracle_trajectory,
     random_forcing,
+    replay_check,
     run_campaign,
 )
 from evinc import solver
@@ -160,6 +161,19 @@ class TestCampaign:
         assert set(rep.errors) == expected
         assert all(text == "ResolventFailure: too far out" for text in rep.errors.values())
         assert all(passed for trial, check, passed, *_ in rep.rows if (trial, check) not in expected)
+
+    def test_a_step_size_error_fails_its_check(self):
+        # a family whose step matrix is not coercive at this dt: the march
+        # raises StepSizeError at its first node, a failed row like the others
+        fam = constant_family(np.diag([1.0, 0.0]), np.diag([0.0, -0.5]), c0=1.0, c1=1.0)
+        tpl = CatalogProblem.admissible("noncoercive", fam, NormSubdifferential(2),
+                                        TimeGrid(0.0, 0.01, 20))
+        rep = run_campaign(PropertyCampaign(template=tpl, trials=1, checks=("causality",)))
+        [(trial, check, passed, margin, seed)] = rep.rows
+        assert not passed and margin == float("-inf")
+        assert rep.errors[(trial, check)].startswith(
+            "StepSizeError: implicit step matrix at t=0.0 has nonpositive symmetric part")
+        assert replay_check(tpl, check, seed) == (False, float("-inf"))
 
 
 class TestOracle:

@@ -147,3 +147,13 @@ class TestCsv:
         back = read_signal_csv(path, 1.3)
         assert back.grid == u.grid
         assert np.array_equal(back.values, u.values)
+
+    def test_nan_time_is_not_a_uniform_grid(self, tmp_path):
+        u = WeightedSignal(TimeGrid(0.0, 0.125, 9), np.ones((9, 1)), 1.0)
+        path = tmp_path / "sig.csv"
+        write_signal_csv(u, path)
+        lines = path.read_text().splitlines()
+        lines[5] = "nan,1"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ContractViolation, match="non-uniform time column"):
+            read_signal_csv(path, 1.0)
