@@ -235,7 +235,13 @@ class RunConfig:
             sig = read_signal_csv(sec["path"], template.rho)
             if sig.dim != dim or sig.grid.n != grid.n:
                 raise ConfigError("forcing CSV shape does not match the problem")
-            return sig
+            # the grids agree to the tolerance read_signal_csv allows within one time column
+            if not all(abs(a - b) <= 1e-12 * max(abs(b), 1.0)
+                       for a, b in ((sig.grid.t0, grid.t0), (sig.grid.dt, grid.dt))):
+                raise ConfigError(
+                    f"forcing CSV {sec['path']} is on the grid t0={sig.grid.t0}, "
+                    f"dt={sig.grid.dt}, the problem on t0={grid.t0}, dt={grid.dt}")
+            return template.signal(sig.values)
         if kind == "random":
             rng = np.random.default_rng(sec.get("seed", 0))
             return template.signal(rng.standard_normal((grid.n, dim)))

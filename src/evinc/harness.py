@@ -54,8 +54,13 @@ ALL_CHECKS = (
 
 
 def supported_checks(template: CatalogProblem) -> tuple:
-    """The checks a campaign can run on ``template``: oracle_match needs its oracle."""
-    return tuple(c for c in ALL_CHECKS if c != "oracle_match" or template.oracle_capable)
+    """The checks a campaign can run on ``template``.
+
+    oracle_match needs its oracle, and causality a cut node between the
+    first and the last, so at least 3 nodes.
+    """
+    return tuple(c for c in ALL_CHECKS if (c != "oracle_match" or template.oracle_capable)
+                 and (c != "causality" or template.grid.n >= 3))
 
 
 def random_forcing(template: CatalogProblem, rng: np.random.Generator) -> WeightedSignal:
@@ -404,6 +409,8 @@ def _converged(outcome):
 
 def _draw_causality(template, rng, fp_tol):
     n = template.grid.n
+    if n < 3:
+        raise ContractViolation(f"causality needs a cut node inside the grid, so n >= 3, got n={n}")
     f = random_forcing(template, rng)
     g = random_forcing(template, rng)
     cut = int(rng.integers(1, n - 1))

@@ -27,12 +27,13 @@ anti-diagonal d = s + k are independent: the march solves them in waves, and
 in each wave the cells that share an engine make one kernel call. Direct
 mode is the one-stage case, where a wave is a node and its rows are the
 members; the Yosida path's waves stack up to one cell per stage, each row
-with its own gamma, inverse and lambda. Every iterative engine runs
-safeguarded Anderson(5) on one fixed-point kernel (``fixed_point.fixed_point``
-on one vector, ``fixed_point.fixed_point_stack`` on a stack, both iterating
-one map G(x) -> (Gx, out)), which also owns
-the stop rule, the iteration budget, the divergence guard, the stall exit and
-the non-finite exit.
+with its own gamma, inverse and lambda. Each kernel call is one
+``_node_step``, which solves the cells directly: the direct engine by its
+linear solve, an iterative engine by building its map G(x) -> (Gx, out) and
+running safeguarded Anderson(5) on one fixed-point kernel
+(``fixed_point.fixed_point`` on one vector, ``fixed_point.fixed_point_stack``
+on a stack), which also owns the stop rule, the iteration budget, the
+divergence guard, the stall exit and the non-finite exit.
 
 ``solve_batch`` takes any list and marches the problems that differ only in
 forcing, rho and c_tilde together: one plan per node serves every member and
@@ -202,84 +203,61 @@ def _mv(A, x):
 PLAN_BLOCK = 16  # nodes of a moving family planned by one stacked pass
 
 
-def _engine_map(name, tail, lam_mat, gamma, inv):
-    """The map G(x, c) -> (Gx, out) of an iterative engine; c is its per-node constant."""
-    if name == "Douglas-Rachford":
-
-        def G(z, gb):
-            x = _mv(inv, z + gb)
-            w = tail.resolve(gamma, 2.0 * x - z)
-            return z + (w - x), w
-
-    elif inv is not None:
-
-        def G(u, gb):
-            u_new = _mv(inv, u - gamma * tail.apply(u) + gb)
-            return u_new, u_new
-
-    else:
-
-        def G(u, b):
-            u_new = tail.resolve(gamma, u - gamma * (_mv(lam_mat, u) - b))
-            return u_new, u_new
-
-    return G
-
-
-def _node_step(name, tail, lam_mat, gamma, inv, fp_tol: float, fp_max_iter: int, lams=None):
-    """One engine's step(b, warm) -> (u, iterations, residual, reason).
+def _node_step(name, tail, lam_mat, gamma, inv, b, warm, fp_tol: float, fp_max_iter: int):
+    """Solve S u + tail(u) ∋ b by one engine; returns (u, iterations, residual, reason).
 
     ``b`` and ``warm`` are one state ``(dim,)`` or a stack ``(rows, dim)``; a
     stack runs the stacked kernel and gives lists, row by row the values a
-    single state gives. The parameters are one node's, shared by every row,
-    or, for the cells of several stages, each row's own: ``gamma`` a
-    ``(rows, 1)`` column, ``inv`` and ``lam_mat`` ``(rows, dim, dim)`` stacks,
-    and ``lams`` the rows' lambda as a ``(rows, 1)`` column, each row then
-    stepping the Yosida surrogate of ``tail`` at its own lambda. The engine's
-    map is built once, from these parameters, and always evaluates the whole
-    stack: the kernel keeps an exited row in place. ``inv`` is None on
-    forward-backward through the tail resolvent.
+    single state gives. The parameters (``lam_mat`` is S + K) are one
+    node's, shared by every row, or each row's own: ``gamma`` a ``(rows, 1)``
+    column, ``inv`` and ``lam_mat`` ``(rows, dim, dim)`` stacks, ``tail`` a
+    Yosida surrogate at a lambda column. ``inv`` is None on forward-backward
+    through the tail resolvent. A map takes its parameters as default
+    arguments, not as closure cells, which every call of this function
+    would make, the direct engine's too.
     """
     if name == "direct":
-
-        def direct(b, warm):
-            u = _mv(inv, b)
-            r = _mv(lam_mat, u) - b
-            if b.ndim == 1:
-                return u, 1, math.sqrt(r @ r) / (1.0 + math.sqrt(b @ b)), CONVERGED
-            res = np.sqrt(sq_norms(r)) / (1.0 + np.sqrt(sq_norms(b)))
-            return u, [1] * len(b), res.tolist(), [CONVERGED] * len(b)
-
-        return direct
-    scaled = inv is not None  # gamma * (L u - b) is not gamma L u - gamma b in the last bit
-    G = _engine_map(name, tail if lams is None else YosidaRelation(tail, lams), lam_mat, gamma, inv)
-
-    def step(b, warm):
-        # the map's per-node constant: gamma * b where the map takes it, computed once
-        c = gamma * b if scaled else b
-        kernel = fixed_point if b.ndim == 1 else fixed_point_stack
-        return kernel(lambda x: G(x, c), warm, fp_tol, fp_max_iter)
-
-    return step
+        u = _mv(inv, b)
+        r = _mv(lam_mat, u) - b
+        if b.ndim == 1:
+            return u, 1, math.sqrt(r @ r) / (1.0 + math.sqrt(b @ b)), CONVERGED
+        res = np.sqrt(sq_norms(r)) / (1.0 + np.sqrt(sq_norms(b)))
+        return u, [1] * len(b), res.tolist(), [CONVERGED] * len(b)
+    # gamma * b is taken once per step where a map adds it; gamma * (L u - b) differs in the last bit
+    if name == "Douglas-Rachford":
+        def G(z, inv=inv, gb=gamma * b, resolve=tail.resolve, gamma=gamma):
+            x = _mv(inv, z + gb)
+            w = resolve(gamma, 2.0 * x - z)
+            return z + (w - x), w
+    elif inv is not None:
+        def G(u, inv=inv, gb=gamma * b, apply=tail.apply, gamma=gamma):
+            u_new = _mv(inv, u - gamma * apply(u) + gb)
+            return u_new, u_new
+    else:
+        def G(u, lam_mat=lam_mat, b=b, resolve=tail.resolve, gamma=gamma):
+            u_new = resolve(gamma, u - gamma * (_mv(lam_mat, u) - b))
+            return u_new, u_new
+    # the map evaluates the whole stack: the kernel keeps an exited row in place
+    return (fixed_point if b.ndim == 1 else fixed_point_stack)(G, warm, fp_tol, fp_max_iter)
 
 
 def _node_plans(family: MaterialFamily, linear, tails, t0: float, dt: float, n: int):
-    """Yield one plan (M0(t_k), S_k + K, rules, steps) per node k < n of a march from t0.
+    """Yield one plan (M0(t_k), S_k + K, rules) per node k < n of a march from t0.
 
     The one place that plans nodes, once for every stage. Node k solves
     S_k u + K u + tail_s(u) ∋ b in stage s, (K, tail) the relation's split and
     ``tails`` the stages' tails; ``rules[s]`` is stage s's engine there, as
-    ``(name, gamma, inv)``, chosen from tail_s and S_k alone, and ``steps`` is
-    an empty dict in which the march keeps each stage's step at the node. The
-    stages share what does not depend on the tail: M0, S_k, the least
-    eigenvalue and 2-norm behind the node's own engine rule, and each
-    inverse, one per distinct gamma. A constant family is planned once, at
-    t0, and that plan serves all n nodes. A moving one is planned PLAN_BLOCK
-    nodes at a time as the march reaches them, with M0 and M1 evaluated once
-    per node and one stacked ``eigvalsh``, 2-norm and ``inv`` per block, which
-    give each node the bits of its own calls (pinned in test_fixed_point.py).
-    A node whose step matrix is not coercive raises StepSizeError when the
-    march asks for it, not before.
+    ``(name, gamma, inv)``, chosen from tail_s and S_k alone. The stages
+    share what does not depend on the tail: M0, S_k, the least eigenvalue
+    and 2-norm behind the node's own engine rule, and each inverse, one per
+    distinct gamma, so stages with one rule hold the same objects. A
+    constant family is planned once, at t0, and that plan serves all n
+    nodes. A moving one is planned PLAN_BLOCK nodes at a time as the march
+    reaches them, with M0 and M1 evaluated once per node and one stacked
+    ``eigvalsh``, 2-norm and ``inv`` per block, which give each node the bits
+    of its own calls (pinned in test_fixed_point.py). A node whose step
+    matrix is not coercive raises StepSizeError when the march asks for it,
+    not before.
     """
     size, repeat = (1, n) if family.constant else (PLAN_BLOCK, 1)
     eye = np.eye(family.dim)
@@ -308,18 +286,19 @@ def _node_plans(family: MaterialFamily, linear, tails, t0: float, dt: float, n: 
                 # stiff: Douglas-Rachford between the affine part and the tail
                 own[k] = (("forward-backward", m_hat / big**2, False) if m_hat / big >= 0.9
                           else ("Douglas-Rachford", 1.0 / np.sqrt(m_hat * big), True))
-        # the distinct rules of each node, and one stacked inverse for those that take one
-        node_kinds = [list(dict.fromkeys(kind or own[k] for kind in kinds)) for k in range(ok)]
-        need = [(k, gamma) for k, ks in enumerate(node_kinds) for _, gamma, inverted in ks if inverted]
+        # each node's rule per stage as (name, gamma, inverted), and one stacked inverse
+        # per distinct (node, gamma) of the rules that take one
+        node_kinds = [[kind or own[k] for kind in kinds] for k in range(ok)]
+        need = list(dict.fromkeys((k, gamma) for k, ks in enumerate(node_kinds)
+                                  for _, gamma, inverted in ks if inverted))
         invs = {}
         if need:
             mats = np.stack([lam[k] if gamma is None else eye + gamma * lam[k] for k, gamma in need])
             invs = dict(zip(need, np.linalg.inv(mats)))
-        for k in range(ok):
-            rule = {kind: (kind[0], kind[1], invs[k, kind[1]] if kind[2] else None)
-                    for kind in node_kinds[k]}
-            rules = tuple(rule[kind or own[k]] for kind in kinds)
-            yield from itertools.repeat((M0[k], lam[k], rules, {}), repeat)
+        for k, ks in enumerate(node_kinds):
+            rules = tuple((name, gamma, invs[k, gamma] if inverted else None)
+                          for name, gamma, inverted in ks)
+            yield from itertools.repeat((M0[k], lam[k], rules), repeat)
         if ok < len(ts):
             raise _step_size_error(family, ts[ok], margins[ok])
         del S  # not kept while the next block is built, so memory stays flat
@@ -430,19 +409,18 @@ def _march(plans, forcing: np.ndarray, dt: float, failures: list, tails, fp_tol:
             if len(group) == 1 and lanes[s] is not None:
                 # one cell on its node's own step: its members as vectors or as a stack
                 k = d - s
-                M0, lam_mat, rules, steps = ring[k % stages]
-                step = steps.get(s)
-                if step is None:
-                    name, gamma, inv = rules[s]
-                    step = steps[s] = _node_step(name, tails[s], lam_mat, gamma, inv, fp_tol, fp_max_iter)
+                M0, lam_mat, rules = ring[k % stages]
+                name, gamma, inv = rules[s]
                 forcing_s, warm, values, m0u_s, iterations_s = lanes[s]
-                u, its, res, reasons = step(forcing_s[k] + m0u_s / dt, warm[k])
+                u, its, res, reasons = _node_step(name, tails[s], lam_mat, gamma, inv,
+                                                  forcing_s[k] + m0u_s / dt, warm[k],
+                                                  fp_tol, fp_max_iter)
                 values[k] = u
                 iterations_s[k] = its
                 m0u_s[...] = _mv(M0, u)
                 if u.ndim == 1:
                     its, res, reasons = (its,), (res,), (reasons,)
-                failed |= settle(s, k, rules[s][0], live[s], its, res, reasons)
+                failed |= settle(s, k, name, live[s], its, res, reasons)
                 continue
             if not live[s]:
                 continue
@@ -455,18 +433,18 @@ def _march(plans, forcing: np.ndarray, dt: float, failures: list, tails, fp_tol:
             later = ss > 0
             node_plans = [ring[(d - s) % stages] for s in group]
             rules = [plan[2][s] for plan, s in zip(node_plans, group)]
-            tail, lams = tails[group[0]], None
+            tail = tails[group[0]]
             if len(group) > 1 and tail is not None:  # the stages' surrogates of one tail
-                tail, lams = tail.base, np.repeat([tails[s].lam for s in group], counts)[:, None]
+                tail = YosidaRelation(tail.base, np.repeat([tails[s].lam for s in group], counts)[:, None])
             name = rules[0][0]
-            step = _node_step(
+            u, its, res, reasons = _node_step(
                 name, tail,
                 _per_row([plan[1] for plan in node_plans], counts),
                 _per_row([rule[1] for rule in rules], counts),
                 _per_row([rule[2] for rule in rules], counts),
-                fp_tol, fp_max_iter, lams,
+                F[kk, ms] + m0u[ss, ms] / dt, U[ss - later, kk + later, ms],
+                fp_tol, fp_max_iter,
             )
-            u, its, res, reasons = step(F[kk, ms] + m0u[ss, ms] / dt, U[ss - later, kk + later, ms])
             U[ss, kk + 1, ms] = u
             iterations[ss, kk, ms] = its
             m0u[ss, ms] = _mv(_per_row([plan[0] for plan in node_plans], counts), u)

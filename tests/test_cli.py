@@ -134,6 +134,15 @@ class TestCheckConditions:
         text = (out / "report.txt").read_text()
         assert "rho_zero" in text
 
+    def test_non_symmetric_m0_is_a_failed_condition(self, tmp_path, capsys):
+        cfg = write(tmp_path / "skew.ini",
+                    "[material]\nbuilder = constant\nm0 = 1,0.5;0,1\nm1 = 0,0;0,0\n")
+        out = tmp_path / "out"
+        assert main(["check-conditions", "--config", cfg, "--out", str(out)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("condition check failed: ") and "not symmetric" in line
+        assert not (out / "report.txt").exists()
+
 
 class TestCampaign:
     def test_campaign_outputs(self, tmp_path):
@@ -263,3 +272,21 @@ class TestOutputDirectory:
         out = tmp_path / "o" / "deeper"
         assert main(["gallery", "--config", str(self.CONFIGS / "thermoplastic.ini"), "--out", str(out)]) == 0
         assert (out / "report.txt").is_file()
+
+    def test_an_out_path_that_is_a_file_is_an_io_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["solve", "--config", str(self.CONFIGS / "scalar_ode.ini"), "--out", str(out)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("i/o error: ")
+        assert out.read_text() == ""
+
+    def test_a_two_node_campaign_names_the_unsupported_check(self, tmp_path, capsys):
+        # causality needs a cut node strictly inside the grid, which 2 nodes lack
+        out = tmp_path / "out"
+        args = ["campaign", "--config", str(self.CONFIGS / "campaign_degenerate.ini"), "--out", str(out),
+                "--set", "problem.n=2", "--set", "campaign.trials=1"]
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid configuration: template 'degenerate_plane' does not support checks ['causality']"]
+        assert not out.exists()

@@ -8,7 +8,7 @@ import pytest
 
 from evinc import config
 from evinc.cli import main
-from evinc.signals import read_signal_csv, write_signal_csv
+from evinc.signals import TimeGrid, WeightedSignal, read_signal_csv, write_signal_csv
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -300,6 +300,44 @@ class TestForcingKinds:
         assert err.splitlines() == [
             f"invalid configuration: {path}, line 3: expected 2 numbers, got {row!r}"]
         assert not (out / "report.txt").exists()
+
+    def test_csv_on_another_grid_is_a_config_error(self, tmp_path, capsys):
+        # the CSV has the problem's shape but its own spacing, which must not replace dt
+        path = tmp_path / "forcing.csv"
+        write_signal_csv(WeightedSignal(TimeGrid(0.0, 0.5, 11), np.ones((11, 1)), 1.0), path)
+        ini = tmp_path / "csv.ini"
+        ini.write_text(CSV_CONFIG.format(path=path))
+        code, out = run(tmp_path, "solve", ini)
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: forcing CSV {path} is on the grid t0=0.0, dt=0.5, "
+            "the problem on t0=0.0, dt=0.001"]
+        assert not (out / "report.txt").exists()
+
+    def test_csv_on_the_problem_grid_takes_its_times(self, tmp_path):
+        # times that agree to 1e-12 give the forcing the template's own grid
+        path = tmp_path / "forcing.csv"
+        ini = tmp_path / "csv.ini"
+        ini.write_text(CSV_CONFIG.format(path=path))
+        cfg = config.load_config(str(ini))
+        template = cfg.build_template()
+        near = TimeGrid(template.grid.t0 + 1e-14, template.grid.dt * (1 + 1e-13), 11)
+        write_signal_csv(WeightedSignal(near, np.ones((11, 1)), 1.0), path)
+        forcing = cfg.build_forcing(template)
+        assert forcing.grid == template.grid
+        assert np.array_equal(forcing.values, np.ones((11, 1)))
+
+
+CSV_CONFIG = """
+[problem]
+catalog = scalar_ode
+n = 11
+dt = 0.001
+
+[forcing]
+kind = csv
+path = {path}
+"""
 
 
 class TestSources:

@@ -80,6 +80,20 @@ class TestCampaign:
         tpl = make_catalog_problem(name, n=30)
         assert PropertyCampaign(template=tpl, trials=1).checks == harness.supported_checks(tpl)
 
+    @pytest.mark.parametrize("name", ["scalar_ode", "thermoplastic_slab"])
+    def test_causality_needs_a_cut_node(self, name):
+        # on 2 nodes no node lies strictly between the first and the last: the
+        # campaign leaves causality out, and its draw is a typed failure
+        tpl = make_catalog_problem(name, n=2)
+        assert "causality" not in harness.supported_checks(tpl)
+        rep = run_campaign(PropertyCampaign(template=tpl, trials=1, seed=3))
+        assert [check for _, check, *_ in rep.rows] == list(harness.supported_checks(tpl))
+        with pytest.raises(ContractViolation, match="does not support checks"):
+            PropertyCampaign(template=tpl, trials=1, checks=("causality",))
+        assert replay_check(tpl, "causality", 5) == (False, float("-inf"))
+        [(_, _, error)] = harness._run_checks(tpl, [(5, "causality")], FP_TOL)
+        assert isinstance(error, ContractViolation) and "n >= 3" in str(error)
+
     def test_causality_campaign_all_pass(self):
         tpl = make_catalog_problem("scalar_ode", n=200)
         rep = run_campaign(

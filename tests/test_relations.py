@@ -221,6 +221,17 @@ class TestMintyScan:
         good = minty_scan(NormSubdifferential(1, weight=1.0), 0.5, samples=500, radius=2.0, seed=4)
         assert good.passed
 
+    def test_expansive_resolvent_flagged(self):
+        class Doubling(ZeroRelation):
+            # a "resolvent" that doubles its input: |x - x'| = 2 |y - y'|
+            def resolve(self, lam, y):
+                return 2.0 * y
+
+        rep = minty_scan(Doubling(2), 0.5, samples=50, radius=3.0, seed=6)
+        assert not rep.passed
+        assert rep.nonexpansive_failures == 49  # every consecutive pair of the 50 samples
+        assert rep.max_expansion_slack > 0.0
+
 
 class TestAssembledMaximality:
     """Minty scans of the assembled relations that the paper's examples rest on."""

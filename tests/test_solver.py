@@ -6,7 +6,7 @@ import pytest
 
 from evinc.catalog import CatalogProblem, catalog_names, make_catalog_problem
 from evinc import relations, solver
-from evinc.errors import ContractViolation, ResolventFailure, StepSizeError
+from evinc.errors import ContractViolation, ResolventFailure, StepFailure, StepSizeError
 from evinc.gallery import Coefficient, SlabGrid, build_thermoplasticity
 from evinc.harness import random_forcing
 from evinc.materials import MaterialFamily, constant_family, sinusoidal_family, step_operator
@@ -47,6 +47,14 @@ class TestSolveStep:
                        prev_state=np.zeros(1), prev_m0u=None,
                        f_k=np.array([2.0]), fp_tol=1e-13)
         assert u[0] == pytest.approx(0.1, abs=1e-11)
+
+    def test_budget_exit_raises_step_failure(self):
+        # one map evaluation leaves the sign step short of its tolerance
+        fam = constant_family([[1.0]], [[0.0]])
+        with pytest.raises(StepFailure,
+                           match=r"^forward-backward step 0 did not converge: budget after 1 iterations"):
+            solve_step(fam, NormSubdifferential(1, weight=1.0), t=0.0, dt=0.1,
+                       prev_state=np.zeros(1), prev_m0u=None, f_k=np.array([2.0]), fp_max_iter=1)
 
     @pytest.mark.parametrize(
         "name",
