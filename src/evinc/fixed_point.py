@@ -35,6 +35,12 @@ slice the bits of the per-vector product, so every dot product here is
 written as one (``sq_norms``; ``einsum`` and ``(R*R).sum(1)`` differ in the
 last bit), and a stacked solve (``_umath_linalg.solve``) with a
 ``(rows, k, 1)`` right-hand side solves each slice as the vector solve does.
+Both facts hold whatever else is in the stack, so when every live row mixes
+with one history length the kernel writes and mixes the history on basic
+slices of the whole stack, exited rows riding along unread; only
+iterations with several history lengths or a refused row gather the rows of
+each length. After a row left non-finite or diverging, every iteration
+gathers, since arithmetic on that row's replays could raise warnings.
 """
 
 from __future__ import annotations
@@ -91,8 +97,9 @@ def _mix_stack(gx, r, dg, dr):
     """``_mix`` of each row: dg and dr are ``(rows, k, dim)`` stacks of one history length k."""
     gram = dr @ dr.mT
     k = dr.shape[1]
-    diag = np.arange(k)
-    gram[:, diag, diag] += (RIDGE * np.trace(gram, axis1=1, axis2=2) + 1e-300)[:, None]
+    # a strided view of each fresh Gram matrix's diagonal, summed in the order of trace()
+    diag = gram.reshape(len(gram), k * k)[:, :: k + 1]
+    diag += (RIDGE * np.add.reduce(diag, axis=1) + 1e-300)[:, None]
     g = _solve(gram, dr @ r[:, :, None])
     return gx - (g.mT @ dg)[:, 0]
 
@@ -174,11 +181,28 @@ def fixed_point_stack(G, X0, tol, max_iter):
     call returns: a row's output, iterations, residual and reason are
     recorded at its own exit, as ``fixed_point`` gives them for that row
     alone, and from then on the row is evaluated at its start ``X0[j]``, a
-    replay of its first evaluation, whose results are ignored.
+    replay of its first evaluation, whose results are ignored. When every
+    row exits at one evaluation, ``out`` is that evaluation's ``OUT``, as
+    ``fixed_point`` returns its map's output.
+
+    Every row's history lives in one ``(rows, 2 * MEMORY, dim)`` pair of
+    arrays, allocated when the kernel first mixes: each mixing iteration
+    writes the new differences of all rows at one entry ``pos``, so a
+    row's k latest differences are entries ``pos + 1 - k .. pos``, a
+    C-contiguous ``(k, dim)`` block as in ``fixed_point``, and only once the
+    entries are used up do the latest ones move to the start. An iteration
+    whose live rows all mix with one history length writes and mixes on
+    basic slices of the whole stack, with no gather or scatter; the exited
+    rows ride along in that arithmetic, and their results are ignored. Any
+    other iteration (rows with two history lengths, or a row refused by the
+    safeguard and taking its plain step) gathers the rows of each history
+    length and mixes them apart. So does every iteration after a row left
+    ``NONFINITE`` or ``DIVERGING``: its replays may be non-finite or near
+    overflow, and arithmetic on them would raise warnings.
     """
     size = len(X0)
-    out = np.empty_like(X0)
-    its, resids, reasons = [1] * size, [0.0] * size, [None] * size
+    if not size:
+        return np.empty_like(X0), [], [], []
     gx, o = G(X0)
     r = gx - X0
     res = np.sqrt(sq_norms(r)).tolist()
@@ -188,43 +212,76 @@ def fixed_point_stack(G, X0, tol, max_iter):
     # per row: a previous accepted step exists, and the history length
     has_prev = [False] * size
     count = [0] * size
+    # the history of every row: its k latest differences are entries
+    # pos + 1 - k .. pos of dgs and drs, oldest first
     pgx = pr = dgs = drs = None
-    live, done = list(range(size)), []
+    pos = -1
+    live = list(range(size))
+    # once a row has exited: the outputs, and a column that is True on exited rows
+    out = exited = None
     # the rows that exit at this evaluation, with their reasons
     exits = {j: NONFINITE if not math.isfinite(v) else CONVERGED
              for j, v in enumerate(res) if not math.isfinite(v) or v <= tol}
+    # whether a row left with replays unsafe for whole-stack arithmetic
+    gather = NONFINITE in exits.values()
     while True:
         if it >= max_iter:
             exits = {j: exits.get(j, BUDGET) for j in live}
         if exits:
+            if len(exits) == size:  # every row leaves at this evaluation, none before
+                return o, [it] * size, res, list(exits.values())
+            if out is None:
+                out = np.empty_like(X0)
+                its, resids, reasons = [1] * size, [0.0] * size, [None] * size
+                exited = np.zeros((size, 1), dtype=bool)
             for j, e in exits.items():
                 out[j], its[j], resids[j], reasons[j] = o[j], it, res[j], e
-            done += exits
-            if len(done) == size:
-                return out, its, resids, reasons
+                exited[j] = True
             live = [j for j in live if j not in exits]
+            if not live:
+                return out, its, resids, reasons
         # the history takes the last accepted step of each row that has one
         mixed = [j for j in live if has_prev[j]]
-        x = gx
-        if mixed or done:
-            x = gx.copy()
-            x[done] = X0[done]
         if mixed:
             if dgs is None:
-                dgs = np.empty((size, MEMORY) + gx.shape[1:])
-                drs = np.empty_like(dgs)
-            full = [j for j in mixed if count[j] == MEMORY]
-            if full:
-                dgs[full, :-1] = dgs[full, 1:]
-                drs[full, :-1] = drs[full, 1:]
-            at = [min(count[j], MEMORY - 1) for j in mixed]
-            dgs[mixed, at] = gx[mixed] - pgx[mixed]
-            drs[mixed, at] = r[mixed] - pr[mixed]
-            for j in mixed:
-                count[j] = min(count[j] + 1, MEMORY)
-            for k in {count[j] for j in mixed}:
-                rows = [j for j in mixed if count[j] == k]
-                x[rows] = _mix_stack(gx[rows], r[rows], dgs[rows, :k], drs[rows, :k])
+                # zeros, not garbage: exited rows' unwritten entries ride along
+                dgs = np.zeros((size, 2 * MEMORY) + gx.shape[1:])
+                drs = np.zeros_like(dgs)
+            pos += 1
+            if pos == 2 * MEMORY:
+                # the buffer is used up: its latest entries move to its start
+                dgs[:, : MEMORY - 1] = dgs[:, MEMORY + 1 :]
+                drs[:, : MEMORY - 1] = drs[:, MEMORY + 1 :]
+                pos = MEMORY - 1
+            lengths = {count[j] for j in mixed}
+            if len(lengths) == 1 and len(mixed) == len(live) and not gather:
+                # the whole stack: basic slices, no gathers
+                k = count[mixed[0]]
+                if k < MEMORY:
+                    k += 1
+                    for j in live:
+                        count[j] = k
+                np.subtract(gx, pgx, out=dgs[:, pos])
+                np.subtract(r, pr, out=drs[:, pos])
+                window = slice(pos + 1 - k, pos + 1)
+                x = _mix_stack(gx, r, dgs[:, window], drs[:, window])
+            else:
+                x = gx.copy()
+                dgs[mixed, pos] = gx[mixed] - pgx[mixed]
+                drs[mixed, pos] = r[mixed] - pr[mixed]
+                for j in mixed:
+                    count[j] = min(count[j] + 1, MEMORY)
+                for k in {count[j] for j in mixed}:
+                    rows = [j for j in mixed if count[j] == k]
+                    window = slice(pos + 1 - k, pos + 1)
+                    x[rows] = _mix_stack(gx[rows], r[rows], dgs[rows, window], drs[rows, window])
+            if exited is not None:
+                np.copyto(x, X0, where=exited)
+        elif exited is not None:
+            x = gx.copy()
+            np.copyto(x, X0, where=exited)
+        else:
+            x = gx
         g_new, o_new = G(x)
         r_new = g_new - x
         res_new = np.sqrt(sq_norms(r_new)).tolist()
@@ -236,6 +293,7 @@ def fixed_point_stack(G, X0, tol, max_iter):
             if not math.isfinite(v):
                 # leaves with this evaluation's output and residual
                 exits[j] = NONFINITE
+                gather = True
                 accepted.append(j)
                 res[j] = v
                 continue
@@ -251,6 +309,7 @@ def fixed_point_stack(G, X0, tol, max_iter):
                 res[j] = v
             if res[j] > 10.0 * first[j]:
                 exits[j] = DIVERGING
+                gather = True
             elif it - best_it[j] >= PATIENCE:
                 exits[j] = STALLED
             elif res[j] <= tol:

@@ -4,7 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import evinc.fixed_point
 from evinc.catalog import make_catalog_problem
 from evinc.fixed_point import (
     BUDGET,
@@ -364,6 +367,103 @@ def test_stacked_map_gets_the_whole_stack_and_exited_rows_at_their_start():
         assert all(X[j].tobytes() == x0.tobytes() for X in seen[its[j]:])
         alone = fixed_point(_tagged_rows(rates[j], shifts[j], []), x0, 1e-12, 40)
         assert out[j].tobytes() == alone[0].tobytes() and out[j, 0] <= its[j]
+        assert (its[j], res[j], reasons[j]) == alone[1:]
+
+
+def test_empty_stack_returns_at_once():
+    calls = []
+
+    def G(X):
+        calls.append(X.shape)
+        assert len(calls) <= 5, "the kernel kept evaluating an empty stack"
+        return 0.5 * X, X
+
+    out, its, res, reasons = fixed_point_stack(G, np.empty((0, 3)), 1e-10, 5)
+    assert out.shape == (0, 3)
+    assert (its, res, reasons) == ([], [], [])
+    assert len(calls) <= 1
+
+
+def _soft_rows(M, C, T, blowing):
+    """Map G(X) -> (GX, -GX) of rows x -> soft(M_j x + c_j, t_j), or +inf on a blowing row.
+
+    A stack ``X`` takes one matrix per row (``M`` is ``(rows, dim, dim)``),
+    a single row ``x`` the one ``M`` given; +inf is put in, never computed,
+    so the map itself raises no warning.
+    """
+
+    def G(X):
+        if X.ndim == 1:
+            Y = _soft(M @ X + C, T)
+        else:
+            Y = _soft((M @ X[..., None])[..., 0] + C, T)
+        Y = np.where(blowing, np.inf, Y)
+        return Y, -Y
+
+    return G
+
+
+ROW = st.tuples(
+    st.floats(0.0, 1.5),  # rate: contractions, and expansions Anderson may still solve
+    st.floats(0.0, 2.0),  # soft threshold
+    st.floats(0.0, 4.0),  # size of the shift
+    st.sampled_from([0.0, 1.0, 10.0]),  # size of the start
+    st.integers(0, 23).map(lambda v: v == 0),  # blowing: +inf from the first evaluation on
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    rows=st.lists(ROW, min_size=1, max_size=24),
+    dim=st.integers(1, 28),
+    max_iter=st.integers(1, 80),
+    tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_rows_are_their_solo_runs(rows, dim, max_iter, tol, seed):
+    # soft-thresholded affine maps at drawn rates leave the stack at staggered
+    # evaluations, hit the safeguard and so hold different history lengths;
+    # each row must get bit for bit what fixed_point gives it alone, with no
+    # warning, on the whole-stack path and the gathered one alike
+    rng = np.random.default_rng(seed)
+    rates, thresholds, shifts, starts, blowing = (np.array(v) for v in zip(*rows))
+    qs = np.linalg.qr(rng.standard_normal((len(rows), dim, dim)))[0]
+    M = rates[:, None, None] * (qs * np.linspace(-1.0, 1.0, dim)) @ qs.mT
+    C = shifts[:, None] * rng.standard_normal((len(rows), dim))
+    T = thresholds[:, None]
+    X0 = starts[:, None] * rng.standard_normal((len(rows), dim))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, its, res, reasons = fixed_point_stack(
+            _soft_rows(M, C, T, blowing[:, None]), X0, tol, max_iter)
+        for j, x0 in enumerate(X0):
+            alone = fixed_point(_soft_rows(M[j], C[j], T[j], blowing[j]), x0, tol, max_iter)
+            assert out[j].tobytes() == alone[0].tobytes()
+            assert (its[j], res[j], reasons[j]) == alone[1:]
+
+
+def test_stacked_kernel_mixes_the_whole_stack_and_gathers(monkeypatch):
+    # rows at staggered rates, one refused by the safeguard: some iterations
+    # mix every row of the stack, exited rows included, and some gather
+    sizes = []
+    mix = evinc.fixed_point._mix_stack
+
+    def counted(gx, r, dg, dr):
+        sizes.append(len(gx))
+        return mix(gx, r, dg, dr)
+
+    monkeypatch.setattr(evinc.fixed_point, "_mix_stack", counted)
+    M = np.array([[-0.94, 0.03], [0.03, 0.94]])
+    rates = np.array([1.0, 0.2, 0.5, 0.8])
+    X0 = np.array([[-7.0, -4.0], [1.0, 1.0], [-2.0, 3.0], [0.5, -0.5]])
+    Ms = rates[:, None, None] * M
+    C = np.array([2.2, 2.0])
+    out, its, res, reasons = fixed_point_stack(_soft_rows(Ms, C, 0.85, False), X0, 1e-12, 1000)
+    assert len(set(its)) > 1 and set(reasons) == {CONVERGED}
+    assert len(X0) in sizes and any(size < len(X0) for size in sizes)
+    for j, x0 in enumerate(X0):
+        alone = fixed_point(_soft_rows(Ms[j], C, 0.85, False), x0, 1e-12, 1000)
+        assert out[j].tobytes() == alone[0].tobytes()
         assert (its[j], res[j], reasons[j]) == alone[1:]
 
 
