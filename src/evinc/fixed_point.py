@@ -99,7 +99,7 @@ def _mix_stack(gx, r, dg, dr):
     k = dr.shape[1]
     # a strided view of each fresh Gram matrix's diagonal, summed in the order of trace()
     diag = gram.reshape(len(gram), k * k)[:, :: k + 1]
-    diag += (RIDGE * np.add.reduce(diag, axis=1) + 1e-300)[:, None]
+    diag += RIDGE * np.add.reduce(diag, axis=1, keepdims=True) + 1e-300
     g = _solve(gram, dr @ r[:, :, None])
     return gx - (g.mT @ dg)[:, 0]
 
@@ -275,13 +275,10 @@ def fixed_point_stack(G, X0, tol, max_iter):
                     rows = [j for j in mixed if count[j] == k]
                     window = slice(pos + 1 - k, pos + 1)
                     x[rows] = _mix_stack(gx[rows], r[rows], dgs[rows, window], drs[rows, window])
-            if exited is not None:
-                np.copyto(x, X0, where=exited)
-        elif exited is not None:
-            x = gx.copy()
-            np.copyto(x, X0, where=exited)
         else:
-            x = gx
+            x = gx if exited is None else gx.copy()
+        if exited is not None:
+            np.copyto(x, X0, where=exited)
         g_new, o_new = G(x)
         r_new = g_new - x
         res_new = np.sqrt(sq_norms(r_new)).tolist()
