@@ -228,7 +228,7 @@ def fixed_point_stack(G, X0, tol, max_iter):
         if it >= max_iter:
             exits = {j: exits.get(j, BUDGET) for j in live}
         if exits:
-            if len(exits) == size:  # every row leaves at this evaluation, none before
+            if len(exits) == size:  # every row leaves now, none before: exits is in row order
                 return o, [it] * size, res, list(exits.values())
             if out is None:
                 out = np.empty_like(X0)
