@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .gallery import SlabGrid, build_thermoplasticity, build_viscoplasticity
-from .materials import MaterialFamily, constant_family, rho_zero
+from .materials import MaterialFamily, _rho_error, constant_family, rho_zero
 from .relations import (
     BallSaturation,
     LinearRelation,
@@ -76,10 +76,15 @@ class CatalogProblem:
     def admissible(cls, name, family, relation, grid, c_tilde=None, rho=None, **kwargs):
         """Template with the default admissible pair where none is given.
 
-        The defaults are ``c_tilde = c1/2`` and ``rho = 1.01 rho_zero + 0.1``.
+        The defaults are ``c_tilde = c1/2`` and ``rho = 1.01 rho_zero + 0.1``;
+        a given ``rho`` below ``rho_zero`` is refused, as the problem refuses it.
         """
         c_tilde = 0.5 * family.c1 if c_tilde is None else c_tilde
-        rho = _default_rho(rho_zero(family, c_tilde)) if rho is None else rho
+        rho0 = rho_zero(family, c_tilde)
+        if rho is None:
+            rho = _default_rho(rho0)
+        elif rho < rho0:
+            raise _rho_error(rho, rho0)
         return cls(name, family, relation, grid, c_tilde, rho, **kwargs)
 
     def admissible_rho_pair(self):

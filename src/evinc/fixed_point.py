@@ -35,12 +35,11 @@ slice the bits of the per-vector product, so every dot product here is
 written as one (``sq_norms``; ``einsum`` and ``(R*R).sum(1)`` differ in the
 last bit), and a stacked solve (``_umath_linalg.solve``) with a
 ``(rows, k, 1)`` right-hand side solves each slice as the vector solve does.
-Both facts hold whatever else is in the stack, so when every live row mixes
-with one history length the kernel writes and mixes the history on basic
-slices of the whole stack, exited rows riding along unread; only
-iterations with several history lengths or a refused row gather the rows of
-each length. After a row left non-finite or diverging, every iteration
-gathers, since arithmetic on that row's replays could raise warnings.
+Both facts hold whatever else is in the stack, so the kernel writes and
+mixes the history on basic slices of the whole stack, once per history
+length present, and each row takes the mix of its own length. An exited
+row holds its start and a zero residual there, so its exit values and
+replays, which may be non-finite, never reach that arithmetic.
 """
 
 from __future__ import annotations
@@ -190,15 +189,15 @@ def fixed_point_stack(G, X0, tol, max_iter):
     writes the new differences of all rows at one entry ``pos``, so a
     row's k latest differences are entries ``pos + 1 - k .. pos``, a
     C-contiguous ``(k, dim)`` block as in ``fixed_point``, and only once the
-    entries are used up do the latest ones move to the start. An iteration
-    whose live rows all mix with one history length writes and mixes on
-    basic slices of the whole stack, with no gather or scatter; the exited
-    rows ride along in that arithmetic, and their results are ignored. Any
-    other iteration (rows with two history lengths, or a row refused by the
-    safeguard and taking its plain step) gathers the rows of each history
-    length and mixes them apart. So does every iteration after a row left
-    ``NONFINITE`` or ``DIVERGING``: its replays may be non-finite or near
-    overflow, and arithmetic on them would raise warnings.
+    entries are used up do the latest ones move to the start. Each mixing
+    iteration mixes the whole stack on basic slices once per history length
+    present; a row takes the mix of its own length, and a row refused by
+    the safeguard (or not mixing yet) its plain step. Once an exited row's
+    results are recorded, the kernel overwrites that row of every later
+    ``GX`` and residual with its start and zero; ``GX`` is the array the
+    map returned, which the map must not keep. The row's differences are
+    then zero and its mix is its start, which is reset bit for bit before
+    the map gets it.
     """
     size = len(X0)
     if not size:
@@ -222,8 +221,6 @@ def fixed_point_stack(G, X0, tol, max_iter):
     # the rows that exit at this evaluation, with their reasons
     exits = {j: NONFINITE if not math.isfinite(v) else CONVERGED
              for j, v in enumerate(res) if not math.isfinite(v) or v <= tol}
-    # whether a row left with replays unsafe for whole-stack arithmetic
-    gather = NONFINITE in exits.values()
     while True:
         if it >= max_iter:
             exits = {j: exits.get(j, BUDGET) for j in live}
@@ -240,45 +237,47 @@ def fixed_point_stack(G, X0, tol, max_iter):
             live = [j for j in live if j not in exits]
             if not live:
                 return out, its, resids, reasons
+        if exited is not None:
+            # an exited row holds its start and a zero residual, so neither its
+            # exit values nor its replays reach the history or the mix
+            np.copyto(gx, X0, where=exited)
+            np.copyto(r, 0.0, where=exited)
         # the history takes the last accepted step of each row that has one
         mixed = [j for j in live if has_prev[j]]
         if mixed:
             if dgs is None:
-                # zeros, not garbage: exited rows' unwritten entries ride along
-                dgs = np.zeros((size, 2 * MEMORY) + gx.shape[1:])
-                drs = np.zeros_like(dgs)
+                # every entry a window reads is written first, for every row
+                dgs = np.empty((size, 2 * MEMORY) + gx.shape[1:])
+                drs = np.empty_like(dgs)
             pos += 1
             if pos == 2 * MEMORY:
                 # the buffer is used up: its latest entries move to its start
                 dgs[:, : MEMORY - 1] = dgs[:, MEMORY + 1 :]
                 drs[:, : MEMORY - 1] = drs[:, MEMORY + 1 :]
                 pos = MEMORY - 1
+            np.subtract(gx, pgx, out=dgs[:, pos])
+            np.subtract(r, pr, out=drs[:, pos])
+            for j in mixed:
+                if count[j] < MEMORY:
+                    count[j] += 1
             lengths = {count[j] for j in mixed}
-            if len(lengths) == 1 and len(mixed) == len(live) and not gather:
-                # the whole stack: basic slices, no gathers
-                k = count[mixed[0]]
-                if k < MEMORY:
-                    k += 1
-                    for j in live:
-                        count[j] = k
-                np.subtract(gx, pgx, out=dgs[:, pos])
-                np.subtract(r, pr, out=drs[:, pos])
+            x = gx
+            # one mix of the whole stack per history length; a row takes its own
+            # length's, and a row not mixing (refused, or new) its plain step
+            for k in lengths:
                 window = slice(pos + 1 - k, pos + 1)
-                x = _mix_stack(gx, r, dgs[:, window], drs[:, window])
-            else:
-                x = gx.copy()
-                dgs[mixed, pos] = gx[mixed] - pgx[mixed]
-                drs[mixed, pos] = r[mixed] - pr[mixed]
-                for j in mixed:
-                    count[j] = min(count[j] + 1, MEMORY)
-                for k in {count[j] for j in mixed}:
+                mix = _mix_stack(gx, r, dgs[:, window], drs[:, window])
+                if len(lengths) == 1 and len(mixed) == len(live):
+                    x = mix
+                else:
                     rows = [j for j in mixed if count[j] == k]
-                    window = slice(pos + 1 - k, pos + 1)
-                    x[rows] = _mix_stack(gx[rows], r[rows], dgs[rows, window], drs[rows, window])
+                    if x is gx:
+                        x = gx.copy()
+                    x[rows] = mix[rows]
+            if exited is not None:
+                np.copyto(x, X0, where=exited)
         else:
-            x = gx if exited is None else gx.copy()
-        if exited is not None:
-            np.copyto(x, X0, where=exited)
+            x = gx
         g_new, o_new = G(x)
         r_new = g_new - x
         res_new = np.sqrt(sq_norms(r_new)).tolist()
@@ -290,7 +289,6 @@ def fixed_point_stack(G, X0, tol, max_iter):
             if not math.isfinite(v):
                 # leaves with this evaluation's output and residual
                 exits[j] = NONFINITE
-                gather = True
                 accepted.append(j)
                 res[j] = v
                 continue
@@ -306,7 +304,6 @@ def fixed_point_stack(G, X0, tol, max_iter):
                 res[j] = v
             if res[j] > 10.0 * first[j]:
                 exits[j] = DIVERGING
-                gather = True
             elif it - best_it[j] >= PATIENCE:
                 exits[j] = STALLED
             elif res[j] <= tol:

@@ -309,6 +309,11 @@ def rho_zero(family: MaterialFamily, c_tilde: float) -> float:
     ) / family.c0
 
 
+def _rho_error(rho: float, rho0: float) -> ContractViolation:
+    """The error of a weight rho below the threshold rho0 = rho_zero."""
+    return ContractViolation(f"rho={rho} below the admissible threshold {rho0:.6g}")
+
+
 def dt_max(family: MaterialFamily, c_tilde: float) -> float:
     """Admissible implicit step: dt <= c0 / (c_tilde + lip/2 + sup + sup^2/(c1-c_tilde)).
 
@@ -379,6 +384,10 @@ def sinusoidal_family(
     coef = Coefficient(1.0, amplitude, frequency)
     M0 = np.atleast_2d(np.asarray(m0_base, dtype=float))
     M1 = np.atleast_2d(np.asarray(m1_base, dtype=float))
+    if not (M0.ndim == 2 and M0.shape[0] == M0.shape[1] and M1.shape == M0.shape):
+        raise ContractViolation(
+            f"m0 and m1 must be square matrices of one shape, got {M0.shape} and {M1.shape}"
+        )
     if not (np.isfinite(M0).all() and np.isfinite(M1).all()):
         raise ContractViolation("m0 and m1 must be finite")
     kb, rb = kernel_decompose(M0)

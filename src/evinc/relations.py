@@ -564,7 +564,12 @@ def _linear(dim, matrix=None, gain=None):
         raise ContractViolation("a linear relation takes a matrix or a gain, not both")
     if matrix is None:
         matrix = (1.0 if gain is None else gain) * np.eye(dim)
-    return LinearRelation(np.asarray(matrix, dtype=float).reshape(dim, dim))
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if matrix.shape != (dim, dim):
+        raise ContractViolation(
+            f"a linear relation on a {dim}-dim state needs a {dim}x{dim} matrix, got {matrix.shape}"
+        )
+    return LinearRelation(matrix)
 
 
 def _deviatoric(dim, radius=1.0):

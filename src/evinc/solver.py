@@ -63,7 +63,8 @@ from .calculus import derivative
 from .errors import ContractViolation, StepFailure
 from .fixed_point import CONVERGED, fixed_point, fixed_point_stack, sq_norms
 from .materials import (
-    MaterialFamily, _step_size_error, dt_max, measure_constants, rho_zero, step_matrices,
+    MaterialFamily, _rho_error, _step_size_error, dt_max, measure_constants, rho_zero,
+    step_matrices,
 )
 from .relations import MonotoneRelation, YosidaRelation
 from .signals import WeightedSignal, weighted_norm
@@ -132,9 +133,7 @@ class InclusionProblem:
             raise ContractViolation("the relation must contain (0, 0)")
         rho0 = rho_zero(self.family, self.c_tilde)
         if self.rho < rho0:
-            raise ContractViolation(
-                f"rho={self.rho} below the admissible threshold {rho0:.6g}"
-            )
+            raise _rho_error(self.rho, rho0)
         step_bound = dt_max(self.family, self.c_tilde)
         if self.forcing.grid.dt > step_bound * (1.0 + 1e-12):
             raise ContractViolation(

@@ -430,6 +430,43 @@ class TestTypedRejections:
         # 0.5 * 0.9**125 is the first stage at or below the default stop 1e-6
         assert code == 0 and report(out)["lambda_stages"] == "126"
 
+    def test_material_matrices_of_two_shapes(self, tmp_path, capsys):
+        # a 1x1 m1 on a 2x2 m0 once broadcast to an all-fives matrix, and the
+        # solve exited 0 with u = 1/110 where 1/105 was meant, while the
+        # campaign ended in numpy's ValueError
+        path = tmp_path / "plane.ini"
+        path.write_text(PLANE_CONFIG)
+        for command in ("solve", "campaign"):
+            code, out = run(tmp_path, command, path, "--set", "material.m1=5")
+            assert invalid_configuration(capsys, code) == (
+                "m0 and m1 must be square matrices of one shape, got (2, 2) and (1, 1)")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("m0, matrix, shape", [
+        ("1", "1,2;3,4", "(2, 2)"),  # once numpy's ValueError from reshape
+        ("1,0;0,1", "1,2,3,4", "(1, 4)"),  # once silently read as 1,2;3,4
+    ])
+    def test_linear_matrix_of_another_size(self, tmp_path, capsys, m0, matrix, shape):
+        path = tmp_path / "linear.ini"
+        path.write_text(f"[material]\nm0 = {m0}\n\n[relation]\nkind = linear\nmatrix = {matrix}\n")
+        code, out = run(tmp_path, "solve", path)
+        dim = m0.count(";") + 1
+        assert invalid_configuration(capsys, code) == (
+            f"a linear relation on a {dim}-dim state needs a {dim}x{dim} matrix, got {shape}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("campaign", ("--rho", "0.01", "--set", "campaign.trials=2")),
+        ("check-conditions", ("--set", "solver.rho=0.01")),
+    ])
+    def test_rho_below_the_threshold(self, tmp_path, capsys, command, extra):
+        # the campaign once ran and reported each trial's refusal as a failed
+        # check (exit 4), and check-conditions passed (exit 0)
+        code, out = run(tmp_path, command, CONFIGS / "campaign_degenerate.ini", *extra)
+        assert invalid_configuration(capsys, code) == (
+            "rho=0.01 below the admissible threshold 3.5")
+        assert not out.exists()
+
     def test_infinite_rho(self, tmp_path, capsys):
         # the flag's value is parsed as [solver] rho, which must be finite
         code, out = run(tmp_path, "solve", CONFIGS / "sign_ramp.ini", "--rho", "inf")
@@ -442,6 +479,27 @@ def config_error(capsys, code) -> str:
     assert code == 1 and err.startswith("config error:")
     assert "Traceback" not in err and err.count("\n") == 1
     return err
+
+
+def invalid_configuration(capsys, code) -> str:
+    """The one stderr line of a ContractViolation, without its prefix."""
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("invalid configuration: ")
+    assert "Traceback" not in err and err.count("\n") == 1
+    return err.removeprefix("invalid configuration: ").rstrip("\n")
+
+
+PLANE_CONFIG = """[grid]
+dt = 0.01
+n = 3
+
+[material]
+m0 = 1,0;0,1
+
+[forcing]
+kind = constant
+value = 1.0
+"""
 
 
 class TestKindKeys:

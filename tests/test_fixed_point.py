@@ -424,7 +424,7 @@ def test_stacked_rows_are_their_solo_runs(rows, dim, max_iter, tol, seed):
     # soft-thresholded affine maps at drawn rates leave the stack at staggered
     # evaluations, hit the safeguard and so hold different history lengths;
     # each row must get bit for bit what fixed_point gives it alone, with no
-    # warning, on the whole-stack path and the gathered one alike
+    # warning, while exited rows hold their start in the whole-stack mixes
     rng = np.random.default_rng(seed)
     rates, thresholds, shifts, starts, blowing = (np.array(v) for v in zip(*rows))
     qs = np.linalg.qr(rng.standard_normal((len(rows), dim, dim)))[0]
@@ -442,25 +442,87 @@ def test_stacked_rows_are_their_solo_runs(rows, dim, max_iter, tol, seed):
             assert (its[j], res[j], reasons[j]) == alone[1:]
 
 
-def test_stacked_kernel_mixes_the_whole_stack_and_gathers(monkeypatch):
-    # rows at staggered rates, one refused by the safeguard: some iterations
-    # mix every row of the stack, exited rows included, and some gather
-    sizes = []
+def _ball_rows(M, C, T, radius):
+    """``_soft_rows`` map that gives +inf on every row whose iterate is outside its ball.
+
+    Row j's ball is ``|x| <= radius_j``, tested with ``sq_norms``, so a stack
+    and a single row decide alike. The map is stateless: a row evaluated at
+    its start again replays its first evaluation.
+    """
+    soft = _soft_rows(M, C, T, False)
+
+    def G(X):
+        Y = np.where((sq_norms(X) > radius * radius)[..., None], np.inf, soft(X)[0])
+        return Y, -Y
+
+    return G
+
+
+BALL_ROW = st.tuples(
+    st.floats(0.0, 5.0),  # rate: contractions, and expansions that diverge
+    st.floats(0.0, 2.0),  # soft threshold
+    st.floats(0.0, 4.0),  # size of the shift
+    st.sampled_from([0.0, 1.0, 10.0]),  # size of the start
+    st.one_of(st.floats(1.0, 100.0), st.just(np.inf)),  # radius of the ball
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    rows=st.lists(BALL_ROW, min_size=2, max_size=16),
+    dim=st.integers(1, 16),
+    max_iter=st.integers(1, 80),
+    tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_rows_leaving_later_are_their_solo_runs(rows, dim, max_iter, tol, seed):
+    # rows that leave their ball turn +inf, and expansions diverge, so rows
+    # exit NONFINITE or DIVERGING at staggered evaluations while the others
+    # go on mixing with several history lengths; each row must get bit for
+    # bit what fixed_point gives it alone, with no warning
+    rng = np.random.default_rng(seed)
+    rates, thresholds, shifts, starts, radius = (np.array(v) for v in zip(*rows))
+    qs = np.linalg.qr(rng.standard_normal((len(rows), dim, dim)))[0]
+    M = rates[:, None, None] * (qs * np.linspace(-1.0, 1.0, dim)) @ qs.mT
+    C = shifts[:, None] * rng.standard_normal((len(rows), dim))
+    T = thresholds[:, None]
+    X0 = starts[:, None] * rng.standard_normal((len(rows), dim))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, its, res, reasons = fixed_point_stack(_ball_rows(M, C, T, radius), X0, tol, max_iter)
+        for j, x0 in enumerate(X0):
+            alone = fixed_point(_ball_rows(M[j], C[j], T[j], radius[j]), x0, tol, max_iter)
+            assert out[j].tobytes() == alone[0].tobytes()
+            assert (its[j], res[j], reasons[j]) == alone[1:]
+
+
+def test_stacked_kernel_mixes_the_whole_stack_per_history_length(monkeypatch):
+    # rows at staggered rates, one refused by the safeguard, one that goes on
+    # after it with another history length: every mix takes every row of the
+    # stack, exited rows included, and some iterations mix once per length
+    calls = []
     mix = evinc.fixed_point._mix_stack
 
     def counted(gx, r, dg, dr):
-        sizes.append(len(gx))
+        calls[-1].append(len(gx))
         return mix(gx, r, dg, dr)
 
     monkeypatch.setattr(evinc.fixed_point, "_mix_stack", counted)
     M = np.array([[-0.94, 0.03], [0.03, 0.94]])
-    rates = np.array([1.0, 0.2, 0.5, 0.8])
-    X0 = np.array([[-7.0, -4.0], [1.0, 1.0], [-2.0, 3.0], [0.5, -0.5]])
+    rates = np.array([1.0, 0.2, 0.5, 0.8, 0.3])
+    X0 = np.array([[-7.0, -4.0], [1.0, 1.0], [-2.0, 3.0], [0.5, -0.5], [10.0, -3.0]])
     Ms = rates[:, None, None] * M
     C = np.array([2.2, 2.0])
-    out, its, res, reasons = fixed_point_stack(_soft_rows(Ms, C, 0.85, False), X0, 1e-12, 1000)
+    G = _soft_rows(Ms, C, 0.85, False)
+
+    def G_logged(X):  # one entry per evaluation: the _mix_stack calls before it
+        calls.append([])
+        return G(X)
+
+    out, its, res, reasons = fixed_point_stack(G_logged, X0, 1e-12, 1000)
     assert len(set(its)) > 1 and set(reasons) == {CONVERGED}
-    assert len(X0) in sizes and any(size < len(X0) for size in sizes)
+    assert all(size == len(X0) for sizes in calls for size in sizes)
+    assert any(len(sizes) > 1 for sizes in calls)
     for j, x0 in enumerate(X0):
         alone = fixed_point(_soft_rows(Ms[j], C, 0.85, False), x0, 1e-12, 1000)
         assert out[j].tobytes() == alone[0].tobytes()

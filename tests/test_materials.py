@@ -168,6 +168,16 @@ class TestRhoZero:
             rho_zero(fam, 0.0)
 
 
+@pytest.mark.parametrize("m0, m1", [
+    (np.eye(2), [[5.0]]),  # once broadcast into an all-fives M1
+    (np.ones((2, 3)), np.zeros((2, 3))),
+    (np.eye(2), np.zeros((3, 3))),
+])
+def test_family_matrices_square_of_one_shape(m0, m1):
+    with pytest.raises(ContractViolation, match="square matrices of one shape"):
+        constant_family(m0, np.array(m1))
+
+
 class TestNonFiniteInput:
     """Non-finite matrices and claims are refused where a family is built."""
 

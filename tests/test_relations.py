@@ -381,6 +381,9 @@ def test_relation_factory_names():
         relation_from_config("nope", 2)
     with pytest.raises(ContractViolation, match="not both"):
         relation_from_config("linear", 2, matrix=np.eye(2), gain=3.0)
+    for matrix in ([[1.0, 2.0, 3.0, 4.0]], np.eye(3)):  # the first was once read as 2x2
+        with pytest.raises(ContractViolation, match="needs a 2x2 matrix"):
+            relation_from_config("linear", 2, matrix=matrix)
 
 
 def test_minty_scan_degrades_without_eval():
