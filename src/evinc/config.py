@@ -43,6 +43,13 @@ def _float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError("a seed is a non-negative integer")
+    return value
+
+
 def _floats(text: str) -> list:
     return [_float(x) for x in text.split(",")]
 
@@ -106,7 +113,7 @@ _SCHEMA = {
     },
     "forcing": {
         "kind": _Choice(*_FORCING_KEYS),
-        "value": _vector, "start": _float, "stop": _float, "path": str, "seed": int,
+        "value": _vector, "start": _float, "stop": _float, "path": str, "seed": _seed,
     },
     "solver": {
         "rho": _float, "c_tilde": _float, "mode": _Choice("direct", "yosida_path"),
@@ -114,7 +121,7 @@ _SCHEMA = {
         "lambda_start": _float, "lambda_stop": _float, "lambda_factor": _float,
     },
     "campaign": {
-        "trials": int, "checks": _Choice(*ALL_CHECKS, many=True), "seed": int,
+        "trials": int, "checks": _Choice(*ALL_CHECKS, many=True), "seed": _seed,
     },
     "thermoplasticity": {
         "m": int, "dx": _float, "M": _coefficient, "C": _coefficient, "w": _coefficient,
@@ -144,7 +151,8 @@ one problem source: [problem], [material] with [relation],
 reads; linear takes matrix or gain. Only evinc solve reads [solver] mode,
 fp_max_iter and the lambda keys (these with mode = yosida_path only); every
 other command takes only rho, c_tilde and fp_tol from [solver]. Every number
-must be finite. There is no initial-condition interface: the past is
+must be finite, and a seed non-negative. A window must hold a node of the
+grid, and an impulse start lie in the grid's span. There is no initial-condition interface: the past is
 identically zero, so model initial values with impulsive forcing (kind =
 impulse).
 """
@@ -251,11 +259,18 @@ class RunConfig:
         value = np.broadcast_to(value, dim)
         t = grid.times
         start = sec.get("start", grid.t0)
+        span = f"the grid's span {grid.t0:g} .. {grid.t0 + grid.horizon:g}"
         if kind == "constant":
             mask = np.ones(grid.n, dtype=bool)
         elif kind == "window":
-            mask = (t >= start) & (t < sec.get("stop", grid.t0 + grid.horizon + grid.dt))
+            stop = sec.get("stop", grid.t0 + grid.horizon + grid.dt)
+            mask = (t >= start) & (t < stop)
+            if not mask.any():
+                raise ConfigError(f"forcing window [{start:g}, {stop:g}) holds no node of {span}")
         else:  # impulse: a unit-area pulse on the node nearest to start
+            slack = 1e-9 * grid.dt  # the last node's time as typed may round above t0 + horizon
+            if not grid.t0 - slack <= start <= grid.t0 + grid.horizon + slack:
+                raise ConfigError(f"forcing impulse start {start:g} lies outside {span}")
             mask = np.zeros(grid.n, dtype=bool)
             mask[int(np.argmin(np.abs(t - start)))] = True
             value = value / grid.dt

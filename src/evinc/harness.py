@@ -63,6 +63,12 @@ def supported_checks(template: CatalogProblem) -> tuple:
                  and (c != "causality" or template.grid.n >= 3))
 
 
+def _check_seed(seed):
+    """Refuse a negative seed, which numpy's generators would reject with a ValueError."""
+    if seed < 0:
+        raise ContractViolation(f"a seed must be a non-negative integer, got {seed}")
+
+
 def random_forcing(template: CatalogProblem, rng: np.random.Generator) -> WeightedSignal:
     """Node-wise standard normal values scaled to unit weighted norm."""
     vals = rng.standard_normal((template.grid.n, template.dim))
@@ -87,6 +93,7 @@ class PropertyCampaign:
     fp_tol: float = FP_TOL
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.checks is None:
             object.__setattr__(self, "checks", supported_checks(self.template))
         if self.trials < 1 or not self.checks:
@@ -567,6 +574,7 @@ def replay_check(template: CatalogProblem, check: str, seed: int,
     It takes the campaign's path, so a typed failure gives the row
     ``run_campaign`` records for it.
     """
+    _check_seed(seed)
     passed, margin, _ = _run_checks(template, [(seed, check)], fp_tol)[0]
     return passed, margin
 

@@ -6,8 +6,12 @@ because every construction downstream (Yosida surrogates, per-step solves,
 Lipschitz-perturbed sums) consumes resolvents only.
 
 Catalog members ship closed-form resolvents derived by case analysis and are
-cross-checked by the surjectivity scan in the tests. Structural hooks used by
-the stepper:
+cross-checked by the surjectivity scan in the tests. The resolvent of an
+assembled relation, ``StructuredSum`` (a monotone matrix plus a tail), is one
+implicit step: x + lam*A(x) ∋ y is the step of u' + A(u) ∋ 0 from the past y
+with M0 = 1, M1 = 0 and dt = lam, which ``solver.solve_step`` solves with the
+engine the march plans for it. The Lipschitz-perturbed sum iterates its own
+Picard map. Structural hooks used by the stepper:
 
 - ``split()`` returns ``(linear_matrix_or_None, tail_or_None)`` with
   A = linear + tail;
@@ -31,8 +35,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolation, ResolventFailure
+from .errors import ContractViolation, ResolventFailure, StepFailure
 from .fixed_point import CONVERGED, fixed_point
+from .materials import constant_family
 
 __all__ = [
     "MonotoneRelation",
@@ -92,17 +97,6 @@ def _row_by_row(resolve, lam, y):
     rows = y.reshape(-1, y.shape[-1])
     lams = lam.ravel() if isinstance(lam, np.ndarray) else [lam] * len(rows)
     return np.array([resolve(l, r) for l, r in zip(lams, rows)]).reshape(y.shape)
-
-
-def _resolve_by_fixed_point(what, G, y):
-    """Iterate ``G`` from y to the tolerance PICARD_TOL * (1 + |y|), or raise."""
-    tol = PICARD_TOL * (1.0 + float(np.linalg.norm(y)))
-    out, iters, res, reason = fixed_point(G, y, tol, PICARD_MAX_ITER)
-    if reason != CONVERGED:
-        raise ResolventFailure(
-            f"{what} did not converge: {reason}", residual=res, iterations=iters
-        )
-    return out
 
 
 class MonotoneRelation:
@@ -333,9 +327,10 @@ class NodewiseRelation(SlotEmbedded):
 class StructuredSum(MonotoneRelation):
     """A = K + tail with K a monotone matrix; the stepper exploits the split.
 
-    The full resolvent solves x + lam*K x + lam*tail(x) ∋ y by
-    Douglas-Rachford between the (prefactorable) affine part and the tail
-    resolvent, so it remains available for Yosida surrogates and scans.
+    Its resolvent is one implicit step: x + lam*K x + lam*tail(x) ∋ y is the
+    step of u' + A(u) ∋ 0 from the past y with M0 = 1, M1 = 0 and dt = lam,
+    so ``solve_step`` solves it with the engine the march would plan for that
+    step. The unit family is built on the first resolve, not with the sum.
     """
 
     def __init__(self, matrix: np.ndarray, tail: MonotoneRelation):
@@ -346,6 +341,7 @@ class StructuredSum(MonotoneRelation):
         self.dim = tail.dim
         self.contains_origin = tail.contains_origin
         self.single_valued = tail.single_valued
+        self._unit = None
 
     def split(self):
         return self.matrix, self.tail
@@ -360,22 +356,18 @@ class StructuredSum(MonotoneRelation):
         return self.tail.graph_distance(x, v - self.matrix @ x)
 
     def resolve(self, lam, y):
+        from .solver import solve_step  # solver imports this module
+
         y = np.asarray(y, dtype=float)
         if y.ndim != 1:  # each row iterates to its own tolerance, with its own lam
             return _row_by_row(self.resolve, lam, y)
-        eye = np.eye(self.dim)
-        affine = eye + lam * self.matrix
-        m_lo = 1.0  # sym part of affine is >= I for monotone K
-        big = 1.0 + lam * np.linalg.norm(self.matrix, 2)
-        gamma = 1.0 / np.sqrt(m_lo * big)
-        lhs = eye + gamma * affine
-
-        def dr(z):
-            x = np.linalg.solve(lhs, z + gamma * y)
-            w = self.tail.resolve(gamma * lam, 2.0 * x - z)
-            return z + (w - x), w
-
-        return _resolve_by_fixed_point("structured-sum resolvent", dr, y)
+        if self._unit is None:
+            self._unit = constant_family(np.eye(self.dim), np.zeros((self.dim, self.dim)))
+        try:
+            return solve_step(self._unit, self, 0.0, lam, y, y, np.zeros(self.dim),
+                              PICARD_TOL * (1.0 + float(np.linalg.norm(y))), PICARD_MAX_ITER)
+        except StepFailure as exc:
+            raise ResolventFailure(f"structured-sum resolvent: {exc}", residual=exc.residual) from exc
 
 
 class YosidaRelation(MonotoneRelation):
@@ -541,7 +533,12 @@ class _LipschitzPerturbedSum(MonotoneRelation):
             u_new = self.a.resolve(lam, y - lam * self.b_map(u))
             return u_new, u_new
 
-        return _resolve_by_fixed_point("Picard iteration for the perturbed sum", picard, y)
+        tol = PICARD_TOL * (1.0 + float(np.linalg.norm(y)))
+        out, iters, res, reason = fixed_point(picard, y, tol, PICARD_MAX_ITER)
+        if reason != CONVERGED:
+            raise ResolventFailure(f"Picard iteration for the perturbed sum did not converge: "
+                                   f"{reason}", residual=res, iterations=iters)
+        return out
 
     def graph_distance(self, x, v):
         x = np.asarray(x, dtype=float)

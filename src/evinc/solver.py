@@ -471,7 +471,9 @@ def solve_step(
     """One implicit step: S u + A(u) ∋ f_k + prev_m0u/dt, warm-started at prev_state.
 
     ``prev_m0u`` is M0(t - dt) @ prev_state; pass None to have it computed.
-    This is a one-node, one-stage march of one member from that past.
+    This is a one-node, one-stage march of one member from that past. With
+    M0 = 1, M1 = 0, dt = lam, zero forcing and the past y it is the resolvent
+    (1 + lam A)^{-1} y, which is how ``StructuredSum.resolve`` evaluates it.
     """
     prev_state = np.asarray(prev_state, dtype=float)
     if prev_m0u is None:

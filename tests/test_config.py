@@ -256,6 +256,14 @@ class TestForcingKinds:
         expected = np.where(k >= k0, (1.0 + dt) ** -(k - k0 + 1.0), 0.0)
         assert np.max(np.abs(u - expected)) <= 1e-12
 
+    def test_impulse_on_the_last_node(self, tmp_path):
+        # 3 * 0.3 rounds below 0.9, the last node's time as typed; the pulse lands there
+        code, out = run(tmp_path, "solve", CONFIGS / "scalar_ode.ini", "--set", "problem.n=4",
+                        "--dt", "0.3", "--set", "forcing.kind=impulse", "--set", "forcing.start=0.9")
+        assert code == 0
+        u = read_signal_csv(out / "solution.csv", 1.0).values[:, 0]
+        assert u[:3].tolist() == [0.0, 0.0, 0.0] and u[3] > 0.0
+
     def test_random_draws_from_its_seed(self, tmp_path):
         path = tmp_path / "random.ini"
         path.write_text(RANDOM_CONFIG)
@@ -313,6 +321,24 @@ class TestForcingKinds:
             f"config error: forcing CSV {path} is on the grid t0=0.0, dt=0.5, "
             "the problem on t0=0.0, dt=0.001"]
         assert not (out / "report.txt").exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        (("forcing.kind=impulse", "forcing.start=99"),
+         "forcing impulse start 99 lies outside the grid's span 0 .. 0.049"),
+        (("forcing.kind=impulse", "forcing.start=-0.001"),
+         "forcing impulse start -0.001 lies outside the grid's span 0 .. 0.049"),
+        (("forcing.start=5", "forcing.stop=1"),
+         "forcing window [5, 1) holds no node of the grid's span 0 .. 0.049"),
+        (("forcing.start=0.06",),
+         "forcing window [0.06, 0.05) holds no node of the grid's span 0 .. 0.049"),
+    ], ids=["impulse_after", "impulse_before", "window_reversed", "window_after"])
+    def test_forcing_that_misses_the_grid(self, tmp_path, capsys, extra, message):
+        # an impulse once landed on the nearest edge node, and an empty window gave
+        # an all-zero forcing; both runs exited 0
+        sets = [arg for target in extra for arg in ("--set", target)]
+        code, out = run(tmp_path, "solve", CONFIGS / "scalar_ode.ini", "--set", "problem.n=50", *sets)
+        assert config_error(capsys, code) == f"config error: {message}\n"
+        assert not out.exists()
 
     def test_csv_on_the_problem_grid_takes_its_times(self, tmp_path):
         # times that agree to 1e-12 give the forcing the template's own grid
@@ -417,6 +443,21 @@ class TestTypedRejections:
         # each of these once failed in the solver, in numpy, or not at all
         code, out = run(tmp_path, command, CONFIGS / name, "--set", target)
         assert target.partition("=")[0] in config_error(capsys, code)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, extra, target", [
+        ("campaign", ("--seed", "-1", "--set", "campaign.trials=1"), "campaign.seed"),
+        ("campaign", ("--set", "campaign.seed=-3"), "campaign.seed"),
+        ("solve", ("--set", "forcing.seed=-2"), "forcing.seed"),
+    ], ids=["campaign_flag", "campaign_key", "forcing_key"])
+    def test_negative_seed(self, tmp_path, capsys, command, extra, target):
+        # numpy's generators refuse a negative seed, which once ended in their traceback
+        ini = tmp_path / "random.ini"
+        ini.write_text(RANDOM_CONFIG)
+        cfg = CONFIGS / "campaign_degenerate.ini" if command == "campaign" else ini
+        code, out = run(tmp_path, command, cfg, *extra)
+        err = config_error(capsys, code)
+        assert target in err and "non-negative" in err
         assert not out.exists()
 
     def test_lambda_keys_need_the_yosida_path(self, tmp_path, capsys):

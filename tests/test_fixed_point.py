@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import evinc.fixed_point
@@ -412,7 +412,8 @@ ROW = st.tuples(
 )
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.generate])
 @given(
     rows=st.lists(ROW, min_size=1, max_size=24),
     dim=st.integers(1, 28),
@@ -467,7 +468,8 @@ BALL_ROW = st.tuples(
 )
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.generate])
 @given(
     rows=st.lists(BALL_ROW, min_size=2, max_size=16),
     dim=st.integers(1, 16),

@@ -57,6 +57,14 @@ class TestCampaign:
         with pytest.raises(ContractViolation, match="one check"):
             PropertyCampaign(template=tpl, trials=1, seed=1, checks=())
 
+    def test_negative_seed_rejected(self):
+        # numpy's generators refuse it, so it once ended run_campaign in a ValueError
+        tpl = make_catalog_problem("scalar_ode", n=50)
+        with pytest.raises(ContractViolation, match="non-negative"):
+            PropertyCampaign(template=tpl, trials=1, seed=-1)
+        with pytest.raises(ContractViolation, match="non-negative"):
+            replay_check(tpl, "lipschitz", -1)
+
     def test_unknown_check_rejected(self):
         tpl = make_catalog_problem("scalar_ode", n=50)
         with pytest.raises(ContractViolation):

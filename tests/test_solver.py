@@ -227,6 +227,27 @@ class TestCausalityAndWeight:
             rep_b = solve(tpl.problem(tpl.signal(f.values, rb), rho=rb))
             assert np.array_equal(rep_a.solution.values, rep_b.solution.values)
 
+    @pytest.mark.parametrize("name", ["scalar_ode", "degenerate_plane"])
+    def test_exact_solution_operator(self, name):
+        # on a linear template the solutions to the n*dim unit forcings are the columns
+        # of the discrete solution operator: causal at every cut for every forcing, the
+        # same bits at both weights, and within the gain bound in the weighted 2-norm
+        n = 60
+        tpl = make_catalog_problem(name, n=n)
+        units = np.eye(n * tpl.dim).reshape(-1, n, tpl.dim)
+        node = np.arange(n * tpl.dim) // tpl.dim
+        ops = []
+        for rho in tpl.admissible_rho_pair():
+            reports = solve_batch([tpl.problem(tpl.signal(e, rho), rho=rho) for e in units])
+            assert all(rep.converged for rep in reports)
+            op = np.stack([rep.solution.values.ravel() for rep in reports], axis=1)
+            assert np.all(op[node[:, None] < node[None, :]] == 0.0)
+            w = np.repeat(np.sqrt(reports[0].solution.weights()), tpl.dim)
+            gain = np.linalg.norm(w[:, None] * op / w[None, :], 2)
+            assert gain <= lipschitz_bound(tpl.problem(tpl.signal(units[0], rho), rho=rho))
+            ops.append(op)
+        assert ops[0].tobytes() == ops[1].tobytes()
+
     def test_horizon_insensitivity_zero_past(self):
         # prepending a zero-forcing past leaves the common window bit-identical
         tpl_short = make_catalog_problem("sign_scalar", n=200, t0=0.0)
