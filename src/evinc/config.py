@@ -152,9 +152,9 @@ reads; linear takes matrix or gain. Only evinc solve reads [solver] mode,
 fp_max_iter and the lambda keys (these with mode = yosida_path only); every
 other command takes only rho, c_tilde and fp_tol from [solver]. Every number
 must be finite, and a seed non-negative. A window must hold a node of the
-grid, and an impulse start lie in the grid's span. There is no initial-condition interface: the past is
-identically zero, so model initial values with impulsive forcing (kind =
-impulse).
+grid, and an impulse start lie in the grid's span. There is no
+initial-condition interface: the past is identically zero, so model initial
+values with impulsive forcing (kind = impulse).
 """
 
 
