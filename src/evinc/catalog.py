@@ -38,7 +38,6 @@ class CatalogProblem:
     grid: TimeGrid
     c_tilde: float
     rho: float
-    oracle_capable: bool = False
     meta: dict = field(default_factory=dict)
 
     @property
@@ -97,7 +96,7 @@ def _default_rho(rho0):
     return rho0 * 1.01 + 0.1
 
 
-# name -> (M0, M1, relation, default n); each of these has a branch oracle
+# name -> (M0, M1, relation, default n)
 _LOW_DIM = {
     "scalar_ode": ([[1.0]], [[0.0]], lambda: LinearRelation([[1.0]]), 2001),
     "degenerate_plane": (
@@ -127,7 +126,5 @@ def make_catalog_problem(name: str, n: int = None, dt: float = 1e-3, t0: float =
         family, relation, meta, default_n = model.family, model.relation, {"model": model}, 201
     else:
         raise ContractViolation(f"unknown catalog problem {name!r}")
-    return CatalogProblem.admissible(
-        name, family, relation, TimeGrid(t0=t0, dt=dt, n=default_n if n is None else n),
-        oracle_capable=name in _LOW_DIM, meta=meta,
-    )
+    grid = TimeGrid(t0=t0, dt=dt, n=default_n if n is None else n)
+    return CatalogProblem.admissible(name, family, relation, grid, meta=meta)

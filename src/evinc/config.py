@@ -23,7 +23,7 @@ import numpy as np
 from .catalog import CatalogProblem, catalog_names, make_catalog_problem
 from .errors import ContractViolation
 from .gallery import VISCOPLASTIC_RELATIONS, SlabGrid, build_thermoplasticity, build_viscoplasticity
-from .harness import ALL_CHECKS, PropertyCampaign
+from .harness import CHECKS, PropertyCampaign
 from .materials import Coefficient, constant_family, sinusoidal_family
 from .relations import RELATION_KINDS, relation_from_config
 from .signals import TimeGrid, WeightedSignal, read_signal_csv
@@ -121,7 +121,7 @@ _SCHEMA = {
         "lambda_start": _float, "lambda_stop": _float, "lambda_factor": _float,
     },
     "campaign": {
-        "trials": int, "checks": _Choice(*ALL_CHECKS, many=True), "seed": _seed,
+        "trials": int, "checks": _Choice(*CHECKS, many=True), "seed": _seed,
     },
     "thermoplasticity": {
         "m": int, "dx": _float, "M": _coefficient, "C": _coefficient, "w": _coefficient,
@@ -143,18 +143,18 @@ _SOURCES = {
 
 _HELP_NOTES = """
 Matrices use ';' between rows and ',' between entries. Coefficients are
-"base[,amplitude[,frequency]]". Campaign checks are a comma-separated list;
-without one, a campaign runs every check its problem supports. A config uses
-one problem source: [problem], [material] with [relation],
-[thermoplasticity] or [viscoplasticity]. The grid's n, dt and t0 come from
-[grid] over [problem]. A [relation] or [forcing] kind takes only the keys it
-reads; linear takes matrix or gain. Only evinc solve reads [solver] mode,
-fp_max_iter and the lambda keys (these with mode = yosida_path only); every
-other command takes only rho, c_tilde and fp_tol from [solver]. Every number
-must be finite, and a seed non-negative. A window must hold a node of the
-grid, and an impulse start lie in the grid's span. There is no
-initial-condition interface: the past is identically zero, so model initial
-values with impulsive forcing (kind = impulse).
+"base[,amplitude[,frequency]]". Campaign checks are a comma-separated list,
+each named once; without one, a campaign runs every check its problem
+supports. A config uses one problem source: [problem], [material] with
+[relation], [thermoplasticity] or [viscoplasticity]. The grid's n, dt and
+t0 come from [grid] over [problem]. A [relation] or [forcing] kind takes
+only the keys it reads; linear takes matrix or gain. Only evinc solve reads
+[solver] mode, fp_max_iter and the lambda keys (these with mode =
+yosida_path only); every other command takes only rho, c_tilde and fp_tol
+from [solver]. Every number must be finite, and a seed non-negative. A
+window must hold a node of the grid, and an impulse start lie in the grid's
+span. There is no initial-condition interface: the past is identically
+zero, so model initial values with impulsive forcing (kind = impulse).
 """
 
 
@@ -196,11 +196,11 @@ class RunConfig:
         """The configured problem without its forcing, at the [solver] admissible pair."""
         grid_args = {**self._section("problem"), **self._section("grid")}
         name = grid_args.pop("catalog", "custom")  # a slab model names itself
-        extra = {}
+        meta = {}
         if self.source == "catalog":
             tpl = make_catalog_problem(name, **grid_args)
             family, relation, grid = tpl.family, tpl.relation, tpl.grid
-            extra = {"oracle_capable": tpl.oracle_capable, "meta": tpl.meta}
+            meta = tpl.meta
         elif self.source == "custom":
             family = self.build_family()
             rel = self._section("relation")
@@ -210,11 +210,11 @@ class RunConfig:
             model = self.build_gallery_model()
             name, family, relation = model.name, model.family, model.relation
             grid = TimeGrid(**{"t0": 0.0, "dt": 1e-3, "n": 201, **grid_args})
-            extra = {"meta": {"model": model}}
+            meta = {"model": model}
         solver = self.sections.get("solver", {})
         return CatalogProblem.admissible(
             name, family, relation, grid,
-            c_tilde=solver.get("c_tilde"), rho=solver.get("rho"), **extra,
+            c_tilde=solver.get("c_tilde"), rho=solver.get("rho"), meta=meta,
         )
 
     def build_family(self):

@@ -11,62 +11,52 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .catalog import CatalogProblem
 from .errors import ContractViolation, ResolventFailure, StepFailure, StepSizeError
-from .relations import (
-    BallSaturation,
-    LinearRelation,
-    NormSubdifferential,
-    ZeroRelation,
-)
+from .relations import BallSaturation, LinearRelation, NormSubdifferential, ZeroRelation
 from .signals import WeightedSignal, weighted_inner, weighted_norm
-from .solver import (
-    FP_TOL,
-    certificate_gain,
-    certificate_problems,
-    lipschitz_bound,
-    solve,
-    solve_batch,
-)
+from .solver import (FP_TOL, certificate_gain, certificate_problems, lipschitz_bound, solve,
+                     solve_batch)
 
 __all__ = [
+    "CHECKS",
     "PropertyCampaign",
     "CampaignReport",
     "run_campaign",
+    "replay_check",
     "supported_checks",
     "random_forcing",
+    "oracle_reaches",
     "oracle_trajectory",
     "fixed_point_iterates",
     "monotonicity_margin",
 ]
 
-ALL_CHECKS = (
-    "causality",
-    "lipschitz",
-    "monotonicity_bound",
-    "rho_independence",
-    "yosida_agreement",
-    "oracle_match",
-)
-
 
 def supported_checks(template: CatalogProblem) -> tuple:
-    """The checks a campaign can run on ``template``.
-
-    oracle_match needs its oracle, and causality a cut node between the
-    first and the last, so at least 3 nodes.
-    """
-    return tuple(c for c in ALL_CHECKS if (c != "oracle_match" or template.oracle_capable)
-                 and (c != "causality" or template.grid.n >= 3))
+    """The checks a campaign can run on ``template``: each whose needs it meets, in table order."""
+    return tuple(name for name, check in CHECKS.items() if check.needs(template))
 
 
-def _check_seed(seed):
-    """Refuse a negative seed, which numpy's generators would reject with a ValueError."""
+def _check_request(template: CatalogProblem, seed: int, checks):
+    """Refuse a negative seed, and checks other than distinct ones that ``template`` supports."""
     if seed < 0:
         raise ContractViolation(f"a seed must be a non-negative integer, got {seed}")
+    if isinstance(checks, str):
+        raise ContractViolation(f"checks must be a list of check names, got the string {checks!r}")
+    if len(set(checks)) < len(checks):
+        raise ContractViolation(f"a check is named more than once in {list(checks)}")
+    unknown = [c for c in checks if c not in CHECKS]
+    if unknown:
+        raise ContractViolation(f"unknown checks {unknown} for template {template.name!r}; "
+                                f"the checks are {', '.join(CHECKS)}")
+    unsupported = sorted(set(checks) - set(supported_checks(template)))
+    if unsupported:
+        raise ContractViolation(f"template {template.name!r} does not support checks {unsupported}")
 
 
 def random_forcing(template: CatalogProblem, rng: np.random.Generator) -> WeightedSignal:
@@ -83,7 +73,8 @@ def random_forcing(template: CatalogProblem, rng: np.random.Generator) -> Weight
 class PropertyCampaign:
     """Seed-determined batch of checks over a catalog template.
 
-    ``checks`` defaults to every check the template supports.
+    ``checks`` names distinct rows of ``CHECKS``; by default every check the
+    template supports.
     """
 
     template: CatalogProblem
@@ -93,7 +84,6 @@ class PropertyCampaign:
     fp_tol: float = FP_TOL
 
     def __post_init__(self):
-        _check_seed(self.seed)
         if self.checks is None:
             object.__setattr__(self, "checks", supported_checks(self.template))
         if self.trials < 1 or not self.checks:
@@ -101,11 +91,7 @@ class PropertyCampaign:
                 f"a campaign needs at least one trial and one check, got "
                 f"trials={self.trials}, checks={tuple(self.checks)}"
             )
-        unsupported = set(self.checks) - set(supported_checks(self.template))
-        if unsupported:
-            raise ContractViolation(
-                f"template {self.template.name!r} does not support checks {sorted(unsupported)}"
-            )
+        _check_request(self.template, self.seed, self.checks)
 
 
 @dataclass
@@ -243,8 +229,17 @@ def _norm(v) -> float:
     return math.sqrt(v.dot(v))
 
 
+#: the relations ``_oracle_step`` has branches for
+_ORACLE_RELATIONS = (ZeroRelation, LinearRelation, NormSubdifferential, BallSaturation)
+
+
+def oracle_reaches(template: CatalogProblem) -> bool:
+    """Whether the oracle solves ``template``: dim <= 2 and a relation it has branches for."""
+    return template.dim <= 2 and isinstance(template.relation, _ORACLE_RELATIONS)
+
+
 def _oracle_step(relation, S: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Solve S u + A(u) ∋ b by exhaustive branch enumeration plus bisection."""
+    """Solve S u + A(u) ∋ b, A of ``_ORACLE_RELATIONS``, by branch enumeration and bisection."""
     scale = 1.0 + _norm(b)
 
     def residual(u, a_val):
@@ -297,28 +292,26 @@ def _oracle_step(relation, S: np.ndarray, b: np.ndarray, tol: float) -> np.ndarr
             return u
         raise StepFailure("oracle: smooth branch residual too large", step=-1)
 
-    if isinstance(relation, BallSaturation):
-        s0 = relation.radius
-        eye = np.eye(S.shape[0])
-        u = _cramer_solve(S + eye, b)  # unsaturated branch: A(u) = u
-        if _norm(u) <= s0 * (1.0 + 1e-14):
-            if residual(u, u) <= tol * scale:
-                return u
-
-        def phi(r):
-            v = _cramer_solve(S + (s0 / r) * eye, b)
-            return _norm(v) - r
-
-        hi = (_norm(b) + s0) / max(_min_sym_eig(S), 1e-12) + 1.0
-        root = _bisect_radius(phi, s0, hi)
-        if root is None:
-            raise StepFailure("oracle: no saturation branch admits a solution", step=-1)
-        u = _cramer_solve(S + (s0 / root) * eye, b)
-        if residual(u, s0 * u / _norm(u)) <= tol * scale:
+    # BallSaturation, the last of _ORACLE_RELATIONS
+    s0 = relation.radius
+    eye = np.eye(S.shape[0])
+    u = _cramer_solve(S + eye, b)  # unsaturated branch: A(u) = u
+    if _norm(u) <= s0 * (1.0 + 1e-14):
+        if residual(u, u) <= tol * scale:
             return u
-        raise StepFailure("oracle: saturated branch residual too large", step=-1)
 
-    raise ContractViolation(f"no oracle branches for relation {type(relation).__name__}")
+    def phi(r):
+        v = _cramer_solve(S + (s0 / r) * eye, b)
+        return _norm(v) - r
+
+    hi = (_norm(b) + s0) / max(_min_sym_eig(S), 1e-12) + 1.0
+    root = _bisect_radius(phi, s0, hi)
+    if root is None:
+        raise StepFailure("oracle: no saturation branch admits a solution", step=-1)
+    u = _cramer_solve(S + (s0 / root) * eye, b)
+    if residual(u, s0 * u / _norm(u)) <= tol * scale:
+        return u
+    raise StepFailure("oracle: saturated branch residual too large", step=-1)
 
 
 def _min_sym_eig(S):
@@ -335,16 +328,15 @@ def oracle_trajectory(template: CatalogProblem, forcing: WeightedSignal,
                       tol: float = 1e-12) -> WeightedSignal:
     """Ground-truth trajectory of a catalog template via per-step branch enumeration.
 
-    Restricted to dim <= 2. The per-step solves enumerate the relation's
-    branches and bisect the radial equations; no resolvents, no step-engine
-    code.
+    Restricted to the templates ``oracle_reaches``. The per-step solves
+    enumerate the relation's branches and bisect the radial equations; no
+    resolvents, no step-engine code.
     """
     family, relation = template.family, template.relation
     dim = family.dim
-    if dim > 2:
-        raise ContractViolation("oracle is restricted to dim <= 2")
-    if not template.oracle_capable:
-        raise ContractViolation(f"{template.name!r} has no oracle")
+    if not oracle_reaches(template):
+        raise ContractViolation(f"{template.name!r} has no oracle: it needs dim <= 2 and a relation "
+                                f"it has branches for, got dim {dim}, {type(relation).__name__}")
     grid = forcing.grid
     dt = grid.dt
     vals = forcing.values
@@ -415,12 +407,9 @@ def _converged(outcome):
 
 
 def _draw_causality(template, rng, fp_tol):
-    n = template.grid.n
-    if n < 3:
-        raise ContractViolation(f"causality needs a cut node inside the grid, so n >= 3, got n={n}")
     f = random_forcing(template, rng)
     g = random_forcing(template, rng)
-    cut = int(rng.integers(1, n - 1))
+    cut = int(rng.integers(1, template.grid.n - 1))
     g_vals = g.values.copy()
     g_vals[:cut] = f.values[:cut]
     g = template.signal(g_vals)
@@ -506,14 +495,23 @@ def _draw_oracle(template, rng, fp_tol):
     return [template.problem(f, fp_tol=fp_tol)], judge
 
 
-#: check -> its draw
-_CHECK_FNS = {
-    "causality": _draw_causality,
-    "lipschitz": _draw_lipschitz,
-    "monotonicity_bound": _draw_monotonicity,
-    "rho_independence": _draw_rho_independence,
-    "yosida_agreement": _draw_yosida,
-    "oracle_match": _draw_oracle,
+class Check(NamedTuple):
+    """A check's draw, the index that seeds its rng with a trial's seed, and what it needs."""
+
+    draw: Callable
+    rng_index: int
+    needs: Callable = lambda template: True
+
+
+#: check name -> its row; a row's rng index is frozen, so adding a row changes no draw
+CHECKS = {
+    # a cut node strictly between the first node and the last
+    "causality": Check(_draw_causality, 0, lambda template: template.grid.n >= 3),
+    "lipschitz": Check(_draw_lipschitz, 1),
+    "monotonicity_bound": Check(_draw_monotonicity, 2),
+    "rho_independence": Check(_draw_rho_independence, 3),
+    "yosida_agreement": Check(_draw_yosida, 4),
+    "oracle_match": Check(_draw_oracle, 5, oracle_reaches),
 }
 
 
@@ -547,9 +545,9 @@ def _run_checks(template, cases, fp_tol):
     """
     drawn = []
     for seed, check in cases:
-        rng = np.random.default_rng([int(seed), ALL_CHECKS.index(check)])
+        rng = np.random.default_rng([int(seed), CHECKS[check].rng_index])
         try:
-            drawn.append(_CHECK_FNS[check](template, rng, fp_tol))
+            drawn.append(CHECKS[check].draw(template, rng, fp_tol))
         except _TYPED_FAILURES as exc:
             drawn.append(exc)
     outcomes = iter(_solve_all([p for d in drawn if not isinstance(d, Exception) for p in d[0]]))
@@ -572,9 +570,9 @@ def replay_check(template: CatalogProblem, check: str, seed: int,
     """Re-run one trial check from its recorded seed; returns (passed, margin).
 
     It takes the campaign's path, so a typed failure gives the row
-    ``run_campaign`` records for it.
+    ``run_campaign`` records for it, and it refuses what a campaign refuses.
     """
-    _check_seed(seed)
+    _check_request(template, seed, [check])
     passed, margin, _ = _run_checks(template, [(seed, check)], fp_tol)[0]
     return passed, margin
 

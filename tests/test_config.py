@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evinc import config
+from evinc import config, harness
 from evinc.cli import main
 from evinc.signals import TimeGrid, WeightedSignal, read_signal_csv, write_signal_csv
 
@@ -584,6 +584,26 @@ class TestCampaignSolver:
                         "--set", target)
         assert target.split("=")[0].split(".")[1] in config_error(capsys, code)
         assert not (out / "campaign.csv").exists()
+
+
+class TestCampaignChecks:
+    def test_a_repeated_check_is_refused(self, tmp_path, capsys):
+        # a repeated name once wrote each of its rows twice and counted them as trials
+        code, out = run(tmp_path, "campaign", CONFIGS / "campaign_degenerate.ini",
+                        "--set", "campaign.trials=1", "--set", "campaign.checks=causality,causality")
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid configuration: a check is named more than once in ['causality', 'causality']"]
+        assert not (out / "campaign.csv").exists()
+
+    def test_a_custom_low_dimensional_config_gets_the_oracle(self):
+        # the oracle reaches a template by its dimension and relation, not by its source
+        cfg = config.load_config(CONFIGS / "sign_ramp.ini", ["grid.n=300", "campaign.trials=3"])
+        template = cfg.build_template()
+        campaign = cfg.build_campaign(template)
+        assert campaign.checks == tuple(harness.CHECKS)
+        rep = harness.run_campaign(campaign)
+        assert rep.passed and rep.summary()["oracle_match"]["trials"] == 3
 
 
 class TestFixedSolver:

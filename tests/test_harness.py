@@ -40,7 +40,7 @@ def _counting(family):
 def _sinusoidal_plane(n):
     fam = sinusoidal_family(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), amplitude=0.3, frequency=2.0)
     grid = TimeGrid(0.0, 1e-3, n)
-    return CatalogProblem.admissible("sinusoidal_plane", fam, ZeroRelation(2), grid, oracle_capable=True)
+    return CatalogProblem.admissible("sinusoidal_plane", fam, ZeroRelation(2), grid)
 
 
 def _nodes(grid):
@@ -70,6 +70,50 @@ class TestCampaign:
         with pytest.raises(ContractViolation):
             PropertyCampaign(template=tpl, trials=1, seed=1, checks=("nope",))
 
+    def test_replay_refuses_an_unknown_check(self):
+        # it once ended in a bare ValueError from the position lookup of the name
+        tpl = make_catalog_problem("scalar_ode", n=50)
+        with pytest.raises(ContractViolation,
+                           match=r"unknown checks \['nope'\] for template 'scalar_ode'"):
+            replay_check(tpl, "nope", 1)
+
+    def test_replay_refuses_an_unsupported_check(self):
+        # it once returned a failed row (False, -inf), where a campaign refuses the check
+        tpl = make_catalog_problem("thermoplastic_slab", n=30)
+        with pytest.raises(ContractViolation, match=(
+                r"template 'thermoplastic_slab' does not support checks \['oracle_match'\]")):
+            replay_check(tpl, "oracle_match", 1)
+
+    @pytest.mark.parametrize("checks, match", [
+        (("causality", "causality"), "named more than once"),
+        (("lipschitz", "causality", "lipschitz"), "named more than once"),
+        ("causality", "got the string 'causality'"),
+    ])
+    def test_checks_are_distinct_names(self, checks, match):
+        # a repeated name once wrote each of its rows twice, and a bare string
+        # was split into letters, each refused as unsupported
+        tpl = make_catalog_problem("scalar_ode", n=30)
+        with pytest.raises(ContractViolation, match=match):
+            PropertyCampaign(template=tpl, trials=2, checks=checks)
+
+    def test_rng_indices_are_frozen(self):
+        # each check's draws are seeded by (trial seed, rng index): these pin every recorded seed
+        assert {name: check.rng_index for name, check in harness.CHECKS.items()} == {
+            "causality": 0, "lipschitz": 1, "monotonicity_bound": 2,
+            "rho_independence": 3, "yosida_agreement": 4, "oracle_match": 5,
+        }
+
+    def test_a_new_row_changes_no_draw(self, monkeypatch):
+        # a check added at the front of the table takes the next free rng index,
+        # and the campaigns of the other checks write the same bytes
+        tpl = make_catalog_problem("scalar_ode", n=40)
+        campaign = PropertyCampaign(template=tpl, trials=2, seed=4, checks=tuple(harness.CHECKS))
+        before = run_campaign(campaign).to_csv()
+        dummy = harness.Check(lambda template, rng, fp_tol: ([], lambda: (True, 0.0)), 6)
+        monkeypatch.setattr(harness, "CHECKS", {"dummy": dummy, **harness.CHECKS})
+        assert harness.supported_checks(tpl)[0] == "dummy"
+        assert run_campaign(campaign).to_csv() == before
+
     def test_oracle_check_requires_capability(self):
         tpl = make_catalog_problem("thermoplastic_slab", n=30)
         with pytest.raises(ContractViolation):
@@ -79,7 +123,7 @@ class TestCampaign:
     def test_supported_checks_are_the_accepted_ones(self, name, oracle):
         tpl = make_catalog_problem(name, n=30)
         checks = harness.supported_checks(tpl)
-        assert checks == tuple(c for c in harness.ALL_CHECKS if oracle or c != "oracle_match")
+        assert checks == tuple(c for c in harness.CHECKS if oracle or c != "oracle_match")
         assert PropertyCampaign(template=tpl, trials=1, checks=checks).checks == checks
 
     @pytest.mark.parametrize("name", ["scalar_ode", "thermoplastic_slab"])
@@ -91,16 +135,17 @@ class TestCampaign:
     @pytest.mark.parametrize("name", ["scalar_ode", "thermoplastic_slab"])
     def test_causality_needs_a_cut_node(self, name):
         # on 2 nodes no node lies strictly between the first and the last: the
-        # campaign leaves causality out, and its draw is a typed failure
+        # campaign leaves causality out, and a campaign and a replay refuse it
         tpl = make_catalog_problem(name, n=2)
         assert "causality" not in harness.supported_checks(tpl)
+        assert "causality" in harness.supported_checks(make_catalog_problem(name, n=3))
         rep = run_campaign(PropertyCampaign(template=tpl, trials=1, seed=3))
         assert [check for _, check, *_ in rep.rows] == list(harness.supported_checks(tpl))
-        with pytest.raises(ContractViolation, match="does not support checks"):
+        refusal = f"template '{name}' does not support checks \\['causality'\\]"
+        with pytest.raises(ContractViolation, match=refusal):
             PropertyCampaign(template=tpl, trials=1, checks=("causality",))
-        assert replay_check(tpl, "causality", 5) == (False, float("-inf"))
-        [(_, _, error)] = harness._run_checks(tpl, [(5, "causality")], FP_TOL)
-        assert isinstance(error, ContractViolation) and "n >= 3" in str(error)
+        with pytest.raises(ContractViolation, match=refusal):
+            replay_check(tpl, "causality", 5)
 
     def test_causality_campaign_all_pass(self):
         tpl = make_catalog_problem("scalar_ode", n=200)
@@ -150,7 +195,8 @@ class TestCampaign:
         def broken(template, rng, fp_tol):
             raise TypeError("broken check")
 
-        monkeypatch.setitem(harness._CHECK_FNS, "causality", broken)
+        row = harness.CHECKS["causality"]._replace(draw=broken)
+        monkeypatch.setitem(harness.CHECKS, "causality", row)
         tpl = make_catalog_problem("scalar_ode", n=50)
         campaign = PropertyCampaign(template=tpl, trials=1, seed=1, checks=("causality",))
         with pytest.raises(TypeError, match="broken check"):
@@ -172,8 +218,8 @@ class TestCampaign:
         rep = run_campaign(PropertyCampaign(template=tpl, trials=6, seed=3, checks=checks))
         expected = set()
         for trial, check, passed, margin, seed in rep.rows:
-            rng = np.random.default_rng([seed, harness.ALL_CHECKS.index(check)])
-            problems, _ = harness._CHECK_FNS[check](tpl, rng, 1e-10)
+            rng = np.random.default_rng([seed, harness.CHECKS[check].rng_index])
+            problems, _ = harness.CHECKS[check].draw(tpl, rng, 1e-10)
             try:
                 for p in problems:
                     solve(p)
@@ -239,7 +285,7 @@ class TestOracle:
         # weighted norm, and thirty times that
         tpl = CatalogProblem.admissible(
             "sign_plane", constant_family(np.eye(2), np.zeros((2, 2))),
-            NormSubdifferential(2, weight=1.0), TimeGrid(0.0, 1e-3, 60), oracle_capable=True,
+            NormSubdifferential(2, weight=1.0), TimeGrid(0.0, 1e-3, 60),
         )
         rng = np.random.default_rng(13)
         forcings = [random_forcing(tpl, rng) for _ in range(3)]
@@ -272,11 +318,12 @@ class TestOracle:
         tpl = make_catalog_problem("scalar_ode", n=30)
         bad = type(tpl)(
             name="mystery", family=tpl.family, relation=Mystery(),
-            grid=tpl.grid, c_tilde=tpl.c_tilde, rho=tpl.rho, oracle_capable=True,
+            grid=tpl.grid, c_tilde=tpl.c_tilde, rho=tpl.rho,
         )
         f = bad.signal(np.ones((30, 1)))
         with pytest.raises(ContractViolation):
             oracle_trajectory(bad, f)
+        assert "oracle_match" not in harness.supported_checks(bad)
 
     def test_coefficients_evaluated_once_per_node(self):
         tpl = _sinusoidal_plane(30)
