@@ -15,36 +15,25 @@ A solve is a list of stages over one split A = K + tail of the relation:
 direct mode is the one stage (K, tail), the Yosida path the stages (K, A_lam)
 with the surrogate A_lam of the tail at each scheduled lambda, each
 warm-started from the one before. ``_node_plans`` is the one place that plans
-nodes: it yields each node's M0(t_k), S_k + K and, per stage, the engine and
-its gamma and inverse, planning a node once for every stage, a constant
-family once, and a moving one PLAN_BLOCK nodes at a time with stacked
-eigvalsh, 2-norm and inverse calls, as the march reaches them.
+nodes: it yields each node's M0(t_k), S_k + K and each stage's engine with
+its gamma and inverse, as the march reaches them.
 
-``_march`` consumes that stream and evaluates no coefficient. It schedules
-cells, one node k of one stage s of one member. Cell (s, k) reads its stage's
-past, cell (s, k-1), and its warm start, cell (s-1, k), so the cells of one
-anti-diagonal d = s + k are independent: the march solves them in waves, and
-in each wave the cells that share an engine make one kernel call. Direct
-mode is the one-stage case, where a wave is a node and its rows are the
-members; the Yosida path's waves stack up to one cell per stage, each row
-with its own gamma, inverse and lambda. Each kernel call is one
-``_node_step``, which solves the cells directly: the direct engine by its
-linear solve, an iterative engine by building its map G(x) -> (Gx, out) and
-running safeguarded Anderson(5) on one fixed-point kernel
-(``fixed_point.fixed_point`` on one vector, ``fixed_point.fixed_point_stack``
-on a stack), which also owns the stop rule, the iteration budget, the
-divergence guard, the stall exit and the non-finite exit.
+``_march`` consumes that stream and evaluates no coefficient. It solves
+cells, one node k of one stage s, in waves: the cells of one anti-diagonal
+d = s + k are independent, and those that share an engine make one kernel
+call. A direct cell is its linear solve alone, its residual taken after the
+waves in one stacked product per run of nodes on one step matrix, where a
+non-finite node fails its member. An iterative cell is one ``_node_step``,
+which builds its engine's map G(x) -> (Gx, out) and runs safeguarded
+Anderson(5) on one fixed-point kernel (``fixed_point.fixed_point`` on one
+vector, ``fixed_point.fixed_point_stack`` on a stack), which owns the stop
+rule, the budget and the diverging, stall and non-finite exits.
 
-``solve_batch`` takes any list and marches the problems that differ only in
-forcing, rho and c_tilde together: one plan per node serves every member and
-every stage, and each row of a stack keeps its own stop, safeguard and exits.
-Numpy's stacked products and solves, and the relations' evaluation at a
-lambda column, give each row the bits it gets alone, so a member's report
-does not depend on the batch or the wave around it: it is bit for bit the
-report of a stage-by-stage march of that member alone. ``_march`` alone
-decides who marches, from the batch's list of member failures: a member
-reports the first failure of its lowest failing stage. ``solve`` is a batch
-of one, and ``solve_step`` a one-node, one-stage march.
+``solve_batch`` marches the problems that differ only in forcing, rho and
+c_tilde together. Numpy's stacked products and solves, and the relations'
+evaluation at a lambda column, give each row the bits it gets alone, so a
+member's report is bit for bit that of a stage-by-stage march of it alone.
+``solve`` is a batch of one, and ``solve_step`` a one-node, one-stage march.
 
 The weight rho is used for admission checks and norms only — it never enters
 the stepping arithmetic, so solutions agree bit for bit across admissible
@@ -61,7 +50,7 @@ import numpy as np
 
 from .calculus import derivative
 from .errors import ContractViolation, StepFailure
-from .fixed_point import CONVERGED, fixed_point, fixed_point_stack, sq_norms
+from .fixed_point import CONVERGED, NONFINITE, fixed_point, fixed_point_stack, sq_norms
 from .materials import (
     MaterialFamily, _rho_error, _step_size_error, dt_max, measure_constants, rho_zero,
     step_matrices,
@@ -160,12 +149,15 @@ class SolveReport:
     """Solution plus convergence diagnostics; produced once, never mutated.
 
     ``per_step_iterations[k]`` counts the fixed-point map evaluations spent
-    on node k; on the Yosida path it is the sum over all lambda-stages.
-    ``max_residual`` is the largest stop residual over the nodes of the
-    (last) march. It is what each engine stops on, so it means a different
-    thing per engine: on a Douglas-Rachford node it is the splitting gap
-    ``|w - x|``, which can understate the node's natural residual (by about
-    600x on ``viscoplastic_slab``); it is not an error bound.
+    on node k, 1 on a direct node; on the Yosida path it is the sum over all
+    lambda-stages. ``max_residual`` is the largest stop residual over the
+    nodes of the (last) march, so it means a different thing per engine. On
+    a direct node it is |(S + K) u - b| / (1 + |b|), the linear solve's
+    relative residual, taken after the march; a direct node where it is not
+    finite fails (``nonfinite``), as an iterative one does. On a
+    Douglas-Rachford node it is the splitting gap ``|w - x|``, which can
+    understate the node's natural residual (by about 600x on
+    ``viscoplastic_slab``); it is not an error bound.
     """
 
     solution: WeightedSignal
@@ -203,7 +195,7 @@ PLAN_BLOCK = 16  # nodes of a moving family planned by one stacked pass
 
 
 def _node_step(name, tail, lam_mat, gamma, inv, b, warm, fp_tol: float, fp_max_iter: int):
-    """Solve S u + tail(u) ∋ b by one engine; returns (u, iterations, residual, reason).
+    """Solve S u + tail(u) ∋ b by one iterative engine; returns (u, iterations, residual, reason).
 
     ``b`` and ``warm`` are one state ``(dim,)`` or a stack ``(rows, dim)``; a
     stack runs the stacked kernel and gives lists, row by row the values a
@@ -212,16 +204,8 @@ def _node_step(name, tail, lam_mat, gamma, inv, b, warm, fp_tol: float, fp_max_i
     column, ``inv`` and ``lam_mat`` ``(rows, dim, dim)`` stacks, ``tail`` a
     Yosida surrogate at a lambda column. ``inv`` is None on forward-backward
     through the tail resolvent. A map takes its parameters as default
-    arguments, not as closure cells, which every call of this function
-    would make, the direct engine's too.
+    arguments, not as closure cells. ``_march`` solves direct cells itself.
     """
-    if name == "direct":
-        u = _mv(inv, b)
-        r = _mv(lam_mat, u) - b
-        if b.ndim == 1:
-            return u, 1, math.sqrt(r @ r) / (1.0 + math.sqrt(b @ b)), CONVERGED
-        res = np.sqrt(sq_norms(r)) / (1.0 + np.sqrt(sq_norms(b)))
-        return u, [1] * len(b), res.tolist(), [CONVERGED] * len(b)
     # gamma * b is taken once per step where a map adds it; gamma * (L u - b) differs in the last bit
     if name == "Douglas-Rachford":
         def G(z, inv=inv, gb=gamma * b, resolve=tail.resolve, gamma=gamma):
@@ -319,28 +303,28 @@ def _march(plans, forcing: np.ndarray, dt: float, failures: list, tails, fp_tol:
     A cell is one node k of one stage s. It reads its stage's past, cell
     (s, k-1), and its warm start, cell (s-1, k), or (0, k-1) in stage 0; so
     the cells of one anti-diagonal d = s + k are independent and the march
-    solves them together, wave after wave. ``tails`` holds each stage's tail
-    (several stages are the Yosida surrogates of one tail), ``plans`` yields
-    each node's plan for all of them, from ``_node_plans``: the march plans
-    nothing, and asks for node d at wave d. In a wave, the cells that share
-    an engine make one kernel call: a single cell takes its node's shared
-    parameters, and its members as vectors (``fixed_point``) if it has one,
-    else as a stack (``fixed_point_stack``); several cells make one stack of
-    all their rows, each with its own gamma, inverse and lambda. Direct mode
-    is the one-stage case: its wave is the node and its rows the members.
+    solves them as one wave, asking ``plans`` (from ``_node_plans``) for node
+    d at wave d. A wave's cells that share an engine make one kernel call:
+    one cell on its node's parameters, its members as vectors or as a stack,
+    or one stack of several cells' rows, each with its own gamma, inverse and
+    lambda. With no tail (``tails`` holds each stage's) every cell is direct
+    and does only u = inv b, keeping b in the last stage, whose residuals
+    |(S_k + K) u - b| / (1 + |b|) are taken later: one stacked product and
+    ``sq_norms`` pair per run of nodes on one S_k + K, a constant family's
+    whole march or at most a plan block of a moving one. A member fails at
+    its first non-finite one, also its lowest stage's first, as every stage
+    computes the same values.
 
     ``forcing`` is ``(members, n, dim)``; values are ``(stages, members, n,
     dim)``, iterations ``(members, n)`` summed over the stages, and
     ``residuals[m]`` member m's largest stop residual in the last stage.
     ``failures`` is the batch's list of member failures and the march alone
-    decides from it who marches: a member whose entry is set is skipped, and
-    a member whose iteration stops short of the tolerance gets the
-    StepFailure naming that node, as a stage-by-stage march would give it:
-    the first failure of its lowest failing stage. So a failure ends the
-    member's cells in that stage and the later ones, while its earlier
-    stages go on. With no member left no plan is asked for. ``past`` is ``(u,
-    M0 u)`` before the first node, each ``(members, dim)``; None is the zero
-    past. A node's M0 gives the next node's past.
+    decides from it who marches: a set entry skips its member, and a cell
+    that stops short of the tolerance sets the StepFailure naming its node,
+    keeping the first failure of the member's lowest failing stage, whose
+    earlier stages go on. With no member left no plan is asked for.
+    ``past`` is ``(u, M0 u)`` before the first node, each ``(members,
+    dim)``; None is the zero past. A node's M0 gives the next node's past.
     """
     stages = len(tails)
     size, n, dim = forcing.shape
@@ -348,23 +332,25 @@ def _march(plans, forcing: np.ndarray, dt: float, failures: list, tails, fp_tol:
     # node-major stages: cell (s, k) of member m is U[s, k + 1, m], and U[:, 0] the past state
     U = np.zeros((stages, n + 1, size, dim))
     m0u = np.zeros((stages, size, dim))  # each stage's M0 u at its last node
-    iterations = np.zeros((stages, n, size), dtype=int)
+    direct = tails[-1] is None  # then every cell is one linear solve, one iteration
+    iterations = np.full((stages, n, size), int(direct))
+    B = np.zeros((n if direct else 0, size, dim))  # the last stage's b, node-major
     if past is not None:
         U[:, 0], m0u[:] = past
     max_res = [0.0] * size
     top = [stages if failure is None else 0 for failure in failures]  # m marches stages < top[m]
     live, lanes = [], []
+    lo, mats = 0, []  # the last stage's nodes k >= lo owe their residuals, on mats[0] or mats[k - lo]
 
     def relane():
-        # each stage's live members and, where one index selects them all or one, views
-        # of its forcing, warm starts, values, M0 u and iterations, in which a cell is one index
+        # each stage's live members and, where one index selects them all or one, its lane views
         live[:] = [[m for m in range(size) if top[m] > s] for s in range(stages)]
         lanes[:] = [None] * stages
         for s, members in enumerate(live):
             if len(members) == 1 or len(members) == size:
                 rows = members[0] if len(members) == 1 else slice(None)
                 lanes[s] = (F[:, rows], U[max(s - 1, 0), int(s > 0):, rows], U[s, 1:, rows],
-                            m0u[s, rows], iterations[s, :, rows])
+                            m0u[s, rows], iterations[s, :, rows], rows)
 
     def settle(s, k, name, members, its, res, reasons):
         # record the cells' failures, keeping each member's lowest stage, and the last
@@ -373,16 +359,41 @@ def _march(plans, forcing: np.ndarray, dt: float, failures: list, tails, fp_tol:
         for m, it, r, reason in zip(members, its, res, reasons):
             if reason != CONVERGED:
                 if s < top[m]:
-                    failures[m] = StepFailure(
-                        f"{name} step {k} did not converge: {reason} after "
-                        f"{it} iterations (residual {r:.3e})",
-                        step=k,
-                        residual=r,
-                    )
+                    failures[m] = StepFailure(f"{name} step {k} did not converge: {reason} after "
+                                              f"{it} iterations (residual {r:.3e})", step=k, residual=r)
                     top[m] = s
                     failed = True
             elif s == stages - 1 and r > max_res[m]:
                 max_res[m] = r
+        return failed
+
+    def flush(hi):
+        # take the residuals of the last stage's nodes lo..hi-1; True if a member failed
+        nonlocal lo
+        mat = mats[0] if len(mats) == 1 else np.stack(mats)[:, None]
+        b = B[lo:hi]
+        r = (mat @ U[-1, lo + 1:hi + 1, :, :, None])[..., 0]
+        r -= b
+        res = np.sqrt(sq_norms(r))
+        res /= 1.0 + np.sqrt(sq_norms(b))
+        failed = False
+        for m, worst in enumerate(res.max(axis=0).tolist()):
+            if not math.isfinite(worst):  # fails at its first such node
+                j = int(np.isfinite(res[:, m]).argmin())
+                failed |= settle(0, lo + j, "direct", (m,), (1,), (float(res[j, m]),), (NONFINITE,))
+            elif worst > max_res[m]:
+                max_res[m] = worst
+        lo, mats[:] = hi, []
+        return failed
+
+    def take(k, lam_mat, rows, b):
+        # keep the last stage's b at node k, owing its residual on lam_mat, after flushing a full
+        # block or a run on one matrix that k leaves; True if a member failed
+        B[k, rows] = b
+        new = not mats or lam_mat is not mats[-1]
+        failed = new and bool(mats) and (len(mats) == PLAN_BLOCK or len(mats) < k - lo) and flush(k)
+        if new:
+            mats.append(lam_mat)
         return failed
 
     relane()
@@ -410,16 +421,20 @@ def _march(plans, forcing: np.ndarray, dt: float, failures: list, tails, fp_tol:
                 k = d - s
                 M0, lam_mat, rules = ring[k % stages]
                 name, gamma, inv = rules[s]
-                forcing_s, warm, values, m0u_s, iterations_s = lanes[s]
-                u, its, res, reasons = _node_step(name, tails[s], lam_mat, gamma, inv,
-                                                  forcing_s[k] + m0u_s / dt, warm[k],
-                                                  fp_tol, fp_max_iter)
+                forcing_s, warm, values, m0u_s, iterations_s, rows = lanes[s]
+                b = forcing_s[k] + m0u_s / dt
+                if direct:
+                    u = _mv(inv, b)
+                    failed |= s == stages - 1 and take(k, lam_mat, rows, b)
+                else:
+                    u, its, res, reasons = _node_step(name, tails[s], lam_mat, gamma, inv, b,
+                                                      warm[k], fp_tol, fp_max_iter)
+                    iterations_s[k] = its
+                    if u.ndim == 1:
+                        its, res, reasons = (its,), (res,), (reasons,)
+                    failed |= settle(s, k, name, live[s], its, res, reasons)
                 values[k] = u
-                iterations_s[k] = its
                 m0u_s[...] = _mv(M0, u)
-                if u.ndim == 1:
-                    its, res, reasons = (its,), (res,), (reasons,)
-                failed |= settle(s, k, name, live[s], its, res, reasons)
                 continue
             if not live[s]:
                 continue
@@ -436,17 +451,23 @@ def _march(plans, forcing: np.ndarray, dt: float, failures: list, tails, fp_tol:
             if len(group) > 1 and tail is not None:  # the stages' surrogates of one tail
                 tail = YosidaRelation(tail.base, np.repeat([tails[s].lam for s in group], counts)[:, None])
             name = rules[0][0]
-            u, its, res, reasons = _node_step(
-                name, tail,
-                _per_row([plan[1] for plan in node_plans], counts),
-                _per_row([rule[1] for rule in rules], counts),
-                _per_row([rule[2] for rule in rules], counts),
-                F[kk, ms] + m0u[ss, ms] / dt, U[ss - later, kk + later, ms],
-                fp_tol, fp_max_iter,
-            )
+            b = F[kk, ms] + m0u[ss, ms] / dt
+            inv = _per_row([rule[2] for rule in rules], counts)
+            if direct:
+                u = _mv(inv, b)
+            else:
+                u, its, res, reasons = _node_step(
+                    name, tail, _per_row([plan[1] for plan in node_plans], counts),
+                    _per_row([rule[1] for rule in rules], counts), inv,
+                    b, U[ss - later, kk + later, ms], fp_tol, fp_max_iter,
+                )
+                iterations[ss, kk, ms] = its
             U[ss, kk + 1, ms] = u
-            iterations[ss, kk, ms] = its
             m0u[ss, ms] = _mv(_per_row([plan[0] for plan in node_plans], counts), u)
+            if direct:
+                failed |= group[-1] == stages - 1 and take(
+                    d - group[-1], node_plans[-1][1], members[-1], b[-counts[-1]:])
+                continue
             end = 0
             for s, cell in zip(group, members):
                 start, end = end, end + len(cell)
@@ -454,6 +475,8 @@ def _march(plans, forcing: np.ndarray, dt: float, failures: list, tails, fp_tol:
                                  reasons[start:end])
         if failed:
             relane()
+    if mats and live[0]:  # else every member failed
+        flush(n)
     return U[:, 1:].swapaxes(1, 2), iterations.sum(axis=0).T, max_res
 
 
@@ -522,12 +545,9 @@ def solve_batch(problems) -> list:
     ``fp_tol``, ``fp_max_iter`` and, on the Yosida path, the λ-schedule)
     march together, key by key in order of first appearance; their forcing,
     rho and c_tilde may differ, because rho never enters the stepping. Each key
-    is one ``_march`` call: direct mode is the one-stage march and the Yosida
-    path one stage per λ, one plan per node serves every member and every
-    stage, and one stacked relation call per inner iteration evaluates every
-    row still iterating in a wave. ``_march`` records each member's failure;
-    the stage image norms of the Yosida path are taken after it, in one block
-    call, and every report is built after that, in one place. Each member's
+    is one ``_march`` call, which records each member's failure; the stage
+    image norms of the Yosida path are taken after it, in one block call,
+    and every report is built after that, in one place. Each member's
     report is bit for bit the one ``solve`` gives it alone, failures included,
     so the grouping changes no answer.
     """

@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 from evinc.cli import main
@@ -199,6 +200,16 @@ class TestExitCodes:
         )
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "failed" in capsys.readouterr().err
+
+    def test_nonfinite_direct_node_exit_3(self, tmp_path, capsys):
+        # a finite forcing of 1.5e308 overflows at node 1 of the linear solve
+        cfg = write(tmp_path / "scalar.ini", SCALAR_CONFIG)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
+                         "--set", "forcing.value=1.5e308"])
+        assert code == 3
+        assert "direct step 1 did not converge: nonfinite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_campaign_failures_exit_4(self, tmp_path, capsys):
         cfg = write(

@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from evinc.catalog import CatalogProblem, catalog_names, make_catalog_problem
 from evinc import relations, solver
 from evinc.errors import ContractViolation, ResolventFailure, StepFailure, StepSizeError
+from evinc.fixed_point import sq_norms
 from evinc.gallery import Coefficient, SlabGrid, build_thermoplasticity
 from evinc.harness import random_forcing
 from evinc.materials import MaterialFamily, constant_family, sinusoidal_family, step_operator
@@ -23,6 +25,7 @@ from evinc.solver import (
     solve_batch,
     solve_step,
 )
+from test_pinned_solutions import MOVING_TEMPLATES
 
 
 class TestSolveStep:
@@ -407,21 +410,41 @@ def _coercive_until(node, dt=1e-3):
     )
 
 
-class TestNodePlans:
-    def _template(self, node, n=20):
-        grid = TimeGrid(0.0, 1e-3, n)
-        return CatalogProblem.admissible("turning", _coercive_until(node), NormSubdifferential(1), grid)
+def _counting_sq_norms(monkeypatch):
+    """Record the shape of each array the march hands ``sq_norms``."""
+    calls = []
 
-    def test_non_coercive_node_raises_when_the_march_reaches_it(self):
-        tpl = self._template(5)
+    def counting(x):
+        calls.append(x.shape)
+        return sq_norms(x)
+
+    monkeypatch.setattr(solver, "sq_norms", counting)
+    return calls
+
+
+class TestNodePlans:
+    def _template(self, node, n=20, relation=None):
+        grid = TimeGrid(0.0, 1e-3, n)
+        relation = NormSubdifferential(1) if relation is None else relation
+        return CatalogProblem.admissible("turning", _coercive_until(node), relation, grid)
+
+    @pytest.mark.parametrize("relation", [NormSubdifferential(1), ZeroRelation(1)],
+                             ids=["NormSubdifferential", "ZeroRelation"])
+    def test_non_coercive_node_raises_when_the_march_reaches_it(self, monkeypatch, relation):
+        # with no tail every cell is direct: the march still raises at node 5,
+        # before it takes any of the residuals it defers
+        tpl = self._template(5, relation=relation)
+        calls = _counting_sq_norms(monkeypatch)
         with pytest.raises(StepSizeError) as planned:
             solve(tpl.problem(tpl.signal(np.full((20, 1), 5.0))))
+        assert calls == []
         with pytest.raises(StepSizeError) as alone:
             step_operator(tpl.family, 5 * tpl.grid.dt, tpl.grid.dt)
         assert str(planned.value) == str(alone.value)
         assert planned.value.suggested_dt == alone.value.suggested_dt
         # the nodes before it are planned and handed out first
-        plans = _node_plans(tpl.family, None, [tpl.relation], 0.0, tpl.grid.dt, 20)
+        linear, tail = tpl.relation.split()
+        plans = _node_plans(tpl.family, linear, [tail], 0.0, tpl.grid.dt, 20)
         seen = []
         with pytest.raises(StepSizeError):
             for plan in plans:
@@ -435,6 +458,89 @@ class TestNodePlans:
         forcing = tpl.signal(np.full((20, 1), 5.0))
         reports = solve_batch([tpl.problem(forcing, fp_max_iter=1)] * 2)
         assert [(rep.status, rep.fail_step) for rep in reports] == [("failed", 0)] * 2
+
+
+def _direct_template(name, n):
+    """A catalog template, or a moving plane of test_pinned_solutions, on n nodes."""
+    if name in MOVING_TEMPLATES:
+        return MOVING_TEMPLATES[name](name, TimeGrid(t0=0.0, dt=1e-3, n=n))
+    return make_catalog_problem(name, n=n)
+
+
+def _node_residual_max(problem, rep):
+    """max over nodes of |(S_k + K) u_k - b_k| / (1 + |b_k|), one node at a time.
+
+    ``b_k = f_k + M0(t_{k-1}) u_{k-1} / dt`` from the report's solution, on
+    the march's own plans, each product and dot product on one vector.
+    """
+    grid = problem.forcing.grid
+    linear, tail = problem.relation.split()
+    plans = _node_plans(problem.family, linear, [tail], grid.t0, grid.dt, grid.n)
+    worst, m0u = 0.0, np.zeros(problem.family.dim)
+    for (M0, lam, _), u, f in zip(plans, rep.solution.values, problem.forcing.values):
+        b = f + m0u / grid.dt
+        r = lam @ u - b
+        worst = max(worst, math.sqrt(r @ r) / (1.0 + math.sqrt(b @ b)))
+        m0u = M0 @ u
+    return worst
+
+
+class TestDirectResiduals:
+    """A direct cell is its linear solve; the march takes its residuals after the waves."""
+
+    @pytest.mark.parametrize("mode", ["direct", "yosida_path"])
+    @pytest.mark.parametrize(
+        "name", ["scalar_ode", "degenerate_plane", "moving_scalar_ode", "moving_degenerate_plane"]
+    )
+    def test_block_residual_is_the_per_node_formula(self, name, mode):
+        # solo and in a 16-member batch; the moving planes run past three plan blocks
+        tpl = _direct_template(name, 60)
+        rng = np.random.default_rng(len(name))
+        problems = [tpl.problem(random_forcing(tpl, rng), mode=mode) for _ in range(16)]
+        stages = 1 if mode == "direct" else len(default_lambda_schedule())
+        for reports in ([solve(problems[0])], solve_batch(problems)):
+            for p, rep in zip(problems, reports):
+                assert rep.converged
+                assert float(rep.max_residual).hex() == float(_node_residual_max(p, rep)).hex()
+                assert rep.per_step_iterations == [stages] * tpl.grid.n
+
+    def test_constant_march_takes_its_residuals_at_once(self, monkeypatch):
+        # one sq_norms pair per march, for a batch or a solve, whatever n
+        calls = _counting_sq_norms(monkeypatch)
+        counts = []
+        for n in (50, 100):
+            tpl = make_catalog_problem("degenerate_plane", n=n)
+            rng = np.random.default_rng(n)
+            problems = [tpl.problem(random_forcing(tpl, rng)) for _ in range(4)]
+            calls.clear()
+            assert all(rep.converged for rep in solve_batch(problems) + [solve(problems[0])])
+            counts.append(len(calls))
+        assert counts == [4, 4]
+
+    @pytest.mark.parametrize("mode", ["direct", "yosida_path"])
+    @pytest.mark.parametrize("name, start", [
+        ("scalar_ode", 0), ("degenerate_plane", 0), ("moving_scalar_ode", 20),
+    ])
+    def test_nonfinite_direct_node_fails(self, name, mode, start):
+        # a forcing of 1.5e308 is finite, but from node `start` on b overflows at
+        # the next node; the moving plane fails past its first plan block, and
+        # the normal members around it keep their solo reports
+        tpl = _direct_template(name, 40)
+        values = np.zeros((40, tpl.dim))
+        values[start:] = 1.5e308
+        huge = tpl.problem(tpl.signal(values), mode=mode)
+        normal = tpl.problem(random_forcing(tpl, np.random.default_rng(4)), mode=mode)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = solve(huge)
+            batch = solve_batch([normal, huge, normal])
+        assert (rep.status, rep.fail_step) == ("failed", start + 1)
+        assert rep.fail_reason.startswith(
+            f"direct step {start + 1} did not converge: nonfinite after 1 iterations (residual "
+        )
+        assert _same_report(batch[1], rep)
+        alone = solve(normal)
+        assert alone.converged
+        assert _same_report(batch[0], alone) and _same_report(batch[2], alone)
 
 
 def _counting_m0(family):
