@@ -5,7 +5,7 @@ import pytest
 
 from evinc import harness
 from evinc.catalog import CatalogProblem, make_catalog_problem
-from evinc.errors import ContractViolation, ResolventFailure
+from evinc.errors import ContractViolation, ResolventFailure, StepFailure
 from evinc.harness import (
     PropertyCampaign,
     fixed_point_iterates,
@@ -20,6 +20,7 @@ from evinc.materials import constant_family, sinusoidal_family
 from evinc.relations import BallSaturation, NormSubdifferential, ZeroRelation
 from evinc.signals import TimeGrid
 from evinc.solver import FP_TOL, solve, solve_batch
+from test_pinned_oracle import PINNED, _digest
 
 
 def _counting(family):
@@ -273,9 +274,9 @@ class TestOracle:
         # free step b/(s+1) until it leaves the ball, then the saturated one
         b = size * np.array([0.6, -0.8])
         S = s * np.eye(2)
-        sign = harness._oracle_step(NormSubdifferential(2, weight=1.0), S, b, 1e-12)
+        sign = harness._oracle_step(NormSubdifferential(2, weight=1.0), 2)(S.ravel().tolist(), b.tolist(), 1e-12)
         assert np.max(np.abs(sign - max(size - 1.0, 0.0) / s * b / size)) <= 10 * FP_TOL
-        ball = harness._oracle_step(BallSaturation(2, radius=1.0), S, b, 1e-12)
+        ball = harness._oracle_step(BallSaturation(2, radius=1.0), 2)(S.ravel().tolist(), b.tolist(), 1e-12)
         free = b / (s + 1.0)
         exact = free if size / (s + 1.0) <= 1.0 else (size - 1.0) / s * b / size
         assert np.max(np.abs(ball - exact)) <= 10 * FP_TOL
@@ -340,6 +341,53 @@ class TestOracle:
         ref = oracle_trajectory(replace(tpl, family=fam), f)
         assert calls == {"M0": [tpl.grid.t0], "M1": [tpl.grid.t0]}
         assert np.array_equal(ref.values, oracle_trajectory(tpl, f).values)
+
+    def test_matches_solver_on_a_non_diagonal_family(self):
+        # off the diagonal the oracle's products round apart from the solver's
+        # BLAS calls; both saturation branches, at unit forcings and thirty times them
+        fam = constant_family(np.array([[2.0, 0.7], [0.7, 1.5]]), np.array([[0.3, 0.4], [-0.4, 0.5]]))
+        tpl = CatalogProblem.admissible("tilted_ball", fam, BallSaturation(2), TimeGrid(0.0, 1e-3, 200))
+        rng = np.random.default_rng(14)
+        forcings = [random_forcing(tpl, rng) for _ in range(3)]
+        forcings += [tpl.signal(30.0 * f.values) for f in forcings]
+        saturated = set()
+        for f, rep in zip(forcings, solve_batch([tpl.problem(f) for f in forcings])):
+            ref = oracle_trajectory(tpl, f)
+            assert np.max(np.abs(rep.solution.values - ref.values)) <= 10 * FP_TOL
+            saturated |= set(np.linalg.norm(ref.values, axis=1) > tpl.relation.radius)
+        assert saturated == {False, True}
+
+    @pytest.mark.parametrize("name, branch, residual", [
+        ("scalar_ode", "linear branch residual too large", True),
+        # the free branch misses at tol = 0 and no saturated radius exists
+        ("saturation_plane", "no saturation branch admits a solution", False),
+    ])
+    def test_a_failure_names_its_node(self, name, branch, residual):
+        # a zero forcing is solved exactly, so with tol = 0 the first node to
+        # fail is node 7, where a forcing of 30 starts
+        tpl = make_catalog_problem(name, n=30)
+        vals = np.zeros((30, tpl.dim))
+        vals[7:] = 30.0
+        with pytest.raises(StepFailure, match=f"^oracle: {branch} at node 7$") as failure:
+            oracle_trajectory(tpl, tpl.signal(vals), tol=0.0)
+        assert failure.value.step == 7
+        assert (failure.value.residual > 0.0) if residual else failure.value.residual is None
+
+    def test_saturated_bisection_stops_at_its_fixed_point(self, monkeypatch):
+        # halving stops once the midpoint is an end of the bracket; the roots
+        # keep every bit of the pinned trajectories
+        bisect, counts = harness._bisect_radius, []
+
+        def counting(phi, lo, hi):
+            calls = []
+            root = bisect(lambda r: calls.append(r) or phi(r), lo, hi)
+            counts.append(len(calls))
+            return root
+
+        monkeypatch.setattr(harness, "_bisect_radius", counting)
+        [expected] = [pin for name, scale, pin in PINNED if (name, scale) == ("saturation_plane", 30.0)]
+        assert _digest("saturation_plane", 30.0) == expected
+        assert counts and max(counts) <= 80
 
     def test_dim_cap(self):
         tpl = make_catalog_problem("thermoplastic_slab", n=20)
