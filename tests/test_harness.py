@@ -274,9 +274,11 @@ class TestOracle:
         # free step b/(s+1) until it leaves the ball, then the saturated one
         b = size * np.array([0.6, -0.8])
         S = s * np.eye(2)
-        sign = harness._oracle_step(NormSubdifferential(2, weight=1.0), 2)(S.ravel().tolist(), b.tolist(), 1e-12)
+        sign = harness._oracle_step(NormSubdifferential(2, weight=1.0), 2)(
+            S.ravel().tolist(), b.tolist(), 1e-12)
         assert np.max(np.abs(sign - max(size - 1.0, 0.0) / s * b / size)) <= 10 * FP_TOL
-        ball = harness._oracle_step(BallSaturation(2, radius=1.0), 2)(S.ravel().tolist(), b.tolist(), 1e-12)
+        ball = harness._oracle_step(BallSaturation(2, radius=1.0), 2)(
+            S.ravel().tolist(), b.tolist(), 1e-12)
         free = b / (s + 1.0)
         exact = free if size / (s + 1.0) <= 1.0 else (size - 1.0) / s * b / size
         assert np.max(np.abs(ball - exact)) <= 10 * FP_TOL
@@ -345,8 +347,10 @@ class TestOracle:
     def test_matches_solver_on_a_non_diagonal_family(self):
         # off the diagonal the oracle's products round apart from the solver's
         # BLAS calls; both saturation branches, at unit forcings and thirty times them
-        fam = constant_family(np.array([[2.0, 0.7], [0.7, 1.5]]), np.array([[0.3, 0.4], [-0.4, 0.5]]))
-        tpl = CatalogProblem.admissible("tilted_ball", fam, BallSaturation(2), TimeGrid(0.0, 1e-3, 200))
+        fam = constant_family(np.array([[2.0, 0.7], [0.7, 1.5]]),
+                              np.array([[0.3, 0.4], [-0.4, 0.5]]))
+        tpl = CatalogProblem.admissible("tilted_ball", fam, BallSaturation(2),
+                                        TimeGrid(0.0, 1e-3, 200))
         rng = np.random.default_rng(14)
         forcings = [random_forcing(tpl, rng) for _ in range(3)]
         forcings += [tpl.signal(30.0 * f.values) for f in forcings]
@@ -385,7 +389,8 @@ class TestOracle:
             return root
 
         monkeypatch.setattr(harness, "_bisect_radius", counting)
-        [expected] = [pin for name, scale, pin in PINNED if (name, scale) == ("saturation_plane", 30.0)]
+        [expected] = [pin for name, scale, pin in PINNED
+                      if (name, scale) == ("saturation_plane", 30.0)]
         assert _digest("saturation_plane", 30.0) == expected
         assert counts and max(counts) <= 80
 
