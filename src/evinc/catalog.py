@@ -23,7 +23,7 @@ from .relations import (
     ZeroRelation,
 )
 from .signals import TimeGrid, WeightedSignal
-from .solver import FP_MAX_ITER, FP_TOL, InclusionProblem
+from .solver import InclusionProblem
 
 __all__ = ["CatalogProblem", "catalog_names", "make_catalog_problem"]
 
@@ -47,29 +47,17 @@ class CatalogProblem:
     def signal(self, values: np.ndarray, rho: float = None) -> WeightedSignal:
         return WeightedSignal(self.grid, values, self.rho if rho is None else rho)
 
-    def problem(
-        self,
-        forcing: WeightedSignal,
-        mode: str = "direct",
-        rho: float = None,
-        fp_tol: float = FP_TOL,
-        fp_max_iter: int = FP_MAX_ITER,
-        lambda_schedule=None,
-    ) -> InclusionProblem:
+    def problem(self, forcing: WeightedSignal, rho: float = None, **solver) -> InclusionProblem:
+        """The template forced by ``forcing`` at ``rho`` (the template's by default).
+
+        ``solver`` holds ``InclusionProblem``'s knobs (``mode``,
+        ``lambda_schedule``, ``fp_tol``, ``fp_max_iter``), which default there.
+        """
         rho = self.rho if rho is None else rho
         if forcing.rho != rho:
             forcing = WeightedSignal(forcing.grid, forcing.values, rho)
-        return InclusionProblem(
-            family=self.family,
-            relation=self.relation,
-            forcing=forcing,
-            rho=rho,
-            c_tilde=self.c_tilde,
-            mode=mode,
-            fp_tol=fp_tol,
-            fp_max_iter=fp_max_iter,
-            lambda_schedule=lambda_schedule,
-        )
+        return InclusionProblem(family=self.family, relation=self.relation, forcing=forcing,
+                                rho=rho, c_tilde=self.c_tilde, **solver)
 
     @classmethod
     def admissible(cls, name, family, relation, grid, c_tilde=None, rho=None, **kwargs):

@@ -248,12 +248,12 @@ def _bisect_radius(phi, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
-def _radial_branch(S, b, c, lo, tol, no_root, too_far):
+def _radial_branch(S, b, c, lo, tol, no_root, too_far, no_root_residual=None):
     """The u != 0 with S u + c u/|u| = b: bisect |(S + (c/r) I)^-1 b| = r for r = |u|."""
     hi = (_norm(b) + c) / max(_min_sym_eig(S), 1e-12) + 1.0
     root = _bisect_radius(lambda r: _norm(_solve(S, b, c / r)) - r, lo, hi)
     if root is None:
-        raise StepFailure(f"oracle: {no_root}", step=None)
+        raise StepFailure(f"oracle: {no_root}", step=None, residual=no_root_residual)
     u = _solve(S, b, c / root)
     res = _residual(S, u, [c * ui / _norm(u) for ui in u], b)
     if res <= tol * (1.0 + _norm(b)):
@@ -294,10 +294,13 @@ def _sign_step2(w, S, b, tol):
 def _ball_step(s0, S, b, tol):
     """The saturation: its free branch (A(u) = u) inside the ball, else its saturated branch."""
     u = _solve(S, b, 1.0)
-    if _norm(u) <= s0 * (1.0 + 1e-14) and _residual(S, u, u, b) <= tol * (1.0 + _norm(b)):
+    free = _residual(S, u, u, b) if _norm(u) <= s0 * (1.0 + 1e-14) else None
+    if free is not None and free <= tol * (1.0 + _norm(b)):
         return u
-    return _radial_branch(S, b, s0, s0, tol, "no saturation branch admits a solution",
-                          "saturated branch residual too large")
+    # no saturated radius lies past a free point inside the ball: then the free branch failed
+    no_root = ("no saturation branch admits a solution" if free is None
+               else "free branch residual too large")
+    return _radial_branch(S, b, s0, s0, tol, no_root, "saturated branch residual too large", free)
 
 
 #: the relations ``_oracle_step`` has branches for

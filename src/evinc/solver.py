@@ -14,9 +14,11 @@ S u + A(u) ∋ b with S = M0(t_k)/dt + M1(t_k), using only resolvents of A:
 A solve is a list of stages over one split A = K + tail of the relation:
 direct mode is the one stage (K, tail), the Yosida path the stages (K, A_lam)
 with the surrogate A_lam of the tail at each scheduled lambda, each
-warm-started from the one before. ``_node_plans`` is the one place that plans
-nodes: it yields each node's M0(t_k), S_k + K and each stage's engine with
-its gamma and inverse, as the march reaches them.
+warm-started from the one before. A relation with no tail (zero or linear)
+marches the one stage (K, None) in either mode: every lambda would solve the
+same linear step. ``_node_plans`` is the one place that plans nodes: it
+yields each node's M0(t_k), S_k + K and each stage's engine with its gamma
+and inverse, as the march reaches them.
 
 ``_march`` consumes that stream and evaluates no coefficient. It solves
 cells, one node k of one stage s, in waves: the cells of one anti-diagonal
@@ -149,15 +151,17 @@ class SolveReport:
     """Solution plus convergence diagnostics; produced once, never mutated.
 
     ``per_step_iterations[k]`` counts the fixed-point map evaluations spent
-    on node k, 1 on a direct node; on the Yosida path it is the sum over all
-    lambda-stages. ``max_residual`` is the largest stop residual over the
-    nodes of the (last) march, so it means a different thing per engine. On
-    a direct node it is |(S + K) u - b| / (1 + |b|), the linear solve's
-    relative residual, taken after the march; a direct node where it is not
-    finite fails (``nonfinite``), as an iterative one does. On a
-    Douglas-Rachford node it is the splitting gap ``|w - x|``, which can
-    understate the node's natural residual (by about 600x on
-    ``viscoplastic_slab``); it is not an error bound.
+    on node k, 1 on a direct node; on the Yosida path it is the sum over the
+    stages marched, one for a relation with no tail, whose ``lambda_trace``
+    gives its one stage's image norm at every scheduled lambda.
+    ``max_residual`` is the largest stop residual over the nodes of the
+    (last) march, so it means a different thing per engine. On a direct node
+    it is |(S + K) u - b| / (1 + |b|), the linear solve's relative residual,
+    taken after the march; a direct node where it is not finite fails
+    (``nonfinite``), as an iterative one does. On a Douglas-Rachford node it
+    is the splitting gap ``|w - x|``, which can understate the node's natural
+    residual (by about 600x on ``viscoplastic_slab``); it is not an error
+    bound.
     """
 
     solution: WeightedSignal
@@ -307,13 +311,13 @@ def _march(plans, forcing: np.ndarray, dt: float, failures: list, tails, fp_tol:
     d at wave d. A wave's cells that share an engine make one kernel call:
     one cell on its node's parameters, its members as vectors or as a stack,
     or one stack of several cells' rows, each with its own gamma, inverse and
-    lambda. With no tail (``tails`` holds each stage's) every cell is direct
-    and does only u = inv b, keeping b in the last stage, whose residuals
-    |(S_k + K) u - b| / (1 + |b|) are taken later: one stacked product and
-    ``sq_norms`` pair per run of nodes on one S_k + K, a constant family's
-    whole march or at most a plan block of a moving one. A member fails at
-    its first non-finite one, also its lowest stage's first, as every stage
-    computes the same values.
+    lambda. ``tails`` holds each stage's tail: it is ``[None]``, a relation
+    with no tail marching one stage in either mode, or has no None. With no
+    tail every cell is direct and does only u = inv b, keeping b, whose
+    residuals |(S_k + K) u - b| / (1 + |b|) are taken later: one stacked
+    product and ``sq_norms`` pair per run of nodes on one S_k + K, a
+    constant family's whole march or at most a plan block of a moving one. A
+    member fails at its first non-finite one.
 
     ``forcing`` is ``(members, n, dim)``; values are ``(stages, members, n,
     dim)``, iterations ``(members, n)`` summed over the stages, and
@@ -332,15 +336,15 @@ def _march(plans, forcing: np.ndarray, dt: float, failures: list, tails, fp_tol:
     # node-major stages: cell (s, k) of member m is U[s, k + 1, m], and U[:, 0] the past state
     U = np.zeros((stages, n + 1, size, dim))
     m0u = np.zeros((stages, size, dim))  # each stage's M0 u at its last node
-    direct = tails[-1] is None  # then every cell is one linear solve, one iteration
+    direct = tails[0] is None  # then the one stage's cells are each one linear solve
     iterations = np.full((stages, n, size), int(direct))
-    B = np.zeros((n if direct else 0, size, dim))  # the last stage's b, node-major
+    B = np.zeros((n if direct else 0, size, dim))  # each direct node's b, node-major
     if past is not None:
         U[:, 0], m0u[:] = past
     max_res = [0.0] * size
     top = [stages if failure is None else 0 for failure in failures]  # m marches stages < top[m]
     live, lanes = [], []
-    lo, mats = 0, []  # the last stage's nodes k >= lo owe their residuals, on mats[0] or mats[k - lo]
+    lo, mats = 0, []  # direct nodes k >= lo owe their residuals, on mats[0] or mats[k - lo]
 
     def relane():
         # each stage's live members and, where one index selects them all or one, its lane views
@@ -368,11 +372,11 @@ def _march(plans, forcing: np.ndarray, dt: float, failures: list, tails, fp_tol:
         return failed
 
     def flush(hi):
-        # take the residuals of the last stage's nodes lo..hi-1; True if a member failed
+        # take the residuals of the direct nodes lo..hi-1; True if a member failed
         nonlocal lo
         mat = mats[0] if len(mats) == 1 else np.stack(mats)[:, None]
         b = B[lo:hi]
-        r = (mat @ U[-1, lo + 1:hi + 1, :, :, None])[..., 0]
+        r = (mat @ U[0, lo + 1:hi + 1, :, :, None])[..., 0]
         r -= b
         res = np.sqrt(sq_norms(r))
         res /= 1.0 + np.sqrt(sq_norms(b))
@@ -387,7 +391,7 @@ def _march(plans, forcing: np.ndarray, dt: float, failures: list, tails, fp_tol:
         return failed
 
     def take(k, lam_mat, rows, b):
-        # keep the last stage's b at node k, owing its residual on lam_mat, after flushing a full
+        # keep b at direct node k, owing its residual on lam_mat, after flushing a full
         # block or a run on one matrix that k leaves; True if a member failed
         B[k, rows] = b
         new = not mats or lam_mat is not mats[-1]
@@ -425,7 +429,7 @@ def _march(plans, forcing: np.ndarray, dt: float, failures: list, tails, fp_tol:
                 b = forcing_s[k] + m0u_s / dt
                 if direct:
                     u = _mv(inv, b)
-                    failed |= s == stages - 1 and take(k, lam_mat, rows, b)
+                    failed |= take(k, lam_mat, rows, b)
                 else:
                     u, its, res, reasons = _node_step(name, tails[s], lam_mat, gamma, inv, b,
                                                       warm[k], fp_tol, fp_max_iter)
@@ -465,8 +469,7 @@ def _march(plans, forcing: np.ndarray, dt: float, failures: list, tails, fp_tol:
             U[ss, kk + 1, ms] = u
             m0u[ss, ms] = _mv(_per_row([plan[0] for plan in node_plans], counts), u)
             if direct:
-                failed |= group[-1] == stages - 1 and take(
-                    d - group[-1], node_plans[-1][1], members[-1], b[-counts[-1]:])
+                failed |= take(d, node_plans[0][1], ms, b)
                 continue
             end = 0
             for s, cell in zip(group, members):
@@ -516,11 +519,13 @@ def _stage_image_norms(linear, tails, values: np.ndarray, signals):
     """Weighted norms of k -> K u_k + tail_s(u_k) along each stage's trajectory of each member.
 
     ``values`` is ``(stages, members, n, dim)`` and ``tails`` the stages'
-    Yosida surrogates of one tail (or all None). Every node of every stage
-    and member goes through one stacked product and one block call, at a
-    lambda column, which give the bits of the product and of each stage's
-    call row by row. Returns ``norms[s][m]``, member m's norm in stage s,
-    taken in the weight of ``signals[m]``.
+    Yosida surrogates of one tail, or ``[None]``: a relation with no tail
+    marches one stage, whose image K u (0 for the zero relation) stands for
+    every lambda. Every node of every stage and member goes through one
+    stacked product and one block call, at a lambda column, which give the
+    bits of the product and of each stage's call row by row. Returns
+    ``norms[s][m]``, member m's norm in stage s, in the weight of
+    ``signals[m]``.
     """
     flat = values.reshape(-1, values.shape[-1])
     image = np.zeros_like(flat) if linear is None else _mv(linear, flat)
@@ -567,9 +572,10 @@ def solve_batch(problems) -> list:
     linear, tail = head.relation.split()
     fam = head.family
     yosida = head.mode == "yosida_path"
-    # direct mode is the one-stage path; each Yosida stage warm-starts from the last
+    # direct mode, and a relation with no tail in either mode, is the one stage [tail];
+    # each Yosida stage warm-starts from the last
     lams = head.schedule() if yosida else [None]
-    tails = [tail] if not yosida else [None if tail is None else YosidaRelation(tail, lam) for lam in lams]
+    tails = [YosidaRelation(tail, lam) for lam in lams] if yosida and tail is not None else [tail]
     plans = _node_plans(fam, linear, tails, grid.t0, grid.dt, grid.n)
     failures = [None] * len(problems)
     vals, total, res = _march(plans, forcing, grid.dt, failures, tails, head.fp_tol, head.fp_max_iter)
@@ -577,7 +583,9 @@ def solve_batch(problems) -> list:
     traces = {}
     if yosida and live:
         norms = _stage_image_norms(linear, tails, vals[:, live], [problems[m].forcing for m in live])
-        traces = {m: list(zip(lams, stage_norms)) for m, stage_norms in zip(live, zip(*norms))}
+        # the one stage of a tailless path is the image at every lambda
+        traces = {m: list(zip(lams, itertools.cycle(stage_norms)))
+                  for m, stage_norms in zip(live, zip(*norms))}
     final = vals[-1].copy()  # so the reports do not keep the earlier stages alive
     if yosida:
         delta = 2.0 * (fam.sup_M1 + fam.lip_M0) + 1.0

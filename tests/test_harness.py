@@ -361,12 +361,12 @@ class TestOracle:
             saturated |= set(np.linalg.norm(ref.values, axis=1) > tpl.relation.radius)
         assert saturated == {False, True}
 
-    @pytest.mark.parametrize("name, branch, residual", [
-        ("scalar_ode", "linear branch residual too large", True),
-        # the free branch misses at tol = 0 and no saturated radius exists
-        ("saturation_plane", "no saturation branch admits a solution", False),
+    @pytest.mark.parametrize("name, branch", [
+        ("scalar_ode", "linear branch residual too large"),
+        # the free branch misses at tol = 0 and no saturated radius exists: the free one fails
+        ("saturation_plane", "free branch residual too large"),
     ])
-    def test_a_failure_names_its_node(self, name, branch, residual):
+    def test_a_failure_names_its_node(self, name, branch):
         # a zero forcing is solved exactly, so with tol = 0 the first node to
         # fail is node 7, where a forcing of 30 starts
         tpl = make_catalog_problem(name, n=30)
@@ -375,7 +375,7 @@ class TestOracle:
         with pytest.raises(StepFailure, match=f"^oracle: {branch} at node 7$") as failure:
             oracle_trajectory(tpl, tpl.signal(vals), tol=0.0)
         assert failure.value.step == 7
-        assert (failure.value.residual > 0.0) if residual else failure.value.residual is None
+        assert failure.value.residual > 0.0
 
     def test_saturated_bisection_stops_at_its_fixed_point(self, monkeypatch):
         # halving stops once the midpoint is an end of the bracket; the roots

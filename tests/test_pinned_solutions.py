@@ -4,6 +4,14 @@ Each digest covers the solution values, the per-node iteration counts, the
 reported ``max_residual`` and the Yosida path's ``lambda_trace``, so a change
 that alters any answer, iteration count or stage norm in the last bit fails
 here. The forcing is ``random_forcing`` seeded by the case's index.
+
+Four digests were re-recorded on purpose: the Yosida path of ``scalar_ode``,
+``degenerate_plane``, ``moving_scalar_ode`` and ``moving_degenerate_plane``.
+Their relations have no tail, so the path marches one stage, not 21 copies
+of it, and ``per_step_iterations`` reads 1 per node instead of 21. Nothing
+else moved: each new report, its counts multiplied by 21, hashes to the old
+pin. ``PYTHONPATH=src python tests/test_pinned_solutions.py`` prints every
+case, its pin and the digest it computes now, marking the pins that moved.
 """
 
 import hashlib
@@ -22,9 +30,9 @@ from evinc.solver import solve
 # (template, n, mode, sha256)
 PINNED = [
     ("scalar_ode", 60, "direct", "426d28d345aa778efd5c80edf5c8e876a3667604978badf409134d98ab9aebfe"),
-    ("scalar_ode", 60, "yosida_path", "3f113b13deef1847d1ba6572e30d12ea61c3c8be7f151816642f6e3472d2e53e"),
+    ("scalar_ode", 60, "yosida_path", "59ac1ea99f0500056e2fc8852e21d1b6e58c60fd7be7459bb259222b7b995a26"),
     ("degenerate_plane", 60, "direct", "cf874a8ba8a3c94a315e7c996c0a7f18a65d9d245e7ffd3d3e7809c6ed784486"),
-    ("degenerate_plane", 60, "yosida_path", "58998f4717280078cc91e74546c2f37046044ae8daa23c47dc40b72f8757f048"),
+    ("degenerate_plane", 60, "yosida_path", "89292af31ab27246d71323065892a96a4297c6334a79dd3af38a76a13575cc8f"),
     ("sign_scalar", 60, "direct", "8a7a4ed0ab6205f7826084de87da99b1d0f70f2c1d155b41aea10111a38371f5"),
     ("sign_scalar", 60, "yosida_path", "de6578ac9ed009c529a35ea7108bd9d95b7e7e62563f5a78d3d683d355e57c6e"),
     ("saturation_plane", 60, "direct", "6df7c6b03df90115df3238784c093569a34412c1fda73ff09695bd882ad02bdf"),
@@ -117,9 +125,9 @@ MOVING_TEMPLATES = {
 # (template, n, mode, sha256)
 MOVING_PINNED = [
     ("moving_scalar_ode", 60, "direct", "ddb11871937a88fb5178e08f4b80ba66561b084ae04a47f73401a7c81e315e44"),
-    ("moving_scalar_ode", 60, "yosida_path", "8674f8c71dc84913e5b50e3e6ca44f5e5336a94ef8279b631ad3e8336435a8d3"),
+    ("moving_scalar_ode", 60, "yosida_path", "a20be388e358a4f641be0a78014bf0427925fb457a21c2dc9e302f62d60b8e80"),
     ("moving_degenerate_plane", 60, "direct", "a1a6879b228f89e81bddb17244c778f7298f72d338811e8de7e1412e68d4b574"),
-    ("moving_degenerate_plane", 60, "yosida_path", "b9f6ef6200c7b8432a71490b19f230a0eeb79b7eaa968a48f78925d61729eaf2"),
+    ("moving_degenerate_plane", 60, "yosida_path", "2f83ee02dc258ee0afd7eefbfb5968953a7955625b4f645efa0ad09fad061c40"),
     ("moving_sign_scalar", 60, "direct", "93589d505949c5e647f04c77821850bbf8496390503c00b0453b87ed2b86787f"),
     ("moving_sign_scalar", 60, "yosida_path", "4eb033e63946a8a1a1d9d963a776064c1ce97bd2474b66bf08e0fd594e47ad9e"),
     ("moving_saturation_plane", 60, "direct", "2e8b30ed101ddbe65db06803883f3a9c834b9f943bc3f0c2e211c8c17b34f887"),
@@ -146,3 +154,12 @@ def _moving_digest(name, n, mode):
 )
 def test_moving_solution_digest(name, n, mode, expected):
     assert _moving_digest(name, n, mode) == expected
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_pinned_solutions.py prints each case, its pin and the
+    # digest it computes now, marking the pins that moved: the tool of a deliberate re-record
+    for cases, digest in ((PINNED, _pinned_digest), (MOVING_PINNED, _moving_digest)):
+        for name, n, mode, expected in cases:
+            now = digest(name, n, mode)
+            print(f"{name:27} {mode:11} pin {expected} now {now}{'' if now == expected else '  MOVED'}")

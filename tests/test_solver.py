@@ -12,7 +12,9 @@ from evinc.fixed_point import sq_norms
 from evinc.gallery import Coefficient, SlabGrid, build_thermoplasticity
 from evinc.harness import random_forcing
 from evinc.materials import MaterialFamily, constant_family, sinusoidal_family, step_operator
-from evinc.relations import BallSaturation, NormSubdifferential, YosidaRelation, ZeroRelation
+from evinc.relations import (
+    BallSaturation, LinearRelation, NormSubdifferential, YosidaRelation, ZeroRelation,
+)
 from evinc.signals import TimeGrid, WeightedSignal, weighted_norm
 from evinc.solver import (
     InclusionProblem,
@@ -25,7 +27,7 @@ from evinc.solver import (
     solve_batch,
     solve_step,
 )
-from test_pinned_solutions import MOVING_TEMPLATES
+from test_pinned_solutions import MOVING_TEMPLATES, _moving_plane
 
 
 class TestSolveStep:
@@ -422,6 +424,19 @@ def _counting_sq_norms(monkeypatch):
     return calls
 
 
+FB, FBR, DR = "forward-backward", "forward-backward through the resolvent", "Douglas-Rachford"
+# template -> node 0's engine in each stage, direct mode then the Yosida path; forward-backward
+# through the resolvent is the one with no inverse
+ENGINES = {
+    "scalar_ode": (["direct"], ["direct"]),
+    "degenerate_plane": (["direct"], ["direct"]),
+    "sign_scalar": ([FBR], [FB] * 3 + [FBR] * 18),
+    "saturation_plane": ([FB], [FB] * 3 + [FBR] * 18),
+    "thermoplastic_slab": ([FB], [FB] * 3 + [DR] * 18),
+    "viscoplastic_slab": ([DR], [FB] * 3 + [DR] * 18),
+}
+
+
 class TestNodePlans:
     def _template(self, node, n=20, relation=None):
         grid = TimeGrid(0.0, 1e-3, n)
@@ -451,6 +466,24 @@ class TestNodePlans:
                 seen.append(plan)
         assert len(seen) == 5
 
+    @pytest.mark.parametrize("mode", ["direct", "yosida_path"])
+    @pytest.mark.parametrize("name", list(ENGINES))
+    def test_each_template_gets_its_engines(self, monkeypatch, name, mode):
+        # node 0's rule in each stage, as the planner hands it to the march
+        plan, seen = solver._node_plans, []
+
+        def recording(*args):
+            plans = plan(*args)
+            first = next(plans)
+            seen.append([FBR if rule == FB and inv is None else rule for rule, _, inv in first[2]])
+            yield first
+            yield from plans
+
+        monkeypatch.setattr(solver, "_node_plans", recording)
+        tpl = make_catalog_problem(name, n=3)
+        assert solve(tpl.problem(random_forcing(tpl, np.random.default_rng(3)), mode=mode)).converged
+        assert seen == [ENGINES[name][mode == "yosida_path"]]
+
     def test_no_error_for_a_node_every_member_failed_before(self):
         # with one evaluation per node every member fails at node 0, so the
         # march never asks for node 5, although its block holds it
@@ -460,10 +493,16 @@ class TestNodePlans:
         assert [(rep.status, rep.fail_step) for rep in reports] == [("failed", 0)] * 2
 
 
+# a moving plane whose linear relation is not symmetric
+LINEAR_PLANE = _moving_plane(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
+                             LinearRelation([[1.0, 0.5], [-0.5, 1.0]]))
+
+
 def _direct_template(name, n):
-    """A catalog template, or a moving plane of test_pinned_solutions, on n nodes."""
-    if name in MOVING_TEMPLATES:
-        return MOVING_TEMPLATES[name](name, TimeGrid(t0=0.0, dt=1e-3, n=n))
+    """A catalog template, a moving plane of test_pinned_solutions or LINEAR_PLANE, on n nodes."""
+    moving = {**MOVING_TEMPLATES, "moving_linear_plane": LINEAR_PLANE}
+    if name in moving:
+        return moving[name](name, TimeGrid(t0=0.0, dt=1e-3, n=n))
     return make_catalog_problem(name, n=n)
 
 
@@ -497,12 +536,32 @@ class TestDirectResiduals:
         tpl = _direct_template(name, 60)
         rng = np.random.default_rng(len(name))
         problems = [tpl.problem(random_forcing(tpl, rng), mode=mode) for _ in range(16)]
-        stages = 1 if mode == "direct" else len(default_lambda_schedule())
         for reports in ([solve(problems[0])], solve_batch(problems)):
             for p, rep in zip(problems, reports):
                 assert rep.converged
                 assert float(rep.max_residual).hex() == float(_node_residual_max(p, rep)).hex()
-                assert rep.per_step_iterations == [stages] * tpl.grid.n
+                assert rep.per_step_iterations == [1] * tpl.grid.n  # one stage in either mode
+
+    @pytest.mark.parametrize("name", [
+        "scalar_ode", "degenerate_plane", "moving_scalar_ode", "moving_degenerate_plane",
+        "moving_linear_plane",
+    ])
+    def test_a_tailless_path_is_its_direct_march(self, name):
+        # with no tail the path marches one stage, solo and in a 16-member batch:
+        # the direct march, whose image norm it reports at every scheduled lambda
+        tpl = _direct_template(name, 60)
+        rng = np.random.default_rng(len(name))
+        forcings = [random_forcing(tpl, rng) for _ in range(16)]
+        solo = [solve(tpl.problem(forcings[0])), solve(tpl.problem(forcings[0], mode="yosida_path"))]
+        batch = [solve_batch([tpl.problem(f, mode=mode) for f in forcings])
+                 for mode in ("direct", "yosida_path")]
+        for direct, path in [solo, *zip(*batch)]:
+            assert path.solution.values.tobytes() == direct.solution.values.tobytes()
+            assert float(path.max_residual).hex() == float(direct.max_residual).hex()
+            assert path.status == direct.status == "converged"
+            assert path.per_step_iterations == direct.per_step_iterations == [1] * tpl.grid.n
+            assert [lam for lam, _ in path.lambda_trace] == default_lambda_schedule()
+            assert len({float(norm).hex() for _, norm in path.lambda_trace}) == 1
 
     def test_constant_march_takes_its_residuals_at_once(self, monkeypatch):
         # one sq_norms pair per march, for a batch or a solve, whatever n
