@@ -17,7 +17,7 @@ from .errors import ConditionCheckError, ContractViolation, StepFailure, StepSiz
 from .harness import run_campaign
 from .materials import check_conditions, rho_zero
 from .signals import weighted_norm, write_signal_csv
-from .solver import lipschitz_bound, solve
+from .solver import lipschitz_bound, solve, yosida_delta, yosida_reference_bound
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,9 +106,9 @@ def _cmd_solve(cfg, out: Path) -> int:
     if report.lambda_trace:
         lines.append(f"lambda_stages = {len(report.lambda_trace)}")
         lines.append(f"lambda_min = {report.lambda_trace[-1][0]:.17g}")
-        lines.append(f"yosida_sup_norm = {report.yosida_sup_norm:.17g}")
-        lines.append(f"delta = {report.delta:.17g}")
-        lines.append(f"yosida_reference_bound = {report.yosida_reference_bound:.17g}")
+        lines.append(f"yosida_sup_norm = {max(norm for _, norm in report.lambda_trace):.17g}")
+        lines.append(f"delta = {yosida_delta(problem.family):.17g}")
+        lines.append(f"yosida_reference_bound = {yosida_reference_bound(problem):.17g}")
     _write(out / "report.txt", "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -10,14 +10,11 @@ class UnsupportedRegime(ValueError):
 
 
 class ResolventFailure(RuntimeError):
-    """A relation's resolvent could not be evaluated to tolerance.
+    """A relation's resolvent could not be evaluated to tolerance; ``.residual`` is the last one."""
 
-    Carries diagnostics in ``.info`` (last residual, iteration count, ...).
-    """
-
-    def __init__(self, message, **info):
+    def __init__(self, message, residual=None):
         super().__init__(message)
-        self.info = dict(info)
+        self.residual = residual
 
 
 class ConditionCheckError(ValueError):

@@ -214,7 +214,7 @@ def build_thermoplasticity(
     ops = build_slab_operators(g)
     m = g.m
     nv, nT, nth, nq = 3 * m, 6 * m, m, m
-    trace_star = np.kron(np.eye(m), TRACE_VECTOR[:, None])
+    trace_star = ops.trace_op.T
 
     def m0_blocks(t: float) -> dict:
         cinv = 1.0 / C(t)

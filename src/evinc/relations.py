@@ -534,10 +534,10 @@ class _LipschitzPerturbedSum(MonotoneRelation):
             return u_new, u_new
 
         tol = PICARD_TOL * (1.0 + float(np.linalg.norm(y)))
-        out, iters, res, reason = fixed_point(picard, y, tol, PICARD_MAX_ITER)
+        out, _, res, reason = fixed_point(picard, y, tol, PICARD_MAX_ITER)
         if reason != CONVERGED:
             raise ResolventFailure(f"Picard iteration for the perturbed sum did not converge: "
-                                   f"{reason}", residual=res, iterations=iters)
+                                   f"{reason}", residual=res)
         return out
 
     def graph_distance(self, x, v):

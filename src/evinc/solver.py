@@ -70,6 +70,8 @@ __all__ = [
     "certificate_gain",
     "lipschitz_certificate",
     "lipschitz_bound",
+    "yosida_delta",
+    "yosida_reference_bound",
     "default_lambda_schedule",
 ]
 
@@ -161,7 +163,9 @@ class SolveReport:
     (``nonfinite``), as an iterative one does. On a Douglas-Rachford node it
     is the splitting gap ``|w - x|``, which can understate the node's natural
     residual (by about 600x on ``viscoplastic_slab``); it is not an error
-    bound.
+    bound. The report holds only what the march gives: the bounds that the
+    data give are ``lipschitz_bound``, ``yosida_delta`` and
+    ``yosida_reference_bound``, functions of the problem.
     """
 
     solution: WeightedSignal
@@ -171,9 +175,6 @@ class SolveReport:
     fail_step: int = None
     fail_reason: str = None
     lambda_trace: list = field(default_factory=list)
-    yosida_sup_norm: float = None
-    delta: float = None
-    yosida_reference_bound: float = None
 
     @property
     def converged(self):
@@ -300,9 +301,9 @@ def _per_row(values, counts):
     return stacked[:, None] if stacked.ndim == 1 else stacked
 
 
-def _march(plans, forcing: np.ndarray, dt: float, failures: list, tails, fp_tol: float,
-           fp_max_iter: int, past=None):
-    """Causal sweep of a batch through every stage; returns (values, iterations, residuals).
+def _march(plans, forcing: np.ndarray, dt: float, tails, fp_tol: float, fp_max_iter: int,
+           past=None):
+    """Causal sweep of a batch through every stage; returns (values, iterations, residuals, failures).
 
     A cell is one node k of one stage s. It reads its stage's past, cell
     (s, k-1), and its warm start, cell (s-1, k), or (0, k-1) in stage 0; so
@@ -320,15 +321,17 @@ def _march(plans, forcing: np.ndarray, dt: float, failures: list, tails, fp_tol:
     member fails at its first non-finite one.
 
     ``forcing`` is ``(members, n, dim)``; values are ``(stages, members, n,
-    dim)``, iterations ``(members, n)`` summed over the stages, and
-    ``residuals[m]`` member m's largest stop residual in the last stage.
-    ``failures`` is the batch's list of member failures and the march alone
-    decides from it who marches: a set entry skips its member, and a cell
-    that stops short of the tolerance sets the StepFailure naming its node,
-    keeping the first failure of the member's lowest failing stage, whose
-    earlier stages go on. With no member left no plan is asked for.
-    ``past`` is ``(u, M0 u)`` before the first node, each ``(members,
-    dim)``; None is the zero past. A node's M0 gives the next node's past.
+    dim)``, iterations ``(members, n)`` summed over the stages,
+    ``residuals[m]`` member m's largest stop residual in the last stage and
+    ``failures[m]`` None or its StepFailure. A cell that stops short of the
+    tolerance sets the StepFailure naming its node, keeping the first failure
+    of the member's lowest failing stage, whose earlier stages go on; the
+    member no longer marches the stages from there. A direct march keeps
+    every member in its one stage, a failed one too, since its residuals come
+    later. The march stops once every member has failed in stage 0, and asks
+    for no plan after that. ``past`` is ``(u, M0 u)`` before the first node,
+    each ``(members, dim)``; None is the zero past. A node's M0 gives the
+    next node's past.
     """
     stages = len(tails)
     size, n, dim = forcing.shape
@@ -342,7 +345,8 @@ def _march(plans, forcing: np.ndarray, dt: float, failures: list, tails, fp_tol:
     if past is not None:
         U[:, 0], m0u[:] = past
     max_res = [0.0] * size
-    top = [stages if failure is None else 0 for failure in failures]  # m marches stages < top[m]
+    failures = [None] * size
+    top = [stages] * size  # member m marches the stages s < top[m]
     live, lanes = [], []
     lo, mats = 0, []  # direct nodes k >= lo owe their residuals, on mats[0] or mats[k - lo]
 
@@ -372,7 +376,7 @@ def _march(plans, forcing: np.ndarray, dt: float, failures: list, tails, fp_tol:
         return failed
 
     def flush(hi):
-        # take the residuals of the direct nodes lo..hi-1; True if a member failed
+        # take the residuals of the direct nodes lo..hi-1
         nonlocal lo
         mat = mats[0] if len(mats) == 1 else np.stack(mats)[:, None]
         b = B[lo:hi]
@@ -380,30 +384,27 @@ def _march(plans, forcing: np.ndarray, dt: float, failures: list, tails, fp_tol:
         r -= b
         res = np.sqrt(sq_norms(r))
         res /= 1.0 + np.sqrt(sq_norms(b))
-        failed = False
         for m, worst in enumerate(res.max(axis=0).tolist()):
             if not math.isfinite(worst):  # fails at its first such node
                 j = int(np.isfinite(res[:, m]).argmin())
-                failed |= settle(0, lo + j, "direct", (m,), (1,), (float(res[j, m]),), (NONFINITE,))
+                settle(0, lo + j, "direct", (m,), (1,), (float(res[j, m]),), (NONFINITE,))
             elif worst > max_res[m]:
                 max_res[m] = worst
         lo, mats[:] = hi, []
-        return failed
 
-    def take(k, lam_mat, rows, b):
+    def take(k, lam_mat, b):
         # keep b at direct node k, owing its residual on lam_mat, after flushing a full
-        # block or a run on one matrix that k leaves; True if a member failed
-        B[k, rows] = b
-        new = not mats or lam_mat is not mats[-1]
-        failed = new and bool(mats) and (len(mats) == PLAN_BLOCK or len(mats) < k - lo) and flush(k)
-        if new:
+        # block or a run on one matrix that k leaves
+        B[k] = b
+        if not mats or lam_mat is not mats[-1]:
+            if mats and (len(mats) == PLAN_BLOCK or len(mats) < k - lo):
+                flush(k)
             mats.append(lam_mat)
-        return failed
 
     relane()
     ring = [None] * stages  # the plans of the nodes in flight: node k's is ring[k % stages]
     for d in range(n + stages - 1):
-        if not live[0]:
+        if not any(top):
             break
         if d < n:
             ring[d % stages] = next(plans)
@@ -429,7 +430,7 @@ def _march(plans, forcing: np.ndarray, dt: float, failures: list, tails, fp_tol:
                 b = forcing_s[k] + m0u_s / dt
                 if direct:
                     u = _mv(inv, b)
-                    failed |= take(k, lam_mat, rows, b)
+                    take(k, lam_mat, b)
                 else:
                     u, its, res, reasons = _node_step(name, tails[s], lam_mat, gamma, inv, b,
                                                       warm[k], fp_tol, fp_max_iter)
@@ -442,7 +443,7 @@ def _march(plans, forcing: np.ndarray, dt: float, failures: list, tails, fp_tol:
                 continue
             if not live[s]:
                 continue
-            # one stack of every row of the group's cells, each row with its own parameters
+            # one stack of every row of the group's iterative cells, each row with its own parameters
             members = [live[s] for s in group]
             counts = [len(cell) for cell in members]
             ss = np.repeat(group, counts)
@@ -452,25 +453,18 @@ def _march(plans, forcing: np.ndarray, dt: float, failures: list, tails, fp_tol:
             node_plans = [ring[(d - s) % stages] for s in group]
             rules = [plan[2][s] for plan, s in zip(node_plans, group)]
             tail = tails[group[0]]
-            if len(group) > 1 and tail is not None:  # the stages' surrogates of one tail
+            if len(group) > 1:  # the stages' surrogates of one tail
                 tail = YosidaRelation(tail.base, np.repeat([tails[s].lam for s in group], counts)[:, None])
             name = rules[0][0]
-            b = F[kk, ms] + m0u[ss, ms] / dt
-            inv = _per_row([rule[2] for rule in rules], counts)
-            if direct:
-                u = _mv(inv, b)
-            else:
-                u, its, res, reasons = _node_step(
-                    name, tail, _per_row([plan[1] for plan in node_plans], counts),
-                    _per_row([rule[1] for rule in rules], counts), inv,
-                    b, U[ss - later, kk + later, ms], fp_tol, fp_max_iter,
-                )
-                iterations[ss, kk, ms] = its
+            u, its, res, reasons = _node_step(
+                name, tail, _per_row([plan[1] for plan in node_plans], counts),
+                _per_row([rule[1] for rule in rules], counts),
+                _per_row([rule[2] for rule in rules], counts),
+                F[kk, ms] + m0u[ss, ms] / dt, U[ss - later, kk + later, ms], fp_tol, fp_max_iter,
+            )
+            iterations[ss, kk, ms] = its
             U[ss, kk + 1, ms] = u
             m0u[ss, ms] = _mv(_per_row([plan[0] for plan in node_plans], counts), u)
-            if direct:
-                failed |= take(d, node_plans[0][1], ms, b)
-                continue
             end = 0
             for s, cell in zip(group, members):
                 start, end = end, end + len(cell)
@@ -478,9 +472,9 @@ def _march(plans, forcing: np.ndarray, dt: float, failures: list, tails, fp_tol:
                                  reasons[start:end])
         if failed:
             relane()
-    if mats and live[0]:  # else every member failed
+    if mats and any(top):  # else every member failed
         flush(n)
-    return U[:, 1:].swapaxes(1, 2), iterations.sum(axis=0).T, max_res
+    return U[:, 1:].swapaxes(1, 2), iterations.sum(axis=0).T, max_res, failures
 
 
 def solve_step(
@@ -496,22 +490,18 @@ def solve_step(
 ) -> np.ndarray:
     """One implicit step: S u + A(u) ∋ f_k + prev_m0u/dt, warm-started at prev_state.
 
-    ``prev_m0u`` is M0(t - dt) @ prev_state; pass None to have it computed.
-    This is a one-node, one-stage march of one member from that past. With
-    M0 = 1, M1 = 0, dt = lam, zero forcing and the past y it is the resolvent
-    (1 + lam A)^{-1} y, which is how ``StructuredSum.resolve`` evaluates it.
+    ``prev_m0u`` is M0(t - dt) @ prev_state. This is a one-node, one-stage
+    march of one member from that past. With M0 = 1, M1 = 0, dt = lam, zero
+    forcing and the past y it is the resolvent (1 + lam A)^{-1} y, which is
+    how ``StructuredSum.resolve`` evaluates it.
     """
-    prev_state = np.asarray(prev_state, dtype=float)
-    if prev_m0u is None:
-        prev_m0u = np.asarray(family.M0_at(t - dt), dtype=float) @ prev_state
     forcing = np.asarray(f_k, dtype=float).reshape(1, 1, -1)
-    past = (prev_state[None], np.asarray(prev_m0u, dtype=float)[None])
+    past = (np.asarray(prev_state, dtype=float)[None], np.asarray(prev_m0u, dtype=float)[None])
     linear, tail = relation.split()
     plans = _node_plans(family, linear, [tail], t, dt, 1)
-    failures = [None]
-    vals, _, _ = _march(plans, forcing, dt, failures, [tail], fp_tol, fp_max_iter, past=past)
-    if failures[0] is not None:
-        raise failures[0]
+    vals, _, _, (failure,) = _march(plans, forcing, dt, [tail], fp_tol, fp_max_iter, past=past)
+    if failure is not None:
+        raise failure
     return vals[0, 0, 0]
 
 
@@ -570,15 +560,13 @@ def solve_batch(problems) -> list:
     grid = head.forcing.grid
     forcing = np.stack([p.forcing.values for p in problems])
     linear, tail = head.relation.split()
-    fam = head.family
     yosida = head.mode == "yosida_path"
     # direct mode, and a relation with no tail in either mode, is the one stage [tail];
     # each Yosida stage warm-starts from the last
     lams = head.schedule() if yosida else [None]
     tails = [YosidaRelation(tail, lam) for lam in lams] if yosida and tail is not None else [tail]
-    plans = _node_plans(fam, linear, tails, grid.t0, grid.dt, grid.n)
-    failures = [None] * len(problems)
-    vals, total, res = _march(plans, forcing, grid.dt, failures, tails, head.fp_tol, head.fp_max_iter)
+    plans = _node_plans(head.family, linear, tails, grid.t0, grid.dt, grid.n)
+    vals, total, res, failures = _march(plans, forcing, grid.dt, tails, head.fp_tol, head.fp_max_iter)
     live = [m for m, failure in enumerate(failures) if failure is None]
     traces = {}
     if yosida and live:
@@ -587,14 +575,8 @@ def solve_batch(problems) -> list:
         traces = {m: list(zip(lams, itertools.cycle(stage_norms)))
                   for m, stage_norms in zip(live, zip(*norms))}
     final = vals[-1].copy()  # so the reports do not keep the earlier stages alive
-    if yosida:
-        delta = 2.0 * (fam.sup_M1 + fam.lip_M0) + 1.0
-        ts = [grid.t0] if fam.constant else grid.t0 + grid.dt * np.linspace(0, grid.n - 1, 16)
-        sup_m0 = measure_constants(fam.M0_at, fam.M1_at, fam.kernel_basis, fam.range_basis,
-                                   ts).sup_M0
     reports = []
-    for m, p in enumerate(problems):
-        failure = failures[m]
+    for m, (p, failure) in enumerate(zip(problems, failures)):
         if failure is not None:
             reports.append(SolveReport(
                 solution=p.forcing.with_values(np.zeros_like(p.forcing.values)),
@@ -605,23 +587,12 @@ def solve_batch(problems) -> list:
                 fail_reason=str(failure),
             ))
             continue
-        path = {}
-        if yosida:
-            reference = (1.0 + delta / p.c_tilde) * weighted_norm(p.forcing) + (
-                sup_m0 / p.c_tilde
-            ) * weighted_norm(derivative(p.forcing))
-            path = dict(
-                lambda_trace=traces[m],
-                yosida_sup_norm=max(norm for _, norm in traces[m]),
-                delta=delta,
-                yosida_reference_bound=reference,
-            )
         reports.append(SolveReport(
             solution=p.forcing.with_values(final[m]),
             per_step_iterations=total[m].tolist(),
             max_residual=res[m],
             status="converged",
-            **path,
+            lambda_trace=traces.get(m, []),
         ))
     return reports
 
@@ -643,6 +614,25 @@ def lipschitz_bound(problem: InclusionProblem) -> float:
     fam = problem.family
     tol_dt = 20.0 * problem.forcing.grid.dt * (problem.rho + fam.lip_M0 + fam.sup_M1)
     return (1.0 + tol_dt) / problem.c_tilde
+
+
+def yosida_delta(family: MaterialFamily) -> float:
+    """The Yosida path's delta = 2 (sup M1 + lip M0) + 1, from the family's claims."""
+    return 2.0 * (family.sup_M1 + family.lip_M0) + 1.0
+
+
+def yosida_reference_bound(problem: InclusionProblem) -> float:
+    """Reference bound (1 + delta/c_tilde)|f| + (sup|M0|/c_tilde)|f'| on the Yosida path's images.
+
+    Norms are weighted; sup|M0| is measured at t0 on a constant family, else
+    at 16 times spread over the grid.
+    """
+    fam, f = problem.family, problem.forcing
+    grid = f.grid
+    ts = [grid.t0] if fam.constant else grid.t0 + grid.dt * np.linspace(0, grid.n - 1, 16)
+    sup_m0 = measure_constants(fam.M0_at, fam.M1_at, fam.kernel_basis, fam.range_basis, ts).sup_M0
+    return ((1.0 + yosida_delta(fam) / problem.c_tilde) * weighted_norm(f)
+            + (sup_m0 / problem.c_tilde) * weighted_norm(derivative(f)))
 
 
 def certificate_problems(problem: InclusionProblem, g: WeightedSignal) -> list:

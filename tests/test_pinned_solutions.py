@@ -25,7 +25,7 @@ from evinc.harness import random_forcing
 from evinc.materials import sinusoidal_family
 from evinc.relations import BallSaturation, LinearRelation, NormSubdifferential, ZeroRelation
 from evinc.signals import TimeGrid
-from evinc.solver import solve
+from evinc.solver import solve, yosida_reference_bound
 
 # (template, n, mode, sha256)
 PINNED = [
@@ -45,15 +45,15 @@ PINNED = [
 TEMPLATES = list(dict.fromkeys(name for name, *_ in PINNED))
 
 
-def _digest(rep, with_bound=False):
+def _digest(rep, bound=None):
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(rep.solution.values, dtype=np.float64).tobytes())
     h.update(np.asarray(rep.per_step_iterations, dtype=np.int64).tobytes())
     h.update(float(rep.max_residual).hex().encode())
     for lam, norm in rep.lambda_trace:
         h.update(float(lam).hex().encode() + float(norm).hex().encode())
-    if with_bound and rep.yosida_reference_bound is not None:
-        h.update(float(rep.yosida_reference_bound).hex().encode())
+    if bound is not None:
+        h.update(float(bound).hex().encode())
     return h.hexdigest()
 
 
@@ -89,7 +89,8 @@ def test_slab_digest_without_the_solve_wrapper(monkeypatch, name, n, mode, expec
 # frequency=8.0); the slabs move M and kappa, or M and D. Between them they
 # reach every engine (direct, the two forward-backward forms and
 # Douglas-Rachford), and n = 60 and n = 21 run past more than one planning
-# block. These digests also cover the Yosida path's reference bound.
+# block. These digests also cover the Yosida path's reference bound,
+# ``yosida_reference_bound`` of the problem.
 
 
 def _moving_plane(m0, m1, relation):
@@ -144,9 +145,10 @@ MOVING_PINNED = [
 def _moving_digest(name, n, mode):
     tpl = MOVING_TEMPLATES[name](name, TimeGrid(t0=0.0, dt=1e-3, n=n))
     f = random_forcing(tpl, np.random.default_rng(list(MOVING_TEMPLATES).index(name)))
-    rep = solve(tpl.problem(f, mode=mode))
+    problem = tpl.problem(f, mode=mode)
+    rep = solve(problem)
     assert rep.converged
-    return _digest(rep, with_bound=True)
+    return _digest(rep, yosida_reference_bound(problem) if mode == "yosida_path" else None)
 
 
 @pytest.mark.parametrize(
