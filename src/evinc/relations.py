@@ -26,12 +26,14 @@ A ``(rows, dim)`` stack may also take its parameter as a ``(rows, 1)`` column, o
 value per row: ``resolve`` then gives each row the bits of ``resolve`` on that row
 with its own value, and ``YosidaRelation`` takes its ``lam`` the same way, so the
 march can evaluate the cells of several lambda-stages in one call.
-``NormSubdifferential`` and ``BallSaturation`` keep a one-vector fast path for
-the march at dimension 1-2: 4.5 us against 10.9 us in the array form for the
-soft threshold, 5.1 us against 11.2 us for the ball ``apply``.
+One vector through the norm relations (bare, in a slot of at most
+``FLOAT_ENTRIES`` entries, or under a Yosida surrogate at one lam) runs on
+Python floats with the array form's bits (``_blockwise``, BENCH_float_relations.json).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -62,22 +64,39 @@ __all__ = [
 
 PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 10_000
+ORDERED_SUM = 8  # numpy sums rows shorter than this in order, pairwise from here
+FLOAT_ENTRIES = 36  # slot entries up to which one vector runs on floats
 
 
 def _row_norms(ys):
     """Euclidean norms over the last axis of ``ys``, keeping that axis.
 
-    Both this and ``_norm`` sum the squares with ``np.add.reduce``, which
-    gives a row the same bits alone or in any stack; ``np.linalg.norm`` of a
-    vector goes through BLAS ``dot`` and can differ in the last bit. So the
-    fast paths below equal the array forms row by row, bit for bit.
+    ``np.add.reduce`` gives a row the same bits alone or in any stack;
+    ``np.linalg.norm`` of a vector goes through BLAS ``dot`` and can differ in
+    the last bit.
     """
     return np.sqrt(np.add.reduce(ys * ys, axis=-1, keepdims=True))
 
 
-def _norm(y):
-    """Euclidean norm of a vector, summed as ``_row_norms`` sums a row."""
-    return float(np.sqrt(np.add.reduce(y * y)))
+def _block_norm(block):
+    """``_row_norms`` of a list of fewer than ``ORDERED_SUM`` floats, with its bits."""
+    s = 0.0  # as np.add.reduce; x ** 2 would raise OverflowError
+    for x in block:
+        s += x * x
+    return math.sqrt(s)
+
+
+def _scaled(block, f):
+    return [x * f for x in block]
+
+
+def _blockwise(base, lam, y):
+    """``base._floats`` of each block of the vector ``y``, as one list: the array
+    form's operations in order, dividing only by a positive or NaN norm."""
+    v, d, lam = y.tolist(), base.dim, None if lam is None else float(lam)
+    for i in range(0, len(v), d):
+        v[i : i + d] = base._floats(v[i : i + d], lam)
+    return v
 
 
 def _monotone_matrix(matrix, what):
@@ -185,13 +204,16 @@ class NormSubdifferential(MonotoneRelation):
 
     def resolve(self, lam, y):
         y = np.asarray(y, dtype=float)
+        if y.ndim == 1 and self.dim < ORDERED_SUM:
+            return np.array(_blockwise(self, lam, y))
         th = lam * self.weight
-        if y.ndim == 1:  # the per-vector fast path (see the module docstring)
-            r = _norm(y)
-            return np.zeros_like(y) if r <= th else y * (1.0 - th / r)
         r = _row_norms(y)
         # a NaN row stays NaN; the divisor is r wherever the row is kept, never 0
         return np.where(r <= th, 0.0, y * (1.0 - th / np.maximum(r, th)))
+
+    def _floats(self, y, lam):
+        th, r = lam * self.weight, _block_norm(y)
+        return [0.0] * self.dim if r <= th else _scaled(y, 1.0 - th / r)
 
     def graph_distance(self, x, v):
         x = np.asarray(x, dtype=float)
@@ -215,21 +237,26 @@ class BallSaturation(MonotoneRelation):
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:  # the per-vector fast path (see the module docstring)
-            r = _norm(x)
-            return x.copy() if r <= self.radius else x * (self.radius / r)
+        if x.ndim == 1 and self.dim < ORDERED_SUM:
+            return np.array(_blockwise(self, None, x))
         r = _row_norms(x)
         return np.where(r <= self.radius, x, x * (self.radius / np.maximum(r, self.radius)))
 
     def resolve(self, lam, y):
         y = np.asarray(y, dtype=float)
-        edge = self.radius * (1.0 + lam)
-        if y.ndim == 1:
-            r = _norm(y)
-            return y / (1.0 + lam) if r <= edge else y * ((r - lam * self.radius) / r)
+        if y.ndim == 1 and self.dim < ORDERED_SUM:
+            return np.array(_blockwise(self, lam, y))
         r = _row_norms(y)
         saturated = y * ((r - lam * self.radius) / np.maximum(r, self.radius))
-        return np.where(r <= edge, y / (1.0 + lam), saturated)
+        return np.where(r <= self.radius * (1.0 + lam), y / (1.0 + lam), saturated)
+
+    def _floats(self, y, lam):  # apply at lam=None; past an edge r > radius, or NaN
+        r = _block_norm(y)
+        if lam is None:
+            return y if r <= self.radius else _scaled(y, self.radius / r)
+        if r <= self.radius * (1.0 + lam):
+            return [x / (1.0 + lam) for x in y]
+        return _scaled(y, (r - lam * self.radius) / r)
 
 
 class DeviatoricSaturation(MonotoneRelation):
@@ -265,13 +292,20 @@ class DeviatoricSaturation(MonotoneRelation):
         dev = self._dev_rows(y)
         return (y - dev) + self._ball.resolve(lam, dev)
 
+    def _floats(self, y, lam):
+        mean = (0.0 + y[0] + y[1] + y[2]) / 3.0  # np.add.reduce starts from +0.0
+        dev = [y[0] - mean, y[1] - mean, y[2] - mean, y[3], y[4], y[5]]
+        out = self._ball._floats(dev, lam)
+        return out if lam is None else [(p - q) + w for p, q, w in zip(y, dev, out)]
+
 
 class SlotEmbedded(MonotoneRelation):
     """Base relation on each of ``count`` nodes of a contiguous slot, zero elsewhere.
 
     The slot starts at ``start`` in a state of ``total_dim`` entries and holds
-    ``count`` consecutive blocks of ``base.dim`` entries. Every evaluation is
-    one block call of the base on the ``(rows * count, base.dim)`` slot nodes.
+    ``count`` consecutive blocks of ``base.dim`` entries. A stack is one block
+    call of the base on its ``(rows * count, base.dim)`` slot nodes, and so is
+    one vector past ``FLOAT_ENTRIES`` slot entries; a shorter one runs on floats.
     """
 
     def __init__(self, base: MonotoneRelation, start: int, total_dim: int, count: int = 1):
@@ -285,24 +319,29 @@ class SlotEmbedded(MonotoneRelation):
         self.contains_origin = base.contains_origin
         self.single_valued = base.single_valued
         self.cocoercivity = base.cocoercivity
+        self._on_floats = (hasattr(base, "_floats") and base.dim < ORDERED_SUM
+                           and self.stop - self.start <= FLOAT_ENTRIES)
 
     # the slot entries of (..., dim) states, as rows of base.dim, are
     # sliced in place: the march calls these once per iteration
     def resolve(self, lam, y):
         y = np.asarray(y, dtype=float)
-        nodes = y[..., self.start : self.stop].reshape(-1, self.base.dim)
+        nodes = y[..., self.start : self.stop]
         if isinstance(lam, np.ndarray):  # a column: each node of a row takes the row's lam
             lam = np.repeat(lam, self.count, axis=0)
-        nodes = self.base.resolve(lam, nodes)
         out = y.copy()
-        out[..., self.start : self.stop] = nodes.reshape(y.shape[:-1] + (-1,))
+        out[..., self.start : self.stop] = (
+            _blockwise(self.base, lam, nodes) if y.ndim == 1 and self._on_floats
+            else self.base.resolve(lam, nodes.reshape(-1, self.base.dim)).reshape(nodes.shape))
         return out
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
-        nodes = self.base.apply(x[..., self.start : self.stop].reshape(-1, self.base.dim))
+        nodes = x[..., self.start : self.stop]
         out = np.zeros_like(x)
-        out[..., self.start : self.stop] = nodes.reshape(x.shape[:-1] + (-1,))
+        out[..., self.start : self.stop] = (
+            _blockwise(self.base, None, nodes) if x.ndim == 1 and self._on_floats
+            else self.base.apply(nodes.reshape(-1, self.base.dim)).reshape(nodes.shape))
         return out
 
     def graph_distance(self, x, v):

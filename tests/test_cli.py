@@ -211,6 +211,17 @@ class TestExitCodes:
         assert "direct step 1 did not converge: nonfinite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_nonfinite_direct_node_prints_no_numpy_warning(self, tmp_path, capsys):
+        # the same run with no errstate of its own: under the suite's
+        # filterwarnings = error a numpy RuntimeWarning would end it here
+        cfg = write(tmp_path / "scalar.ini", SCALAR_CONFIG)
+        code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--set", "forcing.value=1.5e308"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Warning" not in err
+        assert "direct step 1 did not converge: nonfinite" in err
+
     def test_campaign_failures_exit_4(self, tmp_path, capsys):
         cfg = write(
             tmp_path / "camp.ini",

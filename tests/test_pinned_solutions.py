@@ -158,10 +158,38 @@ def test_moving_solution_digest(name, n, mode, expected):
     assert _moving_digest(name, n, mode) == expected
 
 
+# Direct thermoplastic solves on refined slabs, on either side of the number of
+# slot entries below which a one-vector relation call runs on Python floats:
+# m = 6 (36 entries, the cut) evaluates on floats, m = 8 (48 entries) on numpy.
+# The forcing is scaled so that the flow relation saturates at 79 % of the tail
+# nodes at either m: both branches of the ball are reached.
+# Recorded before the float path was written.
+REFINED_PINNED = [
+    (6, 21, "direct", "d581b22828c658be794acaa6e9511f865c4c5bcd78b6925e100309101cea1cca"),
+    (8, 21, "direct", "f7c90a4eaa2447ce7fb9bebba92089d388459dd50e3c91ff91c9bd6eca3be1f7"),
+]
+
+
+def _refined_digest(m, n, mode):
+    model = build_thermoplasticity(SlabGrid(m=m, dx=1.0 / m))
+    tpl = CatalogProblem.admissible(f"thermoplastic_m{m}", model.family, model.relation,
+                                    TimeGrid(t0=0.0, dt=1e-3, n=n))
+    f = random_forcing(tpl, np.random.default_rng(m))
+    rep = solve(tpl.problem(tpl.signal(300.0 * f.values), mode=mode))
+    assert rep.converged
+    return _digest(rep)
+
+
+@pytest.mark.parametrize("m, n, mode, expected", REFINED_PINNED, ids=[f"m{p[0]}-{p[2]}" for p in REFINED_PINNED])
+def test_refined_slab_digest(m, n, mode, expected):
+    assert _refined_digest(m, n, mode) == expected
+
+
 if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_pinned_solutions.py prints each case, its pin and the
     # digest it computes now, marking the pins that moved: the tool of a deliberate re-record
-    for cases, digest in ((PINNED, _pinned_digest), (MOVING_PINNED, _moving_digest)):
+    for cases, digest in ((PINNED, _pinned_digest), (MOVING_PINNED, _moving_digest),
+                          (REFINED_PINNED, _refined_digest)):
         for name, n, mode, expected in cases:
             now = digest(name, n, mode)
             print(f"{name:27} {mode:11} pin {expected} now {now}{'' if now == expected else '  MOVED'}")

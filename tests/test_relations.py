@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from evinc.errors import ContractViolation
 from evinc.relations import (
+    FLOAT_ENTRIES,
     BallSaturation,
     DeviatoricSaturation,
     LinearRelation,
@@ -427,7 +428,21 @@ PARITY_CASES = {
         YosidaRelation(SlotEmbedded(BallSaturation(2, radius=0.7), 1, 6, count=2), 0.3),
         1, 2, 2, False, lambda lam: (0.7 * 1.3, 0.7 * (1.3 + lam)),
     ),
-    # a vector reaches the base's fast path, a stack its array form
+    # the two slab tails at m = 2: a vector evaluates on floats, a stack in numpy
+    "thermoplastic_slot": (
+        SlotEmbedded(DeviatoricSaturation(radius=0.9), 6, 22, count=2), 6, 2, 6, True,
+        lambda lam: (0.9, 0.9 * (1.0 + lam)),
+    ),
+    "viscoplastic_slot": (
+        SlotEmbedded(NormSubdifferential(5, weight=1.0), 6, 28, count=2), 6, 2, 5, False,
+        lambda lam: (lam,),
+    ),
+    # a slot above the cut keeps numpy's block call for a vector too
+    "wide_slot": (
+        SlotEmbedded(DeviatoricSaturation(radius=0.9), 4, 56, count=8), 4, 8, 6, True,
+        lambda lam: (0.9, 0.9 * (1.0 + lam)),
+    ),
+    # a vector reaches the base's float path, a stack its array form
     "yosida_soft": (
         YosidaRelation(NormSubdifferential(1, weight=1.3), 0.4), 0, 1, 1, False,
         lambda lam: (1.3 * 0.4, 1.3 * (0.4 + lam)),
@@ -440,7 +455,7 @@ PARITY_CASES = {
 
 
 def _parity_rows(name, lam, kinds, seed):
-    """Rows whose nodes are zero, deep inside, on a branch radius or random."""
+    """Rows whose nodes are zero, all -0.0, deep inside, on a branch radius or random."""
     rel, start, count, node_dim, deviatoric, radii = PARITY_CASES[name]
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((len(kinds), rel.dim)) * rng.uniform(0.01, 5.0)
@@ -451,6 +466,8 @@ def _parity_rows(name, lam, kinds, seed):
             part = mandel_dev(node) if deviatoric else node
             if kind == "zero":
                 node[:] = 0.0
+            elif kind == "negzero":
+                node[:] = -0.0
             elif kind in ("inside", "edge"):
                 target = 1e-3 * min(edges) if kind == "inside" else edges[j % len(edges)]
                 scaled = part * (target / np.linalg.norm(part))
@@ -483,7 +500,7 @@ class TestBlockParity:
         name=st.sampled_from(sorted(PARITY_CASES)),
         lam=st.floats(0.01, 3.0),
         kinds=st.lists(
-            st.lists(st.sampled_from(["zero", "inside", "edge", "random"]), min_size=3, max_size=3),
+            st.lists(st.sampled_from(["zero", "negzero", "inside", "edge", "random"]), min_size=3, max_size=3),
             min_size=1, max_size=16,
         ),
         seed=st.integers(0, 2**32 - 1),
@@ -495,7 +512,7 @@ class TestBlockParity:
     def test_many_seeded_rows(self, name):
         # a last-bit disagreement shows on a few rows in a hundred, so look at many
         rng = np.random.default_rng(sorted(PARITY_CASES).index(name))
-        kinds = rng.choice(["zero", "inside", "edge", "random"], size=(400, 3))
+        kinds = rng.choice(["zero", "negzero", "inside", "edge", "random"], size=(400, 3))
         _assert_rows_match(name, float(rng.uniform(0.01, 3.0)), kinds.tolist(), 7)
 
     @pytest.mark.parametrize("name", sorted(PARITY_CASES))
@@ -513,6 +530,20 @@ class TestBlockParity:
                 for y, row in zip(ys, block):
                     assert np.array_equal(row, vector(y), equal_nan=True)
 
+    @pytest.mark.parametrize("name", sorted(PARITY_CASES))
+    def test_overflowing_rows_match(self, name):
+        # squares overflow to inf, in numpy and on floats alike, without an exception
+        rel = PARITY_CASES[name][0]
+        ys = np.full((2, rel.dim), 1e200)
+        ys[1, ::2] = -1e300
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairs = [(rel.resolve(0.5, ys), lambda y: rel.resolve(0.5, y))]
+            if rel.single_valued:
+                pairs.append((rel.apply(ys), rel.apply))
+            for block, vector in pairs:
+                for y, row in zip(ys, block):
+                    assert np.array_equal(row, vector(y), equal_nan=True)
+
     def test_slot_evaluates_its_nodes_in_one_block_call(self):
         calls = []
 
@@ -521,10 +552,21 @@ class TestBlockParity:
                 calls.append(np.shape(ys))
                 return super().resolve(lam, ys)
 
+            def _floats(self, y, lam):
+                calls.append(len(y))
+                return super()._floats(y, lam)
+
+        # one vector below the cut: its nodes on floats, no block call
         emb = SlotEmbedded(Counting(2, radius=0.5), 1, 8, count=3)
         out = emb.resolve(0.4, np.arange(8.0))
-        assert calls == [(3, 2)]
+        assert calls == [2, 2, 2]
         assert out[0] == 0.0 and out[7] == 7.0
+        # above the cut: one block call
+        count = FLOAT_ENTRIES // 2 + 1
+        wide = SlotEmbedded(Counting(2, radius=0.5), 1, 2 * count + 2, count=count)
+        calls.clear()
+        wide.resolve(0.4, np.arange(2.0 * count + 2))
+        assert calls == [(count, 2)]
         emb.resolve(0.4, np.ones((5, 8)))
         assert calls[-1] == (15, 2)
 
@@ -560,7 +602,7 @@ def _column_rows(name, lams, gammas, seed):
     """One row per (lam, gamma): on a branch radius of resolve(lam + gamma), inside, zero or random."""
     base = COLUMN_BASES[name]
     rng = np.random.default_rng(seed)
-    kinds = rng.choice(["zero", "inside", "edge", "random"], size=(len(lams), 3)).tolist()
+    kinds = rng.choice(["zero", "negzero", "inside", "edge", "random"], size=(len(lams), 3)).tolist()
     if name not in PARITY_CASES:
         rows = rng.standard_normal((len(lams), base.dim)) * rng.uniform(0.01, 5.0, (len(lams), 1))
         rows[[k[0] == "zero" for k in kinds]] = 0.0
