@@ -26,9 +26,9 @@ A ``(rows, dim)`` stack may also take its parameter as a ``(rows, 1)`` column, o
 value per row: ``resolve`` then gives each row the bits of ``resolve`` on that row
 with its own value, and ``YosidaRelation`` takes its ``lam`` the same way, so the
 march can evaluate the cells of several lambda-stages in one call.
-One vector through the norm relations (bare, in a slot of at most
-``FLOAT_ENTRIES`` entries, or under a Yosida surrogate at one lam) runs on
-Python floats with the array form's bits (``_blockwise``, BENCH_float_relations.json).
+One vector through a norm relation on nodes of fewer than ``ORDERED_SUM`` entries (bare,
+in a slot of at most ``FLOAT_ENTRIES`` entries, or under a Yosida surrogate at one lam)
+runs on Python floats with the array form's bits (``_blockwise``); wider nodes take the array form.
 """
 
 from __future__ import annotations
@@ -65,15 +65,14 @@ __all__ = [
 PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 10_000
 ORDERED_SUM = 8  # numpy sums rows shorter than this in order, pairwise from here
-FLOAT_ENTRIES = 36  # slot entries up to which one vector runs on floats
+FLOAT_ENTRIES = 48  # slot entries up to which one vector runs on floats (BENCH_float_relations.json)
 
 
 def _row_norms(ys):
     """Euclidean norms over the last axis of ``ys``, keeping that axis.
 
-    ``np.add.reduce`` gives a row the same bits alone or in any stack;
-    ``np.linalg.norm`` of a vector goes through BLAS ``dot`` and can differ in
-    the last bit.
+    ``np.add.reduce`` gives a row the same bits alone or in any stack; ``np.linalg.norm``
+    of a vector goes through BLAS ``dot`` and can differ in the last bit.
     """
     return np.sqrt(np.add.reduce(ys * ys, axis=-1, keepdims=True))
 
@@ -305,7 +304,8 @@ class SlotEmbedded(MonotoneRelation):
     The slot starts at ``start`` in a state of ``total_dim`` entries and holds
     ``count`` consecutive blocks of ``base.dim`` entries. A stack is one block
     call of the base on its ``(rows * count, base.dim)`` slot nodes, and so is
-    one vector past ``FLOAT_ENTRIES`` slot entries; a shorter one runs on floats.
+    one vector past ``FLOAT_ENTRIES`` slot entries. A shorter one runs on the base's
+    ``_floats``, unless the base overrides the resolve or apply of the class defining it.
     """
 
     def __init__(self, base: MonotoneRelation, start: int, total_dim: int, count: int = 1):
@@ -319,8 +319,9 @@ class SlotEmbedded(MonotoneRelation):
         self.contains_origin = base.contains_origin
         self.single_valued = base.single_valued
         self.cocoercivity = base.cocoercivity
-        self._on_floats = (hasattr(base, "_floats") and base.dim < ORDERED_SUM
-                           and self.stop - self.start <= FLOAT_ENTRIES)
+        own = next((c for c in type(base).__mro__ if "_floats" in vars(c)), None)
+        self._on_floats = (own is not None and (type(base).resolve, type(base).apply) == (own.resolve, own.apply)
+                           and base.dim < ORDERED_SUM and self.stop - self.start <= FLOAT_ENTRIES)
 
     # the slot entries of (..., dim) states, as rows of base.dim, are
     # sliced in place: the march calls these once per iteration

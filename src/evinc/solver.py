@@ -301,6 +301,9 @@ def _per_row(values, counts):
     return stacked[:, None] if stacked.ndim == 1 else stacked
 
 
+# a member whose arithmetic leaves the floats fails with its step's typed reason, so
+# numpy need not warn about it too, whether solve_batch or solve_step marches it
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _march(plans, forcing: np.ndarray, dt: float, tails, fp_tol: float, fp_max_iter: int,
            past=None):
     """Causal sweep of a batch through every stage; returns (values, iterations, residuals, failures).
@@ -566,10 +569,7 @@ def solve_batch(problems) -> list:
     lams = head.schedule() if yosida else [None]
     tails = [YosidaRelation(tail, lam) for lam in lams] if yosida and tail is not None else [tail]
     plans = _node_plans(head.family, linear, tails, grid.t0, grid.dt, grid.n)
-    # a member whose arithmetic leaves the floats fails with its step's typed reason,
-    # so numpy need not warn about it too
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vals, total, res, failures = _march(plans, forcing, grid.dt, tails, head.fp_tol, head.fp_max_iter)
+    vals, total, res, failures = _march(plans, forcing, grid.dt, tails, head.fp_tol, head.fp_max_iter)
     live = [m for m, failure in enumerate(failures) if failure is None]
     traces = {}
     if yosida and live:

@@ -159,14 +159,14 @@ def test_moving_solution_digest(name, n, mode, expected):
 
 
 # Direct thermoplastic solves on refined slabs, on either side of the number of
-# slot entries below which a one-vector relation call runs on Python floats:
-# m = 6 (36 entries, the cut) evaluates on floats, m = 8 (48 entries) on numpy.
-# The forcing is scaled so that the flow relation saturates at 79 % of the tail
-# nodes at either m: both branches of the ball are reached.
+# slot entries up to which a one-vector relation call runs on Python floats:
+# m = 8 (48 entries, the cut) evaluates on floats, m = 16 (96 entries) on numpy.
+# The forcing is scaled so that the flow relation saturates at 79 % (m = 8) and
+# 51 % (m = 16) of the tail nodes: both branches of the ball are reached.
 # Recorded before the float path was written.
 REFINED_PINNED = [
-    (6, 21, "direct", "d581b22828c658be794acaa6e9511f865c4c5bcd78b6925e100309101cea1cca"),
     (8, 21, "direct", "f7c90a4eaa2447ce7fb9bebba92089d388459dd50e3c91ff91c9bd6eca3be1f7"),
+    (16, 21, "direct", "8b2b9196947caac37e0c6c15bc2446ea485f941de272f30c402861a31075774f"),
 ]
 
 

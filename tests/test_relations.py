@@ -439,8 +439,8 @@ PARITY_CASES = {
     ),
     # a slot above the cut keeps numpy's block call for a vector too
     "wide_slot": (
-        SlotEmbedded(DeviatoricSaturation(radius=0.9), 4, 56, count=8), 4, 8, 6, True,
-        lambda lam: (0.9, 0.9 * (1.0 + lam)),
+        SlotEmbedded(DeviatoricSaturation(radius=0.9), 4, 12 + FLOAT_ENTRIES, count=FLOAT_ENTRIES // 6 + 1),
+        4, FLOAT_ENTRIES // 6 + 1, 6, True, lambda lam: (0.9, 0.9 * (1.0 + lam)),
     ),
     # a vector reaches the base's float path, a stack its array form
     "yosida_soft": (
@@ -569,6 +569,21 @@ class TestBlockParity:
         assert calls == [(count, 2)]
         emb.resolve(0.4, np.ones((5, 8)))
         assert calls[-1] == (15, 2)
+
+    def test_slot_keeps_a_base_override_for_one_vector(self):
+        # a base class that overrides apply but not _floats: its apply, not the
+        # float path, evaluates a vector's nodes, in one block call
+        calls = []
+
+        class Logged(BallSaturation):
+            def apply(self, x):
+                calls.append(np.shape(x))
+                return super().apply(x)
+
+        emb = SlotEmbedded(Logged(2, radius=0.5), 1, 8, count=3)
+        x = np.arange(8.0)
+        assert np.array_equal(emb.apply(x), SlotEmbedded(BallSaturation(2, radius=0.5), 1, 8, count=3).apply(x))
+        assert calls == [(3, 2)]
 
     def test_every_relation_class_has_a_parity_case(self):
         def subclasses(cls):

@@ -63,6 +63,15 @@ class TestSolveStep:
             solve_step(fam, NormSubdifferential(1, weight=1.0), t=0.0, dt=0.1,
                        prev_state=np.zeros(1), prev_m0u=np.zeros(1), f_k=np.array([2.0]), fp_max_iter=1)
 
+    @pytest.mark.parametrize("name, engine", [("scalar_ode", "direct"), ("sign_scalar", "forward-backward")])
+    def test_overflowing_forcing_fails_without_a_numpy_warning(self, name, engine):
+        # under the suite's filterwarnings = error a RuntimeWarning would end the step first
+        tpl = make_catalog_problem(name, n=10)
+        z = np.zeros(tpl.dim)
+        with pytest.raises(StepFailure, match=rf"^{engine} step 0 did not converge: nonfinite"):
+            solve_step(tpl.family, tpl.relation, t=0.0, dt=0.1, prev_state=z, prev_m0u=z,
+                       f_k=np.full(tpl.dim, 1.5e308))
+
     @pytest.mark.parametrize(
         "name",
         ["scalar_ode", "saturation_plane", "sign_scalar", "viscoplastic_slab", "moving_sign_plane"],
