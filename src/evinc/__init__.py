@@ -20,7 +20,6 @@ from .materials import (
     check_conditions,
     constant_family,
     kernel_decompose,
-    m0_prime,
     measure_constants,
     rho_zero,
     sinusoidal_family,
@@ -34,7 +33,7 @@ from .solver import (
     solve_batch,
     solve_step,
 )
-from .harness import PropertyCampaign, fixed_point_iterates, oracle_trajectory, run_campaign
+from .harness import PropertyCampaign, oracle_trajectory, run_campaign
 from .catalog import catalog_names, make_catalog_problem
 from .gallery import SlabGrid, build_slab_operators, build_thermoplasticity, build_viscoplasticity
 

@@ -13,15 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation, UnsupportedRegime
-from .signals import TimeGrid, WeightedSignal, weighted_norm
+from .signals import TimeGrid, WeightedSignal
 
 __all__ = [
     "derivative",
     "integrate",
     "translate",
     "difference_quotient",
-    "derivative_seminorm",
-    "graph_norm",
     "integrate_operator_norm",
     "adjoint_defect",
 ]
@@ -66,16 +64,6 @@ def difference_quotient(u: WeightedSignal, h_steps: int) -> WeightedSignal:
         raise ContractViolation("h_steps must be a positive integer")
     shifted = translate(u, h_steps)
     return u.with_values((shifted.values - u.values) / (h_steps * u.grid.dt))
-
-
-def derivative_seminorm(u: WeightedSignal) -> float:
-    """Weighted norm of the derivative (the first-order seminorm)."""
-    return weighted_norm(derivative(u))
-
-
-def graph_norm(u: WeightedSignal) -> float:
-    """sqrt(|u|^2 + |Du|^2) in the weighted norm; used by the property tests."""
-    return float(np.hypot(weighted_norm(u), derivative_seminorm(u)))
 
 
 def _power_norm(matvec, rmatvec, n, iters=5000, tol=1e-13, seed=7):

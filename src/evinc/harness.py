@@ -34,7 +34,6 @@ __all__ = [
     "random_forcing",
     "oracle_reaches",
     "oracle_trajectory",
-    "fixed_point_iterates",
     "monotonicity_margin",
 ]
 
@@ -44,10 +43,13 @@ def supported_checks(template: CatalogProblem) -> tuple:
     return tuple(name for name, check in CHECKS.items() if check.needs(template))
 
 
-def _check_request(template: CatalogProblem, seed: int, checks):
-    """Refuse a negative seed, and checks other than distinct ones that ``template`` supports."""
+def _check_request(template: CatalogProblem, seed: int, checks, fp_tol: float):
+    """Refuse a negative seed, an ``fp_tol`` that is not finite and positive, and checks
+    other than distinct ones that ``template`` supports."""
     if seed < 0:
         raise ContractViolation(f"a seed must be a non-negative integer, got {seed}")
+    if not (math.isfinite(fp_tol) and fp_tol > 0):
+        raise ContractViolation(f"fp_tol must be finite and positive, got {fp_tol}")
     if isinstance(checks, str):
         raise ContractViolation(f"checks must be a list of check names, got the string {checks!r}")
     if len(set(checks)) < len(checks):
@@ -93,7 +95,7 @@ class PropertyCampaign:
                 f"a campaign needs at least one trial and one check, got "
                 f"trials={self.trials}, checks={tuple(self.checks)}"
             )
-        _check_request(self.template, self.seed, self.checks)
+        _check_request(self.template, self.seed, self.checks, self.fp_tol)
 
 
 @dataclass
@@ -363,27 +365,6 @@ def oracle_trajectory(template: CatalogProblem, forcing: WeightedSignal,
 
 
 
-
-def fixed_point_iterates(f_map, g_map, x: np.ndarray, n_iter: int,
-                         lip_f: float, lip_g: float, y0=None):
-    """Iterates y_{n+1} = F(x - G(y_n)) from y_0 (zero by default).
-
-    Requires lip_f * lip_g < 1; the tail of the sequence then contracts at
-    that rate toward the unique fixed point, whatever the starting point.
-    """
-    if lip_f * lip_g >= 1.0:
-        raise ContractViolation(
-            f"contraction product must be < 1, got {lip_f * lip_g:.3g}"
-        )
-    x = np.asarray(x, dtype=float)
-    y = np.zeros_like(x) if y0 is None else np.asarray(y0, dtype=float).copy()
-    iterates = [y.copy()]
-    for _ in range(n_iter):
-        y = np.asarray(f_map(x - g_map(y)), dtype=float)
-        iterates.append(y.copy())
-    return iterates
-
-
 # ---------------------------------------------------------------------------
 # campaign driver
 
@@ -578,7 +559,7 @@ def replay_check(template: CatalogProblem, check: str, seed: int,
     It takes the campaign's path, so a typed failure gives the row
     ``run_campaign`` records for it, and it refuses what a campaign refuses.
     """
-    _check_request(template, seed, [check])
+    _check_request(template, seed, [check], fp_tol)
     passed, margin, _ = _run_checks(template, [(seed, check)], fp_tol)[0]
     return passed, margin
 

@@ -26,7 +26,6 @@ __all__ = [
     "Coefficient",
     "MaterialFamily",
     "kernel_decompose",
-    "m0_prime",
     "measure_constants",
     "StructuralConstants",
     "check_conditions",
@@ -146,31 +145,6 @@ def _orthonormal_complement(basis: np.ndarray, dim: int) -> np.ndarray:
     proj = np.eye(dim) - basis @ basis.T
     eigvals, eigvecs = np.linalg.eigh(proj)
     return eigvecs[:, eigvals > 0.5]
-
-
-def m0_prime(family: MaterialFamily, t: float, h: float = 1e-6) -> np.ndarray:
-    """Symmetrized central difference of the selfadjoint part at time t.
-
-    The spectral norm must stay under the claimed Lipschitz bound up to a
-    finite-difference allowance 10*h*(second-difference estimate); a larger
-    value means the claimed bound is inconsistent with the samples.
-    """
-    if h <= 0:
-        raise ContractViolation("h must be positive")
-    plus = np.asarray(family.M0_at(t + h), dtype=float)
-    minus = np.asarray(family.M0_at(t - h), dtype=float)
-    mid = np.asarray(family.M0_at(t), dtype=float)
-    diff = (plus - minus) / (2.0 * h)
-    diff = 0.5 * (diff + diff.T)
-    curvature = float(np.linalg.norm((plus - 2.0 * mid + minus) / h**2, 2))
-    tol_fd = 10.0 * h * curvature + 1e-12
-    nrm = float(np.linalg.norm(diff, 2))
-    if nrm > family.lip_M0 + tol_fd:
-        raise ConditionCheckError(
-            f"derivative norm {nrm:.6g} exceeds claimed Lipschitz bound "
-            f"{family.lip_M0:.6g} beyond the allowance {tol_fd:.2e}"
-        )
-    return diff
 
 
 @dataclass(frozen=True)

@@ -395,6 +395,7 @@ class StructuredSum(MonotoneRelation):
         v = np.asarray(v, dtype=float)
         return self.tail.graph_distance(x, v - self.matrix @ x)
 
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as _march: failures are typed
     def resolve(self, lam, y):
         from .solver import solve_step  # solver imports this module
 
@@ -560,6 +561,7 @@ class _LipschitzPerturbedSum(MonotoneRelation):
         )
         self.single_valued = False
 
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as _march: failures are typed
     def resolve(self, lam, y):
         y = np.asarray(y, dtype=float)
         if y.ndim != 1:  # each row iterates to its own tolerance, with its own lam

@@ -5,7 +5,6 @@ from evinc.calculus import (
     adjoint_defect,
     derivative,
     difference_quotient,
-    graph_norm,
     integrate,
     integrate_operator_norm,
     translate,
@@ -174,10 +173,3 @@ class TestAdjointDefect:
         d1 = adjoint_defect(TimeGrid(0.0, 1e-3, 1500), 1.0)
         d2 = adjoint_defect(TimeGrid(0.0, 5e-4, 3000), 1.0)
         assert d2 / d1 <= 0.6
-
-
-def test_graph_norm_dominates_parts():
-    rng = np.random.default_rng(4)
-    u = signal(rng.standard_normal(30), dt=0.1, rho=1.0)
-    assert graph_norm(u) >= weighted_norm(u)
-    assert graph_norm(u) >= weighted_norm(derivative(u))

@@ -279,6 +279,7 @@ class TestOutputDirectory:
         ("gallery", "thermoplastic.ini", "solver.mode=direct", 1),
         ("check-conditions", "thermoplastic.ini", "solver.fp_max_iter=3", 1),
         ("campaign", "campaign_degenerate.ini", "campaign.trials=0", 1),
+        ("campaign", "campaign_degenerate.ini", "solver.fp_tol=0", 1),
         ("solve", "thermoplastic.ini", "solver.fp_max_iter=1", 3),
     ])
     def test_a_run_that_writes_nothing_leaves_no_directory(self, tmp_path, capsys, command,

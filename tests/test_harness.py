@@ -8,7 +8,6 @@ from evinc.catalog import CatalogProblem, make_catalog_problem
 from evinc.errors import ContractViolation, ResolventFailure, StepFailure
 from evinc.harness import (
     PropertyCampaign,
-    fixed_point_iterates,
     monotonicity_margin,
     oracle_trajectory,
     random_forcing,
@@ -65,6 +64,15 @@ class TestCampaign:
             PropertyCampaign(template=tpl, trials=1, seed=-1)
         with pytest.raises(ContractViolation, match="non-negative"):
             replay_check(tpl, "lipschitz", -1)
+
+    @pytest.mark.parametrize("fp_tol", [0.0, -1.0, float("nan")])
+    def test_bad_fp_tol_rejected(self, fp_tol):
+        # it once ran, every row failing with margin -inf on the solver's ContractViolation
+        tpl = make_catalog_problem("scalar_ode", n=50)
+        with pytest.raises(ContractViolation, match="fp_tol must be finite and positive"):
+            PropertyCampaign(template=tpl, trials=1, seed=1, fp_tol=fp_tol)
+        with pytest.raises(ContractViolation, match="fp_tol must be finite and positive"):
+            replay_check(tpl, "lipschitz", 1, fp_tol=fp_tol)
 
     def test_unknown_check_rejected(self):
         tpl = make_catalog_problem("scalar_ode", n=50)
@@ -428,41 +436,6 @@ class TestMonotonicityMargin:
             rows = (mats @ vals[:, :, None])[:, :, 0]
             for k in range(37):
                 assert np.array_equal(rows[k], mats[k % len(mats)] @ vals[k])
-
-
-class TestFixedPointIterates:
-    def test_immediate_fixed_point(self):
-        out = fixed_point_iterates(lambda v: v, lambda v: 0.0 * v,
-                                   np.array([2.0]), 3, 1.0, 0.0)
-        assert all(np.array_equal(y, [2.0]) for y in out[1:])
-
-    def test_scalar_contraction_limit(self):
-        out = fixed_point_iterates(lambda v: 0.5 * v, lambda v: 0.5 * v,
-                                   np.array([1.0]), 80, 0.5, 0.5)
-        assert out[-1][0] == pytest.approx(0.4, abs=1e-12)
-
-    def test_tail_bound_holds(self):
-        lip_f = lip_g = 0.5
-        out = fixed_point_iterates(lambda v: 0.5 * v, lambda v: 0.5 * v,
-                                   np.array([1.0]), 30, lip_f, lip_g)
-        q = lip_f * lip_g
-        first_gap = np.linalg.norm(out[1] - out[0])
-        limit = out[-1]
-        for n in range(1, 25):
-            bound = q**n * first_gap / (1 - q)
-            assert np.linalg.norm(out[n] - limit) <= bound + 1e-12
-
-    def test_two_starts_same_limit(self):
-        a = fixed_point_iterates(lambda v: 0.5 * v, lambda v: 0.5 * v,
-                                 np.array([1.0]), 120, 0.5, 0.5)
-        b = fixed_point_iterates(lambda v: 0.5 * v, lambda v: 0.5 * v,
-                                 np.array([1.0]), 120, 0.5, 0.5,
-                                 y0=np.array([-7.0]))
-        assert np.linalg.norm(a[-1] - b[-1]) <= 1e-12
-
-    def test_contraction_product_enforced(self):
-        with pytest.raises(ContractViolation):
-            fixed_point_iterates(lambda v: v, lambda v: v, np.array([1.0]), 5, 1.0, 1.0)
 
 
 def test_random_forcing_unit_norm():

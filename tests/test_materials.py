@@ -9,7 +9,6 @@ from evinc.materials import (
     constant_family,
     dt_max,
     kernel_decompose,
-    m0_prime,
     rho_zero,
     sinusoidal_family,
     step_operator,
@@ -51,39 +50,6 @@ class TestKernelDecompose:
             kernel_decompose(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
-class TestM0Prime:
-    def test_constant_gives_zero(self):
-        fam = constant_family(np.eye(2), np.zeros((2, 2)))
-        assert np.allclose(m0_prime(fam, 0.3, 1e-5), 0.0)
-
-    def test_sinusoidal_matches_analytic(self):
-        fam = sinusoidal_family(np.eye(2), np.zeros((2, 2)), amplitude=0.5, frequency=1.0)
-        d = m0_prime(fam, 0.0, 1e-4)
-        assert np.linalg.norm(d - 0.5 * np.eye(2), 2) <= 1e-7
-
-    def test_norm_within_claimed_bound(self):
-        fam = sinusoidal_family(np.eye(3), np.zeros((3, 3)), amplitude=0.5, frequency=1.0)
-        for t in np.linspace(0, 6, 13):
-            d = m0_prime(fam, t, 1e-5)
-            assert np.linalg.norm(d, 2) <= fam.lip_M0 + 1e-6
-
-    def test_inconsistent_claim_detected(self):
-        fam = sinusoidal_family(np.eye(2), np.zeros((2, 2)), amplitude=0.5, frequency=1.0)
-        lied = MaterialFamily(
-            dim=2,
-            M0_at=fam.M0_at,
-            M1_at=fam.M1_at,
-            lip_M0=0.01,  # claim far below the true slope
-            sup_M1=0.0,
-            c0=fam.c0,
-            c1=fam.c1,
-            kernel_basis=fam.kernel_basis,
-            range_basis=fam.range_basis,
-        )
-        with pytest.raises(ConditionCheckError):
-            m0_prime(lied, 0.0, 1e-5)
-
-
 class TestCheckConditions:
     def test_identity_passes(self):
         fam = constant_family(np.eye(2), np.zeros((2, 2)))
@@ -91,6 +57,9 @@ class TestCheckConditions:
         assert rep.passed
         assert rep.measured_c0 == pytest.approx(1.0)
         assert fam.kernel_basis.shape[1] == 0  # kernel empty: (d) kernel part vacuous
+        # a moving identity (1 + 0.5 sin t) I: the lip_M0 claim covers its true rate 0.5
+        moving = sinusoidal_family(np.eye(3), np.zeros((3, 3)), amplitude=0.5, frequency=1.0)
+        assert check_conditions(moving, np.linspace(0, 6, 601)).passed
 
     def test_degenerate_passes(self):
         fam = constant_family(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
@@ -261,7 +230,7 @@ class TestStepOperator:
 
 class TestChainRule:
     def test_first_order_in_dt(self):
-        # backward difference of M0(t)u(t) vs M0*Du + M0'*u_{k-1}
+        # backward difference of M0(t)u(t) vs M0*Du + M0'*u_{k-1}, M0'(t) = 0.5 cos(t) base
         base = np.array([[1.0, 0.3], [0.3, 2.0]])
         fam = sinusoidal_family(base, np.zeros((2, 2)), amplitude=0.5, frequency=1.0)
         from evinc.signals import TimeGrid, WeightedSignal, weighted_norm
@@ -278,7 +247,7 @@ class TestChainRule:
             rhs = np.empty_like(u)
             for k, tk in enumerate(t):
                 prev = u[k - 1] if k else np.zeros(2)
-                rhs[k] = fam.M0_at(tk) @ du[k] + m0_prime(fam, tk, 1e-6) @ prev
+                rhs[k] = fam.M0_at(tk) @ du[k] + (0.5 * np.cos(tk) * base) @ prev
             sig = WeightedSignal(grid, lhs - rhs, 1.0)
             errs.append(weighted_norm(sig))
         order = np.log2(errs[0] / errs[1])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evinc.errors import ContractViolation
+from evinc.errors import ContractViolation, ResolventFailure
 from evinc.relations import (
     FLOAT_ENTRIES,
     BallSaturation,
@@ -303,6 +303,16 @@ class TestSumWithLipschitz:
             lo, hi = best - 2 * span, best + 2 * span
         assert abs(x - best) <= 1e-8
         assert x == pytest.approx(5.0 / 3.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("relation", [
+    StructuredSum([[1.0, 2.0], [-2.0, 1.0]], BallSaturation(2, 0.7)),
+    sum_with_lipschitz(NormSubdifferential(2), lambda u: 0.5 * u, 0.5),
+], ids=["structured_sum", "lipschitz_sum"])
+def test_overflowing_resolve_is_a_typed_failure(relation):
+    # a finite y whose squares overflow once raised numpy's RuntimeWarning from its norm
+    with pytest.raises(ResolventFailure, match="nonfinite"):
+        relation.resolve(1.0, np.full(2, 1.5e308))
 
 
 class TestStructuredAndEmbedded:
