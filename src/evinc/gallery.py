@@ -15,11 +15,13 @@ thermoplastic slab (v, T, theta, q), viscoplastic slab (v, w, T).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
 from .errors import ConditionCheckError, ContractViolation
-from .materials import Coefficient, ConditionsReport, MaterialFamily, measure_constants
+from .materials import (Coefficient, ConditionsReport, MaterialFamily, check_conditions,
+                        measure_constants)
 from .relations import (
     RELATION_KINDS,
     DeviatoricSaturation,
@@ -117,16 +119,19 @@ class GalleryModel:
         return "\n".join(lines)
 
 
-def _slab_model(name, g, ops, fields, m0_blocks, m1_blocks, kernel, coefficients,
-                time_window, skew, tail, meta, c1_bound=np.inf, sup_M1_bound=0.0):
+def _slab_model(name, g, ops, fields, m0_blocks, m1_blocks, kernel, coefficients, lip_M0,
+                skew, tail, meta):
     """Scaffold shared by the slab models; each builder supplies only its physics.
 
-    ``fields`` is [(slot, size)] in state order, ``m0_blocks(t)`` and
-    ``m1_blocks(t)`` map (row slot, column slot) to nonzero blocks, ``kernel``
-    names the slot spanning ker M0 (None: empty), ``skew`` is [(a, b, K_ab)]
-    and ``tail`` is (slot, per-node relation). Claims come from one
-    measurement (one sample when every coefficient is constant), tightened by
-    the analytic bounds; the condition gate compares them with that measurement.
+    ``fields`` is [(slot, size)] in state order, ``m0_blocks(*values)`` and
+    ``m1_blocks(*values)`` map (row slot, column slot) to nonzero blocks at
+    values of ``coefficients``, ``kernel`` names the slot spanning ker M0
+    (None: empty), ``lip_M0`` bounds |dM0/dt|, ``skew`` is [(a, b, K_ab)] and
+    ``tail`` is (slot, per-node relation). Each block is linear in one
+    coefficient or its reciprocal, so least eigenvalues are least and 2-norms
+    greatest at a corner of the coefficients' ranges: c0, c1 and sup_M1 are
+    claimed from one measurement at the corners (one if no coefficient moves).
+    A moving model's claims are then checked on time samples.
     """
     slots, end = {}, 0
     for key, size in fields:
@@ -134,26 +139,21 @@ def _slab_model(name, g, ops, fields, m0_blocks, m1_blocks, kernel, coefficients
         end += size
     dim = end
 
-    def fill(blocks):
+    def fill(blocks, values):
         out = np.zeros((dim, dim))
-        for (a, b), block in blocks.items():
+        for (a, b), block in blocks(*values).items():
             out[slice(*slots[a]), slice(*slots[b])] = block
         return out
-
-    def m0_at(t):
-        return fill(m0_blocks(t))
-
-    def m1_at(t):
-        return fill(m1_blocks(t))
 
     eye = np.eye(dim)
     lo, hi = slots[kernel] if kernel else (dim, dim)
     kb = eye[:, lo:hi].copy()
     rb = np.delete(eye, np.s_[lo:hi], axis=1)
-    constant = all(co.constant for co in coefficients)
-    measured = measure_constants(
-        m0_at, m1_at, kb, rb, np.linspace(*time_window, 1 if constant else 129)
-    )
+    corners = list(product(*(dict.fromkeys((co.lower, co.upper)) for co in coefficients)))
+    # chord quotients across corners mean nothing: lip_M0 is the builder's bound
+    measured = measure_constants(lambda i: fill(m0_blocks, corners[int(i)]),
+                                 lambda i: fill(m1_blocks, corners[int(i)]), kb, rb,
+                                 range(len(corners)))
     if not measured.c0 > 0:
         raise ConditionCheckError(
             f"{name} assembly rejected: the selfadjoint block is not positive "
@@ -161,18 +161,19 @@ def _slab_model(name, g, ops, fields, m0_blocks, m1_blocks, kernel, coefficients
         )
     family = MaterialFamily(
         dim=dim,
-        M0_at=m0_at,
-        M1_at=m1_at,
-        lip_M0=measured.lip_M0 * (1.0 + 1e-3) + 1e-12,
-        sup_M1=max(measured.sup_M1, sup_M1_bound),
+        M0_at=lambda t: fill(m0_blocks, [co(t) for co in coefficients]),
+        M1_at=lambda t: fill(m1_blocks, [co(t) for co in coefficients]),
+        lip_M0=lip_M0 + 1e-12,
+        sup_M1=measured.sup_M1,
         c0=measured.c0 * (1.0 - 1e-9),
         # an empty kernel makes the condition vacuous
-        c1=min(measured.c1, c1_bound) * (1.0 - 1e-9) if kb.shape[1] else 1.0,
+        c1=measured.c1 * (1.0 - 1e-9) if kb.shape[1] else 1.0,
         kernel_basis=kb,
         range_basis=rb,
-        constant=constant,
+        constant=len(corners) == 1,
     )
-    report = ConditionsReport.compare(family, measured)
+    report = (ConditionsReport.compare(family, measured) if family.constant
+              else check_conditions(family, np.linspace(0.0, 10.0, 129)))
     if not report.passed:
         raise ConditionCheckError(
             f"{name} assembly rejected; failing conditions: {report.failing()}"
@@ -199,7 +200,6 @@ def build_thermoplasticity(
     c: float = 1.0,
     tau0: float = 1.0,
     s0: float = 1.0,
-    time_window=(0.0, 10.0),
 ) -> GalleryModel:
     """Coupled heat/momentum system with a saturating trace-free flow relation.
 
@@ -216,31 +216,28 @@ def build_thermoplasticity(
     nv, nT, nth, nq = 3 * m, 6 * m, m, m
     trace_star = ops.trace_op.T
 
-    def m0_blocks(t: float) -> dict:
-        cinv = 1.0 / C(t)
+    def m0_blocks(M, C, w, kappa) -> dict:
+        cinv = 1.0 / C
         coupling = c * cinv * trace_star
         return {
-            ("v", "v"): M(t) * np.eye(nv),
+            ("v", "v"): M * np.eye(nv),
             ("T", "T"): cinv * np.eye(nT),
             ("T", "theta"): coupling,
             ("theta", "T"): coupling.T,
-            ("theta", "theta"): (c * w(t) / tau0 + 3.0 * c * c * cinv) * np.eye(nth),
+            ("theta", "theta"): (c * w / tau0 + 3.0 * c * c * cinv) * np.eye(nth),
         }
-
-    def m1_blocks(t: float) -> dict:
-        return {("q", "q"): (tau0 / (c * kappa(t))) * np.eye(nq)}
 
     return _slab_model(
         "thermoplasticity", g, ops,
         fields=[("v", nv), ("T", nT), ("theta", nth), ("q", nq)],
-        m0_blocks=m0_blocks, m1_blocks=m1_blocks, kernel="q",
-        coefficients=(M, C, w, kappa), time_window=time_window,
+        m0_blocks=m0_blocks, kernel="q",
+        m1_blocks=lambda M, C, w, kappa: {("q", "q"): (tau0 / (c * kappa)) * np.eye(nq)},
+        coefficients=(M, C, w, kappa),
+        # |dM0/dt| block by block: 1 + 3c^2 is the 2-norm of dM0/d(1/C) on (T, theta)
+        lip_M0=max(M.lip, C.lip / C.lower / C.lower * (1.0 + 3.0 * c * c) + c * w.lip / tau0),
         skew=[("v", "T", ops.Grad_c.T), ("theta", "q", ops.grad_c.T)],  # -Div, -div
         tail=("T", DeviatoricSaturation(radius=s0)),
         meta={"c": c, "tau0": tau0, "s0": s0},
-        # analytic bounds of the heat-conduction term where sampling is loose
-        c1_bound=tau0 / (c * kappa.upper),
-        sup_M1_bound=tau0 / (c * kappa.lower),
     )
 
 
@@ -253,7 +250,6 @@ def build_viscoplasticity(
     coupling: np.ndarray = None,
     relation_kind: str = "soft_threshold",
     relation_param: float = 1.0,
-    time_window=(0.0, 10.0),
 ) -> GalleryModel:
     """Internal-variable system; the selfadjoint block has an empty kernel.
 
@@ -277,14 +273,14 @@ def build_viscoplasticity(
     BBt = B @ B.T
     B_nodes = np.kron(np.eye(m), B)
 
-    def m0_blocks(t: float) -> dict:
-        linv = 1.0 / L(t)
+    def m0_blocks(M, D, L) -> dict:
+        linv = 1.0 / L
         return {
-            ("v", "v"): M(t) * np.eye(nv),
+            ("v", "v"): M * np.eye(nv),
             ("w", "w"): linv * np.eye(nw),
             ("w", "T"): -linv * B_nodes.T,
             ("T", "w"): -linv * B_nodes,
-            ("T", "T"): (1.0 / D(t)) * np.eye(nT) + linv * np.kron(np.eye(m), BBt),
+            ("T", "T"): (1.0 / D) * np.eye(nT) + linv * np.kron(np.eye(m), BBt),
         }
 
     if relation_kind not in VISCOPLASTIC_RELATIONS:
@@ -294,8 +290,11 @@ def build_viscoplasticity(
     return _slab_model(
         "viscoplasticity", g, ops,
         fields=[("v", nv), ("w", nw), ("T", nT)],
-        m0_blocks=m0_blocks, m1_blocks=lambda t: {}, kernel=None,
-        coefficients=(M, D, L), time_window=time_window,
+        m0_blocks=m0_blocks, m1_blocks=lambda *values: {}, kernel=None,
+        coefficients=(M, D, L),
+        # |dM0/dt| block by block: 1 + |B B^T| is the 2-norm of dM0/d(1/L) on (w, T)
+        lip_M0=max(M.lip, L.lip / L.lower / L.lower * (1.0 + np.linalg.norm(BBt, 2))
+                   + D.lip / D.lower / D.lower),
         skew=[("v", "T", ops.Grad_c.T)],  # -Div
         tail=("w", base),
         meta={"N": N, "relation": relation_kind},

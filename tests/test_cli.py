@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +144,15 @@ class TestCheckConditions:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("condition check failed: ") and "not symmetric" in line
         assert not (out / "report.txt").exists()
+
+    def test_moving_thermoplastic_claims_hold(self, tmp_path):
+        # M and kappa move; their rates are claimed from the coefficients' bounds
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "thermoplastic.ini"
+        out = tmp_path / "out"
+        moving = ["--set", "thermoplasticity.M=1.0,0.3,2.0",
+                  "--set", "thermoplasticity.kappa=1.0,0.4,0.5"]
+        assert main(["check-conditions", "--config", str(cfg), "--out", str(out), *moving]) == 0
+        assert "lipschitz_ok = pass" in (out / "report.txt").read_text()
 
 
 class TestCampaign:

@@ -28,9 +28,12 @@ RUNS = {
     "viscoplastic.ini": [
         ("solve", ()), ("check-conditions", ()), _MARGIN_CAMPAIGN, ("gallery", ()),
     ],
+    # last, so that the parameter ids of the cases above keep their indices
+    "thermoplastic_moving.ini": [("solve", ()), ("check-conditions", ()), ("gallery", ())],
 }
 
 # sha256 of every output file, recorded before the schema refactor
+# (thermoplastic_moving.ini's when it was added)
 PINS = {
     ("campaign_degenerate.ini", "solve", ()): {
         "report.txt": "63947b84a9b35c3d7414e91f9c0e1d8b58528f370b7218afb3114958917f1b6b",
@@ -82,6 +85,16 @@ PINS = {
     },
     ("thermoplastic.ini", "gallery", ()): {
         "report.txt": "f683b3d58d2d1a98fa30f0c632c75e00b2ba3833b695f6cde0811392b63d0f88",
+    },
+    ("thermoplastic_moving.ini", "solve", ()): {
+        "report.txt": "084ca2e8b5be3fc9764dedc572e4d2f63cd003b263d7c6a592e7f6d267765913",
+        "solution.csv": "cb97e2eb78677df34048e60a2e6145321e31ed812b642adc2a1122013d2b339a",
+    },
+    ("thermoplastic_moving.ini", "check-conditions", ()): {
+        "report.txt": "d9f83091afb0a3244ac9892eb8eff38708fdb647f343baa59e56dfc20ee9fa88",
+    },
+    ("thermoplastic_moving.ini", "gallery", ()): {
+        "report.txt": "8fd69768df85a65f87c3bd73291d5ac46fa61b3503c85940a54d0366bfcde861",
     },
     ("viscoplastic.ini", "solve", ()): {
         "report.txt": "e98bea0c4cedcf43c5f12917867789137e367a6522692951988f706b25c4122f",

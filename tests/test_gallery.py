@@ -10,7 +10,7 @@ from evinc.gallery import (
     build_viscoplasticity,
     raw_viscoplastic_block,
 )
-from evinc.materials import kernel_decompose
+from evinc.materials import check_conditions, kernel_decompose
 from evinc.signals import weighted_norm
 from evinc.solver import solve
 from evinc.tensors import deviatoric_basis
@@ -80,10 +80,30 @@ class TestThermoplasticity:
             SlabGrid(m=2, dx=0.5),
             M=Coefficient(1.0, 0.3, 2.0),
             C=Coefficient(1.0, 0.2, 1.0),
-            time_window=(0.0, 2.0),
         )
         assert model.conditions.passed
         assert model.family.lip_M0 > 0
+
+
+def _drawn_coefficient(rng):
+    """Base in [0.5, 2]; one in four constant, the others |amplitude| <= 0.6, frequency in [0.2, 5]."""
+    base = rng.uniform(0.5, 2.0)
+    if rng.random() < 0.25:
+        return Coefficient(base)
+    return Coefficient(base, rng.uniform(-0.6, 0.6), rng.uniform(0.2, 5.0))
+
+
+@pytest.mark.parametrize("build, names", [
+    (build_thermoplasticity, ("M", "C", "w", "kappa")),
+    (build_viscoplasticity, ("M", "D", "L")),
+], ids=["thermoplastic", "viscoplastic"])
+def test_claims_hold_on_moving_coefficients(build, names):
+    # the claims are read off the coefficients' bounds, so dense samples must not falsify
+    # them; one draw per builder, as 2001 samples take about 0.4 s
+    rng = np.random.default_rng(2028)
+    coefficients = {name: _drawn_coefficient(rng) for name in names}
+    report = check_conditions(build(SlabGrid(), **coefficients).family, np.linspace(0, 10, 2001))
+    assert report.passed, (coefficients, report.failing())
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
