@@ -13,15 +13,20 @@ map iterated here is, so an accepted residual above ten times the first one,
 Mixing starts once two residuals exist, so a solve that stops after one or
 two evaluations takes exactly the plain steps. Deterministic throughout.
 
-The one-member step pays numpy's dispatch more than arithmetic, so it keeps
-the dispatch small and the bits those of the plain formula. The history
-lives in one ``(MEMORY, dim)`` pair of arrays, allocated when the kernel
-first mixes and shifted up in place once full, so its k latest differences
-are a C-contiguous ``(k, dim)`` block: the layout ``np.array`` of a list
-gives, which takes the same BLAS calls. The Gram system goes straight to
-``_umath_linalg.solve1``, the LAPACK gufunc that ``np.linalg.solve`` calls,
-and the ridge's trace is the diagonal's sum as a list, in the order
-``trace()`` sums it; the tests pin both against the wrapped forms.
+Both kernels keep their history in one layout: a pair of arrays with
+``2 * MEMORY`` entries of ``dim`` (per row of the stack in
+``fixed_point_stack``), allocated when the kernel first mixes. Each mixing
+step writes its new differences at one entry ``pos``, so the k latest
+differences are entries ``pos + 1 - k .. pos``, a C-contiguous ``(k, dim)``
+block: the layout ``np.array`` of a list gives, which takes the same BLAS
+calls. Only once the entries are used up do the latest ``MEMORY - 1`` move
+to the start, one copy every ``MEMORY + 1`` mixing steps. The one-member
+step pays numpy's dispatch more than arithmetic, so it keeps the dispatch
+small and the bits those of the plain formula: the Gram system goes
+straight to ``_umath_linalg.solve1``, the LAPACK gufunc that
+``np.linalg.solve`` calls, and the ridge's trace is the list sum of the
+strided diagonal view it writes, in the order ``trace()`` sums it; the
+tests pin both against the wrapped forms.
 
 ``fixed_point_stack(G, X0, tol, max_iter)`` runs the same iteration on each
 row of ``X0`` at once, with a map of the same signature ``G(X) -> (GX, OUT)``
@@ -77,19 +82,20 @@ RIDGE = 1e-12  # Tikhonov term of the mixing's normal equations, relative to the
 def _mix(gx, r, dG, dR):
     """Type-II Anderson point G(x) - dG g, g = argmin |r - dR g| by normal equations.
 
-    dG and dR hold the k latest differences of successive map values and
-    residuals, as ``(k, dim)`` arrays or as lists of k vectors.
+    dG and dR are ``(k, dim)`` arrays of the k latest differences of
+    successive map values and residuals.
     """
-    dR = np.asarray(dR)
     gram = dR @ dR.T
-    # the diagonal's sum in the order of gram.trace(), without its dispatch
-    gram.ravel()[:: len(dR) + 1] += RIDGE * sum(gram.diagonal().tolist()) + 1e-300
+    # a strided view of the fresh Gram matrix's diagonal; its list sum is
+    # gram.trace() in trace()'s order, without its dispatch
+    diag = gram.ravel()[:: len(dR) + 1]
+    diag += RIDGE * sum(diag.tolist()) + 1e-300
     # the LAPACK gufunc behind np.linalg.solve, without the wrapper's checks:
     # the diagonal above is positive and the kernel exits on any non-finite
     # residual before mixing, so no pivot is zero; coefficients that still
     # came out NaN would give a non-finite next residual, the NONFINITE exit
     g = _solve1(gram, dR @ r)
-    return gx - g @ np.asarray(dG)
+    return gx - g @ dG
 
 
 def _mix_stack(gx, r, dg, dr):
@@ -129,8 +135,10 @@ def fixed_point(G, x0, tol, max_iter):
     first = res
     best, best_it = res, it
     prev = None  # (G(x), r) before the last accepted step, once two residuals exist
-    # the history: its k latest differences are rows :k of dG and dR, oldest first
+    # the history: its k latest differences are entries pos + 1 - k .. pos
+    # of dG and dR, oldest first
     dG = dR = None
+    pos = -1
     k = 0
     while res > tol:
         if it >= max_iter:
@@ -138,16 +146,20 @@ def fixed_point(G, x0, tol, max_iter):
         mixed = prev is not None
         if mixed:
             if dG is None:
-                dG = np.empty((MEMORY,) + gx.shape)
+                dG = np.empty((2 * MEMORY,) + gx.shape)
                 dR = np.empty_like(dG)
-            if k == MEMORY:
-                dG[:-1] = dG[1:]
-                dR[:-1] = dR[1:]
-            else:
+            pos += 1
+            if pos == 2 * MEMORY:
+                # the buffer is used up: its latest entries move to its start
+                dG[: MEMORY - 1] = dG[MEMORY + 1 :]
+                dR[: MEMORY - 1] = dR[MEMORY + 1 :]
+                pos = MEMORY - 1
+            if k < MEMORY:
                 k += 1
-            np.subtract(gx, prev[0], out=dG[k - 1])
-            np.subtract(r, prev[1], out=dR[k - 1])
-            x_new = _mix(gx, r, dG[:k], dR[:k])
+            np.subtract(gx, prev[0], out=dG[pos])
+            np.subtract(r, prev[1], out=dR[pos])
+            window = slice(pos + 1 - k, pos + 1)
+            x_new = _mix(gx, r, dG[window], dR[window])
         else:
             x_new = gx
         g_new, out_new = G(x_new)
@@ -184,12 +196,19 @@ def fixed_point_stack(G, X0, tol, max_iter):
     row exits at one evaluation, ``out`` is that evaluation's ``OUT``, as
     ``fixed_point`` returns its map's output.
 
+    An evaluation whose residuals sum to at most ``tol`` ends the call
+    without the per-row pass: every live row converges there, with that
+    evaluation's output and residual. The pass would record the same: a
+    live row's accepted and least residuals are above ``tol``, so the
+    safeguard keeps its step, which neither diverges nor stalls. The
+    residuals are not negative, so the sum is at most ``tol`` only if each
+    is; a NaN or inf residual, or an exited row replayed off its fixed
+    point, fails the sum and leaves the evaluation to the pass.
+
     Every row's history lives in one ``(rows, 2 * MEMORY, dim)`` pair of
-    arrays, allocated when the kernel first mixes: each mixing iteration
-    writes the new differences of all rows at one entry ``pos``, so a
-    row's k latest differences are entries ``pos + 1 - k .. pos``, a
-    C-contiguous ``(k, dim)`` block as in ``fixed_point``, and only once the
-    entries are used up do the latest ones move to the start. Each mixing
+    arrays in ``fixed_point``'s layout: each mixing iteration writes the
+    new differences of all rows at one entry ``pos``, so a row's k latest
+    differences are entries ``pos + 1 - k .. pos``. Each mixing
     iteration mixes the whole stack on basic slices once per history length
     present; a row takes the mix of its own length, and a row refused by
     the safeguard (or not mixing yet) its plain step. Once an exited row's
@@ -282,6 +301,13 @@ def fixed_point_stack(G, X0, tol, max_iter):
         r_new = g_new - x
         res_new = np.sqrt(sq_norms(r_new)).tolist()
         it += 1
+        if sum(res_new) <= tol:
+            # every live row converges here, as the pass below would find
+            if exited is None:
+                return o_new, [it] * size, res_new, [CONVERGED] * size
+            for j in live:
+                out[j], its[j], resids[j], reasons[j] = o_new[j], it, res_new[j], CONVERGED
+            return out, its, resids, reasons
         accepted = []
         exits = {}
         for j in live:

@@ -3,13 +3,21 @@
 A family carries two matrix-valued functions of time: a selfadjoint part with
 a time-independent kernel (the degenerate direction) and a zeroth-order part
 whose symmetric restriction to that kernel is coercive. The constants
-``c0, c1, lip_M0, sup_M1`` are user claims. ``measure_constants`` is the one
-pass that reads structural constants off time samples: the family builders
-here and the slab builders derive their claims from it, and
-``check_conditions`` compares claims against it, so it can only falsify them
-on samples, never certify. Pointwise differentiability off a null set is
-assumed by construction for the shipped builders and not tested. Both the
-sinusoidal family and the slab models vary in time through ``Coefficient``.
+``c0, c1, lip_M0, sup_M1`` are claims, given by the user or read by the
+builders off their coefficients' bounds. ``measure_constants`` is the one
+measurement of structural constants: it reads them off the coefficients at
+the points it is given. ``sinusoidal_family`` calls it once, on its base
+matrices, and scales by its coefficient's range and rate; the slab builders
+(``gallery``) call it at the corners of their coefficients' ranges and take
+``lip_M0`` in closed form. On time samples it serves ``check_conditions``,
+which compares claims against it and so can only falsify them, never
+certify (a moving slab runs it on 129 samples when built), and the Yosida
+path's reference bound, which reads ``sup |M0|`` at 16 times. A difference
+that is exactly zero (the symmetry defect of a symmetric ``M0``, the chord
+of an unchanged one, ``M0 K`` on an exact kernel) has norm 0.0 without an
+SVD. Pointwise differentiability off a null set is assumed by construction
+for the shipped builders and not tested. Both the sinusoidal family and the
+slab models vary in time through ``Coefficient``.
 """
 
 from __future__ import annotations
@@ -160,6 +168,11 @@ class StructuralConstants:
     kernel_defect: float
 
 
+def _norm2(a) -> float:
+    """The spectral norm of ``a``, 0.0 without an SVD where ``a`` is exactly zero."""
+    return float(np.linalg.norm(a, 2)) if a.any() else 0.0
+
+
 def measure_constants(M0_at, M1_at, kernel_basis, range_basis, ts) -> StructuralConstants:
     """Read the structural constants off the coefficients at the times ``ts``.
 
@@ -176,18 +189,18 @@ def measure_constants(M0_at, M1_at, kernel_basis, range_basis, ts) -> Structural
     for t in np.atleast_1d(np.asarray(ts, dtype=float)):
         M0 = np.asarray(M0_at(t), dtype=float)
         M1 = np.asarray(M1_at(t), dtype=float)
-        sym_defect = max(sym_defect, float(np.linalg.norm(M0 - M0.T, 2)))
+        sym_defect = max(sym_defect, _norm2(M0 - M0.T))
         sup0 = max(sup0, float(np.linalg.norm(M0, 2)))
         sup1 = max(sup1, float(np.linalg.norm(M1, 2)))
         if rb.shape[1]:
             on_range = rb.T @ (0.5 * (M0 + M0.T)) @ rb
             c0 = min(c0, float(np.min(np.linalg.eigvalsh(on_range))))
         if kb.shape[1]:
-            kernel_defect = max(kernel_defect, float(np.linalg.norm(M0 @ kb, 2)))
+            kernel_defect = max(kernel_defect, _norm2(M0 @ kb))
             on_kernel = kb.T @ (0.5 * (M1 + M1.T)) @ kb
             c1 = min(c1, float(np.min(np.linalg.eigvalsh(on_kernel))))
         if prev is not None and t != prev[0]:
-            lip = max(lip, float(np.linalg.norm(M0 - prev[1], 2) / abs(t - prev[0])))
+            lip = max(lip, float(_norm2(M0 - prev[1]) / abs(t - prev[0])))
         prev = (t, M0)
     return StructuralConstants(
         c0=c0, c1=c1, sup_M0=sup0, sup_M1=sup1, lip_M0=lip,

@@ -117,11 +117,12 @@ def cutoff(u: WeightedSignal, a: float, side: str) -> WeightedSignal:
 def write_signal_csv(u: WeightedSignal, path) -> None:
     """Serialize as CSV: header t,x0,...,x{dim-1}, 17 significant digits."""
     header = "t," + ",".join(f"x{i}" for i in range(u.dim))
+    # one format per row, on Python floats, which format as numpy's do
+    line = ",".join(["{:.17g}"] * (u.dim + 1)) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for t_k, row in zip(u.grid.times, u.values):
-            fields = [f"{t_k:.17g}"] + [f"{x:.17g}" for x in row]
-            fh.write(",".join(fields) + "\n")
+        fh.writelines(line.format(t_k, *row)
+                      for t_k, row in zip(u.grid.times.tolist(), u.values.tolist()))
 
 
 def read_signal_csv(path, rho: float) -> WeightedSignal:

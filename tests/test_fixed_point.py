@@ -234,7 +234,7 @@ def test_stacked_solve_and_anderson_step_are_per_vector_bits(dim, size):
         mixed = _mix_stack(gx, r, dg, dr)
         for i in range(size):
             assert stacked[i].tobytes() == np.linalg.solve(gram[i], rhs[i]).tobytes()
-            assert mixed[i].tobytes() == _mix(gx[i], r[i], list(dg[i]), list(dr[i])).tobytes()
+            assert mixed[i].tobytes() == _mix(gx[i], r[i], dg[i], dr[i]).tobytes()
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -368,6 +368,79 @@ def test_stacked_map_gets_the_whole_stack_and_exited_rows_at_their_start():
         alone = fixed_point(_tagged_rows(rates[j], shifts[j], []), x0, 1e-12, 40)
         assert out[j].tobytes() == alone[0].tobytes() and out[j, 0] <= its[j]
         assert (its[j], res[j], reasons[j]) == alone[1:]
+
+
+@pytest.mark.parametrize("start, its", [
+    ([0.5, 0.5], [1, 3, 3, 1]),  # only rows started at their fixed point exited before
+    ([2.0, 2.0], [1, 3, 3, 2]),  # and a row that exited later, replayed off its fixed point
+])
+def test_stacked_rows_converging_together_after_others_exited_are_their_solo_runs(start, its):
+    # rows at rate 0 exit at their first evaluation (started at their fixed
+    # point) or their second; the rows at rates 0.5 and 0.3 then reach tol at
+    # one evaluation, the third; each row gets what fixed_point gives it alone
+    rates = np.array([0.0, 0.5, 0.3, 0.0])[:, None]
+    shifts = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]])
+    X0 = np.array([[1.0, 2.0], [3.0, 0.5], [0.0, 0.0], start])
+    out, got_its, res, reasons = fixed_point_stack(_tagged_rows(rates, shifts, []), X0, 1e-12, 40)
+    assert got_its == its and set(reasons) == {CONVERGED}
+    for j, x0 in enumerate(X0):
+        alone = fixed_point(_tagged_rows(rates[j], shifts[j], []), x0, 1e-12, 40)
+        assert out[j].tobytes() == alone[0].tobytes() and out[j, 0] == its[j]
+        assert (got_its[j], res[j], reasons[j]) == alone[1:]
+
+
+def _shift_rows(shifts, nan_at_second):
+    """Map G(X) -> (C, 2 C) of rows x -> c_j; rows flagged give NaN at the second evaluation.
+
+    A stack ``X`` takes every row of ``shifts``, a single row ``x`` the one
+    row given; the NaN is put in, never computed, so the map raises no warning.
+    """
+    calls = []
+
+    def G(X):
+        calls.append(None)
+        Y = np.broadcast_to(shifts, X.shape).copy()
+        if len(calls) == 2:
+            Y[nan_at_second] = np.nan
+        return Y, 2.0 * Y
+
+    return G
+
+
+def test_row_turning_nan_as_the_others_reach_tol_exits_nonfinite():
+    # every row maps to its shift, so all reach tol at the second evaluation,
+    # where one row turns NaN instead: that row exits NONFINITE, the others
+    # CONVERGED, each as fixed_point gives it alone
+    shifts = np.array([[1.0, 2.0], [0.0, 1.0], [-3.0, 1.0]])
+    nan_at_second = np.array([False, True, False])
+    X0 = np.zeros((3, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, its, res, reasons = fixed_point_stack(_shift_rows(shifts, nan_at_second), X0,
+                                                   1e-12, 40)
+        assert its == [2, 2, 2] and reasons == [CONVERGED, NONFINITE, CONVERGED]
+        assert np.isnan(res[1]) and np.isnan(out[1]).all()
+        for j, x0 in enumerate(X0):
+            alone = fixed_point(_shift_rows(shifts[j], nan_at_second[j]), x0, 1e-12, 40)
+            assert out[j].tobytes() == alone[0].tobytes()
+            assert its[j] == alone[1] and reasons[j] == alone[3]
+            assert res[j] == alone[2] or np.isnan(res[j]) and np.isnan(alone[2])
+
+
+def test_stack_converging_at_its_second_evaluation_returns_that_output():
+    # every row maps to its shift and reaches tol at the second evaluation:
+    # the kernel returns that evaluation's OUT itself, as fixed_point returns
+    # its map's output
+    shifts = np.array([[1.0, 2.0], [0.0, 1.0], [-3.0, 1.0]])
+    outs = []
+
+    def G(X):
+        outs.append(np.broadcast_to(-shifts, X.shape).copy())
+        return np.broadcast_to(shifts, X.shape).copy(), outs[-1]
+
+    out, its, res, reasons = fixed_point_stack(G, np.zeros((3, 2)), 1e-12, 40)
+    assert len(outs) == 2 and out is outs[1]
+    assert its == [2, 2, 2] and res == [0.0, 0.0, 0.0] and reasons == [CONVERGED] * 3
 
 
 def test_empty_stack_returns_at_once():
@@ -533,8 +606,8 @@ def test_stacked_kernel_mixes_the_whole_stack_per_history_length(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the lean one-member step: the LAPACK gufunc behind np.linalg.solve, the
-# diagonal's sum as a list, and the history in preallocated rows give the
-# bits of the wrapped, stacked step
+# list sum of the strided diagonal, and windows of the preallocated history
+# give the bits of the wrapped, stacked step
 
 NUMPY = f"numpy {np.__version__}"
 
@@ -550,21 +623,29 @@ def _mix_wrapped(gx, r, dgs, drs):
 @pytest.mark.parametrize("dim", DIMS)
 def test_lean_step_is_the_wrapped_step_bits(dim):
     rng = np.random.default_rng([dim, 2])
-    # the history rows as the kernel keeps them: shifted up in place once full
-    dG, dR = np.empty((2, MEMORY, dim))
+    # the history as the kernel keeps it: written at pos, the latest entries
+    # moved to the start once the buffer is used up, here twice
+    dG, dR = np.empty((2, 2 * MEMORY, dim))
     dgs, drs = [], []
-    for step in range(2 * MEMORY):
+    pos = -1
+    moves = 0
+    for step in range(3 * MEMORY + 3):
         k = min(step + 1, MEMORY)
+        pos += 1
+        if pos == 2 * MEMORY:
+            dG[: MEMORY - 1] = dG[MEMORY + 1 :]
+            dR[: MEMORY - 1] = dR[MEMORY + 1 :]
+            pos = MEMORY - 1
+            moves += 1
         if step >= MEMORY:
-            dG[:-1] = dG[1:]
-            dR[:-1] = dR[1:]
             del dgs[0], drs[0]
         dg, dr = rng.standard_normal((2, dim))
-        dG[k - 1], dR[k - 1] = dg, dr
+        dG[pos], dR[pos] = dg, dr
         dgs.append(dg)
         drs.append(dr)
+        window = slice(pos + 1 - k, pos + 1)
         gx, r = rng.standard_normal((2, dim))
-        gram = dR[:k] @ dR[:k].T + k * np.eye(k)
+        gram = dR[window] @ dR[window].T + k * np.eye(k)
         rhs = rng.standard_normal(k)
         assert _solve1(gram, rhs).tobytes() == np.linalg.solve(gram, rhs).tobytes(), (
             f"solve1 left the bits of np.linalg.solve at k={k} under {NUMPY}"
@@ -575,16 +656,17 @@ def test_lean_step_is_the_wrapped_step_bits(dim):
             f"the stacked solve left the bits of np.linalg.solve at k={k} under {NUMPY}"
         )
         for g in (gram, *grams):
-            assert sum(g.diagonal().tolist()) == g.trace(), (
-                f"the diagonal's list sum left the bits of trace() at k={k} under {NUMPY}"
+            assert sum(g.ravel()[:: k + 1].tolist()) == g.trace(), (
+                f"the strided diagonal's list sum left the bits of trace() at k={k} under {NUMPY}"
             )
-        lean = _mix(gx, r, dG[:k], dR[:k])
-        assert lean.tobytes() == _mix(gx, r, dgs, drs).tobytes(), (
-            f"_mix on buffer rows left its bits on lists at k={k} under {NUMPY}"
+        lean = _mix(gx, r, dG[window], dR[window])
+        assert lean.tobytes() == _mix(gx, r, np.array(dgs), np.array(drs)).tobytes(), (
+            f"_mix on a buffer window left its bits on fresh arrays at k={k} under {NUMPY}"
         )
         assert lean.tobytes() == _mix_wrapped(gx, r, dgs, drs).tobytes(), (
             f"_mix left the bits of the wrapped step at k={k} under {NUMPY}"
         )
+    assert moves == 2
 
 
 def _degenerate(kind, k, v):

@@ -99,11 +99,15 @@ def test_time_dependent_family_claims(name):
 
 if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_pinned_constants.py prints each pinned constant, its pin
-    # and its value now, marking the pins that moved: the tool of a deliberate re-record
+    # and its value now, marking the pins that moved: the tool of a deliberate re-record.
+    # It exits 1 when any pin moved, so a change that must keep its bits checks by exit code.
     pins = [(CATALOG, _catalog_now), ({k: pin for k, (_, pin) in FAMILIES.items()}, _family_now)]
+    any_moved = False
     for cases, now in pins:
         for name, pinned in cases.items():
             for key, pin, value in zip(FAMILY_KEYS + ("c_tilde", "rho"), pinned, now(name)):
                 moved = float(value).hex() != float.fromhex(pin).hex()
+                any_moved |= moved
                 print(f"{name:18} {key:7} pin {pin:22} now {float(value).hex()}"
                       f"{'  MOVED' if moved else ''}")
+    raise SystemExit(1 if any_moved else 0)

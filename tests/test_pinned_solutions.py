@@ -192,9 +192,13 @@ def test_refined_slab_digest(m, n, mode, expected):
 
 if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_pinned_solutions.py prints each case, its pin and the
-    # digest it computes now, marking the pins that moved: the tool of a deliberate re-record
+    # digest it computes now, marking the pins that moved: the tool of a deliberate re-record.
+    # It exits 1 when any pin moved, so a change that must keep its bits checks by exit code.
+    any_moved = False
     for cases, digest in ((PINNED, _pinned_digest), (MOVING_PINNED, _moving_digest),
                           (REFINED_PINNED, _refined_digest)):
         for name, n, mode, expected in cases:
             now = digest(name, n, mode)
+            any_moved |= now != expected
             print(f"{name:27} {mode:11} pin {expected} now {now}{'' if now == expected else '  MOVED'}")
+    raise SystemExit(1 if any_moved else 0)
