@@ -150,10 +150,8 @@ def _slab_model(name, g, ops, fields, m0_blocks, m1_blocks, kernel, coefficients
     kb = eye[:, lo:hi].copy()
     rb = np.delete(eye, np.s_[lo:hi], axis=1)
     corners = list(product(*(dict.fromkeys((co.lower, co.upper)) for co in coefficients)))
-    # chord quotients across corners mean nothing: lip_M0 is the builder's bound
-    measured = measure_constants(lambda i: fill(m0_blocks, corners[int(i)]),
-                                 lambda i: fill(m1_blocks, corners[int(i)]), kb, rb,
-                                 range(len(corners)))
+    measured = measure_constants(np.stack([fill(m0_blocks, v) for v in corners]),
+                                 np.stack([fill(m1_blocks, v) for v in corners]), kb, rb)
     if not measured.c0 > 0:
         raise ConditionCheckError(
             f"{name} assembly rejected: the selfadjoint block is not positive "
@@ -172,7 +170,7 @@ def _slab_model(name, g, ops, fields, m0_blocks, m1_blocks, kernel, coefficients
         range_basis=rb,
         constant=len(corners) == 1,
     )
-    report = (ConditionsReport.compare(family, measured) if family.constant
+    report = (ConditionsReport.compare(family, measured, 0.0) if family.constant
               else check_conditions(family, np.linspace(0.0, 10.0, 129)))
     if not report.passed:
         raise ConditionCheckError(
@@ -267,8 +265,8 @@ def build_viscoplasticity(
     ops = build_slab_operators(g)
     m = g.m
     B = deviatoric_basis()[:, :N] if coupling is None else np.asarray(coupling, dtype=float)
-    if B.shape != (6, N):
-        raise ContractViolation(f"coupling matrix must be 6 x {N}")
+    if B.shape != (6, N) or not np.isfinite(B).all():
+        raise ContractViolation(f"coupling matrix must be a finite 6 x {N} matrix")
     nv, nw, nT = 3 * m, N * m, 6 * m
     BBt = B @ B.T
     B_nodes = np.kron(np.eye(m), B)

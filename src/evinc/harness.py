@@ -19,6 +19,7 @@ import numpy as np
 
 from .catalog import CatalogProblem
 from .errors import ContractViolation, ResolventFailure, StepFailure, StepSizeError
+from .materials import coefficients
 from .relations import BallSaturation, LinearRelation, NormSubdifferential, ZeroRelation
 from .signals import WeightedSignal, weighted_inner, weighted_norm
 from .solver import (FP_TOL, certificate_gain, certificate_problems, lipschitz_bound, solve,
@@ -174,8 +175,7 @@ def monotonicity_margin(template: CatalogProblem, u: WeightedSignal) -> float:
     vals = u.values
     # a constant family is evaluated once; a stacked matmul row is bitwise M0 @ v_k
     ts = [grid.t0] if fam.constant else [grid.t0 + k * dt for k in range(grid.n)]
-    M0 = np.stack([np.asarray(fam.M0_at(t), dtype=float) for t in ts])
-    M1 = np.stack([np.asarray(fam.M1_at(t), dtype=float) for t in ts])
+    M0, M1 = coefficients(fam, ts)
     m0u = (M0 @ vals[:, :, None])[:, :, 0]
     m1u = (M1 @ vals[:, :, None])[:, :, 0]
     d_m0u = np.diff(m0u, axis=0, prepend=np.zeros((1, vals.shape[1]))) / dt
@@ -344,21 +344,20 @@ def oracle_trajectory(template: CatalogProblem, forcing: WeightedSignal,
         raise ContractViolation(f"{template.name!r} has no oracle: it needs dim <= 2 and a relation "
                                 f"it has branches for, got dim {dim}, {type(relation).__name__}")
     grid, dt, step = forcing.grid, forcing.grid.dt, _oracle_step(relation, dim)
-
-    def matrices(t):
-        M0 = np.asarray(family.M0_at(t), float)
-        return M0.ravel().tolist(), (M0 / dt + np.asarray(family.M1_at(t), float)).ravel().tolist()
-
-    # a constant family is evaluated once, as the march plans it
-    fixed = matrices(grid.t0) if family.constant else None
+    # each node's M0 and S as flat lists; a constant family is evaluated once, as the march
+    # plans it, and its one node's lists serve every node
+    ts, repeat = (([grid.t0], grid.n) if family.constant
+                  else ([grid.t0 + k * dt for k in range(grid.n)], 1))
+    M0, M1 = coefficients(family, ts)
+    m0s = M0.reshape(len(ts), -1).tolist() * repeat
+    ss = (M0 / dt + M1).reshape(len(ts), -1).tolist() * repeat
     out, p = [], [0.0] * dim  # p is M0 u of the last node
     try:
-        for k, f in enumerate(forcing.values.tolist()):
-            M0, S = fixed or matrices(grid.t0 + k * dt)
+        for k, (f, m0, S) in enumerate(zip(forcing.values.tolist(), m0s, ss)):
             b = [f[0] + p[0] / dt] if dim == 1 else [f[0] + p[0] / dt, f[1] + p[1] / dt]
             u = step(S, b, tol)
             out.append(u)
-            p = _matvec(M0, u)
+            p = _matvec(m0, u)
     except StepFailure as miss:  # a node step knows its residual, not its node
         raise StepFailure(f"{miss} at node {k}", step=k, residual=miss.residual) from None
     return forcing.with_values(np.array(out))

@@ -4,20 +4,19 @@ A family carries two matrix-valued functions of time: a selfadjoint part with
 a time-independent kernel (the degenerate direction) and a zeroth-order part
 whose symmetric restriction to that kernel is coercive. The constants
 ``c0, c1, lip_M0, sup_M1`` are claims, given by the user or read by the
-builders off their coefficients' bounds. ``measure_constants`` is the one
-measurement of structural constants: it reads them off the coefficients at
-the points it is given. ``sinusoidal_family`` calls it once, on its base
-matrices, and scales by its coefficient's range and rate; the slab builders
-(``gallery``) call it at the corners of their coefficients' ranges and take
-``lip_M0`` in closed form. On time samples it serves ``check_conditions``,
-which compares claims against it and so can only falsify them, never
-certify (a moving slab runs it on 129 samples when built), and the Yosida
-path's reference bound, which reads ``sup |M0|`` at 16 times. A difference
-that is exactly zero (the symmetry defect of a symmetric ``M0``, the chord
-of an unchanged one, ``M0 K`` on an exact kernel) has norm 0.0 without an
-SVD. Pointwise differentiability off a null set is assumed by construction
-for the shipped builders and not tested. Both the sinusoidal family and the
-slab models vary in time through ``Coefficient``.
+builders off their coefficients' bounds. ``coefficients`` is the one place
+that evaluates a family, as stacks over times. ``measure_constants`` is the
+one measurement of structural constants, read off such stacks:
+``sinusoidal_family`` passes its base matrices and scales by its
+coefficient's range and rate; the slab builders (``gallery``) pass the
+corners of their coefficients' ranges and take ``lip_M0`` in closed form.
+``check_conditions`` samples a family at the times it is given and compares
+the claims with the measurement and with the chords of ``M0`` between those
+times, so it can only falsify them, never certify (a moving slab runs it on
+129 samples when built). A stack that is exactly zero (the symmetry defects
+of a symmetric ``M0``, its chords where it does not move, ``M0 K`` on an
+exact kernel) has norms 0.0 without an SVD. Pointwise differentiability off a
+null set is assumed by construction for the shipped builders and not tested.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from .errors import ConditionCheckError, ContractViolation, StepSizeError
 __all__ = [
     "Coefficient",
     "MaterialFamily",
+    "coefficients",
     "kernel_decompose",
     "measure_constants",
     "StructuralConstants",
@@ -155,56 +155,50 @@ def _orthonormal_complement(basis: np.ndarray, dim: int) -> np.ndarray:
     return eigvecs[:, eigvals > 0.5]
 
 
+def coefficients(family: MaterialFamily, ts):
+    """M0(t), M1(t) over the times ``ts`` as (len(ts), dim, dim) stacks: the one evaluation."""
+    shape = (-1, family.dim, family.dim)
+    return (np.array([family.M0_at(t) for t in ts], dtype=float).reshape(shape),
+            np.array([family.M1_at(t) for t in ts], dtype=float).reshape(shape))
+
+
 @dataclass(frozen=True)
 class StructuralConstants:
-    """What one pass over time samples reads off the coefficients (see ``measure_constants``)."""
+    """What one pass over coefficient stacks reads off them (see ``measure_constants``)."""
 
     c0: float
     c1: float
     sup_M0: float
     sup_M1: float
-    lip_M0: float
     symmetry_defect: float
     kernel_defect: float
 
 
-def _norm2(a) -> float:
-    """The spectral norm of ``a``, 0.0 without an SVD where ``a`` is exactly zero."""
-    return float(np.linalg.norm(a, 2)) if a.any() else 0.0
+def _norms2(a) -> np.ndarray:
+    """The spectral norms of the stacked matrices ``a``, 0.0 without an SVD where all are zero."""
+    return np.linalg.norm(a, 2, axis=(-2, -1)) if a.any() else np.zeros(a.shape[:-2])
 
 
-def measure_constants(M0_at, M1_at, kernel_basis, range_basis, ts) -> StructuralConstants:
-    """Read the structural constants off the coefficients at the times ``ts``.
+def measure_constants(M0, M1, kernel_basis, range_basis) -> StructuralConstants:
+    """Read the structural constants off stacks of coefficient samples ``M0``, ``M1``.
 
     ``c0`` is the least eigenvalue of sym M0 on the range, ``c1`` that of
-    sym M1 on the kernel, ``inf`` when that space is empty. ``lip_M0`` is
-    the largest quotient |M0(t) - M0(s)| / |t - s| over consecutive distinct
-    samples. The symmetry defect is |M0 - M0^T| and the kernel defect |M0 K|
-    for the kernel basis K, both maxima over the samples (spectral norms).
+    sym M1 on the kernel, ``inf`` when that space is empty. The symmetry
+    defect is |M0 - M0^T| and the kernel defect |M0 K| for the kernel basis
+    K, both maxima over the stack (spectral norms), as are ``sup_M0`` and
+    ``sup_M1``. Each slice gets the bits of the same calls on it alone.
     """
     kb, rb = kernel_basis, range_basis
-    c0 = c1 = math.inf
-    sup0 = sup1 = lip = sym_defect = kernel_defect = 0.0
-    prev = None
-    for t in np.atleast_1d(np.asarray(ts, dtype=float)):
-        M0 = np.asarray(M0_at(t), dtype=float)
-        M1 = np.asarray(M1_at(t), dtype=float)
-        sym_defect = max(sym_defect, _norm2(M0 - M0.T))
-        sup0 = max(sup0, float(np.linalg.norm(M0, 2)))
-        sup1 = max(sup1, float(np.linalg.norm(M1, 2)))
-        if rb.shape[1]:
-            on_range = rb.T @ (0.5 * (M0 + M0.T)) @ rb
-            c0 = min(c0, float(np.min(np.linalg.eigvalsh(on_range))))
-        if kb.shape[1]:
-            kernel_defect = max(kernel_defect, _norm2(M0 @ kb))
-            on_kernel = kb.T @ (0.5 * (M1 + M1.T)) @ kb
-            c1 = min(c1, float(np.min(np.linalg.eigvalsh(on_kernel))))
-        if prev is not None and t != prev[0]:
-            lip = max(lip, float(_norm2(M0 - prev[1]) / abs(t - prev[0])))
-        prev = (t, M0)
+    M0, M1 = np.asarray(M0, dtype=float), np.asarray(M1, dtype=float)
+    on_range = rb.T @ (0.5 * (M0 + M0.mT)) @ rb
+    on_kernel = kb.T @ (0.5 * (M1 + M1.mT)) @ kb
     return StructuralConstants(
-        c0=c0, c1=c1, sup_M0=sup0, sup_M1=sup1, lip_M0=lip,
-        symmetry_defect=sym_defect, kernel_defect=kernel_defect,
+        c0=float(np.linalg.eigvalsh(on_range).min(initial=math.inf)),
+        c1=float(np.linalg.eigvalsh(on_kernel).min(initial=math.inf)),
+        sup_M0=float(_norms2(M0).max(initial=0.0)),
+        sup_M1=float(_norms2(M1).max(initial=0.0)),
+        symmetry_defect=float(_norms2(M0 - M0.mT).max(initial=0.0)),
+        kernel_defect=float(_norms2(M0 @ kb).max(initial=0.0)),
     )
 
 
@@ -225,17 +219,17 @@ class ConditionsReport:
     max_kernel_defect: float
 
     @classmethod
-    def compare(cls, family: MaterialFamily, measured: StructuralConstants):
-        """The family's claims against a measurement; an empty range or kernel (inf) passes."""
+    def compare(cls, family: MaterialFamily, measured: StructuralConstants, lipschitz: float):
+        """The claims against a measurement and a rate of M0; an empty range or kernel passes."""
         return cls(
             symmetric=bool(measured.symmetry_defect <= 1e-10),
-            lipschitz_ok=bool(measured.lip_M0 <= family.lip_M0 * (1.0 + 1e-6) + 1e-14),
+            lipschitz_ok=bool(lipschitz <= family.lip_M0 * (1.0 + 1e-6) + 1e-14),
             kernel_constant=bool(measured.kernel_defect <= 1e-10),
             range_coercive=bool(measured.c0 >= family.c0 * (1.0 - 1e-9)),
             kernel_coercive=bool(measured.c1 >= family.c1 * (1.0 - 1e-9)),
             measured_c0=measured.c0,
             measured_c1=measured.c1,
-            measured_lipschitz=measured.lip_M0,
+            measured_lipschitz=lipschitz,
             measured_sup_M1=measured.sup_M1,
             max_symmetry_defect=measured.symmetry_defect,
             max_kernel_defect=measured.kernel_defect,
@@ -269,13 +263,23 @@ class ConditionsReport:
 def check_conditions(family: MaterialFamily, t_samples) -> ConditionsReport:
     """Falsification pass over time samples for the structural conditions.
 
-    Measures the tightest coercivity constants that would still be valid and
-    the empirical Lipschitz constant; pass/fail compares them with the claims.
+    Measures, at every sample of one or more finite times, also on a constant
+    family, the tightest coercivity constants that would still be valid and
+    the largest chord |M0(t) - M0(s)| / |t - s| over consecutive distinct
+    samples; pass/fail compares them with the claims.
     """
-    measured = measure_constants(
-        family.M0_at, family.M1_at, family.kernel_basis, family.range_basis, t_samples
-    )
-    return ConditionsReport.compare(family, measured)
+    ts = np.atleast_1d(np.asarray(t_samples, dtype=float))
+    if not (ts.size and np.isfinite(ts).all()):
+        raise ContractViolation("check_conditions needs at least one time sample, all finite")
+    M0, M1 = coefficients(family, ts)
+    finite = np.isfinite(M0).all(axis=(-2, -1)) & np.isfinite(M1).all(axis=(-2, -1))
+    if not finite.all():
+        raise ConditionCheckError(f"coefficients are not finite at t={ts[finite.argmin()]}")
+    step = np.diff(ts)
+    distinct = step != 0.0
+    rate = (_norms2(np.diff(M0, axis=0)[distinct]) / np.abs(step[distinct])).max(initial=0.0)
+    measured = measure_constants(M0, M1, family.kernel_basis, family.range_basis)
+    return ConditionsReport.compare(family, measured, float(rate))
 
 
 def rho_zero(family: MaterialFamily, c_tilde: float) -> float:
@@ -318,8 +322,8 @@ def step_matrices(family: MaterialFamily, ts, dt: float):
     """
     if dt <= 0:
         raise ContractViolation("dt must be positive")
-    M0 = np.array([family.M0_at(t) for t in ts], dtype=float)
-    S = M0 / dt + np.array([family.M1_at(t) for t in ts], dtype=float)
+    M0, M1 = coefficients(family, ts)
+    S = M0 / dt + M1
     return M0, S, np.linalg.eigvalsh(0.5 * (S + S.mT)).min(axis=-1).tolist()
 
 
@@ -379,7 +383,7 @@ def sinusoidal_family(
         raise ContractViolation("m0 and m1 must be finite")
     kb, rb = kernel_decompose(M0)
     # the base matrices bound every time: M0(t) >= coef.lower * m0_base
-    base = measure_constants(lambda t: M0, lambda t: M1, kb, rb, [0.0])
+    base = measure_constants(M0[None], M1[None], kb, rb)
 
     def m0_at(t):
         return M0 if coef.constant else coef(t) * M0

@@ -54,8 +54,7 @@ from .calculus import derivative
 from .errors import ContractViolation, StepFailure
 from .fixed_point import CONVERGED, NONFINITE, fixed_point, fixed_point_stack, sq_norms
 from .materials import (
-    MaterialFamily, _rho_error, _step_size_error, dt_max, measure_constants, rho_zero,
-    step_matrices,
+    MaterialFamily, _rho_error, _step_size_error, coefficients, dt_max, rho_zero, step_matrices,
 )
 from .relations import MonotoneRelation, YosidaRelation
 from .signals import WeightedSignal, weighted_norm
@@ -633,7 +632,8 @@ def yosida_reference_bound(problem: InclusionProblem) -> float:
     fam, f = problem.family, problem.forcing
     grid = f.grid
     ts = [grid.t0] if fam.constant else grid.t0 + grid.dt * np.linspace(0, grid.n - 1, 16)
-    sup_m0 = measure_constants(fam.M0_at, fam.M1_at, fam.kernel_basis, fam.range_basis, ts).sup_M0
+    M0, _ = coefficients(fam, ts)
+    sup_m0 = float(np.linalg.norm(M0, 2, axis=(-2, -1)).max())
     return ((1.0 + yosida_delta(fam) / problem.c_tilde) * weighted_norm(f)
             + (sup_m0 / problem.c_tilde) * weighted_norm(derivative(f)))
 

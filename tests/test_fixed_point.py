@@ -263,6 +263,8 @@ def test_einsum_dot_is_not_the_per_vector_bits():
 @pytest.mark.parametrize("dim", DIMS)
 def test_stacked_planning_calls_are_per_matrix_bits(dim, size):
     # the solver plans a block of nodes with one inv, eigvalsh and 2-norm
+    # call each, and materials.measure_constants projects a stack of samples
+    # onto a range basis (two-sided) and a kernel basis (right product) in one
     # call each; every node must get the bits of the calls on it alone
     rng = np.random.default_rng([dim, size, 2])
     mats = rng.standard_normal((size, dim, dim)) + dim * np.eye(dim)
@@ -270,10 +272,16 @@ def test_stacked_planning_calls_are_per_matrix_bits(dim, size):
     invs = np.linalg.inv(mats)
     eigs = np.linalg.eigvalsh(syms)
     norms = np.linalg.norm(mats, 2, axis=(-2, -1))
-    for A, sym, inv, eig, nrm in zip(mats, syms, invs, eigs, norms):
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    rb, kb = basis[:, : (dim + 1) // 2], basis[:, (dim + 1) // 2:]
+    on_range = rb.T @ syms @ rb
+    on_kernel = mats @ kb
+    for A, sym, inv, eig, nrm, r, k in zip(mats, syms, invs, eigs, norms, on_range, on_kernel):
         assert inv.tobytes() == np.linalg.inv(A).tobytes()
         assert eig.tobytes() == np.linalg.eigvalsh(sym).tobytes()
         assert float(nrm).hex() == float(np.linalg.norm(A, 2)).hex()
+        assert r.tobytes() == (rb.T @ sym @ rb).tobytes()
+        assert k.tobytes() == (A @ kb).tobytes()
 
 
 def _exit_maps():

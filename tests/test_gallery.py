@@ -125,6 +125,15 @@ def test_coefficient_frequency_must_be_finite(value):
         Coefficient(1.0, 0.3, value)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_coupling_must_be_finite(value):
+    # once an untyped LinAlgError, with LAPACK's DLASCL complaints on stderr
+    coupling = deviatoric_basis()[:, :5].copy()
+    coupling[0, 0] = value
+    with pytest.raises(ContractViolation, match="finite 6 x 5"):
+        build_viscoplasticity(SlabGrid(), coupling=coupling)
+
+
 class TestViscoplasticity:
     def test_decoupled_block_constants(self):
         model = build_viscoplasticity(SlabGrid(m=2, dx=0.5), coupling=np.zeros((6, 5)))

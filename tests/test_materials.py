@@ -98,6 +98,30 @@ class TestCheckConditions:
         assert rep.failing() == [condition]
         assert "passed = FAIL" in rep.to_text()
 
+    def test_chord_rate_over_distinct_times_only(self):
+        # M0(t) = (1 + 0.5 sin t) I: a repeated time adds no chord, one sample measures rate 0
+        fam = sinusoidal_family(np.eye(2), np.zeros((2, 2)), amplitude=0.5, frequency=1.0)
+        chord = float(np.linalg.norm(fam.M0_at(1.0) - fam.M0_at(0.0), 2))
+        assert check_conditions(fam, [0.0, 0.0, 1.0]).measured_lipschitz == chord
+        assert check_conditions(fam, [0.5]).measured_lipschitz == 0.0
+
+    @pytest.mark.parametrize("ts", [[], [0.0, np.nan], [np.inf]])
+    def test_empty_or_nonfinite_samples_refused(self, ts):
+        # an empty set once reported passed = pass with measured_c0 = inf: it measured nothing
+        fam = constant_family(np.eye(2), np.zeros((2, 2)))
+        with pytest.raises(ContractViolation, match="at least one time sample, all finite"):
+            check_conditions(fam, ts)
+
+    def test_nonfinite_coefficient_sample_names_its_time(self):
+        # once an untyped LinAlgError (SVD did not converge)
+        fam = MaterialFamily(
+            dim=1, M0_at=lambda t: np.eye(1) * (np.nan if t == 0.5 else 1.0),
+            M1_at=lambda t: np.zeros((1, 1)), lip_M0=0.0, sup_M1=0.0, c0=1.0, c1=1.0,
+            kernel_basis=np.zeros((1, 0)),
+        )
+        with pytest.raises(ConditionCheckError, match="not finite at t=0.5"):
+            check_conditions(fam, [0.0, 0.5, 1.0])
+
     def test_report_serializes_flat(self):
         fam = constant_family(np.eye(2), np.zeros((2, 2)))
         text = check_conditions(fam, [0.0]).to_text()

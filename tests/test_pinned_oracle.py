@@ -53,3 +53,17 @@ def test_oracle_trajectory_pinned(name, scale, expected):
 
 def test_sign_ramp_pinned():
     assert _ramp_digest() == RAMP
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_pinned_oracle.py prints each case, its pin and the digest
+    # it computes now, marking the pins that moved: the tool of a deliberate re-record.
+    # It exits 1 when any pin moved, so a change that must keep its bits checks by exit code.
+    cases = [(f"{name} x{scale:g}", expected, lambda name=name, scale=scale: _digest(name, scale))
+             for name, scale, expected in PINNED] + [("sign ramp", RAMP, _ramp_digest)]
+    any_moved = False
+    for label, expected, digest in cases:
+        now = digest()
+        any_moved |= now != expected
+        print(f"{label:22} pin {expected} now {now}{'' if now == expected else '  MOVED'}")
+    raise SystemExit(1 if any_moved else 0)
