@@ -270,6 +270,7 @@ def build_viscoplasticity(
     nv, nw, nT = 3 * m, N * m, 6 * m
     BBt = B @ B.T
     B_nodes = np.kron(np.eye(m), B)
+    BBt_nodes = np.kron(np.eye(m), BBt)
 
     def m0_blocks(M, D, L) -> dict:
         linv = 1.0 / L
@@ -278,7 +279,7 @@ def build_viscoplasticity(
             ("w", "w"): linv * np.eye(nw),
             ("w", "T"): -linv * B_nodes.T,
             ("T", "w"): -linv * B_nodes,
-            ("T", "T"): (1.0 / D) * np.eye(nT) + linv * np.kron(np.eye(m), BBt),
+            ("T", "T"): (1.0 / D) * np.eye(nT) + linv * BBt_nodes,
         }
 
     if relation_kind not in VISCOPLASTIC_RELATIONS:

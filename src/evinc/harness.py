@@ -456,11 +456,12 @@ def _draw_yosida(template, rng, fp_tol):
         err = float(
             np.max(np.abs(direct.solution.values - path.solution.values), initial=0.0)
         )
+        # each stage's image norm is finite and at most twice the one before
         norms = [nrm for _, nrm in path.lambda_trace]
-        ratio_ok = all(
+        norms_ok = all(map(math.isfinite, norms)) and all(
             b <= 2.0 * a + 10.0 * fp_tol for a, b in zip(norms, norms[1:])
         )
-        return (err <= tol) and ratio_ok, float(tol - err)
+        return (err <= tol) and norms_ok, float(tol - err)
 
     return [
         template.problem(f, fp_tol=fp_tol),

@@ -186,10 +186,13 @@ def measure_constants(M0, M1, kernel_basis, range_basis) -> StructuralConstants:
     sym M1 on the kernel, ``inf`` when that space is empty. The symmetry
     defect is |M0 - M0^T| and the kernel defect |M0 K| for the kernel basis
     K, both maxima over the stack (spectral norms), as are ``sup_M0`` and
-    ``sup_M1``. Each slice gets the bits of the same calls on it alone.
+    ``sup_M1``. Each slice gets the bits of the same calls on it alone. A
+    stack with a NaN or inf entry is refused.
     """
     kb, rb = kernel_basis, range_basis
     M0, M1 = np.asarray(M0, dtype=float), np.asarray(M1, dtype=float)
+    if not (np.isfinite(M0).all() and np.isfinite(M1).all()):
+        raise ContractViolation("measure_constants needs finite M0 and M1 stacks")
     on_range = rb.T @ (0.5 * (M0 + M0.mT)) @ rb
     on_kernel = kb.T @ (0.5 * (M1 + M1.mT)) @ kb
     return StructuralConstants(

@@ -239,7 +239,8 @@ class BallSaturation(MonotoneRelation):
         if x.ndim == 1 and self.dim < ORDERED_SUM:
             return np.array(_blockwise(self, None, x))
         r = _row_norms(x)
-        return np.where(r <= self.radius, x, x * (self.radius / np.maximum(r, self.radius)))
+        # inside the ball the factor is radius / radius == 1.0, and x * 1.0 is x bit for bit
+        return x * (self.radius / np.maximum(r, self.radius))
 
     def resolve(self, lam, y):
         y = np.asarray(y, dtype=float)

@@ -1,6 +1,6 @@
 """Acceptance suite: every quantitative guarantee at its stated tolerance.
 
-One pass/fail line prints per criterion (run with -s or -rA to see them all).
+One pass/fail line prints per test (run with -s or -rA to see them all).
 Criterion 01 measures the weighted-integral norm against its exact value
 sigma_T(rho) on the stated horizon-10 window, not against the half-line
 value 1/rho: at rho = 1, 2, 5 sigma_T is 0.961381, 0.494493, 0.199622, and
@@ -8,6 +8,15 @@ the computed norm sits 0.05%, 0.10%, 0.25% above it (rectangle-rule bias of
 about dt/2). Against 1/rho the window alone costs 3.86% at rho = 1, more than
 the 2% gate, so no correct computation met the old comparison. Tier-1 has no
 known red.
+
+Criteria 03-08 are the campaign's check rows. Each entry of ``CRITERIA``
+names a ``harness.CHECKS`` row, a campaign seed, a trial count and its
+templates; it becomes the test ``test_criterion_<num>_<title>``, which runs
+the row on each template through ``run_campaign`` at ``fp_tol = 1e-10``,
+needs every trial to pass and prints the worst margin per template. Within
+one criterion every template gets the same trial seeds. A new row becomes a
+criterion by adding one entry, and a row without one fails
+``test_criteria_run_every_check_row``.
 """
 
 import numpy as np
@@ -16,11 +25,7 @@ import pytest
 from evinc.calculus import integrate_operator_norm
 from evinc.catalog import CatalogProblem, make_catalog_problem
 from evinc.gallery import SlabGrid, build_slab_operators, raw_viscoplastic_block
-from evinc.harness import (
-    monotonicity_margin,
-    oracle_trajectory,
-    random_forcing,
-)
+from evinc.harness import CHECKS, PropertyCampaign, oracle_trajectory, random_forcing, run_campaign
 from evinc.materials import rho_zero, sinusoidal_family
 from evinc.relations import (
     BallSaturation,
@@ -30,13 +35,7 @@ from evinc.relations import (
     ZeroRelation,
 )
 from evinc.signals import TimeGrid
-from evinc.solver import (
-    certificate_gain,
-    certificate_problems,
-    lipschitz_bound,
-    solve,
-    solve_batch,
-)
+from evinc.solver import solve, solve_batch
 from evinc.tensors import deviatoric_basis
 from window_norm import window_integral_norm
 
@@ -51,17 +50,13 @@ def report(num, name, ok, detail):
 # shared templates at acceptance scale -------------------------------------
 
 
-def _templates(n_small=400, n_slab=81):
-    names_small = ["scalar_ode", "degenerate_plane", "sign_scalar", "saturation_plane"]
-    tpls = [make_catalog_problem(name, n=n_small) for name in names_small]
-    tpls.append(make_catalog_problem("thermoplastic_slab", n=n_slab))
-    tpls.append(make_catalog_problem("viscoplastic_slab", n=n_slab))
-    return tpls
+SMALL = ("scalar_ode", "degenerate_plane", "sign_scalar", "saturation_plane")
+SLABS = ("thermoplastic_slab", "viscoplastic_slab")
 
 
-@pytest.fixture(scope="module")
-def templates():
-    return _templates()
+def _templates():
+    return ([make_catalog_problem(name, n=400) for name in SMALL]
+            + [make_catalog_problem(name, n=81) for name in SLABS])
 
 
 def _relation_suite():
@@ -128,135 +123,64 @@ def test_criterion_02_resolvent_yosida_suite():
     assert ok
 
 
-# 3 ---------------------------------------------------------------------------
+# 3-8: the campaign's check rows ---------------------------------------------
 
 
-def test_criterion_03_solution_operator_lipschitz(templates):
-    rng = np.random.default_rng(20_240_003)
-    pairs = 100
-    summary = []
-    ok = True
-    for tpl in templates:
-        # the certificate's pairs, drawn in order and solved as one batch
-        certs = []
-        for _ in range(pairs):
-            f = random_forcing(tpl, rng)
-            g = random_forcing(tpl, rng)
-            certs.append(certificate_problems(tpl.problem(f, fp_tol=FP_TOL), g))
-        reports = solve_batch([p for pair in certs for p in pair])
-        bound = lipschitz_bound(certs[-1][0])
-        worst = max(
-            certificate_gain(pair, reports[2 * i : 2 * i + 2]) for i, pair in enumerate(certs)
-        )
-        ok = ok and worst <= bound
-        summary.append(f"{tpl.name}: {worst:.3f}<={bound:.3f}")
-    report(3, "solution-operator lipschitz", ok, "; ".join(summary))
-    assert ok
-
-
-# 4 ---------------------------------------------------------------------------
-
-
-def test_criterion_04_causality(templates):
-    rng = np.random.default_rng(20_240_004)
-    trials = 50
-    ok = True
-    summary = []
-    for tpl in templates:
-        # the trials' forcings, drawn in order and solved as one batch
-        problems, cuts = [], []
-        for _ in range(trials):
-            f = random_forcing(tpl, rng)
-            g = random_forcing(tpl, rng)
-            cut = int(rng.integers(1, tpl.grid.n - 1))
-            gv = g.values.copy()
-            gv[:cut] = f.values[:cut]
-            problems += [tpl.problem(f, fp_tol=FP_TOL), tpl.problem(tpl.signal(gv), fp_tol=FP_TOL)]
-            cuts.append(cut)
-        reports = solve_batch(problems)
-        agree = 0
-        for i, cut in enumerate(cuts):
-            rep_f, rep_g = reports[2 * i : 2 * i + 2]
-            if np.array_equal(rep_f.solution.values[:cut], rep_g.solution.values[:cut]):
-                agree += 1
-        ok = ok and agree == trials
-        summary.append(f"{tpl.name}: {agree}/{trials}")
-    report(4, "causality (bit-identical prefix)", ok, "; ".join(summary))
-    assert ok
-
-
-# 5 ---------------------------------------------------------------------------
-
-
-def test_criterion_05_weight_independence(templates):
-    rng = np.random.default_rng(20_240_005)
-    ok = True
-    summary = []
-    for tpl in templates:
-        f = random_forcing(tpl, rng)
-        rho_a, rho_b = tpl.admissible_rho_pair()
-        rep_a, rep_b = solve_batch(
-            tpl.problem(tpl.signal(f.values, rho), rho=rho, fp_tol=FP_TOL) for rho in (rho_a, rho_b)
-        )
-        same = np.array_equal(rep_a.solution.values, rep_b.solution.values)
-        ok = ok and same
-        summary.append(f"{tpl.name}: rho {rho_a:.3g} vs {rho_b:.3g} identical={same}")
-    report(5, "weight independence (bit-identical)", ok, "; ".join(summary))
-    assert ok
-
-
-# 6 ---------------------------------------------------------------------------
-
-
-def test_criterion_06_monotonicity_bound(templates):
-    rng = np.random.default_rng(20_240_006)
-    trials = 100
-    ok = True
-    summary = []
-    checked = list(templates)
+def _sinusoidal_degenerate():
     fam = sinusoidal_family(
         np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), amplitude=0.3, frequency=2.0
     )
-    checked.append(
-        CatalogProblem(
-            name="sinusoidal_degenerate",
-            family=fam,
-            relation=ZeroRelation(2),
-            grid=TimeGrid(0.0, 1e-3, 400),
-            c_tilde=0.5,
-            rho=rho_zero(fam, 0.5) + 0.5,
-        )
-    )
-    for tpl in checked:
-        worst = np.inf
-        for _ in range(trials):
-            u = random_forcing(tpl, rng)
-            worst = min(worst, monotonicity_margin(tpl, u))
-        ok = ok and worst >= 0.0
-        summary.append(f"{tpl.name}: min margin {worst:.3e}")
-    report(6, "discrete monotonicity bound", ok, "; ".join(summary))
-    assert ok
+    return CatalogProblem(name="sinusoidal_degenerate", family=fam, relation=ZeroRelation(2),
+                          grid=TimeGrid(0.0, 1e-3, 400), c_tilde=0.5, rho=rho_zero(fam, 0.5) + 0.5)
 
 
-# 7 ---------------------------------------------------------------------------
+#: (criterion, title) -> (the CHECKS row it runs, campaign seed, trials per template,
+#: a function that builds the templates)
+CRITERIA = {
+    (3, "solution_operator_lipschitz"): ("lipschitz", 20_240_003, 100, _templates),
+    (4, "causality"): ("causality", 20_240_004, 50, _templates),
+    (5, "weight_independence"): ("rho_independence", 20_240_005, 1, _templates),
+    (6, "monotonicity_bound"): (
+        "monotonicity_bound", 20_240_006, 100, lambda: _templates() + [_sinusoidal_degenerate()]
+    ),
+    (7, "oracle_equivalence"): (
+        "oracle_match", 20_240_007, 5, lambda: [make_catalog_problem(name, n=500) for name in SMALL]
+    ),
+    (8, "yosida_path"): ("yosida_agreement", 20_240_008, 1, _templates),
+}
 
 
-def test_criterion_07_oracle_equivalence():
-    rng = np.random.default_rng(20_240_007)
+def _row_criterion(num, check, seed, trials, templates):
+    """The test of criterion ``num``: the row ``check`` run as a campaign on each template."""
+
+    def test():
+        worst, failed = [], []
+        for tpl in templates():
+            campaign = PropertyCampaign(tpl, trials, seed, checks=(check,), fp_tol=FP_TOL)
+            rep = run_campaign(campaign)
+            worst.append(f"{tpl.name}: {rep.summary()[check]['worst_margin']:.6g}")
+            if not rep.passed:
+                failed.append(rep.to_text())  # its failing seeds replay with replay_check
+        report(num, f"{check}, trials {trials}, worst margin", not failed, "; ".join(worst))
+        assert not failed, "\n".join(failed)
+
+    return test
+
+
+# one test per entry, test_criterion_<num>_<title>
+globals().update({f"test_criterion_{num:02d}_{title}": _row_criterion(num, *row)
+                  for (num, title), row in CRITERIA.items()})
+
+
+def test_criteria_run_every_check_row():
+    # a CHECKS row added without a criterion fails here
+    assert sorted(check for check, *_ in CRITERIA.values()) == sorted(CHECKS)
+
+
+def test_criterion_07_saturation_and_ramp():
     tol = 10.0 * FP_TOL
-    ok = True
-    summary = []
-    for name in ("scalar_ode", "degenerate_plane", "sign_scalar", "saturation_plane"):
-        tpl = make_catalog_problem(name, n=500)
-        forcings = [random_forcing(tpl, rng) for _ in range(5)]
-        reports = solve_batch(tpl.problem(f, fp_tol=FP_TOL) for f in forcings)
-        worst = 0.0
-        for f, rep in zip(forcings, reports):
-            ref = oracle_trajectory(tpl, f)
-            worst = max(worst, float(np.max(np.abs(rep.solution.values - ref.values))))
-        ok = ok and worst <= tol
-        summary.append(f"{name}: {worst:.2e}")
     # unit forcings never leave the saturation ball; thirty times them saturate it
+    rng = np.random.default_rng(20_240_007)
     tpl = make_catalog_problem("saturation_plane", n=500)
     forcings = [tpl.signal(30.0 * random_forcing(tpl, rng).values) for _ in range(5)]
     worst, saturated = 0.0, 0
@@ -264,8 +188,8 @@ def test_criterion_07_oracle_equivalence():
         ref = oracle_trajectory(tpl, f)
         worst = max(worst, float(np.max(np.abs(rep.solution.values - ref.values))))
         saturated += int(np.sum(np.linalg.norm(ref.values, axis=1) > tpl.relation.radius))
-    ok = ok and worst <= tol and saturated > 0
-    summary.append(f"saturation_plane x30: {worst:.2e}, {saturated} saturated nodes")
+    ok = worst <= tol and saturated > 0
+    summary = [f"saturation_plane x30: {worst:.2e}, {saturated} saturated nodes"]
     # the set-valued ramp: slope +1 up, -1 down, then rest
     tpl = make_catalog_problem("sign_scalar", n=3001, dt=1e-3)
     t = tpl.grid.times
@@ -277,34 +201,7 @@ def test_criterion_07_oracle_equivalence():
     shape_err = float(np.max(np.abs(ref.values[:, 0] - exact)))
     ok = ok and gap <= tol and shape_err <= 5e-3
     summary.append(f"ramp: solver-vs-oracle {gap:.2e}, vs exact {shape_err:.2e}")
-    report(7, "oracle equivalence", ok, "; ".join(summary))
-    assert ok
-
-
-# 8 ---------------------------------------------------------------------------
-
-
-def test_criterion_08_yosida_path(templates):
-    rng = np.random.default_rng(20_240_008)
-    ok = True
-    summary = []
-    for tpl in templates:
-        f = random_forcing(tpl, rng)
-        direct = solve(tpl.problem(f, fp_tol=FP_TOL))
-        path = solve(tpl.problem(f, mode="yosida_path", fp_tol=FP_TOL))
-        lam_min = path.lambda_trace[-1][0]
-        tol = 10.0 * FP_TOL + 5.0 * lam_min
-        err = float(np.max(np.abs(direct.solution.values - path.solution.values)))
-        norms = [nrm for _, nrm in path.lambda_trace]
-        ratios_ok = all(b <= 2.0 * a + 1e-9 for a, b in zip(norms, norms[1:]))
-        bounded = np.isfinite(max(norms))
-        good = err <= tol and ratios_ok and bounded
-        ok = ok and good
-        summary.append(
-            f"{tpl.name}: err {err:.2e}<={tol:.2e}, sup {max(norms):.3g}, "
-            f"ratios<=2 {ratios_ok}"
-        )
-    report(8, "regularized path", ok, "; ".join(summary))
+    report(7, "oracle at saturation and on the ramp", ok, "; ".join(summary))
     assert ok
 
 

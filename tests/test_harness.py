@@ -198,6 +198,17 @@ class TestCampaign:
         assert [len(ps) for ps in calls] == [8]
         assert len({solver._march_key(p) for p in calls[0]}) == 2
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_yosida_judge_fails_a_nonfinite_stage_norm(self, bad):
+        # infinite norms meet every ratio bound b <= 2 a + slack, so the judge asks for finite ones
+        tpl = make_catalog_problem("sign_scalar", n=40)
+        rng = np.random.default_rng(1)
+        problems, judge = harness.CHECKS["yosida_agreement"].draw(tpl, rng, FP_TOL)
+        direct, path = solve_batch(problems)
+        assert judge(direct, path)[0] and len(path.lambda_trace) > 1
+        trace = [(lam, bad) for lam, _ in path.lambda_trace]
+        assert not judge(direct, replace(path, lambda_trace=trace))[0]
+
     def test_programming_error_propagates(self, monkeypatch):
         # only solver, resolvent and contract failures are recorded as failed
         # checks; anything else is a fault of the program, not a margin

@@ -9,6 +9,7 @@ from evinc.materials import (
     constant_family,
     dt_max,
     kernel_decompose,
+    measure_constants,
     rho_zero,
     sinusoidal_family,
     step_operator,
@@ -198,6 +199,14 @@ class TestNonFiniteInput:
         with pytest.raises(ContractViolation, match="finite"):
             MaterialFamily(dim=1, M0_at=lambda t: np.eye(1), M1_at=lambda t: np.zeros((1, 1)),
                            kernel_basis=np.zeros((1, 0)), **claims)
+
+    @pytest.mark.parametrize("m0, m1", [
+        (np.full((1, 2, 2), np.nan), np.eye(2)[None]),  # the SVD of a NaN stack does not converge
+        (np.eye(2)[None], np.full((1, 2, 2), np.inf)),
+    ])
+    def test_measure_constants_stacks(self, m0, m1):
+        with pytest.raises(ContractViolation, match="finite"):
+            measure_constants(m0, m1, np.zeros((2, 0)), np.eye(2))
 
 
 class TestStepOperator:

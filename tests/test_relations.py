@@ -554,6 +554,27 @@ class TestBlockParity:
                 for y, row in zip(ys, block):
                     assert np.array_equal(row, vector(y), equal_nan=True)
 
+    @pytest.mark.parametrize("dim", [2, 3, 6, 9])
+    def test_ball_apply_keeps_the_where_formula_bits(self, dim):
+        # the reference clips with np.where; apply relies on radius / radius == 1.0 inside the ball
+        rng = np.random.default_rng(dim)
+        for radius in (0.8, 1.0, 3.0, 1e-160):
+            rel = BallSaturation(dim, radius=radius)
+            xs = rng.standard_normal((400, dim)) * rng.uniform(1e-3, 10.0, (400, 1)) * radius
+            unit = rng.standard_normal((40, dim))
+            xs[:40] = radius * (unit / np.linalg.norm(unit, axis=1, keepdims=True))  # on the sphere
+            xs[40:50] = 0.0
+            xs[50:60] = -0.0
+            xs[60:70] = 5e-324 * rng.choice([-1.0, 1.0], (10, dim))
+            xs[70:80, 0] = rng.choice([np.nan, np.inf, -np.inf], 10)
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                r = np.sqrt(np.add.reduce(xs * xs, axis=-1, keepdims=True))
+                old = np.where(r <= radius, xs, xs * (radius / np.maximum(r, radius)))
+                out = rel.apply(xs)
+                rows = [rel.apply(x).tobytes() for x in xs]
+            assert out.tobytes() == old.tobytes()
+            assert [row.tobytes() for row in out] == rows
+
     def test_slot_evaluates_its_nodes_in_one_block_call(self):
         calls = []
 
