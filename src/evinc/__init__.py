@@ -1,40 +1,7 @@
-"""Causal solver and verification harness for degenerate evolutionary inclusions."""
+"""Causal solver and verification harness for degenerate evolutionary inclusions.
 
-from .signals import TimeGrid, WeightedSignal, cutoff, weighted_inner, weighted_norm
-from .calculus import derivative, difference_quotient, integrate, translate
-from .relations import (
-    BallSaturation,
-    DeviatoricSaturation,
-    LinearRelation,
-    MonotoneRelation,
-    NormSubdifferential,
-    ZeroRelation,
-    lift,
-    minty_scan,
-    resolvent,
-    sum_with_lipschitz,
-    yosida,
-)
-from .materials import (
-    MaterialFamily,
-    check_conditions,
-    constant_family,
-    kernel_decompose,
-    measure_constants,
-    rho_zero,
-    sinusoidal_family,
-    step_operator,
-)
-from .solver import (
-    InclusionProblem,
-    SolveReport,
-    lipschitz_certificate,
-    solve,
-    solve_batch,
-    solve_step,
-)
-from .harness import PropertyCampaign, oracle_trajectory, run_campaign
-from .catalog import catalog_names, make_catalog_problem
-from .gallery import SlabGrid, build_slab_operators, build_thermoplasticity, build_viscoplasticity
+The package re-exports nothing: import from its modules (``evinc.solver``,
+``evinc.harness``, ...), so that a program loads only the modules it uses.
+"""
 
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .gallery import SlabGrid, build_thermoplasticity, build_viscoplasticity
 from .materials import MaterialFamily, _rho_error, constant_family, rho_zero
 from .relations import (
     BallSaturation,
@@ -95,8 +94,9 @@ _LOW_DIM = {
     # the relation is exactly a ball projection
     "saturation_plane": (np.eye(2), np.zeros((2, 2)), lambda: BallSaturation(2, radius=1.0), 1201),
 }
-# name -> slab builder, assembled at m = 2 with a default n of 201
-_SLABS = {"thermoplastic_slab": build_thermoplasticity, "viscoplastic_slab": build_viscoplasticity}
+# name -> its slab builder in ``gallery``, assembled at m = 2 with a default n of 201
+_SLABS = {"thermoplastic_slab": "build_thermoplasticity",
+          "viscoplastic_slab": "build_viscoplasticity"}
 
 
 def catalog_names():
@@ -110,7 +110,9 @@ def make_catalog_problem(name: str, n: int = None, dt: float = 1e-3, t0: float =
         m0, m1, relation, default_n = _LOW_DIM[name]
         family, relation, meta = constant_family(m0, m1), relation(), {}
     elif name in _SLABS:
-        model = _SLABS[name](SlabGrid())
+        from . import gallery  # only a slab entry builds a slab model
+
+        model = getattr(gallery, _SLABS[name])(gallery.SlabGrid())
         family, relation, meta, default_n = model.family, model.relation, {"model": model}, 201
     else:
         raise ContractViolation(f"unknown catalog problem {name!r}")

@@ -14,7 +14,6 @@ from pathlib import Path
 
 from .config import ConfigError, config_help, load_config
 from .errors import ConditionCheckError, ContractViolation, StepFailure, StepSizeError
-from .harness import run_campaign
 from .materials import check_conditions, rho_zero
 from .signals import weighted_norm, write_signal_csv
 from .solver import lipschitz_bound, solve, yosida_delta, yosida_reference_bound
@@ -37,19 +36,25 @@ _FLAGS = {
 _ALIASES = {"yosida": "yosida_path"}
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser, whose epilog, the config reference, is built only for its help."""
+
+    def format_help(self):
+        self.epilog = config_help()
+        return super().format_help()
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="evinc",
         description="causal solver and property harness for evolutionary inclusions",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-    epilog = config_help()
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name, (descr, flags, _) in _COMMANDS.items():
         sub = subs.add_parser(
             name,
             help=descr,
             description=descr,
-            epilog=epilog,
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
         sub.add_argument("--config", required=True, help="path to the run configuration")
@@ -144,6 +149,8 @@ def _cmd_campaign(cfg, out: Path) -> int:
         print(f"conditions failed: {cond.failing()}", file=sys.stderr)
         _write(out / "report.txt", cond.to_text() + "\n")
         return EXIT_CONDITIONS
+    from .harness import run_campaign
+
     report = run_campaign(cfg.build_campaign(template))
     _write(out / "campaign.csv", report.to_csv())
     _write(out / "report.txt", report.to_text() + "\n")

@@ -14,6 +14,7 @@ one ([material] with [relation]), or a slab model ([thermoplasticity] or
 from __future__ import annotations
 
 import configparser
+import importlib
 import math
 import textwrap
 from dataclasses import dataclass
@@ -22,8 +23,6 @@ import numpy as np
 
 from .catalog import CatalogProblem, catalog_names, make_catalog_problem
 from .errors import ContractViolation
-from .gallery import VISCOPLASTIC_RELATIONS, SlabGrid, build_thermoplasticity, build_viscoplasticity
-from .harness import CHECKS, PropertyCampaign
 from .materials import Coefficient, constant_family, sinusoidal_family
 from .relations import RELATION_KINDS, relation_from_config
 from .signals import TimeGrid, WeightedSignal, read_signal_csv
@@ -73,10 +72,18 @@ def _coefficient(text: str) -> Coefficient:
 
 
 class _Choice:
-    """One of ``names``; with ``many``, a comma-separated list of them."""
+    """One of ``names``; with ``many``, a comma-separated list of them.
 
-    def __init__(self, *names, many=False):
-        self.names, self.many = names, many
+    ``names`` is an iterable of names, or a callable that returns one when a
+    value is parsed or the help is printed.
+    """
+
+    def __init__(self, names, many=False):
+        self._names, self.many = names, many
+
+    @property
+    def names(self) -> tuple:
+        return tuple(self._names() if callable(self._names) else self._names)
 
     def __call__(self, text: str):
         picked = [c.strip() for c in text.split(",") if c.strip()] if self.many else [text]
@@ -86,8 +93,14 @@ class _Choice:
         return tuple(picked) if self.many else text
 
 
+def _table(module: str, name: str):
+    """Read the table ``name`` of ``module`` when called, importing the module only then."""
+    return lambda: getattr(importlib.import_module(f".{module}", __package__), name)
+
+
 _FAMILIES = {"constant": constant_family, "sinusoidal": sinusoidal_family}
-_SLABS = {"thermoplasticity": build_thermoplasticity, "viscoplasticity": build_viscoplasticity}
+#: slab source -> its builder in ``gallery``
+_SLABS = {"thermoplasticity": "build_thermoplasticity", "viscoplasticity": "build_viscoplasticity"}
 #: slab keys that the builders name otherwise
 _SLAB_ARGS = {"relation": "relation_kind", "parameter": "relation_param"}
 _GRID = {"n": int, "dt": _float, "t0": _float}
@@ -101,27 +114,27 @@ _FORCING_KEYS = {
 }
 
 _SCHEMA = {
-    "problem": {"catalog": _Choice(*catalog_names()), **_GRID},
+    "problem": {"catalog": _Choice(catalog_names), **_GRID},
     "grid": dict(_GRID),
     "material": {
-        "builder": _Choice(*_FAMILIES), "m0": _matrix, "m1": _matrix,
+        "builder": _Choice(_FAMILIES), "m0": _matrix, "m1": _matrix,
         "amplitude": _float, "frequency": _float, "c0": _float, "c1": _float,
     },
     "relation": {
-        "kind": _Choice(*RELATION_KINDS),
+        "kind": _Choice(RELATION_KINDS),
         "weight": _float, "radius": _float, "gain": _float, "matrix": _matrix,
     },
     "forcing": {
-        "kind": _Choice(*_FORCING_KEYS),
+        "kind": _Choice(_FORCING_KEYS),
         "value": _vector, "start": _float, "stop": _float, "path": str, "seed": _seed,
     },
     "solver": {
-        "rho": _float, "c_tilde": _float, "mode": _Choice("direct", "yosida_path"),
+        "rho": _float, "c_tilde": _float, "mode": _Choice(("direct", "yosida_path")),
         "fp_tol": _float, "fp_max_iter": int,
         "lambda_start": _float, "lambda_stop": _float, "lambda_factor": _float,
     },
     "campaign": {
-        "trials": int, "checks": _Choice(*CHECKS, many=True), "seed": _seed,
+        "trials": int, "checks": _Choice(_table("harness", "CHECKS"), many=True), "seed": _seed,
     },
     "thermoplasticity": {
         "m": int, "dx": _float, "M": _coefficient, "C": _coefficient, "w": _coefficient,
@@ -129,7 +142,8 @@ _SCHEMA = {
     },
     "viscoplasticity": {
         "m": int, "dx": _float, "M": _coefficient, "D": _coefficient, "L": _coefficient,
-        "N": int, "relation": _Choice(*VISCOPLASTIC_RELATIONS), "parameter": _float,
+        "N": int, "relation": _Choice(_table("gallery", "VISCOPLASTIC_RELATIONS")),
+        "parameter": _float,
     },
 }
 
@@ -229,9 +243,11 @@ class RunConfig:
     def build_gallery_model(self):
         if self.source not in _SLABS:
             raise ConfigError("a gallery model needs [thermoplasticity] or [viscoplasticity]")
+        from . import gallery  # only a slab source builds a slab model
+
         args = {_SLAB_ARGS.get(k, k): v for k, v in self.sections[self.source].items()}
-        grid = SlabGrid(**{k: args.pop(k) for k in ("m", "dx") if k in args})
-        return _SLABS[self.source](grid, **args)
+        grid = gallery.SlabGrid(**{k: args.pop(k) for k in ("m", "dx") if k in args})
+        return getattr(gallery, _SLABS[self.source])(grid, **args)
 
     def build_forcing(self, template: CatalogProblem) -> WeightedSignal:
         sec = self.sections.get("forcing", {})
@@ -289,8 +305,10 @@ class RunConfig:
         schedule = default_lambda_schedule(**lam) if lam else None
         return template.problem(forcing, lambda_schedule=schedule, **knobs)
 
-    def build_campaign(self, template: CatalogProblem) -> PropertyCampaign:
+    def build_campaign(self, template: CatalogProblem):
         """The [campaign] over ``template`` at [solver] fp_tol; by default each supported check."""
+        from .harness import PropertyCampaign
+
         fp_tol = self.fixed_solver().get("fp_tol", FP_TOL)
         sec = self._section("campaign")
         checks = sec.pop("checks", ()) or None  # none given: the campaign's default

@@ -13,9 +13,10 @@ corners of their coefficients' ranges and take ``lip_M0`` in closed form.
 ``check_conditions`` samples a family at the times it is given and compares
 the claims with the measurement and with the chords of ``M0`` between those
 times, so it can only falsify them, never certify (a moving slab runs it on
-129 samples when built). A stack that is exactly zero (the symmetry defects
-of a symmetric ``M0``, its chords where it does not move, ``M0 K`` on an
-exact kernel) has norms 0.0 without an SVD. Pointwise differentiability off a
+129 samples when built; a constant family is measured at its first sample).
+A stack that is exactly zero (the symmetry defects of a symmetric ``M0``, its
+chords where it does not move, ``M0 K`` on an exact kernel) has norms 0.0
+without an SVD. Pointwise differentiability off a
 null set is assumed by construction for the shipped builders and not tested.
 """
 
@@ -266,14 +267,17 @@ class ConditionsReport:
 def check_conditions(family: MaterialFamily, t_samples) -> ConditionsReport:
     """Falsification pass over time samples for the structural conditions.
 
-    Measures, at every sample of one or more finite times, also on a constant
-    family, the tightest coercivity constants that would still be valid and
-    the largest chord |M0(t) - M0(s)| / |t - s| over consecutive distinct
-    samples; pass/fail compares them with the claims.
+    Measures, at every sample of one or more finite times (a constant family
+    at the first alone, which the others repeat), the tightest coercivity
+    constants that would still be valid and the largest chord
+    |M0(t) - M0(s)| / |t - s| over consecutive distinct samples; pass/fail
+    compares them with the claims.
     """
     ts = np.atleast_1d(np.asarray(t_samples, dtype=float))
     if not (ts.size and np.isfinite(ts).all()):
         raise ContractViolation("check_conditions needs at least one time sample, all finite")
+    if family.constant:
+        ts = ts[:1]
     M0, M1 = coefficients(family, ts)
     finite = np.isfinite(M0).all(axis=(-2, -1)) & np.isfinite(M1).all(axis=(-2, -1))
     if not finite.all():

@@ -50,7 +50,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calculus import derivative
 from .errors import ContractViolation, StepFailure
 from .fixed_point import CONVERGED, NONFINITE, fixed_point, fixed_point_stack, sq_norms
 from .materials import (
@@ -629,6 +628,8 @@ def yosida_reference_bound(problem: InclusionProblem) -> float:
     Norms are weighted; sup|M0| is measured at t0 on a constant family, else
     at 16 times spread over the grid.
     """
+    from .calculus import derivative  # a direct solve never differentiates its forcing
+
     fam, f = problem.family, problem.forcing
     grid = f.grid
     ts = [grid.t0] if fam.constant else grid.t0 + grid.dt * np.linspace(0, grid.n - 1, 16)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evinc import config, harness
+from evinc import config, gallery, harness
 from evinc.cli import main
 from evinc.signals import TimeGrid, WeightedSignal, read_signal_csv, write_signal_csv
 
@@ -178,7 +178,8 @@ class TestSchema:
     def test_help_names_the_choices(self, capsys):
         main(["solve", "--help"])
         text = " ".join(capsys.readouterr().out.split())
-        for names in ("direct | yosida_path", "constant | sinusoidal", "soft_threshold | ball_saturation"):
+        for names in ("direct | yosida_path", "constant | sinusoidal", "soft_threshold | ball_saturation",
+                      "causality | lipschitz"):
             assert names in text
 
 
@@ -198,6 +199,7 @@ _MALFORMED = [
     ("viscoplasticity", "L", "1,1.5"),
     ("campaign", "checks", "causality,nope"),
     ("problem", "catalog", "Scalar_ODE"),
+    ("viscoplasticity", "relation", "nope"),
 ] + [
     # every number is finite: no key needs infinity, and NaN compares false to any bound
     (section, key, value)
@@ -216,6 +218,17 @@ def test_malformed_value_is_a_config_error(tmp_path, capsys, section, key, value
     assert code == 1
     assert err.startswith("config error:") and f"{section}.{key}" in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value, names", [
+    ("campaign.checks", "causality,nope", tuple(harness.CHECKS)),
+    ("viscoplasticity.relation", "nope", gallery.VISCOPLASTIC_RELATIONS),
+])
+def test_a_choice_read_from_its_table_lists_every_name(tmp_path, capsys, key, value, names):
+    # the config reads these names from the harness and the gallery when it parses the value
+    code, _ = run(tmp_path, "solve", CONFIGS / "scalar_ode.ini", "--set", f"{key}={value}")
+    assert code == 1
+    assert f"'nope' is not one of {', '.join(names)}" in capsys.readouterr().err
 
 
 class TestGrid:

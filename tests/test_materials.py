@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,18 @@ class TestCheckConditions:
         )
         with pytest.raises(ConditionCheckError, match="not finite at t=0.5"):
             check_conditions(fam, [0.0, 0.5, 1.0])
+
+    def test_constant_family_is_measured_once(self):
+        # every sample repeats the first, so 2 001 samples once took 2 001 evaluations
+        base = constant_family(np.diag([2.0, 0.0]), np.array([[0.5, 0.3], [-0.3, 1.5]]))
+        calls = []
+        fam = replace(base, M0_at=lambda t: calls.append(t) or base.M0_at(t))
+        ts = np.linspace(0.0, 10.0, 2001)
+        rep = check_conditions(fam, ts)
+        assert calls == [0.0]
+        # the same fields as a measurement at every sample
+        assert rep == check_conditions(replace(base, constant=False), ts)
+        assert rep.measured_lipschitz == 0.0 and rep.passed
 
     def test_report_serializes_flat(self):
         fam = constant_family(np.eye(2), np.zeros((2, 2)))
