@@ -13,6 +13,14 @@ map iterated here is, so an accepted residual above ten times the first one,
 Mixing starts once two residuals exist, so a solve that stops after one or
 two evaluations takes exactly the plain steps. Deterministic throughout.
 
+Both kernels take an optional candidate hook ``newton(g, r) -> x'``, a
+semismooth Newton step on ``x - G(x)`` from the last accepted evaluation
+``g = G(x)`` and its residual ``r`` (SuperMann: Themelis & Patrinos, SIAM J.
+Optim. 29, 2019). A run tries it from its first step on, and the safeguard
+judges it as it judges a mixed point; after its first refusal the run takes
+the plain step and mixes with Anderson for the rest of the call. A Newton
+solve is not an evaluation, so it never counts against the budget.
+
 Both kernels keep their history in one layout: a pair of arrays with
 ``2 * MEMORY`` entries of ``dim`` (per row of the stack in
 ``fixed_point_stack``), allocated when the kernel first mixes. Each mixing
@@ -114,7 +122,7 @@ def sq_norms(x):
     return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
 
-def fixed_point(G, x0, tol, max_iter):
+def fixed_point(G, x0, tol, max_iter, newton=None):
     """Iterate ``G`` from ``x0``; returns ``(out, iterations, residual, reason)``.
 
     ``out`` and ``residual`` belong to the last accepted evaluation of ``G``
@@ -125,6 +133,16 @@ def fixed_point(G, x0, tol, max_iter):
     before them, as when ``tol`` is below what rounding lets the map reach)
     or ``NONFINITE`` (an evaluation gave a non-finite residual; ``out`` and
     ``residual`` are then that evaluation's).
+
+    ``newton(g, r) -> x'``, if given, proposes the next point from the last
+    accepted evaluation ``g = G(x)`` and its residual ``r = g - x``, from
+    the first step on (``g - r`` is ``x`` up to rounding). The safeguard
+    judges it as a mixed point: it is kept only if its residual falls. A
+    candidate whose squared norm is not finite is refused before ``G`` sees
+    it, and a refused candidate, evaluated or not, is never the
+    ``NONFINITE`` exit. After its first refusal the run takes no more
+    candidates and goes on as a run without them would from its current
+    point, with the plain step and then Anderson mixing.
     """
     gx, out = G(x0)
     r = gx - x0
@@ -143,7 +161,13 @@ def fixed_point(G, x0, tol, max_iter):
     while res > tol:
         if it >= max_iter:
             return out, it, res, BUDGET
-        mixed = prev is not None
+        tried = False
+        if newton is not None:
+            x_new = newton(gx, r)
+            tried = math.isfinite(x_new @ x_new)
+            if not tried:  # refused unevaluated
+                newton = None
+        mixed = prev is not None and not tried
         if mixed:
             if dG is None:
                 dG = np.empty((2 * MEMORY,) + gx.shape)
@@ -160,22 +184,23 @@ def fixed_point(G, x0, tol, max_iter):
             np.subtract(r, prev[1], out=dR[pos])
             window = slice(pos + 1 - k, pos + 1)
             x_new = _mix(gx, r, dG[window], dR[window])
-        else:
+        elif not tried:
             x_new = gx
         g_new, out_new = G(x_new)
         r_new = g_new - x_new
         res_new = math.sqrt(r_new @ r_new)
         it += 1
-        if not math.isfinite(res_new):
+        if not (tried or math.isfinite(res_new)):
             return out_new, it, res_new, NONFINITE
         if res_new < best:
             best, best_it = res_new, it
-        if mixed and not res_new < res:
+        if (mixed or tried) and not res_new < res:
             # safeguard: drop the candidate, restart from the plain step
             k = 0
-            prev = None
+            prev = newton = None
         else:
-            prev = (gx, r)
+            # a run on candidates keeps no history: it restarts from the plain step
+            prev = None if tried else (gx, r)
             gx, r, res, out = g_new, r_new, res_new, out_new
         if res > 10.0 * first:
             return out, it, res, DIVERGING
@@ -184,7 +209,7 @@ def fixed_point(G, x0, tol, max_iter):
     return out, it, res, CONVERGED
 
 
-def fixed_point_stack(G, X0, tol, max_iter):
+def fixed_point_stack(G, X0, tol, max_iter, newton=None):
     """``fixed_point`` on each row of ``X0``; returns ``(out, iterations, residuals, reasons)``.
 
     ``G(X) -> (GX, OUT)`` evaluates every row's map at the stack ``X``, as
@@ -217,6 +242,13 @@ def fixed_point_stack(G, X0, tol, max_iter):
     map returned, which the map must not keep. The row's differences are
     then zero and its mix is its start, which is reset bit for bit before
     the map gets it.
+
+    ``newton(GX, R) -> X'``, if given, proposes candidates on the whole
+    stack, as ``fixed_point``'s does for one vector: ``GX`` and ``R`` hold
+    each row's last accepted evaluation and residual, and each row takes or
+    refuses its own candidate as ``fixed_point`` does, so it must give each
+    row the bits it gives that row alone. An exited row appears with its
+    start and a zero residual, and its candidate is ignored.
     """
     size = len(X0)
     if not size:
@@ -227,6 +259,8 @@ def fixed_point_stack(G, X0, tol, max_iter):
     it = 1
     first, best = list(res), list(res)
     best_it = [it] * size
+    # per row: still taking candidates
+    on = [newton is not None] * size
     # per row: a previous accepted step exists, and the history length
     has_prev = [False] * size
     count = [0] * size
@@ -297,6 +331,23 @@ def fixed_point_stack(G, X0, tol, max_iter):
                 np.copyto(x, X0, where=exited)
         else:
             x = gx
+        trying = ()
+        if newton is not None:
+            rows = [j for j in live if on[j]]
+            if rows:
+                cand = newton(gx, r)
+                # a row whose candidate is not finite is refused unevaluated and takes its plain step
+                finite = sq_norms(cand).tolist()
+                for j in rows:
+                    on[j] = math.isfinite(finite[j])
+                trying = [j for j in rows if on[j]]
+                if len(trying) == size:
+                    x = cand
+                elif trying:
+                    if x is gx:
+                        x = gx.copy()
+                    x[trying] = cand[trying]
+                trying = set(trying)
         g_new, o_new = G(x)
         r_new = g_new - x
         res_new = np.sqrt(sq_norms(r_new)).tolist()
@@ -312,7 +363,8 @@ def fixed_point_stack(G, X0, tol, max_iter):
         exits = {}
         for j in live:
             v = res_new[j]
-            if not math.isfinite(v):
+            tried = j in trying
+            if not (tried or math.isfinite(v)):
                 # leaves with this evaluation's output and residual
                 exits[j] = NONFINITE
                 accepted.append(j)
@@ -320,13 +372,14 @@ def fixed_point_stack(G, X0, tol, max_iter):
                 continue
             if v < best[j]:
                 best[j], best_it[j] = v, it
-            if has_prev[j] and not v < res[j]:
+            if (has_prev[j] or tried) and not v < res[j]:
                 # safeguard: drop the candidate, restart from the plain step
-                has_prev[j] = False
+                has_prev[j] = on[j] = False
                 count[j] = 0
             else:
                 accepted.append(j)
-                has_prev[j] = True
+                # a row on candidates keeps no history: it restarts from the plain step
+                has_prev[j] = not tried
                 res[j] = v
             if res[j] > 10.0 * first[j]:
                 exits[j] = DIVERGING

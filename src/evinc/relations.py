@@ -18,7 +18,12 @@ Picard map. Structural hooks used by the stepper:
 - single-valued tails expose ``apply`` and a cocoercivity constant
   (projection-type maps are 1-cocoercive), which decides between
   forward-backward and Douglas-Rachford in the per-step engines;
-- ``graph_distance(x, v)`` measures dist(v, A(x)) for brute-force oracles.
+- ``graph_distance(x, v)`` measures dist(v, A(x)) for brute-force oracles;
+- ``resolve_jacobian(lam, y)`` gives a generalized Jacobian of ``resolve(lam, .)``
+  at ``y``, ``(..., dim, dim)`` for ``(..., dim)`` states; a Douglas-Rachford
+  step takes Newton candidates through it. Only a slot embedding whose base
+  has a ``block_jacobian`` (the norm subdifferential) has one; it is None on
+  every other relation, the bare norm subdifferential included.
 
 Shape contract: ``resolve`` and ``apply`` take ``(..., dim)`` states and give
 each row the bits of that row alone. The two sums that resolve by iteration loop over the rows.
@@ -125,6 +130,10 @@ class MonotoneRelation:
     single_valued: bool = False
     #: largest c with <A(x)-A(y), x-y> >= c |A(x)-A(y)|^2 (0.0 if unknown/none)
     cocoercivity: float = 0.0
+    #: ``resolve_jacobian(lam, y)``, a generalized Jacobian of the resolvent, or None
+    resolve_jacobian = None
+    #: ``block_jacobian(lam, y)``, the same for a slot's base, which the slot exposes, or None
+    block_jacobian = None
 
     def resolve(self, lam: float, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -213,6 +222,26 @@ class NormSubdifferential(MonotoneRelation):
     def _floats(self, y, lam):
         th, r = lam * self.weight, _block_norm(y)
         return [0.0] * self.dim if r <= th else _scaled(y, 1.0 - th / r)
+
+    def block_jacobian(self, lam, y):
+        """The block soft threshold's Jacobian: 0 where |y| <= t, else
+        (1 - t/r) I + (t/r) ŷŷᵀ with r = |y|, ŷ = y/r and t = lam*weight, per row.
+
+        A slot embedding exposes it as its ``resolve_jacobian``; the bare
+        relation does not, so its own marches keep Anderson mixing. On the
+        degenerate sign plane Newton candidates stop at the same splitting
+        gap further from the oracle (ROADMAP items 1 and 6).
+        """
+        y = np.asarray(y, dtype=float)
+        th = lam * self.weight
+        r = _row_norms(y)
+        m = np.maximum(r, th)
+        q = th / m  # t/r where kept, 1 in the dead zone
+        unit = y / m
+        jac = unit[..., :, None] * (np.where(r > th, q, 0.0) * unit)[..., None, :]
+        # the diagonal, a strided view, gains 1 - t/r: exactly 0 in the dead zone
+        jac.reshape(y.shape[:-1] + (self.dim * self.dim,))[..., :: self.dim + 1] += 1.0 - q
+        return jac
 
     def graph_distance(self, x, v):
         x = np.asarray(x, dtype=float)
@@ -320,6 +349,15 @@ class SlotEmbedded(MonotoneRelation):
         self.contains_origin = base.contains_origin
         self.single_valued = base.single_valued
         self.cocoercivity = base.cocoercivity
+        if base.block_jacobian is None:  # the slot has a Jacobian only where its base has one
+            self.resolve_jacobian = None
+        else:
+            # the identity outside the slot, and the flat places of the slot's blocks in a matrix
+            outside = np.ones(total_dim)
+            outside[self.start : self.stop] = 0.0
+            self._frame = np.diag(outside)
+            at = np.arange(self.start, self.stop).reshape(count, base.dim, 1)
+            self._places = (at * total_dim + at.mT).ravel()
         own = next((c for c in type(base).__mro__ if "_floats" in vars(c)), None)
         self._on_floats = (own is not None and (type(base).resolve, type(base).apply) == (own.resolve, own.apply)
                            and base.dim < ORDERED_SUM and self.stop - self.start <= FLOAT_ENTRIES)
@@ -336,6 +374,17 @@ class SlotEmbedded(MonotoneRelation):
             _blockwise(self.base, lam, nodes) if y.ndim == 1 and self._on_floats
             else self.base.resolve(lam, nodes.reshape(-1, self.base.dim)).reshape(nodes.shape))
         return out
+
+    def resolve_jacobian(self, lam, y):
+        """The identity outside the slot and the base's Jacobian on each slot node."""
+        y = np.asarray(y, dtype=float)
+        if isinstance(lam, np.ndarray):
+            lam = np.repeat(lam, self.count, axis=0)
+        blocks = self.base.block_jacobian(lam, y[..., self.start : self.stop].reshape(-1, self.base.dim))
+        jac = np.empty(y.shape[:-1] + self._frame.shape)
+        jac[...] = self._frame
+        jac.reshape(y.shape[:-1] + (-1,))[..., self._places] = blocks.reshape(y.shape[:-1] + (-1,))
+        return jac
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)

@@ -29,7 +29,10 @@ non-finite node fails its member. An iterative cell is one ``_node_step``,
 which builds its engine's map G(x) -> (Gx, out) and runs safeguarded
 Anderson(5) on one fixed-point kernel (``fixed_point.fixed_point`` on one
 vector, ``fixed_point.fixed_point_stack`` on a stack), which owns the stop
-rule, the budget and the diverging, stall and non-finite exits.
+rule, the budget and the diverging, stall and non-finite exits. A
+Douglas-Rachford map on a tail with a ``resolve_jacobian`` also hands the
+kernel semismooth Newton candidates, which its safeguard keeps while they
+lower the residual.
 
 ``solve_batch`` marches the problems that differ only in forcing, rho and
 c_tilde together. Numpy's stacked products and solves, and the relations'
@@ -51,7 +54,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ContractViolation, StepFailure
-from .fixed_point import CONVERGED, NONFINITE, fixed_point, fixed_point_stack, sq_norms
+from .fixed_point import (
+    CONVERGED, NONFINITE, _solve, _solve1, fixed_point, fixed_point_stack, sq_norms,
+)
 from .materials import (
     MaterialFamily, _rho_error, _step_size_error, coefficients, dt_max, rho_zero, step_matrices,
 )
@@ -153,16 +158,21 @@ class SolveReport:
     ``per_step_iterations[k]`` counts the fixed-point map evaluations spent
     on node k, 1 on a direct node; on the Yosida path it is the sum over the
     stages marched, one for a relation with no tail, whose ``lambda_trace``
-    gives its one stage's image norm at every scheduled lambda.
-    ``max_residual`` is the largest stop residual over the nodes of the
-    (last) march, so it means a different thing per engine. On a direct node
-    it is |(S + K) u - b| / (1 + |b|), the linear solve's relative residual,
-    taken after the march; a direct node where it is not finite fails
-    (``nonfinite``), as an iterative one does. On a Douglas-Rachford node it
-    is the splitting gap ``|w - x|``, which can understate the node's natural
-    residual (by about 600x on ``viscoplastic_slab``); it is not an error
-    bound. The report holds only what the march gives: the bounds that the
-    data give are ``lipschitz_bound``, ``yosida_delta`` and
+    gives its one stage's image norm at every scheduled lambda. A
+    Douglas-Rachford node whose tail has a ``resolve_jacobian`` (a slot of
+    the norm subdifferential: the viscoplastic slab in direct mode, not a
+    bare sign relation) tries a semismooth Newton candidate at every step
+    until the safeguard first refuses one; the Newton solves are not map
+    evaluations and are not counted. ``max_residual`` is the largest stop
+    residual over the nodes of the (last) march, so it means a different
+    thing per engine. On a direct node it is |(S + K) u - b| / (1 + |b|),
+    the linear solve's relative residual, taken after the march; a direct
+    node where it is not finite fails (``nonfinite``), as an iterative one
+    does. On a Douglas-Rachford node it is the splitting gap ``|w - x|``,
+    with or without Newton candidates, which can understate the node's
+    natural residual (by about 1000x on ``viscoplastic_slab``); it is not
+    an error bound. The report holds only what the march gives: the bounds
+    that the data give are ``lipschitz_bound``, ``yosida_delta`` and
     ``yosida_reference_bound``, functions of the problem.
     """
 
@@ -210,11 +220,24 @@ def _node_step(name, tail, lam_mat, gamma, inv, b, warm, fp_tol: float, fp_max_i
     arguments, not as closure cells. ``_march`` solves direct cells itself.
     """
     # gamma * b is taken once per step where a map adds it; gamma * (L u - b) differs in the last bit
+    newton = None
     if name == "Douglas-Rachford":
-        def G(z, inv=inv, gb=gamma * b, resolve=tail.resolve, gamma=gamma):
+        gb = gamma * b
+
+        def G(z, inv=inv, gb=gb, resolve=tail.resolve, gamma=gamma):
             x = _mv(inv, z + gb)
             w = resolve(gamma, 2.0 * x - z)
             return z + (w - x), w
+
+        if tail.resolve_jacobian is not None:
+            # semismooth Newton on z - G(z) = x - w: its Jacobian is inv - D (2 inv - I),
+            # D the resolvent's Jacobian at 2x - z, so the candidate is z + J^-1 (G(z) - z)
+            def newton(g, r, inv=inv, gb=gb, jacobian=tail.resolve_jacobian,
+                       gamma=gamma, reflect=2.0 * inv - np.eye(inv.shape[-1])):
+                z = g - r
+                x = _mv(inv, z + gb)
+                J = inv - jacobian(gamma, 2.0 * x - z) @ reflect
+                return z + (_solve1(J, r) if r.ndim == 1 else _solve(J, r[..., None])[..., 0])
     elif inv is not None:
         def G(u, inv=inv, gb=gamma * b, apply=tail.apply, gamma=gamma):
             u_new = _mv(inv, u - gamma * apply(u) + gb)
@@ -224,7 +247,7 @@ def _node_step(name, tail, lam_mat, gamma, inv, b, warm, fp_tol: float, fp_max_i
             u_new = resolve(gamma, u - gamma * (_mv(lam_mat, u) - b))
             return u_new, u_new
     # the map evaluates the whole stack: the kernel keeps an exited row in place
-    return (fixed_point if b.ndim == 1 else fixed_point_stack)(G, warm, fp_tol, fp_max_iter)
+    return (fixed_point if b.ndim == 1 else fixed_point_stack)(G, warm, fp_tol, fp_max_iter, newton)
 
 
 def _node_plans(family: MaterialFamily, linear, tails, t0: float, dt: float, n: int):

@@ -284,6 +284,27 @@ def test_stacked_planning_calls_are_per_matrix_bits(dim, size):
         assert k.tobytes() == (A @ kb).tobytes()
 
 
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("dim", [2, 10, 28])
+def test_newton_step_calls_are_per_matrix_bits(dim, size):
+    # a Douglas-Rachford node's Newton candidate assembles inv - D (2 inv - I)
+    # with a stacked block product, D one Jacobian per row and the reflection
+    # shared or one per row, and solves it by the stacked LAPACK gufunc; each
+    # row must get the bits of its own 2-D product and of solve1 on it alone
+    rng = np.random.default_rng([dim, size, 4])
+    D = rng.standard_normal((size, dim, dim))
+    reflect = rng.standard_normal((dim, dim))
+    reflects = rng.standard_normal((size, dim, dim))
+    shared, own = D @ reflect, D @ reflects
+    J = rng.standard_normal((size, dim, dim)) + dim * np.eye(dim)
+    R = rng.standard_normal((size, dim))
+    steps = _solve(J, R[..., None])[..., 0]
+    for d, ref, a, b, j, r, step in zip(D, reflects, shared, own, J, R, steps):
+        assert a.tobytes() == (d @ reflect).tobytes()
+        assert b.tobytes() == (d @ ref).tobytes()
+        assert step.tobytes() == _solve1(j, r).tobytes()
+
+
 def _exit_maps():
     """One map per exit of the kernel, all on the plane, each with its own call count."""
     M = np.array([[-0.94, 0.03], [0.03, 0.94]])
@@ -699,3 +720,133 @@ def test_degenerate_histories_mix_quietly(dim, kind, scale):
             warnings.simplefilter("error")
             mixed = _mix(np.zeros(dim), r, np.eye(k, dim), _degenerate(kind, k, v))
         assert np.all(np.isfinite(mixed)), f"{kind} history at k={k} under {NUMPY}"
+
+
+# ---------------------------------------------------------------------------
+# Newton candidates: the safeguard judges them, and a refusal hands the run
+# to the plain and mixed steps for good
+
+
+def _newton_rows(M, C, T, scale=1.0, poison=0.0):
+    """Semismooth Newton candidates for ``_soft_rows(M, C, T, False)``: x + scale (I - P M)^-1 r.
+
+    x = g - r, and P is the diagonal of entries past the threshold at x. A row proposes NaN
+    once its residual is below ``poison``: from the first step at inf, after
+    some accepted candidates at a small value, never at 0. A stack takes one
+    matrix per row, as the map does.
+    """
+
+    def newton(GX, R):
+        X = GX - R
+        V = M @ X + C if X.ndim == 1 else (M @ X[..., None])[..., 0] + C
+        J = np.eye(X.shape[-1]) - (np.abs(V) > T)[..., :, None] * M
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            step = _solve1(J, R) if X.ndim == 1 else _solve(J, R[..., None])[..., 0]
+            return np.where((sq_norms(R) < poison * poison)[..., None], np.nan, X + scale * step)
+
+    return newton
+
+
+def _counted(G):
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return G(x)
+
+    return counted, calls
+
+
+PLANE_M = np.array([[-0.94, 0.03], [0.03, 0.94]])
+PLANE_C = np.array([2.2, 2.0])
+
+
+def test_newton_candidates_converge_in_a_few_evaluations():
+    G, calls = _counted(_soft_rows(PLANE_M, PLANE_C, 0.85, False))
+    plain = fixed_point(G, np.array([-7.0, -4.0]), 1e-12, 1000)
+    G, newton_calls = _counted(_soft_rows(PLANE_M, PLANE_C, 0.85, False))
+    out, it, res, reason = fixed_point(G, np.array([-7.0, -4.0]), 1e-12, 1000,
+                                       _newton_rows(PLANE_M, PLANE_C, 0.85))
+    assert reason == CONVERGED and res <= 1e-12
+    assert np.linalg.norm(out - plain[0]) <= 1e-10
+    assert it == len(newton_calls) < plain[1] == len(calls)
+
+
+@pytest.mark.parametrize("hook", ["nan", "singular"])
+@pytest.mark.parametrize("start", [[-7.0, -4.0], [1.0, 59.0 / 3.0], [30.0, -2.0]])
+def test_a_refused_first_candidate_gives_the_run_without_the_hook(hook, start):
+    # refused unevaluated: the same evaluations, output bits, iterations,
+    # residual and reason as no hook at all, and the hook is asked once
+    x0 = np.array(start)
+    G, calls = _counted(_soft_rows(PLANE_M, PLANE_C, 0.85, False))
+    without = fixed_point(G, x0, 1e-12, 1000)
+    asked = []
+
+    def newton(g, r):
+        asked.append(1)
+        if hook == "nan":
+            return np.full_like(g, np.nan)
+        with np.errstate(invalid="ignore"):  # an exactly singular system gives NaN
+            return g - r + _solve1(np.ones((2, 2)), r)
+
+    G, hooked_calls = _counted(_soft_rows(PLANE_M, PLANE_C, 0.85, False))
+    with_hook = fixed_point(G, x0, 1e-12, 1000, newton)
+    assert with_hook[0].tobytes() == without[0].tobytes()
+    assert with_hook[1:] == without[1:]
+    assert len(hooked_calls) == len(calls)
+    assert len(asked) == (without[1] > 1)
+
+
+def test_a_candidate_the_map_cannot_evaluate_is_refused_not_nonfinite():
+    # a finite candidate outside the map's ball gives +inf there: the
+    # evaluation counts, the candidate is dropped, and the run goes on
+    # as without the hook, one evaluation later
+    ball = _ball_rows(PLANE_M, PLANE_C, 0.85, 100.0)
+    without = fixed_point(ball, np.array([-7.0, -4.0]), 1e-12, 1000)
+    out, it, res, reason = fixed_point(ball, np.array([-7.0, -4.0]), 1e-12, 1000,
+                                       lambda g, r: g - r + 1e3)
+    assert reason == CONVERGED == without[3]
+    assert it == without[1] + 1
+    assert np.linalg.norm(out - without[0]) <= 1e-10
+
+
+NEWTON_ROW = st.tuples(
+    st.floats(0.0, 1.5),  # rate
+    st.floats(0.0, 2.0),  # soft threshold
+    st.floats(0.0, 4.0),  # size of the shift
+    st.sampled_from([0.0, 1.0, 10.0]),  # size of the start
+    st.sampled_from([1.0, 1.0, 0.5, 3.0]),  # Newton step scale: exact, short, or overshooting
+    st.sampled_from([0.0, 0.0, 0.0, 1e-4, np.inf]),  # NaN candidates below this residual
+    st.one_of(st.floats(1.0, 100.0), st.just(np.inf)),  # the map is +inf outside this ball
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.generate])
+@given(
+    rows=st.lists(NEWTON_ROW, min_size=1, max_size=16),
+    dim=st.integers(1, 12),
+    max_iter=st.integers(1, 60),
+    tol=st.sampled_from([1e-12, 1e-9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_rows_on_newton_are_their_solo_runs(rows, dim, max_iter, tol, seed):
+    # rows that keep their candidates, rows refused at once or later (NaN),
+    # rows whose overshooting candidates the safeguard refuses, and rows whose
+    # candidates leave the map's ball share one stack; each row gets bit for
+    # bit what fixed_point gives it alone
+    rng = np.random.default_rng(seed)
+    rates, thresholds, shifts, starts, scales, poison, radius = (np.array(v) for v in zip(*rows))
+    qs = np.linalg.qr(rng.standard_normal((len(rows), dim, dim)))[0]
+    M = rates[:, None, None] * (qs * np.linspace(-1.0, 1.0, dim)) @ qs.mT
+    C = shifts[:, None] * rng.standard_normal((len(rows), dim))
+    T = thresholds[:, None]
+    X0 = starts[:, None] * rng.standard_normal((len(rows), dim))
+    newton = _newton_rows(M, C, T, scales[:, None], poison)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, its, res, reasons = fixed_point_stack(_ball_rows(M, C, T, radius), X0, tol, max_iter, newton)
+        for j, x0 in enumerate(X0):
+            alone = fixed_point(_ball_rows(M[j], C[j], T[j], radius[j]), x0, tol, max_iter,
+                                _newton_rows(M[j], C[j], T[j], scales[j], poison[j]))
+            assert out[j].tobytes() == alone[0].tobytes()
+            assert (its[j], res[j], reasons[j]) == alone[1:]

@@ -14,7 +14,14 @@ pin. The four ``moving_*_slab`` digests were re-recorded when the slab
 claims came to be read off the coefficients' bounds: ``rho`` follows the
 claims, and ``random_forcing`` scales by the weighted norm. The old forcing
 values solved on the new templates (at the old ``rho`` and reference bound
-on the Yosida path) hash to the old pins.
+on the Yosida path) hash to the old pins. Two direct digests were
+re-recorded when Douglas-Rachford nodes began to take semismooth Newton
+candidates through a ``resolve_jacobian``: ``viscoplastic_slab`` and
+``moving_viscoplastic_slab``, the only pinned marches with Douglas-Rachford
+nodes on a tail with that hook (a slot of the norm subdifferential; the bare
+one of ``moving_sign_plane`` has none). Their nodes stop on the same
+splitting gap in about a third of the evaluations, so the answers move
+within the stop tolerance, closer to a tight-tolerance solve.
 ``PYTHONPATH=src python tests/test_pinned_solutions.py`` prints every
 case, its pin and the digest it computes now, marking the pins that moved.
 """
@@ -44,7 +51,7 @@ PINNED = [
     ("saturation_plane", 60, "yosida_path", "9655f69c39d40b4bbdd657d2429a96464c98a0c70dfbdba01d7892db05be6eab"),
     ("thermoplastic_slab", 21, "direct", "b05f0c7994c4608465a4167cf43d5d5f270a3806985b03171dd8844d72de332f"),
     ("thermoplastic_slab", 21, "yosida_path", "c84fa81b05095b8ef4aa0d2575094a373781b56d6c1622257547533ba027de5e"),
-    ("viscoplastic_slab", 21, "direct", "876443ef04f3e6ba5d4bebd300b389142552477f0759c19eb5b9477fc38db1c2"),
+    ("viscoplastic_slab", 21, "direct", "514e2de876f7f0fd885529f3f715eebe69a0ebb6767b992663404662edfaa694"),
     ("viscoplastic_slab", 21, "yosida_path", "ea1aa8555b1c0268a3d4cedeb1a43e359720e9363a0d888e95f688e4c4daf2a4"),
 ]
 TEMPLATES = list(dict.fromkeys(name for name, *_ in PINNED))
@@ -142,7 +149,7 @@ MOVING_PINNED = [
     ("moving_sign_plane", 60, "yosida_path", "6b1618f21ed7eb8da2cc92134f34aa1ed0b196fbbb4ce51fe35edb1078806149"),
     ("moving_thermoplastic_slab", 21, "direct", "5ce284a2c870d02327b28e8c122ffad6d935317554b2bf4f3953767ee6cc7e9f"),
     ("moving_thermoplastic_slab", 21, "yosida_path", "bc20568712162c7856fe85842536cc8e5f6ed0ea307d20395702c99cd907e5a5"),
-    ("moving_viscoplastic_slab", 21, "direct", "03a0c6a587807f2ba53b130ae72cf3ad0cd77570d6659b32151c199e464cd476"),
+    ("moving_viscoplastic_slab", 21, "direct", "cc7c3827dae7f9788bf30c9f2ece3d44feacc54fd05e619f73b66e6959d955d1"),
     ("moving_viscoplastic_slab", 21, "yosida_path", "58322a31e8123e7aaada2b90b444afe1360dbc4c936b849823825885c422731e"),
 ]
 

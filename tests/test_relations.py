@@ -720,3 +720,93 @@ class TestShapeContract:
             assert out.shape == ys.shape
             for y, row in zip(ys.reshape(-1, 2), out.reshape(-1, 2)):
                 assert row.tobytes() == rel.resolve(0.4, y).tobytes()
+
+
+def _jacobian_points(rel, lam, rows, seed):
+    """Rows whose soft-threshold nodes lie at least 1e-3 from the threshold, on either side."""
+    base = getattr(rel, "base", rel)
+    start, count = getattr(rel, "start", 0), getattr(rel, "count", 1)
+    th = lam * base.weight
+    rng = np.random.default_rng(seed)
+    ys = rng.standard_normal((rows, rel.dim)) * 3.0
+    for y in ys:
+        for j in range(count):
+            node = y[start + j * base.dim : start + (j + 1) * base.dim]
+            radius = th + rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, min(th, 2.0))
+            node *= max(radius, 0.0) / np.linalg.norm(node)
+    return ys
+
+
+JACOBIAN_CASES = {
+    "soft_1": NormSubdifferential(1, weight=1.3),
+    "soft_2": NormSubdifferential(2, weight=0.7),
+    "soft_5": NormSubdifferential(5, weight=1.0),
+    "viscoplastic_slot": SlotEmbedded(NormSubdifferential(5, weight=1.0), 6, 28, count=2),
+    "inner_slot": SlotEmbedded(NormSubdifferential(2, weight=0.8), 3, 11, count=3),
+}
+
+
+def _jacobian(rel):
+    # a slot's hook, or the bare relation's blocks, which it exposes as no hook
+    return rel.resolve_jacobian or rel.block_jacobian
+
+
+class TestResolveJacobian:
+    """``block_jacobian`` of the norm subdifferential and ``resolve_jacobian`` of its slots."""
+
+    @pytest.mark.parametrize("name", sorted(JACOBIAN_CASES))
+    def test_matches_central_differences(self, name):
+        rel, lam, h = JACOBIAN_CASES[name], 0.6, 1e-7
+        for y in _jacobian_points(rel, lam, 20, sorted(JACOBIAN_CASES).index(name)):
+            jac = _jacobian(rel)(lam, y)
+            assert jac.shape == (rel.dim, rel.dim)
+            steps = h * np.eye(rel.dim)
+            diffs = [(rel.resolve(lam, y + e) - rel.resolve(lam, y - e)) / (2.0 * h) for e in steps]
+            assert np.abs(jac - np.transpose(diffs)).max() <= 1e-6
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_dead_zone_gives_a_zero_block(self, dim):
+        rel = NormSubdifferential(dim, weight=1.5)
+        ys = np.random.default_rng(dim).standard_normal((30, dim))
+        ys *= (0.9 * np.random.default_rng(dim + 1).uniform(0.0, 1.0, (30, 1))) / np.linalg.norm(ys, axis=1,
+                                                                                              keepdims=True)
+        ys[:2] = 0.0
+        ys[1, -1] = -1.5  # on the threshold: still the dead zone
+        assert not rel.block_jacobian(1.0, ys).any()
+        slot = SlotEmbedded(rel, 1, dim + 3)
+        for y in ys:
+            jac = slot.resolve_jacobian(1.0, np.concatenate([[4.0], y, [-2.0, 0.0]]))
+            assert np.array_equal(jac, np.diag([1.0] + [0.0] * dim + [1.0, 1.0]))
+
+    @pytest.mark.parametrize("name", sorted(JACOBIAN_CASES))
+    def test_a_stack_gives_each_row_its_vector_bits(self, name):
+        rel = JACOBIAN_CASES[name]
+        jacobian = _jacobian(rel)
+        ys = _jacobian_points(rel, 0.6, 40, 7)
+        lams = 10.0 ** np.random.default_rng(8).uniform(-3, 0.5, (40, 1))
+        for lam, stacked in ((0.6, jacobian(0.6, ys)), (lams, jacobian(lams, ys))):
+            assert stacked.shape == ys.shape + (rel.dim,)
+            for i, (y, jac) in enumerate(zip(ys, stacked)):
+                alone = jacobian(lam if np.isscalar(lam) else lam[i, 0], y)
+                assert jac.tobytes() == alone.tobytes()
+        twice = jacobian(0.6, np.stack([ys, ys[::-1]]))
+        assert twice.shape == (2, *ys.shape, rel.dim)
+        assert twice[1, ::-1].tobytes() == twice[0].tobytes() == jacobian(0.6, ys).tobytes()
+
+    @pytest.mark.parametrize("rel", [
+        NormSubdifferential(1), NormSubdifferential(2), NormSubdifferential(5),
+        SlotEmbedded(DeviatoricSaturation(radius=0.9), 6, 22, count=2),
+        NodewiseRelation(DeviatoricSaturation(radius=0.9), 2),
+        SlotEmbedded(BallSaturation(2), 0, 4, count=2),
+        ZeroRelation(2), LinearRelation(np.eye(2)), BallSaturation(2), DeviatoricSaturation(),
+        StructuredSum(np.eye(28), JACOBIAN_CASES["viscoplastic_slot"]),
+        *(YosidaRelation(base, 0.3) for base in (
+            NormSubdifferential(2), JACOBIAN_CASES["viscoplastic_slot"], BallSaturation(2),
+            SlotEmbedded(DeviatoricSaturation(radius=0.9), 6, 22, count=2))),
+        YosidaRelation(NormSubdifferential(2), np.array([[0.3], [0.1]])),
+    ], ids=lambda rel: type(rel).__name__)
+    def test_only_slots_of_the_norm_subdifferential_expose_the_hook(self, rel):
+        # a Douglas-Rachford step takes Newton candidates only through this hook;
+        # the bare norm subdifferential keeps its blocks to its slots
+        assert rel.resolve_jacobian is None
+        assert (rel.block_jacobian is not None) == isinstance(rel, NormSubdifferential)
